@@ -278,7 +278,9 @@ class StreamGraph:
         if self.operators[dst].is_source:
             raise GraphError(f"cannot feed a source operator: {dst!r}")
         edge = Edge(src=src, dst=dst, dst_port=dst_port)
-        if edge in self.edges:
+        # A duplicate shares ``src``, so its out-list is the only place
+        # it can be: O(out-degree) instead of a scan of every edge.
+        if edge in self._out[src]:
             raise GraphError(f"duplicate edge: {edge!r}")
         self.edges.append(edge)
         self._out[src].append(edge)

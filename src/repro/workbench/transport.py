@@ -227,6 +227,19 @@ class Backoff:
             time.sleep(delay)
 
 
+def _set_nodelay(sock: socket.socket) -> None:
+    """Turn off Nagle's algorithm on a frames socket.
+
+    Every message is flushed on its own, and a reply is several
+    messages (an ack, then one per result).  With Nagle on, a small
+    segment sent while the previous one is unacknowledged waits for
+    the peer's delayed ACK — a fixed ~40 ms stall per round trip.
+    asyncio sets this option on its TCP transports by default; the
+    blocking sockets must set it themselves.
+    """
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 # ---------------------------------------------------------------------------
 # Blocking client connection
 # ---------------------------------------------------------------------------
@@ -295,6 +308,7 @@ class ClientConnection:
                         f"{self.host}:{self.port}"
                     ) from None
                 time.sleep(0.05)
+        _set_nodelay(self._sock)
         self._sock.settimeout(self.timeout)
         self._stream = self._sock.makefile("rwb")
 
@@ -420,6 +434,13 @@ class FrameListener:
             return
         self._closed.set()
         if self._listener is not None:
+            # Closing the fd alone does not wake a thread blocked in
+            # accept(); shutting the listener down makes accept() fail
+            # at once, so the join below does not sit out its timeout.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:
@@ -470,6 +491,7 @@ class FrameListener:
 
     def _handle_conn(self, conn: socket.socket) -> None:
         try:
+            _set_nodelay(conn)
             stream = conn.makefile("rwb")
             while not self._closed.is_set():
                 try:
@@ -483,6 +505,8 @@ class FrameListener:
                     self._handler(stream, document)
                 except (BrokenPipeError, OSError):
                     return
+        except OSError:
+            return  # closed under us by close() before the first read
         finally:
             with self._conn_lock:
                 self._conns.discard(conn)

@@ -1,6 +1,8 @@
 """StreamGraph structure and invariants."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dataflow import (
     GraphError,
@@ -53,9 +55,60 @@ def test_edge_into_source_rejected():
 
 
 def test_duplicate_edge_rejected():
-    graph = chain_graph(2)
+    graph = chain_graph(3)
     with pytest.raises(GraphError, match="duplicate"):
         graph.add_edge("op0", "op1")
+    # Only ``(src, dst, dst_port)`` makes an edge a duplicate: the same
+    # input port fed from another source, or another port, is new.
+    graph.add_edge("op0", "op2")
+    graph.add_edge("op0", "op1", dst_port=1)
+    with pytest.raises(GraphError) as info:
+        graph.add_edge("op0", "op2")
+    assert str(info.value) == "duplicate edge: Edge(op0 -> op2:0)"
+
+
+_NAMES = ("a", "b", "c", "d")
+_edge_triples = st.lists(
+    st.tuples(
+        st.sampled_from(_NAMES),
+        st.sampled_from(_NAMES),
+        st.integers(min_value=0, max_value=2),
+    ),
+    max_size=40,
+)
+
+
+@given(triples=_edge_triples)
+@settings(max_examples=200, deadline=None)
+def test_add_edge_rejects_exactly_the_duplicates(triples):
+    """``add_edge`` raises iff a set oracle already holds the triple;
+    everything else (self-loops, fan-in to one port from several
+    sources) is accepted, and the adjacency lists agree with the
+    global edge list."""
+    graph = StreamGraph()
+    for name in _NAMES:
+        graph.add_operator(make_op(name))
+    seen: set[tuple[str, str, int]] = set()
+    accepted: list[tuple[str, str, int]] = []
+    for src, dst, port in triples:
+        if (src, dst, port) in seen:
+            with pytest.raises(GraphError) as info:
+                graph.add_edge(src, dst, dst_port=port)
+            message = f"duplicate edge: Edge({src} -> {dst}:{port})"
+            assert str(info.value) == message
+        else:
+            edge = graph.add_edge(src, dst, dst_port=port)
+            assert (edge.src, edge.dst, edge.dst_port) == (src, dst, port)
+            seen.add((src, dst, port))
+            accepted.append((src, dst, port))
+    assert [(e.src, e.dst, e.dst_port) for e in graph.edges] == accepted
+    for name in _NAMES:
+        assert graph.out_edges(name) == [
+            e for e in graph.edges if e.src == name
+        ]
+        assert graph.in_edges(name) == [
+            e for e in graph.edges if e.dst == name
+        ]
 
 
 def test_topological_order_on_chain():

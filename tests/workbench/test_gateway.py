@@ -14,6 +14,7 @@ membership events, and typed ``ServerBusy`` admission control.
 from __future__ import annotations
 
 import random
+import socket
 import threading
 
 import numpy as np
@@ -508,3 +509,34 @@ def test_concurrent_tenants_share_the_gateway(backends, ground_truth):
     assert stats["admitted"] == 2
     for tenant in ("tenant-a", "tenant-b"):
         assert_equivalent(ground_truth, results[tenant])
+
+
+def test_gateway_sockets_have_nodelay(store_dir, monkeypatch):
+    """The gateway's asyncio streams rely on asyncio's default of
+    ``TCP_NODELAY`` on TCP transports — pin it on both the client-facing
+    and the backend-facing socket, so a served round trip through the
+    gateway never waits on a delayed ACK."""
+    from repro.workbench import gateway as gateway_mod
+
+    seen: list[tuple[int, int, bool]] = []
+    real_send = gateway_mod.async_send_message
+
+    async def recording_send(writer, document, arrays=None):
+        sock = writer.get_extra_info("socket")
+        flag = sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        seen.append((sock.getsockname()[1], sock.getpeername()[1], flag))
+        await real_send(writer, document, arrays)
+
+    monkeypatch.setattr(gateway_mod, "async_send_message", recording_send)
+    request = PartitionRequest(
+        rate_factor=1.0, cpu_budget=1.0, gap_tolerance=5e-3
+    )
+    with PartitionServer(workers=1, store=store_dir) as backend:
+        with Gateway([backend.address]) as gw:
+            with ServerClient(gw.address) as client:
+                client.partition_many(SCENARIO, [request], params=PARAMS)
+            gw_port, backend_port = gw.address[1], backend.address[1]
+    front = [flag for local, _, flag in seen if local == gw_port]
+    to_backend = [flag for _, peer, flag in seen if peer == backend_port]
+    assert front and all(front)
+    assert to_backend and all(to_backend)

@@ -493,6 +493,18 @@ def test_client_raises_typed_error_after_server_close(store_dir):
     assert issubclass(ServerUnavailable, ServerError)
 
 
+def test_started_server_closes_promptly(store_dir):
+    """Stopping a server must wake its accept thread at once, not sit
+    out the accept-thread join timeout."""
+    srv = PartitionServer(workers=1, store=store_dir)
+    srv.start()
+    with ServerClient(srv.address) as client:
+        assert client.ping()["ok"]
+    started = time.monotonic()
+    srv.close()
+    assert time.monotonic() - started < 1.0
+
+
 def test_client_retries_recover_from_torn_connection(server):
     """Tearing the client's socket under it is healed by reconnect +
     retry; the recovery is counted."""

@@ -4,8 +4,10 @@ Pins the contracts the routing layers lean on: address and manifest
 parsing (every spec shape normalizes to canonical ``host:port``
 targets), the *per-attempt* connect deadline (ISSUE 9 bugfix: a dead
 backend must fail in about ``connect_timeout`` seconds even when the
-request ``timeout`` is minutes), and the seeded, instance-private
-backoff RNG.
+request ``timeout`` is minutes), the seeded, instance-private
+backoff RNG, and ``TCP_NODELAY`` on both ends of a blocking frames
+connection (with Nagle on, every served round trip stalls ~40 ms on
+the peer's delayed ACK).
 """
 
 from __future__ import annotations
@@ -18,9 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.runtime.frames import send_message
+from repro.workbench import PartitionServer, ServerClient
 from repro.workbench.transport import (
     Backoff,
     ClientConnection,
+    FrameListener,
     ServerError,
     ServerUnavailable,
     format_address,
@@ -189,6 +194,45 @@ def test_successful_connect_restores_request_timeout():
             conn.close()
         assert not conn.connected
     finally:
+        listener.close()
+
+
+# ---------------------------------------------------------------------------
+# Nagle off on every blocking frames socket
+# ---------------------------------------------------------------------------
+
+
+def nodelay(sock) -> bool:
+    return bool(
+        sock.getsockopt(socket_mod.IPPROTO_TCP, socket_mod.TCP_NODELAY)
+    )
+
+
+def test_server_client_socket_has_nodelay(tmp_path):
+    with PartitionServer(workers=0, store=str(tmp_path)) as srv:
+        with ServerClient(srv.address) as client:
+            assert client.ping()["ok"]
+            assert nodelay(client._sock)
+
+
+def test_frame_listener_connections_have_nodelay():
+    def echo(stream, document):
+        send_message(stream, {"echo": document})
+
+    listener = FrameListener("127.0.0.1", 0, echo)
+    host, port = listener.start()
+    conn = ClientConnection(host, port, timeout=5.0)
+    try:
+        conn.connect()
+        conn.send({"op": "ping"})
+        # A reply means the handler thread has set up its connection.
+        document, _ = conn.recv()
+        assert document == {"echo": {"op": "ping"}}
+        served = list(listener._conns)
+        assert len(served) == 1
+        assert nodelay(served[0])
+    finally:
+        conn.close()
         listener.close()
 
 
