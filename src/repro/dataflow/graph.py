@@ -259,6 +259,10 @@ class StreamGraph:
         self.edges: list[Edge] = []
         self._out: dict[str, list[Edge]] = {}
         self._in: dict[str, list[Edge]] = {}
+        # Structural fingerprint, kept by
+        # repro.workbench.artifacts.graph_fingerprint; every structural
+        # change below clears it.
+        self._fingerprint: str | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -268,6 +272,7 @@ class StreamGraph:
         self.operators[op.name] = op
         self._out[op.name] = []
         self._in[op.name] = []
+        self._fingerprint = None
         return op
 
     def add_edge(self, src: str, dst: str, dst_port: int = 0) -> Edge:
@@ -285,6 +290,7 @@ class StreamGraph:
         self.edges.append(edge)
         self._out[src].append(edge)
         self._in[dst].append(edge)
+        self._fingerprint = None
         return edge
 
     # -- topology -------------------------------------------------------------

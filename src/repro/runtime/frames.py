@@ -30,6 +30,7 @@ import json
 import struct
 import time
 import zipfile
+import zlib
 from typing import Any, BinaryIO, Callable, Mapping
 
 import numpy as np
@@ -47,6 +48,15 @@ class FrameError(Exception):
     """Raised for truncated or oversized frames on a byte stream."""
 
 
+class SidecarError(FrameError):
+    """Raised for an npz array sidecar that does not decode.
+
+    One type for every way damaged zip bytes fail — on the wire
+    (:func:`decode_message`) and on disk
+    (:func:`repro.workbench.artifacts.read_document`) alike.
+    """
+
+
 class InjectedFault(OSError):
     """A scheduled transport fault (see :mod:`repro.workbench.faults`).
 
@@ -58,7 +68,7 @@ class InjectedFault(OSError):
 
 
 #: Fault-injection hook (``None`` in production).  When set — by
-#: :func:`repro.workbench.faults.install` — :func:`send_message` asks it
+#: :func:`repro.workbench.faults.install` — :func:`send_frames` asks it
 #: for an action before every send; the hook returns ``None`` (no
 #: fault) or a rule-like object with ``action``/``delay`` attributes.
 _fault_hook: Callable[[str], Any] | None = None
@@ -133,13 +143,33 @@ def pack_arrays(arrays: Mapping[str, np.ndarray]) -> bytes:
     return buffer.getvalue()
 
 
+#: What :mod:`zipfile` and :func:`numpy.load` raise on damaged bytes.
+#: Flipped central-directory flag bits alone reach ``RuntimeError``
+#: ("encrypted") and ``NotImplementedError`` (a ``RuntimeError``:
+#: "compressed patched data", unknown zip versions or methods).
+_SIDECAR_DECODE_ERRORS = (
+    ValueError,
+    OSError,
+    EOFError,
+    KeyError,
+    RuntimeError,
+    zipfile.BadZipFile,
+    zipfile.LargeZipFile,
+    zlib.error,
+)
+
+
 def unpack_arrays(payload: bytes) -> dict[str, np.ndarray]:
-    """Inverse of :func:`pack_arrays`; never unpickles object arrays."""
+    """Inverse of :func:`pack_arrays`; never unpickles object arrays.
+
+    The one npz sidecar loader: any decode failure raises
+    :class:`SidecarError`.
+    """
     try:
         with np.load(io.BytesIO(payload), allow_pickle=False) as data:
             return {key: data[key] for key in data.files}
-    except (ValueError, OSError, zipfile.BadZipFile, KeyError) as exc:
-        raise FrameError(f"corrupt array sidecar frame: {exc}") from exc
+    except _SIDECAR_DECODE_ERRORS as exc:
+        raise SidecarError(f"corrupt array sidecar: {exc!r}") from exc
 
 
 def encode_message(
@@ -182,7 +212,12 @@ def send_message(
     document: Mapping[str, Any],
     arrays: Mapping[str, np.ndarray] | None = None,
 ) -> None:
-    """Write one (document, arrays) message as two frames and flush.
+    """Write one (document, arrays) message as two frames and flush."""
+    send_frames(stream, *encode_message(document, arrays))
+
+
+def send_frames(stream: BinaryIO, header: bytes, body: bytes) -> None:
+    """Write one already-encoded message (see :func:`encode_message`).
 
     With a fault hook armed (chaos testing only), a scheduled fault may
     delay the send, corrupt the document frame in place (the stream
@@ -191,7 +226,6 @@ def send_message(
     same ``OSError`` shape a dead peer produces, so the sender's
     connection-teardown path runs.
     """
-    header, body = encode_message(document, arrays)
     hook = _fault_hook
     if hook is not None:
         rule = hook("frames.send")

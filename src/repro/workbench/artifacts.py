@@ -29,7 +29,6 @@ import base64
 import hashlib
 import itertools
 import json
-import zipfile
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -44,6 +43,7 @@ from ..dataflow.graph import Edge, Pinning, StreamGraph, WorkCounts
 from ..platforms import get_platform
 from ..profiler.profiler import Measurement
 from ..profiler.records import EdgeProfile, GraphProfile, OperatorProfile
+from ..runtime.frames import SidecarError, pack_arrays, unpack_arrays
 from ..solver.solution import IncumbentEvent, Solution, SolveStatus
 from .scenarios import get_scenario
 
@@ -66,7 +66,14 @@ class ArtifactError(Exception):
 
 
 def graph_fingerprint(graph: StreamGraph) -> str:
-    """Structural content hash of a graph (operators + edges + flags)."""
+    """Structural content hash of a graph (operators + edges + flags).
+
+    Computed once per graph and kept on it: the graph clears the stored
+    value whenever :meth:`~StreamGraph.add_operator` or
+    :meth:`~StreamGraph.add_edge` changes its structure.
+    """
+    if graph._fingerprint is not None:
+        return graph._fingerprint
     ops = [
         [
             op.name,
@@ -87,7 +94,8 @@ def graph_fingerprint(graph: StreamGraph) -> str:
         sort_keys=True,
         separators=(",", ":"),
     )
-    return hashlib.sha256(blob.encode()).hexdigest()
+    graph._fingerprint = hashlib.sha256(blob.encode()).hexdigest()
+    return graph._fingerprint
 
 
 def _graph_ref_payload(
@@ -212,8 +220,13 @@ def _pins_payload(pins: Mapping[str, Pinning]) -> dict[str, str]:
     return {name: pin.value for name, pin in sorted(pins.items())}
 
 
+#: ``Pinning(value)`` walks the enum machinery on every call; a decoded
+#: EEG answer holds hundreds of pins.
+_PINNINGS = {pin.value: pin for pin in Pinning}
+
+
 def _pins_from(payload: Mapping[str, str]) -> dict[str, Pinning]:
-    return {name: Pinning(value) for name, value in payload.items()}
+    return {name: _PINNINGS[value] for name, value in payload.items()}
 
 
 def _solution_payload(solution: Solution, vault: _Vault) -> dict[str, Any]:
@@ -705,7 +718,6 @@ def write_document(
     the store GC item on the ROADMAP.  Mutates ``document`` to record the
     sidecar name.  Shared by :func:`save_artifact` and the profile store.
     """
-    import io
     import os
     import threading
     from pathlib import Path
@@ -729,9 +741,7 @@ def write_document(
         f"{next(_WRITE_COUNTER)}"
     )
     if arrays:
-        buffer = io.BytesIO()
-        np.savez(buffer, **arrays)
-        blob = buffer.getvalue()
+        blob = pack_arrays(arrays)
         digest = hashlib.sha256(blob).hexdigest()[:16]
         npz_name = f"{path.name}.{digest}.npz"
         document["npz"] = npz_name
@@ -747,19 +757,23 @@ def write_document(
 def read_document(path) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
     """Read a document + npz sidecar written by :func:`write_document`.
 
-    Raises the underlying ``OSError``/``ValueError``/decode errors;
-    callers choose whether that is fatal (:func:`load_artifact`) or a
-    cache miss (the profile store).
+    Raises ``OSError`` (unreadable files), ``ValueError`` (bad JSON),
+    or :class:`~repro.runtime.frames.SidecarError` (a sidecar that does
+    not decode); callers choose whether that is fatal
+    (:func:`load_artifact`) or a cache miss (the profile store).
     """
     from pathlib import Path
 
     path = Path(path)
     document = json.loads(path.read_text())
+    if not isinstance(document, dict):
+        raise ValueError(
+            f"{path} holds {type(document).__name__}, not a document"
+        )
     arrays: dict[str, np.ndarray] = {}
     npz_name = document.get("npz")
     if npz_name:
-        with np.load(path.with_name(npz_name), allow_pickle=False) as data:
-            arrays = {key: data[key] for key in data.files}
+        arrays = unpack_arrays(path.with_name(npz_name).read_bytes())
     return document, arrays
 
 
@@ -784,15 +798,7 @@ def load_artifact(path, graph: StreamGraph | None = None) -> Any:
     """
     try:
         document, arrays = read_document(path)
-    except (
-        OSError,
-        ValueError,
-        EOFError,
-        KeyError,
-        json.JSONDecodeError,
-        zipfile.BadZipFile,
-        zipfile.LargeZipFile,
-    ) as exc:
+    except (OSError, ValueError, SidecarError) as exc:
         raise ArtifactError(f"cannot read artifact {path}: {exc}") from exc
     return from_document(document, arrays, graph)
 

@@ -44,12 +44,13 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from ..core.cut import InfeasiblePartition
 from ..core.partitioner import PartitionResult
 from ..dataflow.graph import StreamGraph
 from ..profiler.profiler import Profiler
+from ..runtime.frames import encode_message
 from . import artifacts
 from .replication import ReplicatedStore, SingleLayout, as_layout
 from .scenarios import Scenario, get_scenario
@@ -106,6 +107,34 @@ def result_key(
     return hashlib.sha256(blob.encode()).hexdigest()[:32]
 
 
+class _Answer(NamedTuple):
+    document: dict[str, Any]
+    arrays: dict[str, Any]
+
+
+#: Serializes first encodings, so each entry's wire form is built once.
+_WIRE_LOCK = threading.Lock()
+
+
+class CacheEntry(_Answer):
+    """One remembered answer: ``(document, arrays)`` plus its wire form.
+
+    Unpacks like the plain pair.  :meth:`wire` encodes the answer on
+    first use and keeps the bytes, so a hit served over the network
+    costs no ``json.dumps`` or ``np.savez``.  The memory LRU bounds
+    the kept bytes along with the entries.
+    """
+
+    _wire: tuple[bytes, bytes] | None = None
+
+    def wire(self) -> tuple[bytes, bytes]:
+        """``encode_message(document, arrays)``, built at most once."""
+        with _WIRE_LOCK:
+            if self._wire is None:
+                self._wire = encode_message(self.document, self.arrays)
+            return self._wire
+
+
 @dataclass
 class ResultCacheStats:
     """Hit/miss/store counters (observability + the CLI ``--stats``)."""
@@ -147,16 +176,14 @@ class ResultCache:
             # counters) the same way ``ProfileStore.root`` does.
             self.root = self.layout
         self.max_memory_entries = max_memory_entries
-        self._memory: dict[str, tuple[dict[str, Any], dict[str, Any]]] = {}
+        self._memory: dict[str, CacheEntry] = {}
         # The partition server shares one cache across its
         # per-connection handler threads; the LRU bookkeeping (and the
         # counters) must not interleave.
         self._lock = threading.Lock()
         self.stats = ResultCacheStats()
 
-    def _remember(
-        self, key: str, entry: tuple[dict[str, Any], dict[str, Any]]
-    ) -> None:
+    def _remember(self, key: str, entry: CacheEntry) -> None:
         """Insert as most-recently-used; evict the oldest over the cap."""
         with self._lock:
             self._memory.pop(key, None)
@@ -175,7 +202,7 @@ class ResultCache:
 
     # -- lookups ------------------------------------------------------------
 
-    def lookup(self, key: str) -> tuple[dict[str, Any], dict[str, Any]] | None:
+    def lookup(self, key: str) -> CacheEntry | None:
         """The cached ``(document, arrays)`` entry, or ``None`` on miss.
 
         Corrupt/truncated disk entries degrade to a miss (exactly like
@@ -192,7 +219,7 @@ class ResultCache:
                 # convention's sidecar pointer is local bookkeeping,
                 # not part of the document (see store_document).
                 document.pop("npz", None)
-                entry = (document, arrays)
+                entry = CacheEntry(document, arrays)
         if entry is None:
             with self._lock:
                 self.stats.misses += 1
@@ -250,15 +277,18 @@ class ResultCache:
         key: str,
         document: dict[str, Any] | None,
         arrays: Mapping[str, Any] | None,
-    ) -> None:
+    ) -> CacheEntry | None:
         """Record an already-serialized answer (the server's wire form).
 
+        Returns the remembered entry (the server sends its
+        :meth:`~CacheEntry.wire` bytes, which later hits reuse).
         ``document=None`` records infeasibility, mirroring the ``None``
-        slots the worker protocol uses for skipped requests.
+        slots the worker protocol uses for skipped requests, and
+        returns ``None``.
         """
         if document is None:
             self.store(key, None)
-            return
+            return None
         arrays = dict(arrays or {})
         if self.layout is not None:
             # write_document records its sidecar name *in* the document
@@ -274,9 +304,11 @@ class ResultCache:
                 # sharing is lost.
                 with self._lock:
                     self.stats.store_errors += 1
-        self._remember(key, (document, arrays))
+        entry = CacheEntry(document, arrays)
+        self._remember(key, entry)
         with self._lock:
             self.stats.stores += 1
+        return entry
 
     def raise_infeasible(self, key: str) -> None:
         """The error a cached-infeasible hit raises under strict mode."""

@@ -55,33 +55,23 @@ scoped ``store.read`` site injects per-backend loss/corruption; the
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import threading
 import time
-import zipfile
 from bisect import bisect_right, insort
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-import numpy as np
-
+from ..runtime.frames import SidecarError, unpack_arrays
 from . import artifacts, faults
 
-#: Errors a replica read degrades on (miss, never poison) — the union
-#: of what ``load_artifact`` treats as typed failures, so a replica
-#: whose npz sidecar vanished entirely behaves exactly like a
-#: truncated one: fall through to the next replica.
-DEGRADE_ERRORS = (
-    OSError,
-    ValueError,
-    KeyError,
-    EOFError,
-    zipfile.BadZipFile,
-    zipfile.LargeZipFile,
-)
+#: Errors a replica read degrades on (miss, never poison) — the same
+#: set ``load_artifact`` treats as typed failures, so a replica whose
+#: npz sidecar vanished entirely behaves exactly like a damaged one:
+#: fall through to the next replica.
+DEGRADE_ERRORS = (OSError, ValueError, SidecarError)
 
 
 def _touch(path: Path) -> None:
@@ -535,11 +525,8 @@ class ReplicatedStore:
             if len(parts) != 3 or parts[1] != digest:
                 return None
             try:
-                with np.load(
-                    io.BytesIO(blob), allow_pickle=False
-                ) as data:
-                    arrays = {key: data[key] for key in data.files}
-            except DEGRADE_ERRORS:
+                arrays = unpack_arrays(blob)
+            except SidecarError:
                 return None
         return document, arrays
 

@@ -56,9 +56,10 @@ from ..core.cut import InfeasiblePartition
 from ..core.partitioner import PartitionResult
 from ..platforms import get_platform
 from ..profiler.profiler import Profiler
-from ..runtime.frames import send_message
+from ..dataflow.graph import StreamGraph
+from ..runtime.frames import send_frames, send_message
 from . import artifacts, faults
-from .cache import ResultCache, result_key
+from .cache import CacheEntry, ResultCache, result_key
 from .membership import (
     ElasticPolicy,
     HeartbeatMonitor,
@@ -66,7 +67,12 @@ from .membership import (
     WorkerInfo,
 )
 from .replication import ReplicatedStore, as_layout
-from .scenarios import WorkbenchError, get_scenario, list_scenarios
+from .scenarios import (
+    Scenario,
+    WorkbenchError,
+    get_scenario,
+    list_scenarios,
+)
 from .session import (
     PartitionRequest,
     Session,
@@ -101,6 +107,10 @@ _TEST_DELAY_ENV = "REPRO_SERVER_TEST_DELAY"
 
 # Back-compat alias: the parser moved to :mod:`repro.workbench.transport`.
 _parse_address = parse_address
+
+#: Scenario graphs one client keeps for decoding answers; past this
+#: many (scenario, params) pairs the least recently used is dropped.
+_CLIENT_GRAPHS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -1191,8 +1201,8 @@ class PartitionServer:
             return
         jobs, n_requests, platform, prefilled, miss_keys = batch
 
-        slots: list[tuple[dict | None, dict | None] | None]
-        slots = [None] * n_requests
+        # One slot per request: its answer, or ``None`` (infeasible).
+        slots: list[CacheEntry | None] = [None] * n_requests
         for index, slot in prefilled.items():
             slots[index] = slot
         failure: tuple[str, str] | None = None
@@ -1203,7 +1213,8 @@ class PartitionServer:
                 failure = failure or job.error
                 continue
             for index, doc, arrays in job.result or []:
-                slots[index] = (doc, arrays)
+                if doc is not None:
+                    slots[index] = CacheEntry(doc, arrays or {})
         if failure is not None:
             send_message(
                 stream,
@@ -1213,12 +1224,17 @@ class PartitionServer:
         if self.result_cache is not None:
             # Populate the shared cache with the fresh solves; the
             # workers already produced the wire documents, so this is a
-            # pure store (race-safe content-addressed writes).
+            # pure store (race-safe content-addressed writes).  Sending
+            # the remembered entry encodes it once for this reply and
+            # every later hit.
             for index, key in miss_keys.items():
                 slot = slots[index]
-                doc = slot[0] if slot is not None else None
-                arrays = slot[1] if slot is not None else None
-                self.result_cache.store_document(key, doc, arrays)
+                if slot is None:
+                    self.result_cache.store_document(key, None, None)
+                else:
+                    slots[index] = self.result_cache.store_document(
+                        key, *slot
+                    )
         send_message(
             stream,
             {
@@ -1229,20 +1245,14 @@ class PartitionServer:
                 "cache_misses": n_requests - len(prefilled),
             },
         )
-        for index in range(n_requests):
-            slot = slots[index]
-            if slot is None or slot[0] is None:
-                send_message(stream, {"index": index, "result": None})
-            else:
-                send_message(
-                    stream, {"index": index, "result": slot[0]}, slot[1]
-                )
+        for index, slot in enumerate(slots):
+            send_frames(stream, *_result_frames(index, slot))
 
     def _submit_batch(self, document: Mapping[str, Any]) -> tuple[
         list[_Job],
         int,
         str,
-        dict[int, tuple[dict | None, dict | None]],
+        dict[int, CacheEntry | None],
         dict[int, str],
     ]:
         if self.pool is None:
@@ -1263,7 +1273,7 @@ class PartitionServer:
         # same group/order/solve code an in-process session applies to
         # *its* miss subset, so equivalence is preserved request by
         # request whatever each side's cache already holds.
-        prefilled: dict[int, tuple[dict | None, dict | None]] = {}
+        prefilled: dict[int, CacheEntry | None] = {}
         miss_keys: dict[int, str] = {}
         miss_indices: list[int] = list(range(len(requests)))
         if self.result_cache is not None:
@@ -1276,10 +1286,10 @@ class PartitionServer:
                 if entry is None:
                     miss_keys[index] = key
                     miss_indices.append(index)
-                elif self.result_cache.is_infeasible(entry[0]):
+                elif self.result_cache.is_infeasible(entry.document):
                     if not skip_infeasible:
                         self.result_cache.raise_infeasible(key)
-                    prefilled[index] = (None, None)
+                    prefilled[index] = None
                 else:
                     prefilled[index] = entry
 
@@ -1337,6 +1347,17 @@ class PartitionServer:
                 }
                 jobs.append(self.pool.submit(payload))
         return jobs, len(requests), platform, prefilled, miss_keys
+
+
+def _result_frames(
+    index: int, answer: CacheEntry | None
+) -> tuple[bytes, bytes]:
+    """One result message's frames, built around the answer's stored
+    wire bytes: exactly ``encode_message({"index": index, "result":
+    document}, arrays)``, with ``None`` standing for an infeasible
+    answer."""
+    result, body = answer.wire() if answer is not None else (b"null", b"")
+    return b'{"index": %d, "result": ' % index + result + b"}", body
 
 
 def _budget_runs(
@@ -1424,6 +1445,7 @@ class ServerClient:
         #: :meth:`partition_many` acknowledgement (the CLI's
         #: ``--stats`` source).
         self.last_batch_stats: dict[str, int] = {}
+        self._graphs = _GraphCache()
         self._router: _ClientRouter | None = None
         if len(self._targets) > 1:
             from .gateway import PartitionDirectory
@@ -1605,7 +1627,6 @@ class ServerClient:
         }
         if self.tenant is not None:
             document["tenant"] = self.tenant
-        graph = None
         with self._lock:
             # The whole exchange (request, ack, result stream) retries
             # as a unit: a batch cut off mid-stream is re-sent on a
@@ -1629,11 +1650,7 @@ class ServerClient:
                         "cache_hits": int(ack.get("cache_hits", 0)),
                         "cache_misses": int(ack.get("cache_misses", 0)),
                     }
-                    if graph is None:
-                        scenario_obj = get_scenario(scenario)
-                        graph = scenario_obj.build(
-                            scenario_obj.resolve_params(params or {})
-                        )
+                    graph = self._graphs.get(scenario, params or {})
                     results: list[PartitionResult | None] = [None] * count
                     for _ in range(count):
                         body, arrays = self._recv()
@@ -1660,6 +1677,35 @@ class ServerClient:
                     else replace(request, platform=served_platform)
                 )
         return results
+
+
+class _GraphCache:
+    """The scenario graphs a client decodes answers against.
+
+    Each (scenario, resolved params) pair is built once and kept, up to
+    :data:`_CLIENT_GRAPHS` pairs; a scenario re-registered under the
+    same name is built afresh.  Thread-safe: a routing client's
+    sub-clients share their owner's cache across shard threads.
+    """
+
+    def __init__(self) -> None:
+        self._graphs: dict[str, tuple[Scenario, StreamGraph]] = {}
+        self._lock = threading.Lock()
+
+    def get(self, scenario: str, params: Mapping[str, Any]) -> StreamGraph:
+        scenario_obj = get_scenario(scenario)
+        resolved = scenario_obj.resolve_params(params)
+        key = json.dumps(
+            [scenario_obj.name, resolved], sort_keys=True, default=str
+        )
+        with self._lock:
+            kept = self._graphs.pop(key, None)
+            if kept is None or kept[0] is not scenario_obj:
+                kept = (scenario_obj, scenario_obj.build(resolved))
+            self._graphs[key] = kept
+            while len(self._graphs) > _CLIENT_GRAPHS:
+                self._graphs.pop(next(iter(self._graphs)))
+        return kept[1]
 
 
 def _raise_remote(reply: Mapping[str, Any]) -> None:
@@ -1724,6 +1770,7 @@ class _ClientRouter:
             ),
             tenant=self.owner.tenant,
         )
+        client._graphs = self.owner._graphs
         with self._lock:
             kept = self._clients.setdefault(backend, client)
         if kept is not client:

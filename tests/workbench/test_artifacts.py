@@ -11,6 +11,7 @@ from repro.core import (
     RelocationMode,
     Wishbone,
 )
+from repro.dataflow import Operator
 from repro.platforms import get_platform
 from repro.workbench import (
     ArtifactError,
@@ -188,6 +189,31 @@ def test_graph_fingerprint_mismatch_raises(eeg_session, speech_session):
     wrong_graph = speech_session.graph()
     with pytest.raises(ArtifactError, match="fingerprint"):
         from_json(text, graph=wrong_graph)
+
+
+def test_stored_fingerprint_follows_structural_changes(eeg_session):
+    """A graph keeps its fingerprint between decodes, but adding an
+    operator or an edge invalidates it: the new value matches a fresh
+    graph of the same structure, and an artifact recorded before the
+    change no longer decodes against the graph."""
+    text = to_json(eeg_session.measurement())
+    graph = eeg_session.graph()
+    recorded = graph_fingerprint(graph)
+    assert from_json(text, graph=graph).graph is graph
+
+    twin = eeg_session.graph()
+    for g in (graph, twin):
+        g.add_operator(Operator(name="extra"))
+    with_op = graph_fingerprint(graph)
+    assert with_op != recorded
+    with pytest.raises(ArtifactError, match="fingerprint"):
+        from_json(text, graph=graph)
+
+    source = graph.sources[0]
+    for g in (graph, twin):
+        g.add_edge(source, "extra")
+    assert graph_fingerprint(graph) != with_op
+    assert graph_fingerprint(graph) == graph_fingerprint(twin)
 
 
 def test_artifact_without_scenario_needs_explicit_graph(eeg_session):

@@ -10,6 +10,9 @@ Two properties pin the serving surface down:
   :class:`ArtifactError` (never unpickles garbage — sidecars load with
   ``allow_pickle=False`` and every payload byte is CRC-protected by the
   zip container).
+
+Flipped zip flag bits get explicit cases across all three sidecar
+readers (wire, ``load_artifact``, store).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from repro.dataflow.graph import Pinning, StreamGraph, WorkCounts
 from repro.profiler import Profiler
 from repro.profiler.profiler import Measurement
 from repro.solver.solution import IncumbentEvent, Solution, SolveStatus
+from repro.runtime.frames import FrameError, unpack_arrays
 from repro.workbench.artifacts import (
     ArtifactError,
     from_json,
@@ -36,6 +40,7 @@ from repro.workbench.artifacts import (
     save_artifact,
     to_json,
 )
+from repro.workbench.replication import as_layout
 
 # ---------------------------------------------------------------------------
 # A small deterministic graph family (work functions are never invoked
@@ -361,3 +366,45 @@ def test_truncated_json_raises_typed_error(saved_artifact, tmp_path):
     clone.write_text(text[: len(text) // 2])
     with pytest.raises(ArtifactError):
         load_artifact(clone)
+
+
+def test_non_object_json_raises_typed_error(tmp_path):
+    clone = tmp_path / "partition.json"
+    clone.write_text("[1, 2]")
+    with pytest.raises(ArtifactError, match="not a document"):
+        load_artifact(clone)
+    assert as_layout(str(tmp_path)).read(clone.name) is None
+
+
+def _flip_central_directory_flag(blob: bytes, bit: int) -> bytes:
+    """Flip one general-purpose flag bit in every zip central-directory
+    header (the flags sit 8 bytes into each ``PK\\x01\\x02`` record)."""
+    corrupted = bytearray(blob)
+    start = corrupted.find(b"PK\x01\x02")
+    assert start >= 0
+    while start >= 0:
+        corrupted[start + 8] ^= 1 << bit
+        start = corrupted.find(b"PK\x01\x02", start + 4)
+    return bytes(corrupted)
+
+
+@pytest.mark.parametrize("bit", [0, 5, 6])
+def test_zip_flag_bits_raise_typed_errors_everywhere(
+    saved_artifact, tmp_path, bit
+):
+    """Flag bit 0 ("encrypted") makes zipfile raise RuntimeError; bits 5
+    and 6 ("compressed patched data", "strong encryption") raise
+    NotImplementedError.  All three sidecar readers map them to their
+    typed outcome: the wire a FrameError, ``load_artifact`` an
+    ArtifactError, a store read a miss."""
+    path, sidecar, pristine, _ = saved_artifact
+    corrupted = _flip_central_directory_flag(pristine, bit)
+    with pytest.raises(FrameError, match="corrupt array sidecar"):
+        unpack_arrays(corrupted)
+
+    clone = tmp_path / path.name
+    clone.write_text(path.read_text())
+    (tmp_path / sidecar.name).write_bytes(corrupted)
+    with pytest.raises(ArtifactError):
+        load_artifact(clone)
+    assert as_layout(str(tmp_path)).read(clone.name) is None

@@ -150,8 +150,11 @@ def run_under_plan(
 
 
 SCHEDULES = {
+    # Whichever worker reaches a second run dies there: a batch of three
+    # runs on two workers always gives some worker a second run, so the
+    # kill does not depend on which worker finishes first.
     "worker-kill": FaultPlan(
-        [FaultRule(site="worker.run", action="kill", worker=0, after=1)]
+        [FaultRule(site="worker.run", action="kill", after=1)]
     ),
     "heartbeat-stall": FaultPlan(
         [
@@ -207,6 +210,42 @@ def test_chaos_schedule_preserves_artifacts(
             >= 0
         )
         assert stats["faults"]["fired"] >= 1
+
+
+@pytest.mark.parametrize("action", ["corrupt", "truncate"])
+def test_frame_faults_on_cache_hits_retry_to_identical_answers(
+    action, store_dir, ground_truth, tmp_path
+):
+    """A batch answered entirely from the cache is sent from stored
+    wire bytes; the frame fault hook still covers those sends.  A
+    damaged result frame forces a retry, and the retried hits are
+    canonical-identical to the in-process answers."""
+    requests = chaos_batch()
+    with PartitionServer(
+        workers=2, store=str(tmp_path / "cache"), job_timeout=120.0
+    ) as srv:
+        with ServerClient(
+            srv.address, retries=3, backoff_seed=0x5EED
+        ) as client:
+            client.partition_many(
+                SCENARIO, requests, params=PARAMS, skip_infeasible=True
+            )
+            # Hits 0 and 1 are this process's request and the server's
+            # ack; hit 2 is the first result frame.
+            plan = faults.install(
+                FaultPlan([FaultRule(site="frames.send", action=action,
+                                     after=2)])
+            )
+            served = client.partition_many(
+                SCENARIO, requests, params=PARAMS, skip_infeasible=True
+            )
+            assert plan.fired == [("frames.send", action, None, 2)]
+            assert client.transport_retries >= 1
+            assert client.last_batch_stats == {
+                "cache_hits": len(requests), "cache_misses": 0,
+            }
+            assert srv.result_cache.stats.stores == len(requests)
+    assert_equivalent(ground_truth, served)
 
 
 def test_seeded_plans_roundtrip_and_replay():

@@ -43,6 +43,7 @@ from repro.workbench.gateway import (
     batch_keys,
 )
 from repro.workbench.membership import MembershipLog
+from repro.workbench.scenarios import Scenario
 
 SCENARIO = "eeg"
 PARAMS = {"n_channels": 3}
@@ -308,6 +309,36 @@ def test_client_side_routing_byte_identical(backends, ground_truth):
     assert batch["cache_hits"] + batch["cache_misses"] == len(
         routed_batch()
     )
+
+
+def test_client_side_routing_shares_one_graph(
+    backends, ground_truth, monkeypatch
+):
+    """The router's per-backend sub-clients decode against their
+    owner's graphs: two routed batches over two shards build the
+    scenario graph once on the client side."""
+    a, b = backends
+    built = []
+    original = Scenario.build
+    client_thread = threading.get_ident()
+
+    def counting_build(self, params):
+        thread = threading.current_thread()
+        if threading.get_ident() == client_thread or thread.name.startswith(
+            "route-"
+        ):
+            built.append(self.name)
+        return original(self, params)
+
+    monkeypatch.setattr(Scenario, "build", counting_build)
+    with ServerClient([a.address, b.address]) as client:
+        for _ in range(2):
+            served = client.partition_many(
+                SCENARIO, routed_batch(), params=PARAMS,
+                skip_infeasible=True,
+            )
+            assert_equivalent(ground_truth, served)
+    assert built == [SCENARIO]
 
 
 def test_gateway_survives_backend_kill(store_dir, ground_truth):

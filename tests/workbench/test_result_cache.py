@@ -25,8 +25,9 @@ from repro.workbench import (
     register_scenario,
     unregister_scenario,
 )
-from repro.workbench.artifacts import canonical_json
+from repro.workbench.artifacts import canonical_json, graph_fingerprint
 from repro.workbench.cache import result_key
+from repro.workbench.server import _GraphCache
 
 PARAMS = {"n_channels": 2}
 
@@ -221,6 +222,20 @@ def test_structural_builder_change_invalidates(tmp_path, versioned_scenario):
     assert changed.result_cache.stats.misses == len(requests)
 
 
+def test_client_graphs_key_on_resolved_params_and_registration(
+    versioned_scenario,
+):
+    """A client's kept graph answers any spelling of the same resolved
+    params, and a scenario re-registered under its name is rebuilt (a
+    kept graph of the old builder would fail every fingerprint check)."""
+    graphs = _GraphCache()
+    first = graphs.get("cache-versioning-test", {})
+    assert graphs.get("cache-versioning-test", {"n_channels": 2}) is first
+    _register_test_scenario(extra_op=True)
+    rebuilt = graphs.get("cache-versioning-test", {})
+    assert graph_fingerprint(rebuilt) != graph_fingerprint(first)
+
+
 def test_explicit_fingerprint_overrides_structure(tmp_path):
     scenario = _register_test_scenario(fingerprint="app-code-v1")
     try:
@@ -298,6 +313,32 @@ def test_store_document_keeps_wire_shape(tmp_path):
     disk_doc, disk_arrays = ResultCache(tmp_path).lookup("wire-key")
     assert "npz" not in disk_doc
     assert list(disk_arrays) == ["a0"]
+
+
+def test_entry_wire_bytes_are_encoded_once(tmp_path, monkeypatch):
+    """A remembered entry encodes its answer on first use only: later
+    memory hits hand back the same bytes without encoding again."""
+    import numpy as np
+
+    from repro.runtime import frames
+    from repro.workbench import cache as cache_module
+
+    encodes = []
+
+    def counting_encode(document, arrays=None):
+        encodes.append(document)
+        return frames.encode_message(document, arrays)
+
+    monkeypatch.setattr(cache_module, "encode_message", counting_encode)
+    cache = ResultCache(tmp_path)
+    document = {"schema": "repro.workbench", "kind": "partition"}
+    arrays = {"a0": np.arange(3.0)}
+    stored = cache.store_document("wire-key", document, arrays)
+    assert encodes == []
+    first = stored.wire()
+    assert first == frames.encode_message(document, arrays)
+    assert cache.lookup("wire-key").wire() is first
+    assert len(encodes) == 1
 
 
 def test_lookup_corruption_degrades_to_miss(tmp_path):

@@ -22,6 +22,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import InfeasiblePartition
 from repro.workbench import (
@@ -33,7 +35,10 @@ from repro.workbench import (
     Session,
 )
 from repro.workbench.artifacts import canonical_json
-from repro.workbench.server import _budget_runs
+from repro.runtime.frames import encode_message
+from repro.workbench.cache import CacheEntry
+from repro.workbench.scenarios import Scenario
+from repro.workbench.server import _budget_runs, _result_frames
 
 #: Small scenario parameterizations so profiling (shared via a durable
 #: store) and the per-request solves stay fast.
@@ -468,6 +473,64 @@ def test_budget_runs_split_at_budget_boundaries():
     resolved = {0: (1.0, 10.0), 1: (1.0, 10.0), 2: (0.9, 10.0), 3: (0.9, 20.0)}
     assert _budget_runs([0, 1, 2, 3], resolved) == [[0, 1], [2], [3]]
     assert _budget_runs([], resolved) == []
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=20,
+)
+sidecars = st.dictionaries(
+    st.from_regex(r"a[0-9]{1,2}", fullmatch=True),
+    st.lists(st.floats(), max_size=6).map(np.array),
+    max_size=3,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    index=st.integers(0, 10**6),
+    document=st.dictionaries(st.text(max_size=8), json_values, max_size=6),
+    arrays=sidecars,
+)
+def test_stored_reply_bytes_equal_a_fresh_encoding(index, document, arrays):
+    """A reply built around an entry's stored wire bytes is the message
+    ``encode_message`` would produce, byte for byte — infeasible
+    (``None``) slots included."""
+    expected = encode_message({"index": index, "result": document}, arrays)
+    assert _result_frames(index, CacheEntry(document, arrays)) == expected
+    assert _result_frames(index, None) == encode_message(
+        {"index": index, "result": None}
+    )
+
+
+def test_client_builds_each_graph_once(server, monkeypatch):
+    """Repeated calls decode against one graph per (scenario, params):
+    ``Scenario.build`` runs once for each pair in the client's thread
+    (the in-process server's own builds happen on its threads)."""
+    built = []
+    original = Scenario.build
+    client_thread = threading.get_ident()
+
+    def counting_build(self, params):
+        if threading.get_ident() == client_thread:
+            built.append((self.name, dict(params)))
+        return original(self, params)
+
+    monkeypatch.setattr(Scenario, "build", counting_build)
+    requests = batch_for("eeg")[:2]
+    with ServerClient(server.address) as client:
+        for params in ({"n_channels": 3}, {"n_channels": 3}, {"n_channels": 2},
+                       {"n_channels": 3}, {"n_channels": 2}):
+            client.partition_many(
+                "eeg", requests, params=params, skip_infeasible=True
+            )
+    assert sorted(p["n_channels"] for _, p in built) == [2, 3]
 
 
 # ---------------------------------------------------------------------------
