@@ -15,13 +15,7 @@ PR 1 left as the dominant figure-experiment cost:
    rescan per element; the overhead fraction reported here is the
    evidence that it no longer scales with E+V per element.
 
-3. ``parallel_vs_serial`` — operator-parallel profiling (forked workers
-   owning source-exclusive shards) vs a serial run on a wide EEG montage
-   (256 channels full-size, 64 in smoke).  Byte-identity of the
-   canonical artifacts is asserted; ``cpu_count`` is recorded because
-   the achievable speedup is a property of the recording machine.
-
-4. ``end_to_end`` — wall-clock of fresh (uncached) profiling runs of the
+3. ``end_to_end`` — wall-clock of fresh (uncached) profiling runs of the
    figure scenarios, the quantity every fig5/fig6/fig7 driver pays first.
 
 Results are written as machine-readable JSON (default:
@@ -181,78 +175,6 @@ def bench_peak_tracking(throughput: dict) -> dict:
     return out
 
 
-def bench_parallel_vs_serial(smoke: bool) -> dict:
-    """Operator-parallel vs serial profiling of a wide EEG montage.
-
-    The interactive-profiling scenario: hundreds of EEG channels, each
-    rooting a source-exclusive operator chain that a forked worker can
-    own.  The parallel measurement must be byte-identical (canonical
-    artifact form) to the serial one — asserted and reported — so the
-    only thing parallelism may change is the wall-clock.
-
-    ``cpu_count`` is recorded with the result: speedups are bounded by
-    the cores the recording machine actually had, so the committed
-    baseline from a single-core container reads ~1x and multi-core CI
-    runners can only beat it (the regression gate's floor logic).
-    """
-    import os
-
-    from repro.dataflow.channels import ExecutionPlan, fork_available
-    from repro.workbench.artifacts import canonical_json
-
-    n_channels = 64 if smoke else 256
-    duration = 8.0 if smoke else 16.0
-    bucket = duration / 4.0
-    recording = synth_eeg(
-        n_channels=n_channels,
-        duration_s=duration,
-        seizure_intervals=(),
-        seed=0,
-    )
-    data = recording.source_data()
-    rates = source_rates(n_channels)
-    graph = build_eeg_pipeline(n_channels=n_channels)
-    graph_ref = {"bench": "parallel_vs_serial", "channels": n_channels}
-    profiler = Profiler(bucket_seconds=bucket, batch=True)
-    repeats = 2 if smoke else 3
-
-    serial = None
-    serial_seconds = float("inf")
-    for _ in range(repeats):
-        serial, elapsed = _timed(
-            lambda: profiler.measure(graph, data, rates)
-        )
-        serial_seconds = min(serial_seconds, elapsed)
-    serial_bytes = canonical_json(serial, graph_ref)
-
-    out: dict = {
-        "channels": n_channels,
-        "duration_s": duration,
-        "cpu_count": os.cpu_count(),
-        "fork_available": fork_available(),
-        "serial_seconds": serial_seconds,
-    }
-    for workers in (2, 4):
-        parallel = None
-        seconds = float("inf")
-        for _ in range(repeats):
-            parallel, elapsed = _timed(
-                lambda: profiler.measure(
-                    graph, data, rates,
-                    plan=ExecutionPlan(parallelism=workers),
-                )
-            )
-            seconds = min(seconds, elapsed)
-        out[f"x{workers}"] = {
-            "seconds": seconds,
-            "speedup_vs_serial": serial_seconds / seconds,
-            "byte_identical": (
-                canonical_json(parallel, graph_ref) == serial_bytes
-            ),
-        }
-    return out
-
-
 def bench_end_to_end(smoke: bool) -> dict:
     """Fresh (uncached) figure-scenario profiling wall-clock."""
     from repro.workbench import ProfileStore
@@ -298,9 +220,6 @@ def main() -> None:
         scenarios, repeats=2 if args.smoke else 3
     )
     report["peak_tracking"] = bench_peak_tracking(report["element_throughput"])
-    report["parallel_vs_serial"] = {
-        "eeg": bench_parallel_vs_serial(args.smoke)
-    }
     report["end_to_end"] = bench_end_to_end(args.smoke)
     report["total_seconds"] = time.perf_counter() - total_start
 
@@ -323,14 +242,6 @@ def main() -> None:
             f"scalar {row['scalar']['overhead_fraction']:+.1%}, "
             f"batched {row['batched']['overhead_fraction']:+.1%}"
         )
-    par = report["parallel_vs_serial"]["eeg"]
-    print(
-        f"parallel profiling ({par['channels']} EEG channels, "
-        f"{par['cpu_count']} core(s)): serial {par['serial_seconds']:.2f}s, "
-        f"x2 {par['x2']['speedup_vs_serial']:.2f}x, "
-        f"x4 {par['x4']['speedup_vs_serial']:.2f}x "
-        f"(byte_identical={par['x2']['byte_identical']})"
-    )
     e2e = report["end_to_end"]
     print(
         f"fresh profiling: speech {e2e['speech_measurement_seconds']:.2f}s, "

@@ -12,8 +12,7 @@ Commands:
            [--fault-plan JSON|@FILE]
   gateway  --backends H1:P1,H2:P2|@MANIFEST [--host H] [--port P]
            [--max-inflight N] [--tenant-quota N] [--platform P]
-  profile  SCENARIO [--param k=v ...] [--parallelism N]
-           [--strategy shuffle|key] [--scalar] [--batch-size N]
+  profile  SCENARIO [--param k=v ...] [--scalar] [--batch-size N]
            [--bucket-seconds S] [--no-peak] [--store SPEC]
            [--out FILE] [--canonical]
   partition SCENARIO [--rates CSV] [--cpu-budgets CSV] [--net-budgets CSV]
@@ -40,10 +39,10 @@ builds a budget x rate request grid and solves it in process or — with
 ``--server`` — against a running server, a gateway, or a multi-backend
 spec routed client-side, optionally writing one artifact per request
 (``--stats`` reports how much of the batch the result cache answered).
-``profile`` runs the profiler alone — ``--parallelism N`` shards
-source-exclusive operator subgraphs across N forked workers (virtual-time
-merge semantics preserved; the artifact is byte-identical to a serial
-run, which the CI smoke job diffs).
+``profile`` runs the profiler alone and writes the measurement artifact
+(``--scalar`` and ``--batch-size N`` change how the graph is driven, not
+the artifact: every mode is byte-identical in canonical form, which the
+CI smoke step diffs).
 ``store`` is the lifecycle side: ``stats`` summarizes a durable store
 (``--server`` additionally reports a live server's fault counters —
 ``store_errors``/``write_errors`` — and per-backend replica health),
@@ -572,7 +571,7 @@ def cmd_store_gc(args) -> int:
 def cmd_profile(args) -> int:
     import time
 
-    from .dataflow.channels import ExecutionPlan, fork_available
+    from .dataflow.execute import ExecutionPlan
     from .workbench.artifacts import canonical_json, save_artifact
 
     params = dict(args.param or [])
@@ -581,8 +580,6 @@ def cmd_profile(args) -> int:
         batch_size=args.batch_size,
         bucket_seconds=args.bucket_seconds,
         track_peak=not args.no_peak,
-        parallelism=args.parallelism,
-        strategy=args.strategy,
     )
     store = ProfileStore(args.store) if args.store else None
     session = Session(
@@ -592,26 +589,18 @@ def cmd_profile(args) -> int:
     measurement = session.measurement(plan=plan)
     wall = time.perf_counter() - start
 
-    mode = "serial"
-    if args.parallelism > 1:
-        mode = (
-            f"parallel x{args.parallelism} ({args.strategy})"
-            if fork_available()
-            else f"serial (fork unavailable; requested x{args.parallelism})"
-        )
     total = sum(
         op.invocations for op in measurement.stats.operators.values()
     )
     print(f"scenario: {session.scenario.name} "
           + " ".join(f"{k}={v!r}" for k, v in sorted(session.params.items())))
-    print(f"plan: {mode}, "
-          f"{'batched' if plan.batch else 'scalar'} execution, "
+    print(f"plan: {'batched' if plan.batch else 'scalar'} execution, "
           f"bucket {plan.bucket_seconds or 1.0:g} s, "
           f"peaks {'on' if not args.no_peak else 'off'}")
     print(f"measured {len(measurement.stats.operators)} operators, "
           f"{total} invocations over {measurement.duration:g} virtual s")
     # Wall-clock stays on stdout only — artifacts must be byte-comparable
-    # across serial and parallel runs.
+    # across runs and execution modes.
     print(f"profiled in {wall:.3f} s wall")
     if args.out:
         from pathlib import Path
@@ -734,22 +723,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile",
-        help="profile a scenario (optionally operator-parallel) and "
-        "write the measurement artifact",
+        help="profile a scenario and write the measurement artifact",
     )
     profile.add_argument("scenario", help="registered scenario name")
     profile.add_argument("--platform", default="tmote",
                          choices=sorted(PLATFORMS))
     profile.add_argument("--param", action="append", type=_parse_param,
                          metavar="K=V", help="scenario parameter override")
-    profile.add_argument("--parallelism", type=int, default=1,
-                         help="profiler worker processes; source shards "
-                         "are distributed across them and the result is "
-                         "byte-identical to --parallelism 1 (default 1)")
-    profile.add_argument("--strategy", default="shuffle",
-                         choices=["shuffle", "key"],
-                         help="shard-to-worker partition strategy "
-                         "(default shuffle: round-robin)")
     profile.add_argument("--scalar", action="store_true",
                          help="element-at-a-time execution instead of "
                          "columnar batches")

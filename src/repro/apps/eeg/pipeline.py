@@ -173,7 +173,7 @@ def extract_feature_vectors(
     the extraction vectorized instead.  The returned array is one row
     per window either way.
     """
-    from ...dataflow.channels import ExecutionPlan
+    from ...dataflow.execute import ExecutionPlan
     from ...runtime.node import BoundedExecutor
 
     graph = build_eeg_pipeline(n_channels=n_channels)

@@ -7,17 +7,10 @@ emit semantics and records the measurements the profiler consumes.
 """
 
 from .builder import GraphBuilder, Stream
-from .channels import (
-    Channel,
-    ChannelClosed,
-    ExecutionPlan,
-    ExecutionPlanError,
-    PartitionStrategy,
-    ProcessChannel,
-    stable_hash,
-)
 from .execute import (
     EdgeStats,
+    ExecutionPlan,
+    ExecutionPlanError,
     ExecutionStats,
     Executor,
     OperatorStats,
@@ -40,8 +33,6 @@ from .sizing import element_size
 from .validate import crosses_network_once, validate_graph
 
 __all__ = [
-    "Channel",
-    "ChannelClosed",
     "Edge",
     "EdgeStats",
     "ExecutionPlan",
@@ -54,9 +45,7 @@ __all__ = [
     "Operator",
     "OperatorContext",
     "OperatorStats",
-    "PartitionStrategy",
     "Pinning",
-    "ProcessChannel",
     "ScheduleRun",
     "SinkBuffer",
     "Stream",
@@ -66,6 +55,5 @@ __all__ = [
     "element_size",
     "merge_schedule",
     "run_graph",
-    "stable_hash",
     "validate_graph",
 ]

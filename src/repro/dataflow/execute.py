@@ -22,17 +22,20 @@ Two dispatch modes share one set of statistics:
 Batched execution preserves every per-stream element order (and therefore
 all operator state evolution and aggregate statistics), but interleaves
 *different* sources at chunk rather than element granularity.
+
+An :class:`ExecutionPlan` names which sources run, at what virtual-time
+rates, in which mode and with what chunking; :meth:`Executor.run`,
+``run_graph``, the profiler, the deployment replay path and the CLI all
+consume the same plan.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+from dataclasses import dataclass, field, replace
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
-from .channels import ExecutionPlan
 from .graph import (
     Edge,
     GraphError,
@@ -43,6 +46,116 @@ from .graph import (
 )
 from .sink import SinkBuffer, rows_to_array
 from .sizing import element_size
+
+
+class ExecutionPlanError(GraphError):
+    """Raised for invalid :class:`ExecutionPlan` configurations — e.g. a
+    plan naming a source the graph (or the sample data) does not have."""
+
+
+@dataclass(frozen=True)
+class ExecutionPlan:
+    """One typed description of how to drive a graph on source traces.
+
+    Every field is optional; ``None`` (or the field default) means
+    "inherit the consumer's default" — so a bare ``ExecutionPlan()``
+    reproduces each entry point's historical behaviour, and a plan can
+    be handed unchanged to :meth:`Executor.run`, :meth:`Profiler.measure
+    <repro.profiler.profiler.Profiler.measure>`, :meth:`Session.profile
+    <repro.workbench.session.Session.profile>`, the deployment replay
+    path, and the CLI.
+
+    Args:
+        sources: the sources to drive, ``None`` meaning every source
+            the sample data provides.  Naming a source the graph or the
+            data lacks raises :class:`ExecutionPlanError` (not a bare
+            ``KeyError``).
+        rates: per-source element rates (elements/second) for the
+            virtual-time merge; ``None`` ticks all sources in lockstep.
+        interleave: merge sources by virtual time (the deployment-
+            faithful order).  ``False`` drains each source's trace in
+            full before the next — incompatible with ``rates``.
+        batch: drive columnar chunks instead of single elements
+            (``None``: consumer default — ``False`` for ``run_graph``,
+            the profiler's configured mode for ``Profiler.measure``).
+        batch_size: maximum elements per columnar chunk.  Chunk
+            splitting preserves per-source element order, so aggregate
+            statistics are unchanged; ``None`` lets bucket boundaries
+            alone bound chunks.
+        bucket_seconds: peak-tracking bucket width override.
+        track_peak: per-bucket peak recording override.
+    """
+
+    sources: tuple[str, ...] | None = None
+    rates: Mapping[str, float] | None = None
+    interleave: bool = True
+    batch: bool | None = None
+    batch_size: int | None = None
+    bucket_seconds: float | None = None
+    track_peak: bool | None = None
+
+    def __post_init__(self) -> None:
+        if self.sources is not None:
+            object.__setattr__(self, "sources", tuple(self.sources))
+        if self.rates is not None:
+            rates = dict(self.rates)
+            for name, rate in rates.items():
+                if rate <= 0:
+                    raise ExecutionPlanError(
+                        f"source {name!r} has non-positive rate {rate!r}"
+                    )
+            if not self.interleave:
+                raise ExecutionPlanError(
+                    "rates imply a virtual-time merge; they cannot be "
+                    "combined with interleave=False"
+                )
+            object.__setattr__(self, "rates", rates)
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ExecutionPlanError("batch_size must be >= 1")
+        if self.bucket_seconds is not None and self.bucket_seconds <= 0:
+            raise ExecutionPlanError("bucket_seconds must be positive")
+
+    def resolve_sources(
+        self,
+        source_data: Mapping[str, Any],
+        graph: StreamGraph | None = None,
+    ) -> list[str]:
+        """The sources this plan drives, validated against data + graph.
+
+        Defaults to every source in ``source_data`` (in data order —
+        the virtual-time merge imposes its own deterministic order
+        downstream).  A plan naming a source absent from the data or
+        the graph raises :class:`ExecutionPlanError`.
+        """
+        if self.sources is None:
+            names = list(source_data)
+        else:
+            names = list(self.sources)
+            missing = [n for n in names if n not in source_data]
+            if missing:
+                raise ExecutionPlanError(
+                    f"plan names sources absent from the sample data: "
+                    f"{sorted(missing)}"
+                )
+        if graph is not None:
+            graph_sources = set(graph.sources)
+            unknown = [n for n in names if n not in graph_sources]
+            if unknown:
+                raise ExecutionPlanError(
+                    f"plan names operators that are not sources of "
+                    f"{graph.name!r}: {sorted(unknown)}"
+                )
+        if self.rates is not None:
+            missing_rates = [n for n in names if n not in self.rates]
+            if missing_rates:
+                raise ExecutionPlanError(
+                    f"plan rates missing sources: {sorted(missing_rates)}"
+                )
+        return names
+
+    def with_overrides(self, **changes: Any) -> "ExecutionPlan":
+        """A copy with the given fields replaced."""
+        return replace(self, **changes)
 
 
 @dataclass
@@ -515,78 +628,21 @@ def chunk_spans(
         yield s, min(s + batch_size, stop)
 
 
-_LEGACY = object()  # sentinel: distinguishes "not passed" from any value
-
-
 def run_graph(
     graph: StreamGraph,
     source_data: dict[str, list[Any]],
     plan: ExecutionPlan | None = None,
-    *,
-    round_robin: Any = _LEGACY,
-    source_rates: Any = _LEGACY,
-    batch: Any = _LEGACY,
 ) -> Executor:
     """Run a graph to completion on per-source input traces.
 
-    How the traces are driven is described by an
-    :class:`~repro.dataflow.channels.ExecutionPlan`; the default plan
-    interleaves all sources element-by-element (matching simultaneous
-    sampling of multiple sensors).  ``plan.rates`` interleaves by
-    virtual time instead — the same merge the profiler uses — and
-    ``plan.batch`` delivers columnar chunks via
+    How the traces are driven is described by an :class:`ExecutionPlan`;
+    the default plan interleaves all sources element-by-element
+    (matching simultaneous sampling of multiple sensors).
+    ``plan.rates`` interleaves by virtual time instead — the same merge
+    the profiler uses — and ``plan.batch`` delivers columnar chunks via
     :meth:`Executor.push_batch`.
-
-    The retired keyword knobs (``round_robin``, ``source_rates``,
-    ``batch``) still work as DeprecationWarning shims mapping onto the
-    equivalent plan; a plain bool in the ``plan`` position is accepted
-    as the old positional ``round_robin``.
     """
     missing = set(source_data) - set(graph.sources)
     if missing:
         raise GraphError(f"not source operators: {sorted(missing)}")
-    if isinstance(plan, bool):  # legacy positional round_robin
-        if round_robin is not _LEGACY:
-            raise TypeError("round_robin passed twice")
-        plan, round_robin = None, plan
-    legacy = {
-        name: value
-        for name, value in (
-            ("round_robin", round_robin),
-            ("source_rates", source_rates),
-            ("batch", batch),
-        )
-        if value is not _LEGACY
-    }
-    if legacy:
-        if plan is not None:
-            raise TypeError(
-                "pass either an ExecutionPlan or the legacy keywords, "
-                "not both"
-            )
-        warnings.warn(
-            f"run_graph({', '.join(sorted(legacy))}=...) is deprecated; "
-            "pass an ExecutionPlan instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        rr = legacy.get("round_robin", True)
-        rates = legacy.get("source_rates")
-        batched = legacy.get("batch", False)
-        if rates is not None:
-            if batched:
-                raise GraphError(
-                    "source_rates cannot be combined with batch=True: "
-                    "batched run_graph drains each source's trace as one "
-                    "chunk"
-                )
-            if set(rates) != set(source_data):
-                mismatch = set(rates) ^ set(source_data)
-                raise GraphError(
-                    f"source_rates keys must match source_data: "
-                    f"{sorted(mismatch)}"
-                )
-        plan = ExecutionPlan.from_legacy(
-            round_robin=rr, source_rates=rates, batch=batched
-        )
     return Executor(graph).run(source_data, plan)

@@ -15,15 +15,11 @@ All harness profiling runs use the batched executor (the workbench
 default): the measurement is provably identical to the scalar run (see
 ``tests/dataflow/test_batch_equivalence.py``), and every figure driver
 built on these helpers inherits the speedup.
-
-The pre-workbench helpers (``speech_measurement``, ``eeg_measurement``,
-``speech_profile``, ``eeg_profile``) remain as deprecated shims.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 
 from ..dataflow.graph import StreamGraph
 from ..platforms import get_platform
@@ -69,46 +65,3 @@ def profile_for(scenario: str, platform_name: str, **params) -> GraphProfile:
     """A scenario's profile costed on a named platform."""
     _, measurement = measurement_for(scenario, **params)
     return measurement.on(get_platform(platform_name))
-
-
-# ---------------------------------------------------------------------------
-# Deprecated pre-workbench entry points
-# ---------------------------------------------------------------------------
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"repro.experiments.common.{old} is deprecated; use {new}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def speech_measurement(
-    duration_s: float = 2.0, seed: int = 0
-) -> tuple[StreamGraph, Measurement]:
-    """Deprecated: use ``measurement_for("speech", ...)``."""
-    _deprecated("speech_measurement", 'measurement_for("speech", ...)')
-    return measurement_for("speech", duration_s=duration_s, seed=seed)
-
-
-def eeg_measurement(
-    n_channels: int = 22, duration_s: float = 8.0, seed: int = 0
-) -> tuple[StreamGraph, Measurement]:
-    """Deprecated: use ``measurement_for("eeg", ...)``."""
-    _deprecated("eeg_measurement", 'measurement_for("eeg", ...)')
-    return measurement_for(
-        "eeg", n_channels=n_channels, duration_s=duration_s, seed=seed
-    )
-
-
-def speech_profile(platform_name: str) -> GraphProfile:
-    """Deprecated: use ``profile_for("speech", platform_name)``."""
-    _deprecated("speech_profile", 'profile_for("speech", ...)')
-    return profile_for("speech", platform_name)
-
-
-def eeg_profile(platform_name: str, n_channels: int = 22) -> GraphProfile:
-    """Deprecated: use ``profile_for("eeg", platform_name, ...)``."""
-    _deprecated("eeg_profile", 'profile_for("eeg", ...)')
-    return profile_for("eeg", platform_name, n_channels=n_channels)

@@ -1,4 +1,4 @@
-"""Solver and profiler scaling and ablation studies.
+"""Solver scaling and ablation studies.
 
 Backs three claims/design choices from the paper:
 
@@ -238,119 +238,6 @@ def bound_ablation(
                 ),
                 lagrangian_time=lag_time,
                 exact_time=exact_time,
-            )
-        )
-    return rows
-
-
-@dataclass(frozen=True)
-class ProfilerScalingRow:
-    n_channels: int
-    elements: int
-    scalar_seconds: float
-    batched_seconds: float
-    speedup: float
-    stats_identical: bool
-    #: operator-parallel (forked workers) batched profiling wall-clock;
-    #: 0.0 when the platform cannot fork.
-    parallel_seconds: float = 0.0
-    #: batched_seconds / parallel_seconds (1.0 when fork is unavailable).
-    parallel_speedup: float = 1.0
-    #: whether the parallel measurement matched the serial batched one
-    #: on every aggregate statistic (it must — parallel execution is
-    #: byte-identical, not approximate).
-    parallel_identical: bool = True
-    workers: int = 1
-
-
-def profiler_scaling(
-    channel_counts: tuple[int, ...] = (2, 6, 12, 22),
-    duration_s: float = 30.0,
-    bucket_seconds: float = 10.0,
-    seed: int = 0,
-    parallelism: int = 2,
-) -> list[ProfilerScalingRow]:
-    """Batched vs scalar vs operator-parallel profiling wall-clock on
-    the EEG app vs width.
-
-    All runs keep peak tracking on; every pair of measurements must
-    agree on every aggregate statistic (batched and parallel execution
-    are strategies, not approximations).
-    """
-    from ..apps.eeg import build_eeg_pipeline, synth_eeg
-    from ..apps.eeg.pipeline import source_rates
-    from ..dataflow.channels import ExecutionPlan, fork_available
-    from ..profiler.profiler import Profiler
-
-    def _stats_agree(left, right) -> bool:
-        return all(
-            left.stats.operators[name].counts.minus(
-                right.stats.operators[name].counts
-            ).total
-            == 0.0
-            for name in left.stats.operators
-        ) and all(
-            left.stats.edge_traffic[e].bytes
-            == right.stats.edge_traffic[e].bytes
-            for e in left.stats.edge_traffic
-        )
-
-    can_fork = fork_available() and parallelism > 1
-    rows: list[ProfilerScalingRow] = []
-    for n_channels in channel_counts:
-        recording = synth_eeg(
-            n_channels=n_channels,
-            duration_s=duration_s,
-            seizure_intervals=(),
-            seed=seed,
-        )
-        data = recording.source_data()
-        rates = source_rates(n_channels)
-        elements = sum(len(v) for v in data.values())
-
-        start = time.perf_counter()
-        scalar = Profiler(bucket_seconds=bucket_seconds).measure(
-            build_eeg_pipeline(n_channels=n_channels), data, rates
-        )
-        scalar_seconds = time.perf_counter() - start
-
-        start = time.perf_counter()
-        batched = Profiler(
-            bucket_seconds=bucket_seconds, batch=True
-        ).measure(build_eeg_pipeline(n_channels=n_channels), data, rates)
-        batched_seconds = time.perf_counter() - start
-
-        parallel_seconds = 0.0
-        parallel_identical = True
-        if can_fork:
-            start = time.perf_counter()
-            parallel = Profiler(
-                bucket_seconds=bucket_seconds, batch=True
-            ).measure(
-                build_eeg_pipeline(n_channels=n_channels),
-                data,
-                rates,
-                plan=ExecutionPlan(parallelism=parallelism),
-            )
-            parallel_seconds = time.perf_counter() - start
-            parallel_identical = _stats_agree(batched, parallel)
-
-        rows.append(
-            ProfilerScalingRow(
-                n_channels=n_channels,
-                elements=elements,
-                scalar_seconds=scalar_seconds,
-                batched_seconds=batched_seconds,
-                speedup=scalar_seconds / batched_seconds,
-                stats_identical=_stats_agree(scalar, batched),
-                parallel_seconds=parallel_seconds,
-                parallel_speedup=(
-                    batched_seconds / parallel_seconds
-                    if parallel_seconds > 0
-                    else 1.0
-                ),
-                parallel_identical=parallel_identical,
-                workers=parallelism if can_fork else 1,
             )
         )
     return rows

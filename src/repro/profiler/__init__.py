@@ -1,11 +1,5 @@
 """Profiling layer: run graphs on sample data, produce per-platform costs."""
 
-from .parallel import (
-    ParallelMeasurement,
-    ShardPlan,
-    measure_operator_parallel,
-    plan_shards,
-)
 from .profiler import Measurement, PeakTracker, Profiler
 from .records import EdgeProfile, GraphProfile, OperatorProfile
 from .splitting import (
@@ -23,12 +17,8 @@ __all__ = [
     "LoopRecord",
     "Measurement",
     "OperatorProfile",
-    "ParallelMeasurement",
     "PeakTracker",
     "Profiler",
-    "ShardPlan",
-    "measure_operator_parallel",
-    "plan_shards",
     "SplitPlan",
     "YieldPoint",
     "loop_records_from_counts",

@@ -18,12 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..dataflow.channels import (
+from ..dataflow.execute import (
     ExecutionPlan,
     ExecutionPlanError,
-    fork_available,
-)
-from ..dataflow.execute import (
     ExecutionStats,
     Executor,
     chunk_spans,
@@ -114,13 +111,9 @@ class Measurement:
 class PeakTracker:
     """Event-driven per-bucket peak accumulator over one executor.
 
-    Shared by the serial profiling loop, every operator-parallel shard
-    worker, and the coordinator's merge-region replay
-    (:mod:`repro.profiler.parallel`): each holds a tracker over its own
-    executor and flushes it at virtual-time bucket boundaries.  Because
-    a flush over an untouched graph region is a no-op, per-region
-    trackers flushed on the *global* bucket sequence accumulate exactly
-    the peaks the single-process run would.
+    The profiling loop flushes it at every virtual-time bucket boundary;
+    each flush folds the deltas of the edges and operators touched since
+    the previous boundary into the running per-bucket peaks.
     """
 
     def __init__(self, executor: Executor, bucket_seconds: float) -> None:
@@ -184,15 +177,11 @@ class Profiler:
             scalar run; only the element-level interleaving of *different*
             sources inside one bucket coarsens.  Off by default to keep
             the paper-faithful traversal order.
-        parallelism: worker processes for operator-parallel execution
-            (:mod:`repro.profiler.parallel`).  Parallel measurements are
-            byte-identical in canonical form to the single-process run,
-            so this is pure throughput — it does not enter the profile
-            content key.  Falls back to single-process execution where
-            ``fork`` is unavailable.
         batch_size: optional cap on elements per columnar chunk in
             batched mode (``None``: bucket boundaries alone bound
-            chunks).
+            chunks).  Chunking preserves per-source element order, so
+            measurements are identical for every ``batch_size`` — it
+            does not enter the profile content key.
 
     Peak tracking is event-driven: the executor reports which edges and
     operators were touched since the last bucket boundary, and the
@@ -205,19 +194,15 @@ class Profiler:
         bucket_seconds: float = 1.0,
         track_peak: bool = True,
         batch: bool = False,
-        parallelism: int = 1,
         batch_size: int | None = None,
     ):
         if bucket_seconds <= 0:
             raise ValueError("bucket_seconds must be positive")
-        if parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.bucket_seconds = bucket_seconds
         self.track_peak = track_peak
         self.batch = batch
-        self.parallelism = parallelism
         self.batch_size = batch_size
 
     def with_plan(self, plan: ExecutionPlan | None) -> "Profiler":
@@ -241,11 +226,6 @@ class Profiler:
                 else plan.track_peak
             ),
             batch=self.batch if plan.batch is None else plan.batch,
-            parallelism=(
-                self.parallelism
-                if plan.parallelism is None
-                else plan.parallelism
-            ),
             batch_size=(
                 self.batch_size
                 if plan.batch_size is None
@@ -267,11 +247,11 @@ class Profiler:
             source_data: per-source sample input traces.
             source_rates: per-source element rates (elements/second) — the
                 real-time rates the deployed sensors would produce.
-            plan: optional :class:`~repro.dataflow.channels.ExecutionPlan`
-                selecting sources (typed :class:`~repro.dataflow.channels.
+            plan: optional :class:`~repro.dataflow.execute.ExecutionPlan`
+                selecting sources (typed :class:`~repro.dataflow.execute.
                 ExecutionPlanError` if it names one the graph or data
                 lacks), overriding rates, and overriding this profiler's
-                batch/bucket/peak/parallelism configuration per call.
+                batch/bucket/peak configuration per call.
         """
         if plan is not None:
             selected = plan.resolve_sources(source_data, graph)
@@ -311,45 +291,10 @@ class Profiler:
             len(items) / source_rates[name]
             for name, items in source_data.items()
         )
-        if effective.parallelism > 1 and fork_available():
-            from .parallel import measure_operator_parallel
-
-            result = measure_operator_parallel(
-                graph,
-                source_data,
-                source_rates,
-                bucket_seconds=effective.bucket_seconds,
-                track_peak=effective.track_peak,
-                batch=effective.batch,
-                batch_size=effective.batch_size,
-                parallelism=effective.parallelism,
-                plan=plan,
-            )
-            return Measurement(
-                graph=graph,
-                stats=result.stats,
-                duration=duration,
-                edge_peak_bytes_per_sec=result.edge_peaks,
-                operator_peak_counts={
-                    name: counts.scaled(1.0 / effective.bucket_seconds)
-                    for name, counts in result.op_peaks.items()
-                },
-            )
-        return effective._measure_serial(
-            graph, source_data, source_rates, duration
-        )
-
-    def _measure_serial(
-        self,
-        graph: StreamGraph,
-        source_data: dict[str, list[Any]],
-        source_rates: dict[str, float],
-        duration: float,
-    ) -> Measurement:
         executor = Executor(graph)
         tracker = (
-            PeakTracker(executor, self.bucket_seconds)
-            if self.track_peak
+            PeakTracker(executor, effective.bucket_seconds)
+            if effective.track_peak
             else None
         )
 
@@ -362,8 +307,10 @@ class Profiler:
         schedule = merge_schedule(
             lengths,
             source_rates,
-            bucket_seconds=self.bucket_seconds if self.track_peak else None,
-            grouped=self.batch,
+            bucket_seconds=(
+                effective.bucket_seconds if effective.track_peak else None
+            ),
+            grouped=effective.batch,
         )
 
         current_bucket = 0
@@ -372,8 +319,10 @@ class Profiler:
                 tracker.flush()
                 current_bucket = run.bucket
             items = source_data[run.name]
-            if self.batch:
-                for s, e in chunk_spans(run.start, run.stop, self.batch_size):
+            if effective.batch:
+                for s, e in chunk_spans(
+                    run.start, run.stop, effective.batch_size
+                ):
                     executor.push_batch(run.name, items[s:e])
             else:
                 for index in range(run.start, run.stop):

@@ -22,8 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from ..dataflow.channels import ExecutionPlan
-from ..dataflow.execute import merge_schedule
+from ..dataflow.execute import ExecutionPlan, merge_schedule
 from ..dataflow.graph import StreamGraph
 from ..network.testbed import Testbed
 from ..profiler.records import GraphProfile

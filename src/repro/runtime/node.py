@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..dataflow.channels import ExecutionPlan
 from ..dataflow.execute import (
+    ExecutionPlan,
     batch_items,
     batch_length,
     chunk_spans,
@@ -103,7 +103,7 @@ class BoundedExecutor:
         plan: ExecutionPlan | None = None,
     ) -> list[tuple[Edge, Any]]:
         """Replay full traces under an
-        :class:`~repro.dataflow.channels.ExecutionPlan` — the same entry
+        :class:`~repro.dataflow.execute.ExecutionPlan` — the same entry
         point shape as :meth:`Executor.run
         <repro.dataflow.execute.Executor.run>`, so deploy ≡ profile in
         API terms.  Returns the boundary emissions of the whole replay.

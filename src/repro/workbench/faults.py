@@ -68,11 +68,6 @@ SITES: dict[str, tuple[str, ...]] = {
     # behaves exactly like an unreachable backend, driving the
     # failover path; ``delay`` stalls the dispatch.
     "gateway.route": ("raise", "delay"),
-    # Operator-parallel profiler worker, at worker start (one hit per
-    # forked worker, reporting its worker index).  ``kill`` hard-exits
-    # the worker so the coordinator's in-process shard recovery runs;
-    # recovery re-executions do not hit the site again.
-    "profiler.shard": ("kill", "raise", "delay"),
 }
 
 
@@ -358,46 +353,6 @@ class FaultPlan:
             )
 
         size = n_faults if n_faults is not None else rng.randint(1, 3)
-        return cls([menu() for _ in range(size)])
-
-    @classmethod
-    def seeded_profiler(
-        cls,
-        seed: int,
-        workers: int = 2,
-        n_faults: int | None = None,
-    ) -> "FaultPlan":
-        """A reproducible random schedule over the *profiler* fault menu.
-
-        Targets the operator-parallel profiler's worker site only:
-        worker kills (exercising the coordinator's in-process shard
-        recovery), injected errors, and startup delays (exercising
-        result arrival-order independence).  Kept separate from
-        :meth:`seeded` / :meth:`seeded_replica` so their pinned
-        schedules stay byte-for-byte unchanged.
-        """
-        rng = random.Random(seed)
-
-        def menu() -> FaultRule:
-            kind = rng.randrange(3)
-            if kind == 0:
-                return FaultRule(
-                    site="profiler.shard", action="kill",
-                    worker=rng.randrange(workers),
-                )
-            if kind == 1:
-                return FaultRule(
-                    site="profiler.shard", action="raise",
-                    worker=rng.randrange(workers),
-                    error="RuntimeError",
-                )
-            return FaultRule(
-                site="profiler.shard", action="delay",
-                worker=rng.randrange(workers),
-                delay=0.005 + rng.random() * 0.02,
-            )
-
-        size = n_faults if n_faults is not None else rng.randint(1, 2)
         return cls([menu() for _ in range(size)])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

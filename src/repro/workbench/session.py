@@ -44,7 +44,7 @@ from ..platforms import get_platform
 from ..profiler.profiler import Measurement, Profiler
 from ..profiler.records import GraphProfile
 from ..runtime.deployment import Deployment, DeploymentPrediction
-from ..dataflow.channels import ExecutionPlan
+from ..dataflow.execute import ExecutionPlan
 from ..dataflow.graph import StreamGraph
 from .cache import ResultCache, result_key
 from .scenarios import Scenario, WorkbenchError, get_scenario
@@ -410,9 +410,10 @@ class Session:
     def _profiler_for(self, plan: "ExecutionPlan | None") -> Profiler | None:
         """The session profiler with ``plan``'s config overrides applied.
 
-        ``parallelism``/``batch_size`` do not enter the profile content
-        key (parallel measurements are byte-identical to serial ones),
-        so plan-overridden sessions share store entries with plain ones.
+        ``batch_size`` does not enter the profile content key (chunking
+        preserves per-source element order, so measurements are
+        byte-identical for every chunk size), so a plan that only sets
+        it shares store entries with plain sessions.
         """
         if plan is None:
             return self.profiler
@@ -429,8 +430,8 @@ class Session:
         """The scenario's (cached) platform-independent measurement.
 
         ``plan`` overrides the profiler's execution configuration for
-        this lookup — e.g. ``ExecutionPlan(parallelism=4)`` profiles
-        cache misses across four worker processes.
+        this lookup — e.g. ``ExecutionPlan(batch=False)`` profiles
+        cache misses element by element.
         """
         _, measurement = self.store.measurement(
             self.scenario, self.params, self._profiler_for(plan)
@@ -455,7 +456,7 @@ class Session:
         Returns a freshly materialized profile the caller owns outright;
         internal solving/deployment paths share the service's cached
         instance instead.  ``plan`` overrides profiler execution config
-        (parallelism, batching, buckets) for this call.
+        (batching, chunk size, buckets, peaks) for this call.
         """
         if plan is None:
             profile = self._factor_one_profile(platform or self.platform)

@@ -263,8 +263,8 @@ def test_merge_schedule_grouped_respects_buckets():
 
 
 def test_run_graph_source_rates_validation():
-    """The retired keywords keep their validation messages (shim path)."""
-    from repro.dataflow.graph import GraphError
+    """Plan rates are validated with typed errors on the run_graph path."""
+    from repro.dataflow import ExecutionPlanError
 
     builder = GraphBuilder()
     with builder.node():
@@ -274,35 +274,12 @@ def test_run_graph_source_rates_validation():
     builder.sink("ob", b)
     graph = builder.build()
     data = {"a": [1, 2], "b": [3, 4]}
-    with pytest.raises(GraphError, match="match"), pytest.deprecated_call():
-        run_graph(graph, data, source_rates={"a": 1.0})
-    with pytest.raises(GraphError, match="batch"), pytest.deprecated_call():
-        run_graph(graph, data, source_rates={"a": 1.0, "b": 1.0}, batch=True)
-
-
-def test_run_graph_legacy_kwargs_are_deprecation_shims():
-    """Old spellings still run, warn, and match their plan equivalents."""
-    data = {
-        "scalars": [float(x) for x in range(20)],
-        "blocks": [np.arange(16.0) for _ in range(5)],
-    }
-    with pytest.deprecated_call(match="ExecutionPlan"):
-        legacy = run_graph(build_kitchen_sink(), data, batch=True)
-    planned = run_graph(
-        build_kitchen_sink(), data,
-        ExecutionPlan(batch=True, interleave=False),
-    )
-    assert_stats_equal(legacy.stats, planned.stats)
-
-    # A plain bool in the plan position is the old positional round_robin.
-    with pytest.deprecated_call():
-        positional = run_graph(build_kitchen_sink(), data, False)
-    sequential = run_graph(
-        build_kitchen_sink(), data, ExecutionPlan(interleave=False)
-    )
-    assert_stats_equal(positional.stats, sequential.stats)
-
-    with pytest.raises(TypeError, match="not both"):
+    with pytest.raises(ExecutionPlanError, match="rates missing"):
+        run_graph(graph, data, ExecutionPlan(rates={"a": 1.0}))
+    with pytest.raises(ExecutionPlanError, match="interleave=False"):
         run_graph(
-            build_kitchen_sink(), data, ExecutionPlan(), batch=True
+            graph, data,
+            ExecutionPlan(rates={"a": 1.0, "b": 1.0}, interleave=False),
         )
+    with pytest.raises(ExecutionPlanError, match="non-positive rate"):
+        run_graph(graph, data, ExecutionPlan(rates={"a": 1.0, "b": 0.0}))

@@ -1,10 +1,15 @@
-"""Executor semantics: traversal order, stats, edge accounting."""
+"""Executor semantics: traversal order, stats, edge accounting, and the
+typed ExecutionPlan every entry point consumes."""
 
 import numpy as np
 import pytest
 
 from repro.dataflow import GraphBuilder, GraphError, run_graph
-from repro.dataflow.execute import Executor
+from repro.dataflow.execute import (
+    ExecutionPlan,
+    ExecutionPlanError,
+    Executor,
+)
 
 
 def test_depth_first_traversal_order():
@@ -146,3 +151,59 @@ def test_sink_values_requires_sink():
     executor = Executor(graph)
     with pytest.raises(GraphError, match="not a sink"):
         executor.sink_values("f")
+
+
+# -- the ExecutionPlan ------------------------------------------------------
+
+
+def _two_source_graph():
+    builder = GraphBuilder("two")
+    with builder.node():
+        a = builder.source("a")
+        c = builder.source("c")
+
+        def forward(ctx, port, item):
+            ctx.emit(item)
+
+        z = builder.merge("z", [a, c], forward)
+    builder.sink("out", z)
+    return builder.build()
+
+
+def test_plan_validates_fields():
+    with pytest.raises(ExecutionPlanError, match="non-positive rate"):
+        ExecutionPlan(rates={"a": 0.0})
+    with pytest.raises(ExecutionPlanError, match="interleave=False"):
+        ExecutionPlan(rates={"a": 1.0}, interleave=False)
+    with pytest.raises(ExecutionPlanError, match="batch_size"):
+        ExecutionPlan(batch_size=0)
+    with pytest.raises(ExecutionPlanError, match="bucket_seconds"):
+        ExecutionPlan(bucket_seconds=0.0)
+
+
+def test_plan_resolve_sources_defaults_to_data_order():
+    plan = ExecutionPlan()
+    assert plan.resolve_sources({"c": [1], "a": [2]}) == ["c", "a"]
+
+
+def test_plan_resolve_sources_typed_errors():
+    graph = _two_source_graph()
+    data = {"a": [1], "c": [2]}
+    with pytest.raises(ExecutionPlanError, match="absent from the sample"):
+        ExecutionPlan(sources=("a", "ghost")).resolve_sources(data)
+    with pytest.raises(ExecutionPlanError, match="not sources of"):
+        ExecutionPlan(sources=("z",)).resolve_sources({"z": [1]}, graph)
+    with pytest.raises(ExecutionPlanError, match="rates missing"):
+        ExecutionPlan(rates={"a": 1.0}).resolve_sources(data)
+    # ExecutionPlanError is a GraphError subclass: old except clauses
+    # keep working.
+    assert issubclass(ExecutionPlanError, GraphError)
+
+
+def test_plan_with_overrides_returns_new_frozen_copy():
+    plan = ExecutionPlan(batch_size=2)
+    bumped = plan.with_overrides(batch_size=4, batch=True)
+    assert plan.batch_size == 2
+    assert (bumped.batch_size, bumped.batch) == (4, True)
+    with pytest.raises(AttributeError):
+        plan.batch_size = 8

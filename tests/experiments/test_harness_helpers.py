@@ -47,17 +47,6 @@ def test_eeg_profile_small_channels():
     assert any(name.startswith("ch00.") for name in profile.operators)
 
 
-def test_deprecated_helpers_still_work():
-    from repro.experiments import common
-
-    with pytest.warns(DeprecationWarning):
-        graph, measurement = common.speech_measurement()
-    assert "fft" in graph.operators
-    with pytest.warns(DeprecationWarning):
-        profile = common.eeg_profile("tmote", n_channels=1)
-    assert profile.platform.name == "tmote"
-
-
 def test_fig5a_series_helper():
     points = [
         fig5a.Fig5aPoint("tmote", 2.0, 10, 0.5, 1.0),

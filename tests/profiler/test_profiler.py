@@ -1,11 +1,15 @@
-"""Profiler: rates, utilizations, peaks, multi-source interleaving."""
+"""Profiler: rates, utilizations, peaks, multi-source interleaving, and
+the ExecutionPlan overrides of ``measure`` and ``Session.profile``."""
 
 import numpy as np
 import pytest
 
-from repro.dataflow import GraphBuilder
+from repro.dataflow import ExecutionPlan, ExecutionPlanError, GraphBuilder
 from repro.platforms import get_platform
 from repro.profiler import Profiler
+from repro.workbench import ProfileStore, Session
+from repro.workbench.artifacts import canonical_json
+from repro.workbench.scenarios import get_scenario
 
 
 def simple_graph():
@@ -161,3 +165,102 @@ def test_restricted_to_subset():
     sub = profile.restricted_to({"f"})
     assert set(sub.operators) == {"f"}
     assert len(sub.edges) == len(profile.edges)
+
+
+def _scenario_case(name, overrides):
+    scen = get_scenario(name)
+    params = scen.resolve_params(overrides)
+    graph = scen.build(params)
+    data, rates = scen.inputs(params)
+    return graph, data, rates
+
+
+def test_measure_rejects_unknown_plan_source_with_typed_error():
+    graph, data, rates = _scenario_case("eeg", {"n_channels": 4,
+                                                "duration_s": 2.0})
+    with pytest.raises(ExecutionPlanError, match="absent from the sample"):
+        Profiler().measure(
+            graph, data, rates, plan=ExecutionPlan(sources=("nope",))
+        )
+    with pytest.raises(ExecutionPlanError, match="not sources of"):
+        Profiler().measure(
+            graph, {**data, "featureVector": []}, rates,
+            plan=ExecutionPlan(sources=("featureVector",)),
+        )
+
+
+def test_measure_plan_requires_rates_for_selected_sources():
+    graph, data, _ = _scenario_case("eeg", {"n_channels": 4,
+                                            "duration_s": 2.0})
+    with pytest.raises(ExecutionPlanError, match="no rates"):
+        Profiler().measure(graph, data, plan=ExecutionPlan())
+
+
+def test_profiler_validates_batch_size():
+    with pytest.raises(ValueError, match="batch_size"):
+        Profiler(batch_size=0)
+
+
+BATCH_SIZE_CASES = [
+    ("eeg", {"n_channels": 6, "duration_s": 4.0}),
+    ("speech", {}),
+    ("leak", {}),
+]
+
+
+@pytest.mark.parametrize("name,overrides", BATCH_SIZE_CASES)
+def test_batch_size_leaves_the_measurement_byte_identical(name, overrides):
+    # batch_size is left out of the store's profile content key on
+    # exactly this property: chunking keeps per-source element order,
+    # so counts, bytes and per-bucket peaks cannot depend on it.
+    graph, data, rates = _scenario_case(name, overrides)
+    ref = {"scenario": name}
+    expected = canonical_json(
+        Profiler(batch=True).measure(graph, data, rates), ref
+    )
+    for batch_size in (1, 7):
+        graph, data, rates = _scenario_case(name, overrides)
+        chunked = Profiler(batch=True, batch_size=batch_size).measure(
+            graph, data, rates
+        )
+        assert canonical_json(chunked, ref) == expected, batch_size
+
+
+def test_batch_size_plan_hits_the_plain_sessions_store_entry():
+    store = ProfileStore()
+    params = {"n_channels": 4, "duration_s": 4.0}
+    plain = Session("eeg", store=store, params=params).measurement()
+    assert (store.stats.hits, store.stats.misses) == (0, 1)
+    chunked = Session("eeg", store=store, params=params).measurement(
+        plan=ExecutionPlan(batch_size=7)
+    )
+    assert (store.stats.hits, store.stats.misses) == (1, 1)
+    ref = {"scenario": "eeg"}
+    assert canonical_json(chunked, ref) == canonical_json(plain, ref)
+
+
+def test_session_profile_accepts_a_plan():
+    session = Session(
+        "eeg", params={"n_channels": 4, "duration_s": 4.0}
+    )
+    baseline = session.profile()
+    planned = session.profile(plan=ExecutionPlan(batch=False))
+    assert set(planned.operators) == set(baseline.operators)
+    for name, profile in baseline.operators.items():
+        assert planned.operators[name].seconds == pytest.approx(
+            profile.seconds
+        )
+        assert planned.operators[name].peak_utilization == pytest.approx(
+            profile.peak_utilization
+        )
+
+
+def test_session_profile_plan_none_uses_cached_path():
+    session = Session(
+        "eeg", params={"n_channels": 4, "duration_s": 4.0}
+    )
+    first = session.profile()
+    second = session.profile()
+    assert set(first.operators) == set(second.operators)
+    # The backing store must have answered the repeat from cache.
+    assert session.store.stats.hits >= 1

@@ -116,7 +116,7 @@ def test_run_default_plan_matches_explicit_insertion_order(
     server_speech_profile,
 ):
     """run() without a plan is the historic insertion-order drain."""
-    from repro.dataflow.channels import ExecutionPlan
+    from repro.dataflow.execute import ExecutionPlan
 
     graph = server_speech_profile.graph
     testbed = Testbed(get_platform("meraki"), n_nodes=1)
@@ -140,7 +140,7 @@ def test_run_default_plan_matches_explicit_insertion_order(
 
 
 def test_run_plan_rejects_unknown_source(server_speech_profile):
-    from repro.dataflow.channels import ExecutionPlan, ExecutionPlanError
+    from repro.dataflow.execute import ExecutionPlan, ExecutionPlanError
 
     graph = server_speech_profile.graph
     testbed = Testbed(get_platform("meraki"), n_nodes=1)

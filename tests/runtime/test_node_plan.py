@@ -8,7 +8,7 @@ from repro.apps.eeg.pipeline import (
     extract_feature_vectors,
     source_rates,
 )
-from repro.dataflow.channels import ExecutionPlan, ExecutionPlanError
+from repro.dataflow.execute import ExecutionPlan, ExecutionPlanError
 from repro.runtime.node import BoundedExecutor
 from repro.workbench.scenarios import get_scenario
 

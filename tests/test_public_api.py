@@ -137,26 +137,14 @@ def test_readme_quickstart_session_workflow():
 
 
 def test_old_and_new_experiment_helpers_import_cleanly():
-    """Renamed entry points keep deprecation shims alongside the new
-    surface (both must import without side effects)."""
-    from repro.experiments.common import (  # noqa: F401  (new names)
-        measurement_for,
-        profile_for,
-    )
-    from repro.experiments.common import (  # noqa: F401  (deprecated)
-        eeg_measurement,
-        eeg_profile,
-        speech_measurement,
-        speech_profile,
-    )
+    """The experiment helpers import and run without warnings."""
     import warnings
+
+    from repro.experiments.common import measurement_for, profile_for
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # importing must not warn; *calling* the old names must
         graph, _ = measurement_for("eeg", n_channels=1)
+        profile = profile_for("eeg", "tmote", n_channels=1)
     assert len(graph) > 0
-    import pytest as _pytest
-
-    with _pytest.warns(DeprecationWarning):
-        eeg_profile("tmote", n_channels=1)
+    assert profile.platform.name == "tmote"
