@@ -6,16 +6,11 @@ PR 1 left as the dominant figure-experiment cost:
 
 1. ``element_throughput`` — elements/second pushing the EEG (22-channel)
    and speech sample traces through the reference executor, scalar
-   (per-element dispatch) vs batched (columnar chunks via ``work_batch``),
-   each with peak tracking on and off.  The two modes must produce
-   identical aggregate statistics (asserted and reported).
+   (per-element dispatch) vs batched (columnar chunks via ``work_batch``).
+   The two modes must produce identical aggregate statistics (asserted
+   and reported as ``stats_identical``).
 
-2. ``peak_tracking`` — the cost of peak tracking itself.  It is now
-   event-driven (dirty sets + per-bucket deltas) instead of a full-graph
-   rescan per element; the overhead fraction reported here is the
-   evidence that it no longer scales with E+V per element.
-
-3. ``end_to_end`` — wall-clock of fresh (uncached) profiling runs of the
+2. ``end_to_end`` — wall-clock of fresh (uncached) profiling runs of the
    figure scenarios, the quantity every fig5/fig6/fig7 driver pays first.
 
 Results are written as machine-readable JSON (default:
@@ -30,8 +25,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
+import os
 import platform
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 from repro.apps.eeg import build_eeg_pipeline, synth_eeg
 from repro.apps.eeg.pipeline import source_rates
@@ -47,7 +45,7 @@ def _timed(fn):
 
 
 def _measurements_agree(a: Measurement, b: Measurement) -> bool:
-    """Aggregate statistics and peaks of two runs are identical."""
+    """Aggregate statistics of two runs are identical."""
     for name in a.stats.operators:
         sa, sb = a.stats.operators[name], b.stats.operators[name]
         if (sa.invocations, sa.inputs, sa.outputs) != (
@@ -62,20 +60,29 @@ def _measurements_agree(a: Measurement, b: Measurement) -> bool:
             eb.elements, eb.bytes, eb.peak_element_bytes,
         ):
             return False
-    return a.edge_peak_bytes_per_sec == b.edge_peak_bytes_per_sec
+    return a.stats.source_inputs == b.stats.source_inputs
+
+
+#: The throughput runs are spread over this many fresh processes, with
+#: this many runs per (scenario, mode) in each; the best of all is kept.
+PROCESSES = 4
+REPEATS = 5
+
+MODES = (("scalar", False), ("batched", True))
 
 
 def _scenarios(smoke: bool) -> dict:
     """Sample traces sized so batched chunks are representative.
 
-    EEG sources tick at 1 block/s, so the peak-tracking bucket width is
-    what bounds a chunk; the benchmark uses wide buckets over a long
-    trace (the profiler default of 1 s would chunk per element).
+    Batched profiling sends each source's whole trace as one chunk, so
+    the trace length sets the chunk size.  Smoke runs shrink the EEG
+    graph and trace; the speech trace is the full-size one in both
+    (about 0.15 s per scalar run), since a shorter trace leaves the
+    batched run too short to time steadily.
     """
     eeg_channels = 6 if smoke else 22
     eeg_duration = 60.0 if smoke else 240.0
-    eeg_bucket = 20.0 if smoke else 60.0
-    speech_duration = 5.0 if smoke else 30.0
+    speech_duration = 30.0
     recording = synth_eeg(
         n_channels=eeg_channels,
         duration_s=eeg_duration,
@@ -88,90 +95,91 @@ def _scenarios(smoke: bool) -> dict:
             "build": lambda: build_eeg_pipeline(n_channels=eeg_channels),
             "data": recording.source_data(),
             "rates": source_rates(eeg_channels),
-            "bucket_seconds": eeg_bucket,
             "meta": {"channels": eeg_channels, "duration_s": eeg_duration},
         },
         "speech": {
             "build": build_speech_pipeline,
             "data": {"source": audio.frames()},
             "rates": {"source": FRAMES_PER_SEC},
-            "bucket_seconds": 1.0,
             "meta": {"duration_s": speech_duration},
         },
     }
 
 
-def bench_element_throughput(scenarios: dict, repeats: int = 3) -> dict:
-    """Scalar vs batched elements/second, peak tracking on and off.
+def _measure_in_child(smoke: bool, repeats: int) -> dict:
+    """One process's sample: per scenario, the best wall time of each
+    mode over ``repeats`` runs and whether the modes' statistics agree.
 
-    Each configuration runs ``repeats`` times on a fresh graph and the
-    best time is kept — the short batched runs are otherwise dominated by
-    warmup noise.
+    The runs round-robin over every (scenario, mode) pair, so each
+    pair's samples spread across the whole call.
     """
-    out: dict = {}
-    for name, sc in scenarios.items():
-        elements = sum(len(v) for v in sc["data"].values())
-        row: dict = dict(sc["meta"])
-        row["elements"] = elements
-        row["bucket_seconds"] = sc["bucket_seconds"]
-        runs: dict[str, Measurement] = {}
-        for mode, batch in (("scalar", False), ("batched", True)):
-            for peak in (True, False):
-                profiler = Profiler(
-                    bucket_seconds=sc["bucket_seconds"],
-                    track_peak=peak,
-                    batch=batch,
+    scenarios = _scenarios(smoke)
+    best: dict[tuple[str, str], float] = {}
+    runs: dict[tuple[str, str], Measurement] = {}
+    for _ in range(repeats):
+        for name, sc in scenarios.items():
+            for mode, batch in MODES:
+                graph = sc["build"]()
+                profiler = Profiler(batch=batch)
+                runs[name, mode], elapsed = _timed(
+                    lambda: profiler.measure(graph, sc["data"], sc["rates"])
                 )
-                seconds = float("inf")
-                for _ in range(repeats):
-                    graph = sc["build"]()
-                    measurement, elapsed = _timed(
-                        lambda: profiler.measure(
-                            graph, sc["data"], sc["rates"]
-                        )
-                    )
-                    seconds = min(seconds, elapsed)
-                key = f"{mode}_peak_{'on' if peak else 'off'}"
-                runs[key] = measurement
-                row[key] = {
-                    "seconds": seconds,
-                    "elements_per_sec": elements / seconds,
-                }
-        row["speedup_peak_on"] = (
-            row["batched_peak_on"]["elements_per_sec"]
-            / row["scalar_peak_on"]["elements_per_sec"]
-        )
-        row["speedup_peak_off"] = (
-            row["batched_peak_off"]["elements_per_sec"]
-            / row["scalar_peak_off"]["elements_per_sec"]
-        )
-        row["stats_identical"] = _measurements_agree(
-            runs["scalar_peak_on"], runs["batched_peak_on"]
+                best[name, mode] = min(
+                    best.get((name, mode), float("inf")), elapsed
+                )
+    return {
+        name: {
+            **sc["meta"],
+            "elements": sum(len(v) for v in sc["data"].values()),
+            "seconds": {mode: best[name, mode] for mode, _ in MODES},
+            "stats_identical": _measurements_agree(
+                runs[name, "scalar"], runs[name, "batched"]
+            ),
+        }
+        for name, sc in scenarios.items()
+    }
+
+
+def bench_element_throughput(smoke: bool) -> dict:
+    """Scalar vs batched elements/second.
+
+    The best time over all runs is kept: the short batched runs are
+    otherwise dominated by warmup and scheduler noise.  On a shared
+    2-vCPU host a whole process can also run slow (about one fresh
+    process in five timed the batched speech run at 9–17 ms instead of
+    6.4–7.3 ms, for every run it made), so the runs are spread over
+    :data:`PROCESSES` fresh processes, one at a time.
+    """
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(
+        max_workers=1, mp_context=ctx, max_tasks_per_child=1
+    ) as pool:
+        samples = [
+            pool.submit(_measure_in_child, smoke, REPEATS).result()
+            for _ in range(PROCESSES)
+        ]
+
+    out: dict = {}
+    for name, first in samples[0].items():
+        row = {
+            key: value
+            for key, value in first.items()
+            if key not in ("seconds", "stats_identical")
+        }
+        seconds = {
+            mode: min(sample[name]["seconds"][mode] for sample in samples)
+            for mode, _ in MODES
+        }
+        for mode, _ in MODES:
+            row[mode] = {
+                "seconds": seconds[mode],
+                "elements_per_sec": row["elements"] / seconds[mode],
+            }
+        row["speedup"] = seconds["scalar"] / seconds["batched"]
+        row["stats_identical"] = all(
+            sample[name]["stats_identical"] for sample in samples
         )
         out[name] = row
-    return out
-
-
-def bench_peak_tracking(throughput: dict) -> dict:
-    """Peak-tracking overhead, derived from the throughput runs.
-
-    With the event-driven tracker the overhead is a per-push set insert
-    plus one delta per touched edge/operator per *bucket* — independent
-    of graph size per element, so the fraction stays small even on the
-    1100-operator EEG graph.
-    """
-    out: dict = {}
-    for name, row in throughput.items():
-        out[name] = {
-            mode: {
-                "overhead_fraction": (
-                    row[f"{mode}_peak_on"]["seconds"]
-                    - row[f"{mode}_peak_off"]["seconds"]
-                )
-                / row[f"{mode}_peak_off"]["seconds"],
-            }
-            for mode in ("scalar", "batched")
-        }
     return out
 
 
@@ -213,13 +221,10 @@ def main() -> None:
         "smoke": args.smoke,
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
     }
     total_start = time.perf_counter()
-    scenarios = _scenarios(args.smoke)
-    report["element_throughput"] = bench_element_throughput(
-        scenarios, repeats=2 if args.smoke else 3
-    )
-    report["peak_tracking"] = bench_peak_tracking(report["element_throughput"])
+    report["element_throughput"] = bench_element_throughput(args.smoke)
     report["end_to_end"] = bench_end_to_end(args.smoke)
     report["total_seconds"] = time.perf_counter() - total_start
 
@@ -229,18 +234,11 @@ def main() -> None:
     print(f"wrote {args.output}")
     for name, row in report["element_throughput"].items():
         print(
-            f"{name}: {row['batched_peak_on']['elements_per_sec']:,.0f} "
+            f"{name}: {row['batched']['elements_per_sec']:,.0f} "
             f"elem/s batched vs "
-            f"{row['scalar_peak_on']['elements_per_sec']:,.0f} scalar "
-            f"({row['speedup_peak_on']:.1f}x peak-on, "
-            f"{row['speedup_peak_off']:.1f}x peak-off, "
+            f"{row['scalar']['elements_per_sec']:,.0f} scalar "
+            f"({row['speedup']:.1f}x, "
             f"stats_identical={row['stats_identical']})"
-        )
-    for name, row in report["peak_tracking"].items():
-        print(
-            f"{name} peak-tracking overhead: "
-            f"scalar {row['scalar']['overhead_fraction']:+.1%}, "
-            f"batched {row['batched']['overhead_fraction']:+.1%}"
         )
     e2e = report["end_to_end"]
     print(

@@ -9,8 +9,8 @@ ratios are properties of the code, not the hardware.
 Usage:
     python benchmarks/check_bench_regression.py \
         --baseline BENCH_profiler.json --fresh fresh.json \
-        --metric element_throughput.eeg.speedup_peak_on \
-        --metric element_throughput.speech.speedup_peak_on \
+        --metric element_throughput.eeg.speedup \
+        --metric element_throughput.speech.speedup \
         [--tolerance 0.30]
 
 Each ``--metric`` is a dotted path into the JSON; the check passes while

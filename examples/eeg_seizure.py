@@ -95,7 +95,7 @@ def main(full: bool = False):
     single = build_eeg_pipeline(n_channels=1)
     recording = synth_eeg(n_channels=1, duration_s=8.0,
                           seizure_intervals=(), seed=0)
-    measurement = Profiler(track_peak=False).measure(
+    measurement = Profiler().measure(
         single, recording.source_data(), source_rates(1)
     )
     wishbone = Wishbone(

@@ -36,7 +36,7 @@ N_NODES = 40
 def main():
     graph = build_leak_pipeline(threshold=2.0)
     calm = synth_leak_data(duration_s=10.0, leak_start_s=None, seed=0)
-    profile = Profiler(track_peak=False).profile(
+    profile = Profiler().profile(
         graph,
         calm.source_data(),
         {"vibration": WINDOWS_PER_SEC},

@@ -38,7 +38,7 @@ from repro.viz import bar_chart, series_table
 def main(output_dir: str = "platform-partitions"):
     graph = build_speech_pipeline()
     audio = synth_speech_audio(duration_s=4.0, seed=0)
-    measurement = Profiler(track_peak=False).measure(
+    measurement = Profiler().measure(
         graph, {"source": audio.frames()}, {"source": FRAMES_PER_SEC}
     )
     out = Path(output_dir)

@@ -32,7 +32,7 @@ from repro.viz import profile_table, series_table
 def main():
     graph = build_speech_pipeline()
     audio = synth_speech_audio(duration_s=4.0, seed=0)
-    measurement = Profiler(track_peak=False).measure(
+    measurement = Profiler().measure(
         graph, {"source": audio.frames()}, {"source": FRAMES_PER_SEC}
     )
 

@@ -13,8 +13,7 @@ Commands:
   gateway  --backends H1:P1,H2:P2|@MANIFEST [--host H] [--port P]
            [--max-inflight N] [--tenant-quota N] [--platform P]
   profile  SCENARIO [--param k=v ...] [--scalar] [--batch-size N]
-           [--bucket-seconds S] [--no-peak] [--store SPEC]
-           [--out FILE] [--canonical]
+           [--store SPEC] [--out FILE] [--canonical]
   partition SCENARIO [--rates CSV] [--cpu-budgets CSV] [--net-budgets CSV]
            [--param k=v ...] [--server HOST:PORT[,HOST:PORT..]|@MANIFEST]
            [--tenant ID] [--out DIR] [--canonical] [--stats]
@@ -575,12 +574,7 @@ def cmd_profile(args) -> int:
     from .workbench.artifacts import canonical_json, save_artifact
 
     params = dict(args.param or [])
-    plan = ExecutionPlan(
-        batch=not args.scalar,
-        batch_size=args.batch_size,
-        bucket_seconds=args.bucket_seconds,
-        track_peak=not args.no_peak,
-    )
+    plan = ExecutionPlan(batch=not args.scalar, batch_size=args.batch_size)
     store = ProfileStore(args.store) if args.store else None
     session = Session(
         args.scenario, store=store, platform=args.platform, params=params
@@ -594,9 +588,7 @@ def cmd_profile(args) -> int:
     )
     print(f"scenario: {session.scenario.name} "
           + " ".join(f"{k}={v!r}" for k, v in sorted(session.params.items())))
-    print(f"plan: {'batched' if plan.batch else 'scalar'} execution, "
-          f"bucket {plan.bucket_seconds or 1.0:g} s, "
-          f"peaks {'on' if not args.no_peak else 'off'}")
+    print(f"plan: {'batched' if plan.batch else 'scalar'} execution")
     print(f"measured {len(measurement.stats.operators)} operators, "
           f"{total} invocations over {measurement.duration:g} virtual s")
     # Wall-clock stays on stdout only — artifacts must be byte-comparable
@@ -735,10 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "columnar batches")
     profile.add_argument("--batch-size", type=int, default=None,
                          help="cap batched chunks at this many elements")
-    profile.add_argument("--bucket-seconds", type=float, default=None,
-                         help="peak-tracking bucket width (default 1.0)")
-    profile.add_argument("--no-peak", action="store_true",
-                         help="disable per-bucket peak tracking")
     profile.add_argument("--store", default=None,
                          help="durable profile store: directory, "
                          "'dir1,dir2,...' (ring), or '@manifest.json'")

@@ -212,7 +212,6 @@ def problem_from_profile(
     net_budget: float,
     alpha: float = 0.0,
     beta: float = 1.0,
-    peak: bool = False,
     aggregate_fanin: float = 1.0,
 ) -> PartitionProblem:
     """Build the partitioning instance from a platform profile.
@@ -230,7 +229,7 @@ def problem_from_profile(
     """
     graph: StreamGraph = profile.graph
     vertices = graph.topological_order()
-    cpu = {name: profile.cpu_cost(name, peak=peak) for name in vertices}
+    cpu = {name: profile.cpu_cost(name) for name in vertices}
 
     shared_srcs: set[str] = set()
     if aggregate_fanin != 1.0:
@@ -242,7 +241,7 @@ def problem_from_profile(
     aggregated: dict[tuple[str, str], float] = {}
     for edge in graph.edges:
         key = (edge.src, edge.dst)
-        cost = profile.net_cost(edge, peak=peak)
+        cost = profile.net_cost(edge)
         if edge.src in shared_srcs:
             cost /= aggregate_fanin
         aggregated[key] = aggregated.get(key, 0.0) + cost

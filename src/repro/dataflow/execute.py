@@ -80,10 +80,8 @@ class ExecutionPlan:
             the profiler's configured mode for ``Profiler.measure``).
         batch_size: maximum elements per columnar chunk.  Chunk
             splitting preserves per-source element order, so aggregate
-            statistics are unchanged; ``None`` lets bucket boundaries
-            alone bound chunks.
-        bucket_seconds: peak-tracking bucket width override.
-        track_peak: per-bucket peak recording override.
+            statistics are unchanged; ``None`` sends each source's trace
+            as one chunk.
     """
 
     sources: tuple[str, ...] | None = None
@@ -91,8 +89,6 @@ class ExecutionPlan:
     interleave: bool = True
     batch: bool | None = None
     batch_size: int | None = None
-    bucket_seconds: float | None = None
-    track_peak: bool | None = None
 
     def __post_init__(self) -> None:
         if self.sources is not None:
@@ -112,8 +108,6 @@ class ExecutionPlan:
             object.__setattr__(self, "rates", rates)
         if self.batch_size is not None and self.batch_size < 1:
             raise ExecutionPlanError("batch_size must be >= 1")
-        if self.bucket_seconds is not None and self.bucket_seconds <= 0:
-            raise ExecutionPlanError("bucket_seconds must be positive")
 
     def resolve_sources(
         self,
@@ -228,26 +222,19 @@ class Executor:
             name: op.new_state() for name, op in graph.operators.items()
         }
         # Per-operator delivery caches: the declared output size and the
-        # (edge, edge-stats, destination, port) tuples of every out-edge.
+        # (edge-stats, destination, port) triples of every out-edge.
         # These are constants of the graph; resolving them per delivered
         # element used to be a measurable share of profiling-run time.
         self._declared_size: dict[str, int | None] = {
             name: op.output_size for name, op in graph.operators.items()
         }
-        self._out_stats: dict[str, list[tuple[Edge, EdgeStats, str, int]]] = {
+        self._out_stats: dict[str, list[tuple[EdgeStats, str, int]]] = {
             name: [
-                (edge, self.stats.edge_traffic[edge], edge.dst, edge.dst_port)
+                (self.stats.edge_traffic[edge], edge.dst, edge.dst_port)
                 for edge in graph.out_edges(name)
             ]
             for name in graph.operators
         }
-        # Touch tracking (event-driven peak profiling): when enabled, the
-        # executor records which edges carried traffic and which operators
-        # ran since the last ``drain_touched`` — the profiler then computes
-        # per-bucket deltas over *touched* items only instead of rescanning
-        # the whole graph after every element.
-        self._touched_edges: set[Edge] | None = None
-        self._touched_ops: set[str] | None = None
 
     def state_of(self, name: str) -> Any:
         """The private state object of operator ``name`` (tests/sinks)."""
@@ -275,22 +262,6 @@ class Executor:
             return state.to_array()
         return rows_to_array(list(state))
 
-    # -- touch tracking ------------------------------------------------------
-
-    def start_touch_tracking(self) -> None:
-        """Begin recording which edges/operators are touched by pushes."""
-        self._touched_edges = set()
-        self._touched_ops = set()
-
-    def drain_touched(self) -> tuple[set[Edge], set[str]]:
-        """Return and reset the touched sets accumulated since the last call."""
-        edges, ops = self._touched_edges, self._touched_ops
-        if edges is None or ops is None:
-            raise GraphError("touch tracking is not enabled")
-        self._touched_edges = set()
-        self._touched_ops = set()
-        return edges, ops
-
     # -- driving ----------------------------------------------------------
 
     def push(self, source: str, item: Any) -> None:
@@ -303,8 +274,6 @@ class Executor:
         source_stats.invocations += 1
         source_stats.outputs += 1
         source_stats.counts.add(invocations=1.0)
-        if self._touched_ops is not None:
-            self._touched_ops.add(source)
         self._deliver(source, item)
 
     def push_many(self, source: str, items: list[Any]) -> None:
@@ -331,8 +300,6 @@ class Executor:
         source_stats.invocations += n
         source_stats.outputs += n
         source_stats.counts.add(invocations=float(n))
-        if self._touched_ops is not None:
-            self._touched_ops.add(source)
         self._deliver_batch(source, values)
 
     def run(
@@ -345,8 +312,8 @@ class Executor:
         The one plan-shaped entry point shared with ``run_graph``, the
         profiler, and the deployment replay path.  A ``None``/default
         plan interleaves all sources element-by-element in scalar mode.
-        Batched plans deliver columnar chunks split at ``batch_size``
-        and virtual-time bucket boundaries; ``interleave=False`` drains
+        Batched plans deliver each source's trace as columnar chunks of
+        at most ``batch_size`` elements; ``interleave=False`` drains
         each source's trace in full before the next.
         """
         if plan is None:
@@ -361,9 +328,7 @@ class Executor:
                     self.push_many(name, source_data[name])
             return self
         lengths = {name: len(source_data[name]) for name in names}
-        schedule = merge_schedule(
-            lengths, plan.rates, plan.bucket_seconds, grouped=batch
-        )
+        schedule = merge_schedule(lengths, plan.rates, grouped=batch)
         for sched_run in schedule:
             items = source_data[sched_run.name]
             if batch:
@@ -386,14 +351,11 @@ class Executor:
         size = self._declared_size[src]
         if size is None:
             size = element_size(value)
-        touched = self._touched_edges
-        for edge, stats, dst, dst_port in out:
+        for stats, dst, dst_port in out:
             stats.elements += 1
             stats.bytes += size
             if size > stats.peak_element_bytes:
                 stats.peak_element_bytes = size
-            if touched is not None:
-                touched.add(edge)
             self._invoke(dst, dst_port, value)
 
     def _invoke(self, name: str, port: int, item: Any) -> None:
@@ -402,8 +364,6 @@ class Executor:
         stats.invocations += 1
         stats.inputs += 1
         stats.counts.add(invocations=1.0)
-        if self._touched_ops is not None:
-            self._touched_ops.add(name)
 
         emitted: list[Any] = []
         ctx = OperatorContext(self._state[name], emitted.append, stats.counts)
@@ -443,14 +403,11 @@ class Executor:
             total, peak = self._batch_sizes(values)
         else:
             total, peak = size * n, size
-        touched = self._touched_edges
-        for edge, stats, dst, dst_port in out:
+        for stats, dst, dst_port in out:
             stats.elements += n
             stats.bytes += total
             if peak > stats.peak_element_bytes:
                 stats.peak_element_bytes = peak
-            if touched is not None:
-                touched.add(edge)
             self._invoke_batch(dst, dst_port, values)
 
     def _invoke_batch(self, name: str, port: int, values: Any) -> None:
@@ -460,8 +417,6 @@ class Executor:
         stats.invocations += n
         stats.inputs += n
         stats.counts.add(invocations=float(n))
-        if self._touched_ops is not None:
-            self._touched_ops.add(name)
 
         emitted: list[Any] = []
         ctx = OperatorContext(self._state[name], emitted.append, stats.counts)
@@ -492,22 +447,16 @@ class Executor:
 
 @dataclass(frozen=True)
 class ScheduleRun:
-    """A maximal run of consecutive elements of one source.
-
-    ``bucket`` is the virtual-time bucket the run falls in (0 when no
-    bucketing was requested); runs never straddle a bucket boundary.
-    """
+    """A maximal run of consecutive elements of one source."""
 
     name: str
     start: int
     stop: int
-    bucket: int
 
 
 def merge_schedule(
     lengths: dict[str, int],
     rates: dict[str, float] | None = None,
-    bucket_seconds: float | None = None,
     grouped: bool = False,
 ) -> list[ScheduleRun]:
     """Merge per-source traces by virtual time into ordered runs.
@@ -525,13 +474,11 @@ def merge_schedule(
         rates: per-source element rates; ``None`` means all sources tick
             in lockstep (rate 1.0), which reproduces the classic
             element-by-element round-robin interleave.
-        bucket_seconds: when given, runs are split at virtual-time bucket
-            boundaries and annotated with their bucket index.
-        grouped: relax *within-bucket* ordering — emit one run per
-            (bucket, source) instead of strict time order, maximizing run
-            length for batched execution.  Totals and per-bucket
-            aggregates are unaffected (per-source element order is
-            preserved; only cross-source interleaving coarsens).
+        grouped: relax cross-source ordering — emit one run per source
+            (in source-name order) instead of strict time order,
+            maximizing run length for batched execution.  Aggregate
+            statistics are unaffected: per-source element order is
+            preserved; only cross-source interleaving coarsens.
     """
     names = sorted(name for name, n in lengths.items() if n > 0)
     if not names:
@@ -539,43 +486,20 @@ def merge_schedule(
     if rates is None:
         rates = {name: 1.0 for name in names}
 
-    times_per_source = []
     for name in names:
         rate = rates[name]
         if rate <= 0:
             raise GraphError(
                 f"source {name!r} has non-positive rate {rate!r}"
             )
-        times_per_source.append(
-            np.arange(lengths[name], dtype=float) / rate
-        )
-    if bucket_seconds is not None:
-        buckets_per_source = [
-            (t / bucket_seconds).astype(np.int64) for t in times_per_source
-        ]
-    else:
-        buckets_per_source = [
-            np.zeros(len(t), dtype=np.int64) for t in times_per_source
-        ]
-
-    runs: list[ScheduleRun] = []
     if grouped:
-        # One run per (bucket, source); ordered by bucket then source.
-        keyed: list[tuple[int, int, int, int]] = []
-        for order, (name, buckets) in enumerate(
-            zip(names, buckets_per_source)
-        ):
-            boundaries = np.flatnonzero(np.diff(buckets)) + 1
-            starts = np.concatenate(([0], boundaries))
-            stops = np.concatenate((boundaries, [len(buckets)]))
-            for s, e in zip(starts, stops):
-                keyed.append((int(buckets[s]), order, int(s), int(e)))
-        keyed.sort()
-        for bucket, order, s, e in keyed:
-            runs.append(ScheduleRun(names[order], s, e, bucket))
-        return runs
+        return [ScheduleRun(name, 0, lengths[name]) for name in names]
 
     # Strict merge: exact heap order, computed vectorially.
+    times_per_source = [
+        np.arange(lengths[name], dtype=float) / rates[name]
+        for name in names
+    ]
     src_ids = np.concatenate(
         [
             np.full(len(t), i, dtype=np.int64)
@@ -586,30 +510,20 @@ def merge_schedule(
         [np.arange(len(t), dtype=np.int64) for t in times_per_source]
     )
     times = np.concatenate(times_per_source)
-    buckets = np.concatenate(buckets_per_source)
     order = np.lexsort((src_ids, times))
     src_sorted = src_ids[order]
     idx_sorted = indices[order]
-    bucket_sorted = buckets[order]
-    change = (
-        np.flatnonzero(
-            (np.diff(src_sorted) != 0) | (np.diff(bucket_sorted) != 0)
-        )
-        + 1
-    )
+    change = np.flatnonzero(np.diff(src_sorted) != 0) + 1
     starts = np.concatenate(([0], change))
     stops = np.concatenate((change, [len(order)]))
-    for s, e in zip(starts, stops):
-        src = int(src_sorted[s])
-        runs.append(
-            ScheduleRun(
-                names[src],
-                int(idx_sorted[s]),
-                int(idx_sorted[e - 1]) + 1,
-                int(bucket_sorted[s]),
-            )
+    return [
+        ScheduleRun(
+            names[int(src_sorted[s])],
+            int(idx_sorted[s]),
+            int(idx_sorted[e - 1]) + 1,
         )
-    return runs
+        for s, e in zip(starts, stops)
+    ]
 
 
 def chunk_spans(

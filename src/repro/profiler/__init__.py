@@ -1,6 +1,6 @@
 """Profiling layer: run graphs on sample data, produce per-platform costs."""
 
-from .profiler import Measurement, PeakTracker, Profiler
+from .profiler import Measurement, Profiler
 from .records import EdgeProfile, GraphProfile, OperatorProfile
 from .splitting import (
     LoopRecord,
@@ -17,7 +17,6 @@ __all__ = [
     "LoopRecord",
     "Measurement",
     "OperatorProfile",
-    "PeakTracker",
     "Profiler",
     "SplitPlan",
     "YieldPoint",

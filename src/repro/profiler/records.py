@@ -3,9 +3,10 @@
 After profiling, "we are able to estimate the CPU and communication
 requirements of every operator on every platform" (paper Section 1).
 A :class:`GraphProfile` holds exactly that: per-operator CPU utilization
-on one platform, and per-edge bandwidth — both mean and peak (Section 4.2.1
-notes the formulation can use either; predictable-rate applications use
-mean).
+on one platform, and per-edge bandwidth.  Section 4.2.1 notes the
+formulation can price operators and edges at mean or at peak load, and
+that predictable-rate applications use the mean; this repository prices
+every cost at mean load.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ class OperatorProfile:
     counts: WorkCounts
     seconds: float          # total predicted execution time over the run
     utilization: float      # mean fraction of the platform CPU consumed
-    peak_utilization: float  # max over profile buckets
 
     @property
     def seconds_per_invocation(self) -> float:
@@ -37,11 +37,7 @@ class OperatorProfile:
 
     def scaled(self, factor: float) -> "OperatorProfile":
         """This operator's profile with the input data rate scaled."""
-        return replace(
-            self,
-            utilization=self.utilization * factor,
-            peak_utilization=self.peak_utilization * factor,
-        )
+        return replace(self, utilization=self.utilization * factor)
 
 
 @dataclass(frozen=True)
@@ -53,7 +49,6 @@ class EdgeProfile:
     bytes: int
     elements_per_sec: float
     bytes_per_sec: float        # mean payload bandwidth
-    peak_bytes_per_sec: float
     mean_element_bytes: float
     packets_per_element: int    # under the platform's radio framing
     packets_per_sec: float
@@ -64,7 +59,6 @@ class EdgeProfile:
             self,
             elements_per_sec=self.elements_per_sec * factor,
             bytes_per_sec=self.bytes_per_sec * factor,
-            peak_bytes_per_sec=self.peak_bytes_per_sec * factor,
             packets_per_sec=self.packets_per_sec * factor,
             on_air_bytes_per_sec=self.on_air_bytes_per_sec * factor,
         )
@@ -96,16 +90,13 @@ class GraphProfile:
 
     # -- cost accessors (the c_v and r_uv of Section 4.2.1) ---------------
 
-    def cpu_cost(self, name: str, peak: bool = False) -> float:
+    def cpu_cost(self, name: str) -> float:
         """c_v: CPU utilization of operator ``name`` on the node platform."""
-        profile = self.operators[name]
-        return profile.peak_utilization if peak else profile.utilization
+        return self.operators[name].utilization
 
-    def net_cost(self, edge: Edge, peak: bool = False) -> float:
+    def net_cost(self, edge: Edge) -> float:
         """r_uv: channel cost (bytes/s) of shipping ``edge`` over the radio."""
         profile = self.edges[edge]
-        if peak:
-            return profile.peak_bytes_per_sec
         if self.platform.radio is not None:
             return profile.on_air_bytes_per_sec
         return profile.bytes_per_sec

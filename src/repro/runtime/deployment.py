@@ -205,7 +205,7 @@ class Deployment:
                 events.extend((name, item) for item in source_data[name])
             return events
         lengths = {name: len(source_data[name]) for name in names}
-        schedule = merge_schedule(lengths, plan.rates, plan.bucket_seconds)
+        schedule = merge_schedule(lengths, plan.rates)
         for sched_run in schedule:
             items = source_data[sched_run.name]
             events.extend(

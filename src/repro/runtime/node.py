@@ -122,9 +122,7 @@ class BoundedExecutor:
                         self.push(name, item)
             return self.outbox[start:]
         lengths = {name: len(source_data[name]) for name in names}
-        schedule = merge_schedule(
-            lengths, plan.rates, plan.bucket_seconds, grouped=batch
-        )
+        schedule = merge_schedule(lengths, plan.rates, grouped=batch)
         for sched_run in schedule:
             items = source_data[sched_run.name]
             if batch:

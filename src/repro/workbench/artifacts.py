@@ -48,7 +48,9 @@ from ..solver.solution import IncumbentEvent, Solution, SolveStatus
 from .scenarios import get_scenario
 
 #: Version of the artifact wire format.  Bump on breaking changes.
-SCHEMA_VERSION = 1
+#: Version 2 dropped the per-bucket peak fields of measurements and
+#: graph profiles.
+SCHEMA_VERSION = 2
 
 #: Monotonic discriminator for temp-file names (see write_document).
 _WRITE_COUNTER = itertools.count()
@@ -361,17 +363,6 @@ def _measurement_payload(
             name: stats.source_inputs[name]
             for name in sorted(stats.source_inputs)
         },
-        "edge_peak_bytes_per_sec": [
-            [_edge_key(edge), rate]
-            for edge, rate in sorted(
-                m.edge_peak_bytes_per_sec.items(),
-                key=lambda kv: _edge_key(kv[0]),
-            )
-        ],
-        "operator_peak_counts": {
-            name: _counts_payload(counts)
-            for name, counts in sorted(m.operator_peak_counts.items())
-        },
     }
 
 
@@ -402,19 +393,7 @@ def _measurement_from(
         traffic.bytes = row["bytes"]
         traffic.peak_element_bytes = row["peak_element_bytes"]
     stats.source_inputs = dict(payload["source_inputs"])
-    return Measurement(
-        graph=graph,
-        stats=stats,
-        duration=payload["duration"],
-        edge_peak_bytes_per_sec={
-            _edge_from_key(key): rate
-            for key, rate in payload["edge_peak_bytes_per_sec"]
-        },
-        operator_peak_counts={
-            name: _counts_from(values)
-            for name, values in payload["operator_peak_counts"].items()
-        },
-    )
+    return Measurement(graph=graph, stats=stats, duration=payload["duration"])
 
 
 def _graph_profile_payload(
@@ -434,7 +413,6 @@ def _graph_profile_payload(
                 "counts": _counts_payload(op.counts),
                 "seconds": op.seconds,
                 "utilization": op.utilization,
-                "peak_utilization": op.peak_utilization,
             }
             for _, op in sorted(p.operators.items())
         ],
@@ -445,7 +423,6 @@ def _graph_profile_payload(
                 "bytes": ep.bytes,
                 "elements_per_sec": ep.elements_per_sec,
                 "bytes_per_sec": ep.bytes_per_sec,
-                "peak_bytes_per_sec": ep.peak_bytes_per_sec,
                 "mean_element_bytes": ep.mean_element_bytes,
                 "packets_per_element": ep.packets_per_element,
                 "packets_per_sec": ep.packets_per_sec,
@@ -474,7 +451,6 @@ def _graph_profile_from(
             counts=_counts_from(row["counts"]),
             seconds=row["seconds"],
             utilization=row["utilization"],
-            peak_utilization=row["peak_utilization"],
         )
         for row in payload["operators"]
     }
@@ -487,7 +463,6 @@ def _graph_profile_from(
             bytes=row["bytes"],
             elements_per_sec=row["elements_per_sec"],
             bytes_per_sec=row["bytes_per_sec"],
-            peak_bytes_per_sec=row["peak_bytes_per_sec"],
             mean_element_bytes=row["mean_element_bytes"],
             packets_per_element=row["packets_per_element"],
             packets_per_sec=row["packets_per_sec"],

@@ -77,17 +77,16 @@ def result_key(
     ``profiler`` may be a :class:`Profiler`, a config mapping (the wire
     form), or ``None`` (the workbench default configuration) — all three
     normalize to the same key, mirroring how the session and the server
-    resolve the same defaults.  ``platform`` is the serving default; the
-    request's own platform, when set, wins.  The key is shared verbatim
-    by :meth:`Session.partition_many` and the partition server, which is
-    what makes one durable directory a single cache for both.
+    resolve the same defaults; a malformed mapping raises
+    :class:`~repro.workbench.scenarios.WorkbenchError`.  ``platform`` is
+    the serving default; the request's own platform, when set, wins.
+    The key is shared verbatim by :meth:`Session.partition_many` and the
+    partition server, which is what makes one durable directory a single
+    cache for both.
     """
     scenario = get_scenario(scenario)
     params = scenario.resolve_params(params or {})
-    if profiler is None or isinstance(profiler, Profiler):
-        cfg = profiler_config(profiler)
-    else:
-        cfg = dict(profiler)
+    cfg = profiler_config(profiler)
     payload = dict(request.to_payload())
     payload["platform"] = payload.get("platform") or platform
     blob = json.dumps(

@@ -1264,6 +1264,10 @@ class PartitionServer:
         params = scenario.resolve_params(document.get("params") or {})
         platform = document.get("platform") or self.default_platform
         profiler_cfg = document.get("profiler")
+        if profiler_cfg is not None:
+            # Validated here, at the door: workers and the parent's
+            # sessions build a Profiler from this mapping as is.
+            profiler_cfg = profiler_config(profiler_cfg)
         skip_infeasible = bool(document.get("skip_infeasible", False))
         payloads = list(document.get("requests") or [])
         requests = [PartitionRequest.from_payload(p) for p in payloads]

@@ -456,7 +456,7 @@ class Session:
         Returns a freshly materialized profile the caller owns outright;
         internal solving/deployment paths share the service's cached
         instance instead.  ``plan`` overrides profiler execution config
-        (batching, chunk size, buckets, peaks) for this call.
+        (batching, chunk size) for this call.
         """
         if plan is None:
             profile = self._factor_one_profile(platform or self.platform)

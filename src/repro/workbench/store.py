@@ -41,24 +41,42 @@ from .replication import SingleLayout, as_layout
 from .scenarios import Scenario, WorkbenchError, get_scenario
 
 #: Profiler settings participating in the content key, with the
-#: workbench defaults (batched execution, mean-load profiling — what the
-#: experiment harnesses use).
-DEFAULT_PROFILER_CONFIG = {
-    "bucket_seconds": 1.0,
-    "track_peak": False,
-    "batch": True,
-}
+#: workbench default (batched execution — what the experiment harnesses
+#: use).
+DEFAULT_PROFILER_CONFIG = {"batch": True}
 
 
-def profiler_config(profiler: Profiler | None) -> dict[str, Any]:
-    """The content-key-relevant configuration of a profiler."""
+def profiler_config(
+    profiler: Profiler | Mapping[str, Any] | None,
+) -> dict[str, Any]:
+    """The content-key-relevant configuration of a profiler.
+
+    ``profiler`` may be a :class:`Profiler`, a config mapping (the wire
+    form), or ``None`` (the workbench default).  A mapping may name only
+    the keys of :data:`DEFAULT_PROFILER_CONFIG`, missing keys take their
+    defaults, and ``batch`` must be a bool; anything else raises
+    :class:`WorkbenchError`, so every path that keys or builds a
+    profiler from wire input rejects a malformed config the same way.
+    """
     if profiler is None:
         return dict(DEFAULT_PROFILER_CONFIG)
-    return {
-        "bucket_seconds": profiler.bucket_seconds,
-        "track_peak": profiler.track_peak,
-        "batch": profiler.batch,
-    }
+    if isinstance(profiler, Profiler):
+        return {"batch": profiler.batch}
+    if not isinstance(profiler, Mapping):
+        raise WorkbenchError(
+            f"profiler config must be a mapping, not "
+            f"{type(profiler).__name__}"
+        )
+    unknown = sorted(set(profiler) - set(DEFAULT_PROFILER_CONFIG))
+    if unknown:
+        raise WorkbenchError(f"unknown profiler config keys: {unknown}")
+    config = {**DEFAULT_PROFILER_CONFIG, **profiler}
+    if not isinstance(config["batch"], bool):
+        raise WorkbenchError(
+            f"profiler config 'batch' must be a bool, not "
+            f"{config['batch']!r}"
+        )
+    return config
 
 
 @dataclass

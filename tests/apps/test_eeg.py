@@ -82,7 +82,7 @@ def test_cascade_reduces_rates(tmp_path):
     graph = build_eeg_pipeline(n_channels=1)
     recording = synth_eeg(n_channels=1, duration_s=8.0,
                           seizure_intervals=(), seed=0)
-    profile = Profiler(track_peak=False).profile(
+    profile = Profiler().profile(
         graph, recording.source_data(), source_rates(1),
         get_platform("server"),
     )

@@ -72,7 +72,7 @@ def test_reduce_requires_node_namespace():
 def leak_profile():
     graph = build_leak_pipeline()
     recording = synth_leak_data(duration_s=10.0, leak_start_s=None, seed=0)
-    return Profiler(track_peak=False).profile(
+    return Profiler().profile(
         graph,
         recording.source_data(),
         {"vibration": WINDOWS_PER_SEC},

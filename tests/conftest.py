@@ -25,7 +25,7 @@ def speech_audio():
 
 @pytest.fixture(scope="session")
 def speech_measurement(speech_graph, speech_audio):
-    return Profiler(track_peak=False).measure(
+    return Profiler().measure(
         speech_graph,
         {"source": speech_audio.frames()},
         {"source": FRAMES_PER_SEC},

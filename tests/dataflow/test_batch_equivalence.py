@@ -3,7 +3,8 @@
 The batched executor is an execution *strategy*, not an approximation:
 for any graph, driving it with ``push_batch`` must produce exactly the
 same ``ExecutionStats`` (invocations, inputs, outputs, work counts, edge
-elements/bytes/peaks) as element-by-element ``push``, the same profiles,
+elements/bytes/largest element) as element-by-element ``push``, the same
+profiles,
 and therefore the same downstream partitions.  Element values may differ
 only by floating-point summation order.
 """
@@ -144,19 +145,13 @@ def test_eeg_profiles_and_partitions_identical():
     data = recording.source_data()
     rates = source_rates(n_channels)
 
-    scalar = Profiler(bucket_seconds=2.0).measure(
+    scalar = Profiler().measure(
         build_eeg_pipeline(n_channels=n_channels), data, rates
     )
-    batched = Profiler(bucket_seconds=2.0, batch=True).measure(
+    batched = Profiler(batch=True).measure(
         build_eeg_pipeline(n_channels=n_channels), data, rates
     )
     assert_stats_equal(scalar.stats, batched.stats)
-    assert scalar.edge_peak_bytes_per_sec == batched.edge_peak_bytes_per_sec
-    assert set(scalar.operator_peak_counts) == set(
-        batched.operator_peak_counts
-    )
-    for name, counts in scalar.operator_peak_counts.items():
-        assert counts.minus(batched.operator_peak_counts[name]).total == 0.0
 
     platform = get_platform("tmote")
     profile_scalar = scalar.on(platform)
@@ -166,18 +161,10 @@ def test_eeg_profiles_and_partitions_identical():
             profile_scalar.operators[name].seconds
             == profile_batched.operators[name].seconds
         )
-        assert (
-            profile_scalar.operators[name].peak_utilization
-            == profile_batched.operators[name].peak_utilization
-        )
     for edge in profile_scalar.edges:
         assert (
             profile_scalar.edges[edge].bytes_per_sec
             == profile_batched.edges[edge].bytes_per_sec
-        )
-        assert (
-            profile_scalar.edges[edge].peak_bytes_per_sec
-            == profile_batched.edges[edge].peak_bytes_per_sec
         )
 
     partitioner = Wishbone(
@@ -246,20 +233,74 @@ def test_merge_schedule_round_robin_parity():
     ]
 
 
-def test_merge_schedule_grouped_respects_buckets():
+def test_merge_schedule_grouped_runs_each_source_whole():
     runs = merge_schedule(
-        {"a": 6, "b": 3},
-        rates={"a": 2.0, "b": 1.0},
-        bucket_seconds=1.0,
-        grouped=True,
+        {"b": 3, "a": 6}, rates={"a": 2.0, "b": 1.0}, grouped=True
     )
-    # Bucket 0: a elements 0-1 (t=0,.5), b element 0; bucket 1: a 2-3,
-    # b 1; bucket 2: a 4-5, b 2.  Chunks ordered bucket-major.
-    assert [(r.name, r.start, r.stop, r.bucket) for r in runs] == [
-        ("a", 0, 2, 0), ("b", 0, 1, 0),
-        ("a", 2, 4, 1), ("b", 1, 2, 1),
-        ("a", 4, 6, 2), ("b", 2, 3, 2),
+    # One run per source, in source-name order, whatever the rates.
+    assert [(r.name, r.start, r.stop) for r in runs] == [
+        ("a", 0, 6), ("b", 0, 3),
     ]
+    strict = merge_schedule({"b": 3, "a": 6}, rates={"a": 2.0, "b": 1.0})
+    assert sorted(
+        (r.name, i) for r in strict for i in range(r.start, r.stop)
+    ) == sorted((r.name, i) for r in runs for i in range(r.start, r.stop))
+
+
+def _spiky_two_source_graph():
+    builder = GraphBuilder()
+    with builder.node():
+        fast = builder.source("fast", output_size=8)
+        slow = builder.source("slow", output_size=16)
+
+        def spiky(ctx, port, item):
+            ctx.count(float_ops=100.0 if item else 1.0, mem_ops=2.0)
+            if item:
+                ctx.emit(np.ones(4))
+
+        a = builder.iterate("fa", fast, spiky)
+        b = builder.iterate("fb", slow, spiky)
+    builder.sink("oa", a)
+    builder.sink("ob", b)
+    return builder.build()
+
+
+@pytest.mark.parametrize(
+    "source_cfg",
+    [
+        {"fast": ([1, 0, 1, 1, 0, 1, 1, 1], 4.0), "slow": ([1, 1], 1.0)},
+        {"fast": ([1] * 12, 3.0), "slow": ([0, 1, 0, 1], 1.0)},
+    ],
+)
+def test_scalar_vs_batched_stats_equal_multi_source(source_cfg):
+    """Rate-skewed sources: the batched profile (one chunk per source)
+    measures exactly what the element-by-element heap order does."""
+    data = {name: items for name, (items, _) in source_cfg.items()}
+    rates = {name: rate for name, (_, rate) in source_cfg.items()}
+    scalar = Profiler().measure(_spiky_two_source_graph(), data, rates)
+    batched = Profiler(batch=True).measure(
+        _spiky_two_source_graph(), data, rates
+    )
+    assert_stats_equal(scalar.stats, batched.stats)
+    assert scalar.duration == batched.duration
+
+
+def test_scalar_vs_batched_stats_equal_eeg():
+    """Full-app check on a seizure-bursty multi-channel EEG run."""
+    n_channels = 2
+    recording = synth_eeg(
+        n_channels=n_channels, duration_s=6.0,
+        seizure_intervals=((2.0, 4.0),), seed=3,
+    )
+    data = recording.source_data()
+    rates = source_rates(n_channels)
+    scalar = Profiler().measure(
+        build_eeg_pipeline(n_channels=n_channels), data, rates
+    )
+    batched = Profiler(batch=True).measure(
+        build_eeg_pipeline(n_channels=n_channels), data, rates
+    )
+    assert_stats_equal(scalar.stats, batched.stats)
 
 
 def test_run_graph_source_rates_validation():

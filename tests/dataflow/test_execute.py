@@ -177,8 +177,6 @@ def test_plan_validates_fields():
         ExecutionPlan(rates={"a": 1.0}, interleave=False)
     with pytest.raises(ExecutionPlanError, match="batch_size"):
         ExecutionPlan(batch_size=0)
-    with pytest.raises(ExecutionPlanError, match="bucket_seconds"):
-        ExecutionPlan(bucket_seconds=0.0)
 
 
 def test_plan_resolve_sources_defaults_to_data_order():

@@ -33,30 +33,13 @@ def test_empty_sources_are_skipped_entirely():
     assert merge_schedule({"a": 0}, None) == []
 
 
-def test_single_bucket_schedule_groups_into_one_run_per_source():
-    # All timestamps < one bucket: grouped mode may emit one maximal run
-    # per source and every run carries bucket 0.
+def test_grouped_schedule_is_one_run_per_source():
     schedule = merge_schedule(
-        {"a": 4, "b": 4},
-        {"a": 10.0, "b": 10.0},
-        bucket_seconds=100.0,
-        grouped=True,
+        {"b": 4, "a": 4, "c": 0}, {"a": 10.0, "b": 10.0}, grouped=True
     )
-    assert [run.bucket for run in schedule] == [0] * len(schedule)
-    covered = _flatten(schedule)
-    assert sorted(covered) == [("a", i) for i in range(4)] + [
-        ("b", i) for i in range(4)
+    assert [(run.name, run.start, run.stop) for run in schedule] == [
+        ("a", 0, 4), ("b", 0, 4),
     ]
-
-
-def test_runs_never_straddle_bucket_boundaries():
-    schedule = merge_schedule(
-        {"a": 10}, {"a": 4.0}, bucket_seconds=1.0, grouped=True
-    )
-    for run in schedule:
-        start_bucket = int((run.start / 4.0) // 1.0)
-        last_bucket = int(((run.stop - 1) / 4.0) // 1.0)
-        assert start_bucket == last_bucket == run.bucket
 
 
 def test_ties_break_by_source_name():
@@ -105,16 +88,27 @@ def test_merged_order_invariant_under_source_permutation(specs, order):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    count=st.integers(min_value=1, max_value=40),
-    rate=st.floats(min_value=0.1, max_value=20.0,
-                   allow_nan=False, allow_infinity=False),
-    bucket=st.floats(min_value=0.1, max_value=10.0,
-                     allow_nan=False, allow_infinity=False),
+    specs=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=40),
+            st.floats(min_value=0.1, max_value=20.0,
+                      allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
 )
-def test_grouped_and_scalar_schedules_cover_identically(count, rate, bucket):
-    lengths, rates = {"s": count}, {"s": rate}
-    scalar = _flatten(merge_schedule(lengths, rates, bucket))
-    grouped = _flatten(
-        merge_schedule(lengths, rates, bucket, grouped=True)
-    )
-    assert scalar == grouped == [("s", i) for i in range(count)]
+def test_grouped_and_scalar_schedules_cover_identically(specs):
+    # Grouped and strict schedules deliver the same elements, and each
+    # source's elements in the same order; only the cross-source
+    # interleaving differs.
+    names = [f"s{i}" for i in range(len(specs))]
+    lengths = {n: count for n, (count, _) in zip(names, specs)}
+    rates = {n: rate for n, (_, rate) in zip(names, specs)}
+    scalar = _flatten(merge_schedule(lengths, rates))
+    grouped = _flatten(merge_schedule(lengths, rates, grouped=True))
+    assert sorted(scalar) == sorted(grouped)
+    for name in names:
+        expected = [(name, i) for i in range(lengths[name])]
+        assert [p for p in scalar if p[0] == name] == expected
+        assert [p for p in grouped if p[0] == name] == expected

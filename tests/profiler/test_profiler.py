@@ -1,7 +1,6 @@
-"""Profiler: rates, utilizations, peaks, multi-source interleaving, and
-the ExecutionPlan overrides of ``measure`` and ``Session.profile``."""
+"""Profiler: rates, utilizations, multi-source interleaving, and the
+ExecutionPlan overrides of ``measure`` and ``Session.profile``."""
 
-import numpy as np
 import pytest
 
 from repro.dataflow import ExecutionPlan, ExecutionPlanError, GraphBuilder
@@ -88,31 +87,6 @@ def test_scaled_rejects_negative():
         profile.scaled(-1.0)
 
 
-def test_peak_at_least_mean():
-    builder = GraphBuilder()
-    with builder.node():
-        stream = builder.source("src")
-
-        def bursty(ctx, port, item):
-            ctx.count(float_ops=1000.0 if item else 1.0)
-            if item:
-                ctx.emit(np.zeros(100, np.float32))
-
-        out = builder.iterate("f", stream, bursty)
-    builder.sink("sink", out)
-    graph = builder.build()
-    # One busy second then nine idle ones.
-    items = [1] * 4 + [0] * 36
-    profile = Profiler(bucket_seconds=1.0).profile(
-        graph, {"src": items}, {"src": 4.0}, get_platform("tmote")
-    )
-    op = profile.operators["f"]
-    assert op.peak_utilization >= op.utilization * 2
-    f_edge = [e for e in graph.edges if e.src == "f"][0]
-    edge = profile.edges[f_edge]
-    assert edge.peak_bytes_per_sec >= edge.bytes_per_sec * 2
-
-
 def test_multi_source_interleaving_by_rate():
     builder = GraphBuilder()
     order = []
@@ -153,8 +127,8 @@ def test_input_validation():
         profiler.measure(graph, {"src": [1]}, {"src": 0.0})
     with pytest.raises(ValueError, match="empty"):
         profiler.measure(graph, {"src": []}, {"src": 1.0})
-    with pytest.raises(ValueError):
-        Profiler(bucket_seconds=0.0)
+    with pytest.raises(ValueError, match="batch_size"):
+        Profiler(batch_size=0)
 
 
 def test_restricted_to_subset():
@@ -212,7 +186,7 @@ BATCH_SIZE_CASES = [
 def test_batch_size_leaves_the_measurement_byte_identical(name, overrides):
     # batch_size is left out of the store's profile content key on
     # exactly this property: chunking keeps per-source element order,
-    # so counts, bytes and per-bucket peaks cannot depend on it.
+    # so counts and bytes cannot depend on it.
     graph, data, rates = _scenario_case(name, overrides)
     ref = {"scenario": name}
     expected = canonical_json(
@@ -249,9 +223,6 @@ def test_session_profile_accepts_a_plan():
     for name, profile in baseline.operators.items():
         assert planned.operators[name].seconds == pytest.approx(
             profile.seconds
-        )
-        assert planned.operators[name].peak_utilization == pytest.approx(
-            profile.peak_utilization
         )
 
 

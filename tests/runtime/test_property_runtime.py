@@ -91,7 +91,7 @@ def _speech_profile():
 
         graph = build_speech_pipeline()
         audio = synth_speech_audio(duration_s=1.0, seed=0)
-        _PROFILE_CACHE["p"] = Profiler(track_peak=False).profile(
+        _PROFILE_CACHE["p"] = Profiler().profile(
             graph,
             {"source": audio.frames()},
             {"source": FRAMES_PER_SEC},

@@ -67,7 +67,7 @@ def test_eeg_deployment_integration():
     )
     from repro.apps.eeg import source_rates
 
-    profile = repro.Profiler(track_peak=False).profile(
+    profile = repro.Profiler().profile(
         graph, recording.source_data(), source_rates(2),
         repro.get_platform("tmote"),
     )

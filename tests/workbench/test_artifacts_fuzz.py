@@ -138,22 +138,7 @@ def measurements(draw):
         traffic.peak_element_bytes = draw(small_int)
     for name in stats.source_inputs:
         stats.source_inputs[name] = draw(small_int)
-    track_peaks = draw(st.booleans())
-    return Measurement(
-        graph=graph,
-        stats=stats,
-        duration=draw(anyfloat),
-        edge_peak_bytes_per_sec=(
-            {edge: draw(anyfloat) for edge in graph.edges}
-            if track_peaks
-            else {}
-        ),
-        operator_peak_counts=(
-            {name: draw(counts_strategy()) for name in graph.operators}
-            if track_peaks
-            else {}
-        ),
-    )
+    return Measurement(graph=graph, stats=stats, duration=draw(anyfloat))
 
 
 @st.composite
@@ -277,7 +262,7 @@ def test_ragged_sink_rows_roundtrip_bit_exact():
     builder.sink("out", out)
     graph = builder.build()
     data = [np.array([i], dtype=np.float32) for i in range(24)]
-    measurement = Profiler(track_peak=True).measure(
+    measurement = Profiler().measure(
         graph, {"src": data}, {"src": 8.0}
     )
     assert_bit_exact_roundtrip(measurement, graph)

@@ -508,6 +508,40 @@ def test_gateway_wire_ops(backends):
                 client._call({"op": "directory", "action": "explode"})
 
 
+def test_gateway_answers_malformed_profiler_config_with_typed_error(
+    backends,
+):
+    """The gateway rejects a bad ``profiler`` field before routing: a
+    typed error, no backend marked down, and a valid batch still
+    routes."""
+    a, b = backends
+    requests = [request.to_payload() for request in routed_batch()[:2]]
+    with Gateway([a.address, b.address]) as gw:
+        with ServerClient(gw.address, timeout=60.0, retries=0) as client:
+            for config in (
+                {"foo": 1},
+                {"track_peak": False, "batch": True},
+                {"batch": "yes"},
+            ):
+                with pytest.raises(ServerError, match="profiler config"):
+                    client._call(
+                        {
+                            "op": "partition_many",
+                            "scenario": SCENARIO,
+                            "params": PARAMS,
+                            "profiler": config,
+                            "requests": requests,
+                        }
+                    )
+            results = client.partition_many(
+                SCENARIO, requests, params=PARAMS, skip_infeasible=True
+            )
+            stats = client.stats()
+    assert len(results) == 2
+    assert stats["failovers"] == 0
+    assert stats["directory"]["failed"] == []
+
+
 def test_concurrent_tenants_share_the_gateway(backends, ground_truth):
     """Two tenants routing concurrently both get byte-identical
     answers; the admission counters see both."""

@@ -25,7 +25,11 @@ from repro.workbench import (
     register_scenario,
     unregister_scenario,
 )
-from repro.workbench.artifacts import canonical_json, graph_fingerprint
+from repro.workbench.artifacts import (
+    SCHEMA_VERSION,
+    canonical_json,
+    graph_fingerprint,
+)
 from repro.workbench.cache import result_key
 from repro.workbench.server import _GraphCache
 
@@ -301,7 +305,7 @@ def test_store_document_keeps_wire_shape(tmp_path):
     cache = ResultCache(tmp_path)
     document = {
         "schema": "repro.workbench",
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "kind": "partition",
         "payload": {},
     }

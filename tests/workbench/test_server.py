@@ -457,6 +457,38 @@ def test_unknown_op_is_reported(server):
         client.close()
 
 
+def test_malformed_profiler_config_is_a_typed_error(server):
+    """A bad ``profiler`` field is answered with a typed error on a live
+    connection; the same server then serves a valid batch."""
+    requests = [
+        PartitionRequest(
+            rate_factor=1.0, cpu_budget=1.0, gap_tolerance=5e-3
+        ).to_payload()
+    ]
+    with ServerClient(server.address, timeout=60.0, retries=0) as client:
+        # An unknown key, a retired key next to a valid one, and a
+        # non-bool ``batch``.
+        for config in (
+            {"foo": 1},
+            {"track_peak": False, "batch": True},
+            {"batch": "yes"},
+        ):
+            with pytest.raises(ServerError, match="profiler config"):
+                client._call(
+                    {
+                        "op": "partition_many",
+                        "scenario": "eeg",
+                        "params": SCENARIO_PARAMS["eeg"],
+                        "profiler": config,
+                        "requests": requests,
+                    }
+                )
+        results = client.partition_many(
+            "eeg", requests, params=SCENARIO_PARAMS["eeg"]
+        )
+    assert len(results) == 1 and results[0] is not None
+
+
 def test_request_payload_roundtrip():
     request = PartitionRequest(
         platform="imote2", rate_factor=3.5, cpu_budget=0.8,

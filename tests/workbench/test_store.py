@@ -21,10 +21,10 @@ def test_content_key_stability_and_sensitivity():
         scenario, scenario.resolve_params({"n_channels": 3})
     )
     assert key != other
-    peaked = ProfileStore.measurement_key(
-        scenario, params, Profiler(track_peak=True, batch=True)
+    scalar = ProfileStore.measurement_key(
+        scenario, params, Profiler(batch=False)
     )
-    assert key != peaked
+    assert key != scalar
 
 
 def test_measurement_cached_once_but_copied(tmp_path):
