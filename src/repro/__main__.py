@@ -30,8 +30,9 @@ sustainable rate), prints the partition and predicted deployment
 behaviour, and can emit a colorized GraphViz file.
 
 ``serve`` runs the partition server (socket-served ``partition_many``
-sharded over worker processes); ``gateway`` runs the asyncio front door
-that routes batches across several such servers by result-cache key
+sharded over worker processes, each formulating a probe group once and
+re-probing it for every later batch); ``gateway`` runs the asyncio front
+door that routes batches across several such servers by result-cache key
 (shards own their cache slices; failed backends fail over; admission
 control answers overload with typed ``ServerBusy``); ``partition``
 builds a budget x rate request grid and solves it in process or — with
@@ -194,7 +195,6 @@ def cmd_serve(args) -> int:
             replicas=args.replicas,
             write_quorum=args.write_quorum,
         ),
-        ship_probes=not args.worker_probes,
         default_platform=args.platform,
         result_cache=not args.no_result_cache,
         min_workers=args.min_workers,
@@ -661,7 +661,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--store", default=None,
                        help="durable profile store shared by all workers: "
                        "a directory, 'dir1,dir2,...' (a replicated ring), "
-                       "or '@manifest.json' (default: in-memory)")
+                       "or '@manifest.json' (default: one in-memory "
+                       "store per worker)")
     serve.add_argument("--replicas", type=int, default=None,
                        help="copies per entry on a replicated ring "
                        "(default 2)")
@@ -671,9 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--platform", default="tmote",
                        choices=sorted(PLATFORMS),
                        help="default platform for requests naming none")
-    serve.add_argument("--worker-probes", action="store_true",
-                       help="let workers build their own formulations "
-                       "instead of shipping prepared probes")
     serve.add_argument("--min-workers", type=int, default=None,
                        help="lower bound for runtime scaling (0 allows "
                        "a fully degraded in-process pool; default: "

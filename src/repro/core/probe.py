@@ -27,7 +27,6 @@ back to the full per-factor rebuild, so it is always safe to use.
 
 from __future__ import annotations
 
-import copy
 import time
 from typing import TYPE_CHECKING
 
@@ -113,39 +112,6 @@ class ScaledProbe:
         # budget after a prior request overrode it would not get the same
         # answer as a fresh probe.  See :meth:`_sync_relaxation_budgets`.
         self._relaxation_budget_key: tuple | None = None
-        #: Optional scenario reference (``repro.workbench.artifacts`` graph
-        #: reference dict) enabling cross-process pickling; see
-        #: :meth:`__getstate__`.
-        self.graph_ref: dict | None = None
-
-    # -- pickling (cross-process handoff) ----------------------------------
-
-    def __getstate__(self) -> dict:
-        """Pickle without the live HiGHS engine (native, unpicklable).
-
-        When :attr:`graph_ref` names a registered scenario, the profile's
-        graph travels *by reference* too — work functions are code, not
-        data — and is rebuilt (fingerprint-verified) on load.  The
-        workbench's partition server uses this to hand one prepared
-        formulation to a pool of worker processes.
-        """
-        state = dict(self.__dict__)
-        state["_relaxation"] = None
-        state["_relaxation_budget_key"] = None
-        if self.graph_ref is not None:
-            profile = copy.copy(self.profile)
-            profile.graph = None
-            state["profile"] = profile
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if self.profile.graph is None and self.graph_ref is not None:
-            from ..workbench.artifacts import resolve_graph
-
-            profile = copy.copy(self.profile)
-            profile.graph = resolve_graph(self.graph_ref)
-            self.profile = profile
 
     # -- probing -----------------------------------------------------------
 
@@ -173,8 +139,8 @@ class ScaledProbe:
         """Forget warm-start state: the next solve behaves like a fresh
         probe's.  The batched partition service calls this when a cached
         probe enters a new batch, so batch results are a pure function
-        of the batch content (and therefore reproducible by a server
-        worker that starts cold)."""
+        of the batch content, whatever the probe served before (a server
+        worker answers every run through its own cached probes)."""
         if self._relaxation is not False:
             self._relaxation = None
         self._relaxation_budget_key = None

@@ -22,15 +22,16 @@ computationally a sequence of independent runs, so executing the runs on
 different processes reproduces the in-process answers *bit for bit*
 (``tests/workbench/test_server.py`` pins this, wall-clock fields aside).
 
-**Workers.**  Each worker process owns a durable
-:class:`~repro.workbench.store.ProfileStore` view (all workers share the
-server's store directory; the store's atomic write-then-rename makes
-concurrent same-key writers safe) and serves each run through one
-warm-started relaxation.  By default the parent prepares each group's
-formulation once and hands the pickle-safe
-:class:`~repro.core.probe.ScaledProbe` to the workers; with
-``ship_probes=False`` workers build their own probes from their store
-view instead.  A worker that dies mid-run (crash, OOM kill, SIGKILL) is
+**Workers.**  Each worker process owns a
+:class:`~repro.workbench.store.ProfileStore` view — durable when the
+server has a store directory (all workers share it; the store's atomic
+write-then-rename makes concurrent same-key writers safe), otherwise its
+own in-memory store — and answers each run with its own session's
+:meth:`PartitionService.partition_many`, the in-process code path
+itself.  A worker therefore formulates each probe group once, keeps the
+:class:`~repro.core.probe.ScaledProbe`, and re-probes it for every later
+run of that group at any rate and budget; the parent only groups, orders
+and shards.  A worker that dies mid-run (crash, OOM kill, SIGKILL) is
 detected by its process sentinel, its unfinished run is requeued to the
 survivors, and a replacement worker is spawned — no request is lost or
 answered twice.
@@ -73,13 +74,7 @@ from .scenarios import (
     get_scenario,
     list_scenarios,
 )
-from .session import (
-    PartitionRequest,
-    Session,
-    build_group_probe,
-    group_order,
-    solve_group,
-)
+from .session import PartitionRequest, Session, group_order
 from .store import ProfileStore, profiler_config
 from .transport import (
     Backoff,
@@ -104,9 +99,6 @@ __all__ = [
 #: Test hook: seconds each worker sleeps before starting a run (lets the
 #: fault-tolerance tests kill a worker reliably mid-batch).
 _TEST_DELAY_ENV = "REPRO_SERVER_TEST_DELAY"
-
-# Back-compat alias: the parser moved to :mod:`repro.workbench.transport`.
-_parse_address = parse_address
 
 #: Scenario graphs one client keeps for decoding answers; past this
 #: many (scenario, params) pairs the least recently used is dropped.
@@ -166,6 +158,11 @@ def _run_job(
 ) -> list[tuple[int, dict | None, dict | None]]:
     """Solve one run (same-budget slice of one group) and serialize it.
 
+    The run goes through the worker session's own
+    :meth:`PartitionService.partition_many`, which keeps one probe per
+    probe group across runs and resets its warm-start state at entry,
+    so every run is answered exactly as a fresh in-process batch.
+
     Returns ``(original_index, document, arrays)`` per request;
     ``(index, None, None)`` marks an infeasible request under
     ``skip_infeasible``.
@@ -175,29 +172,17 @@ def _run_job(
         time.sleep(delay)
     scenario = payload["scenario"]
     params = payload["params"]
-    platform = payload["platform"]
     entries = payload["entries"]
     requests = [
         PartitionRequest.from_payload(request) for _, request in entries
     ]
-    budgets = [tuple(budget) for budget in payload["budgets"]]
     graph_ref = {"scenario": scenario, "params": dict(params)}
-
-    blob = payload.get("probe_blob")
-    if blob is not None:
-        probe = pickle.loads(blob)
-    else:
-        session = _session_for(
-            sessions, store, scenario, params, platform,
-            payload.get("profiler"),
-        )
-        profile = session.service.profile(requests[0].platform or platform)
-        probe = build_group_probe(requests[0], profile, graph_ref=graph_ref)
-
-    results = solve_group(
-        probe,
-        list(zip(requests, budgets)),
-        skip_infeasible=payload["skip_infeasible"],
+    session = _session_for(
+        sessions, store, scenario, params, payload["platform"],
+        payload.get("profiler"),
+    )
+    results = session.service.partition_many(
+        requests, skip_infeasible=payload["skip_infeasible"]
     )
     out: list[tuple[int, dict | None, dict | None]] = []
     for (index, _), result in zip(entries, results):
@@ -872,10 +857,8 @@ class PartitionServer:
             read :attr:`address` after :meth:`start`).
         workers: worker process count.
         store: directory for the durable profile store every worker (and
-            the parent) shares; ``None`` keeps stores in memory.
-        ship_probes: prepare each group's formulation once in the parent
-            and hand the pickle-safe probe to workers (default).  With
-            ``False`` workers formulate from their own store views.
+            the parent) shares; ``None`` gives each worker its own
+            in-memory store, which it profiles into on first use.
         default_platform: platform for requests that do not name one.
         job_timeout: seconds one sharded run may take before it is
             abandoned (error to the client, stuck worker retired);
@@ -907,7 +890,6 @@ class PartitionServer:
         port: int = 0,
         workers: int = 2,
         store: str | None = None,
-        ship_probes: bool = True,
         default_platform: str = "tmote",
         mp_context=None,
         job_timeout: float | None = 900.0,
@@ -922,7 +904,6 @@ class PartitionServer:
         self._host = host
         self._port = port
         self.workers = workers
-        self.ship_probes = ship_probes
         self.default_platform = default_platform
         # ``store`` accepts every layout shape (a directory, a
         # ``dir1,dir2`` ring, ``@manifest.json``, a spec mapping, a
@@ -963,9 +944,6 @@ class PartitionServer:
         self.pool: WorkerPool | None = None
         self._frames: FrameListener | None = None
         self._closed = threading.Event()
-        #: Parent-side swallowed-exception counters (see
-        #: :attr:`WorkerPool.swallowed_errors`), merged into ``stats``.
-        self.swallowed_errors: dict[str, int] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -1156,33 +1134,12 @@ class PartitionServer:
                     else None
                 ),
             },
-            "swallowed_errors": self._swallowed_payload(),
+            "swallowed_errors": dict(pool.swallowed_errors) if pool else {},
             "faults": asdict(faults.stats()),
         }
         return payload
 
-    def _swallowed_payload(self) -> dict[str, int]:
-        """Per-site swallowed-exception counters (server + pool)."""
-        merged = dict(self.swallowed_errors)
-        if self.pool is not None:
-            for site, count in self.pool.swallowed_errors.items():
-                merged[site] = merged.get(site, 0) + count
-        return merged
-
     # -- partition_many ----------------------------------------------------
-
-    def _parent_session(
-        self,
-        scenario: str,
-        params: Mapping[str, Any],
-        platform: str,
-        profiler_cfg: Mapping[str, Any] | None,
-    ) -> Session:
-        with self._sessions_lock:
-            return _session_for(
-                self._sessions, self._store, scenario, params, platform,
-                profiler_cfg,
-            )
 
     def _op_partition_many(
         self, stream: BinaryIO, document: Mapping[str, Any]
@@ -1314,30 +1271,6 @@ class PartitionServer:
         jobs: list[_Job] = []
         for indices in order.values():
             ordered = group_order(indices, requests, resolved)
-            probe_blob = None
-            if self.ship_probes:
-                lead = requests[ordered[0]]
-                session = self._parent_session(
-                    scenario.name, params, platform, profiler_cfg
-                )
-                profile = session.service.profile(lead.platform or platform)
-                graph_ref = {
-                    "scenario": scenario.name,
-                    "params": dict(params),
-                }
-                probe = build_group_probe(lead, profile, graph_ref=graph_ref)
-                try:
-                    probe_blob = pickle.dumps(probe)
-                except Exception:
-                    # Workers formulate from their own stores instead —
-                    # slower, never wrong.  Counted so an unpicklable
-                    # probe shows up in stats rather than silently
-                    # changing the serving mode.
-                    self.swallowed_errors["server.probe_pickle"] = (
-                        self.swallowed_errors.get("server.probe_pickle", 0)
-                        + 1
-                    )
-                    probe_blob = None
             for run in _budget_runs(ordered, resolved):
                 payload = {
                     "scenario": scenario.name,
@@ -1346,8 +1279,6 @@ class PartitionServer:
                     "profiler": profiler_cfg,
                     "skip_infeasible": skip_infeasible,
                     "entries": [(i, payloads[i]) for i in run],
-                    "budgets": [resolved[i] for i in run],
-                    "probe_blob": probe_blob,
                 }
                 jobs.append(self.pool.submit(payload))
         return jobs, len(requests), platform, prefilled, miss_keys

@@ -167,33 +167,11 @@ class RateSearchRequest:
 
 
 # ---------------------------------------------------------------------------
-# The group-serving core, shared by the in-process service and the
-# partition server's worker processes (repro.workbench.server).  Both
-# layers MUST run requests through these exact functions: the server's
-# byte-identical-to-in-process guarantee rests on the probe recipe, the
-# within-group order, and the per-request solve loop being literally the
-# same code on both sides of the socket.
+# Within-group solve order, shared by the in-process service and the
+# partition server's sharding (repro.workbench.server): the server splits
+# each group in this order into same-budget runs, and its workers answer
+# every run with PartitionService.partition_many itself.
 # ---------------------------------------------------------------------------
-
-
-def build_group_probe(
-    request: "PartitionRequest",
-    profile,
-    graph_ref: Mapping[str, Any] | None = None,
-) -> ScaledProbe:
-    """The shared-formulation recipe for one compatibility group.
-
-    The probe's base formulation uses the platform-default budgets; every
-    request overrides them explicitly, so the base values never leak into
-    results.  ``graph_ref`` (a scenario reference) makes the probe
-    pickle-safe for cross-process handoff.
-    """
-    probe = request.partitioner().with_overrides(
-        cpu_budget=None, net_budget=None
-    ).prepare_probe(profile)
-    if graph_ref is not None:
-        probe.graph_ref = dict(graph_ref)
-    return probe
 
 
 def group_order(
@@ -210,35 +188,6 @@ def group_order(
     return sorted(
         indices, key=lambda i: (*resolved[i], requests[i].rate_factor)
     )
-
-
-def solve_group(
-    probe: ScaledProbe,
-    ordered: Sequence[tuple["PartitionRequest", tuple[float, float]]],
-    skip_infeasible: bool = False,
-) -> list[PartitionResult | None]:
-    """Solve pre-ordered compatible requests through one shared probe.
-
-    ``ordered`` pairs each request with its resolved (cpu, net) budgets.
-    Results align with ``ordered``; with ``skip_infeasible`` an
-    infeasible request yields ``None`` instead of raising.
-    """
-    results: list[PartitionResult | None] = []
-    for request, (cpu_budget, net_budget) in ordered:
-        if skip_infeasible:
-            result = probe.try_partition(
-                request.rate_factor,
-                cpu_budget=cpu_budget,
-                net_budget=net_budget,
-            )
-        else:
-            result = probe.partition(
-                request.rate_factor,
-                cpu_budget=cpu_budget,
-                net_budget=net_budget,
-            )
-        results.append(result)
-    return results
 
 
 class PartitionService:
@@ -280,9 +229,12 @@ class PartitionService:
         key = request.probe_group(self.default_platform)
         probe = self._probes.get(key)
         if probe is None:
-            probe = build_group_probe(
-                request, self.profile(self._platform_name(request))
-            )
+            # The base formulation uses the platform-default budgets;
+            # every solve overrides them explicitly, so the base values
+            # never leak into results.
+            probe = request.partitioner().with_overrides(
+                cpu_budget=None, net_budget=None
+            ).prepare_probe(self.profile(self._platform_name(request)))
             self._probes[key] = probe
         return probe
 
@@ -342,15 +294,18 @@ class PartitionService:
             # probe must not carry the previous batch's (or a previous
             # single call's) warm-start state into this one, or repeated
             # identical batches could pick different within-gap/tie
-            # solutions — and stop matching what a cold-started server
-            # worker returns for the same requests.
+            # solutions — and a server worker, which answers each run of
+            # a batch through this method on probes it has reused across
+            # earlier runs, would stop matching an in-process batch.
             probe.reset_solver_state()
-            group_results = solve_group(
-                probe,
-                [(requests[i], resolved[i]) for i in ordered_indices],
-                skip_infeasible=skip_infeasible,
-            )
-            for i, result in zip(ordered_indices, group_results):
+            solve = probe.try_partition if skip_infeasible else probe.partition
+            for i in ordered_indices:
+                cpu_budget, net_budget = resolved[i]
+                result = solve(
+                    requests[i].rate_factor,
+                    cpu_budget=cpu_budget,
+                    net_budget=net_budget,
+                )
                 if result is not None:
                     result.request = self._with_platform(requests[i])
                 results[i] = result

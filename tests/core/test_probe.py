@@ -224,45 +224,3 @@ def test_relaxation_persists_within_one_budget_configuration(
     assert probe._relaxation is engine
     probe.try_partition(0.1, cpu_budget=0.8)  # budget change: discarded
     assert probe._relaxation is not engine
-
-
-def test_probe_pickles_with_graph_reference():
-    """A probe carrying a scenario graph_ref crosses process boundaries;
-    work functions travel by reference and are rebuilt on load."""
-    import pickle
-
-    import numpy as np
-
-    from repro.experiments.common import profile_for
-    from repro.workbench.artifacts import _graph_ref_payload
-
-    profile = profile_for("speech", "tmote")
-    probe = make_partitioner(gap_tolerance=5e-3).prepare_probe(profile)
-    probe.graph_ref = _graph_ref_payload(
-        profile.graph, {"scenario": "speech", "params": {}}
-    )
-    baseline = probe.partition(0.05)
-
-    clone = pickle.loads(pickle.dumps(probe))
-    assert clone._relaxation is None  # live engine never travels
-    result = clone.partition(0.05)
-    assert result.partition.node_set == baseline.partition.node_set
-    assert np.array_equal(result.solution.x, baseline.solution.x)
-    # The rebuilt graph is structurally the one the probe was built on.
-    assert result.partition.graph.name == baseline.partition.graph.name
-
-
-def test_probe_pickle_rejects_mismatched_graph_ref(tmote_speech_profile):
-    """A stale scenario reference fails loudly at unpickle time."""
-    import pickle
-
-    from repro.workbench.artifacts import ArtifactError, _graph_ref_payload
-
-    probe = make_partitioner().prepare_probe(tmote_speech_profile)
-    ref = _graph_ref_payload(
-        tmote_speech_profile.graph, {"scenario": "eeg", "params": {}}
-    )
-    probe.graph_ref = ref  # eeg will not rebuild to the speech fingerprint
-    blob = pickle.dumps(probe)
-    with pytest.raises(ArtifactError, match="fingerprint"):
-        pickle.loads(blob)

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import InfeasiblePartition
+from repro.core import InfeasiblePartition, Wishbone
 from repro.workbench import (
     PartitionRequest,
     PartitionServer,
@@ -240,16 +240,68 @@ def test_bad_server_address_is_a_typed_error():
         ServerClient(12345)
 
 
-def test_worker_built_probes_are_equivalent(store_dir):
-    """ship_probes=False: workers formulate from their own store views
-    and still return byte-identical artifacts."""
-    requests = batch_for("eeg")[:5]
-    local = local_session("eeg", store_dir).partition_many(
-        requests, skip_infeasible=True
-    )
+def budget_batch(cpu: float) -> list[PartitionRequest]:
+    """One probe group at one CPU budget: a single served run."""
+    return [
+        PartitionRequest(rate_factor=rate, cpu_budget=cpu, gap_tolerance=5e-3)
+        for rate in (1.0, 2.0, 6.0)
+    ]
+
+
+def test_probe_group_is_formulated_once_per_process(store_dir, monkeypatch):
+    """A degraded server solves in this process: two batches of one
+    probe group formulate it once, and the second batch re-probes the
+    cached formulation."""
+    calls = []
+    original = Wishbone.prepare_probe
+
+    def counting_prepare(self, profile):
+        calls.append(profile.graph.name)
+        return original(self, profile)
+
+    monkeypatch.setattr(Wishbone, "prepare_probe", counting_prepare)
+    with pytest.warns(RuntimeWarning, match="no live workers"):
+        with PartitionServer(
+            workers=0, min_workers=0, store=store_dir, result_cache=False
+        ) as srv:
+            with ServerClient(srv.address) as client:
+                for cpu in (1.0, 0.9):
+                    client.partition_many(
+                        "eeg", budget_batch(cpu),
+                        params=SCENARIO_PARAMS["eeg"], skip_infeasible=True,
+                    )
+                assert client.stats()["degraded_runs"] == 2
+    assert len(calls) == 1
+
+
+def test_reused_worker_probe_answers_like_a_fresh_one(store_dir):
+    """One worker answers A, B, then A again through the probe it built
+    for A: each reply equals a fresh in-process batch, so a reused probe
+    carries nothing from the runs it served before."""
     with PartitionServer(
-        workers=2, store=store_dir, ship_probes=False, result_cache=False
+        workers=1, store=store_dir, result_cache=False
     ) as srv:
+        with ServerClient(srv.address) as client:
+            for cpu in (1.0, 0.9, 1.0):
+                requests = budget_batch(cpu)
+                served = client.partition_many(
+                    "eeg", requests, params=SCENARIO_PARAMS["eeg"],
+                    skip_infeasible=True,
+                )
+                local = local_session("eeg", store_dir).partition_many(
+                    requests, skip_infeasible=True
+                )
+                assert_equivalent(local, served)
+
+
+def test_in_memory_store_server_equals_inprocess():
+    """With no ``store`` each worker profiles into its own in-memory
+    store; the answers still equal the in-process ones."""
+    requests = budget_batch(1.0) + budget_batch(0.9)
+    local = Session(
+        "eeg", params=SCENARIO_PARAMS["eeg"], result_cache=False
+    ).partition_many(requests, skip_infeasible=True)
+    with PartitionServer(workers=2, result_cache=False) as srv:
         with ServerClient(srv.address) as client:
             served = client.partition_many(
                 "eeg", requests, params=SCENARIO_PARAMS["eeg"],
