@@ -15,7 +15,7 @@ Commands:
   profile  SCENARIO [--param k=v ...] [--scalar] [--batch-size N]
            [--store SPEC] [--out FILE] [--canonical]
   partition SCENARIO [--rates CSV] [--cpu-budgets CSV] [--net-budgets CSV]
-           [--param k=v ...] [--server HOST:PORT[,HOST:PORT..]|@MANIFEST]
+           [--param k=v ...] [--server HOST:PORT]
            [--tenant ID] [--out DIR] [--canonical] [--stats]
   store    stats|gc --store DIR|D1,D2,..|@RING [--server HOST:PORT]
            [--ttl S] [--max-bytes N] [--max-entries N] [--grace S]
@@ -36,8 +36,9 @@ door that routes batches across several such servers by result-cache key
 (shards own their cache slices; failed backends fail over; admission
 control answers overload with typed ``ServerBusy``); ``partition``
 builds a budget x rate request grid and solves it in process or — with
-``--server`` — against a running server, a gateway, or a multi-backend
-spec routed client-side, optionally writing one artifact per request
+``--server`` — against a running server or gateway (to spread a batch
+over several servers, start a ``gateway`` over them and pass its
+address), optionally writing one artifact per request
 (``--stats`` reports how much of the batch the result cache answered).
 ``profile`` runs the profiler alone and writes the measurement artifact
 (``--scalar`` and ``--batch-size N`` change how the graph is driven, not
@@ -755,9 +756,9 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="K=V", help="scenario parameter override")
     part.add_argument("--server", default=None,
                       help="a running partition server or gateway "
-                      "(host:port), a comma list of servers routed "
-                      "client-side, or '@manifest.json' "
-                      "(default: solve in process)")
+                      "(host:port); to use several servers, start "
+                      "'repro gateway --backends ...' over them and "
+                      "pass its address (default: solve in process)")
     part.add_argument("--tenant", default=None,
                       help="tenant id stamped on server requests "
                       "(gateway admission control)")

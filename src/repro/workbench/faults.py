@@ -20,7 +20,7 @@ site                      where                                  actions
 ``store.write``           :func:`~repro.workbench.artifacts.write_document`  ``raise``
 ``store.read``            :meth:`ReplicatedStore <repro.workbench.replication.ReplicatedStore>` replica read  ``miss``, ``corrupt``, ``delay``
 ``pool.spawn``            :meth:`WorkerPool <repro.workbench.server.WorkerPool>` worker spawn  ``raise``
-``gateway.route``         :class:`Gateway <repro.workbench.gateway.Gateway>` / routed-client shard dispatch  ``raise``, ``delay``
+``gateway.route``         :class:`Gateway <repro.workbench.gateway.Gateway>` shard dispatch  ``raise``, ``delay``
 ========================  =====================================  ==========================
 
 Every site check is a no-op (one global read) when no plan is
@@ -63,7 +63,7 @@ SITES: dict[str, tuple[str, ...]] = {
     "store.write": ("raise", "delay"),
     "store.read": ("miss", "corrupt", "delay"),
     "pool.spawn": ("raise",),
-    # Gateway/router shard dispatch: fired once per (shard, attempt)
+    # Gateway shard dispatch: fired once per (shard, attempt)
     # before the sub-batch is forwarded to a backend.  ``raise``
     # behaves exactly like an unreachable backend, driving the
     # failover path; ``delay`` stalls the dispatch.

@@ -5,10 +5,9 @@ One :class:`~repro.workbench.server.PartitionServer` is one box: one
 accept loop, one worker pool, one result-cache view.  The serving story
 (ROADMAP north star) needs a *fleet* — and the cloud Partitioning
 pattern supplies the shape: a **deterministic partition function**, a
-**directory** mapping shards to backends, and **routers** that apply
-the function either at the edge (a routing
-:class:`~repro.workbench.server.ServerClient`) or at a front door (this
-module's :class:`Gateway`).
+**directory** mapping shards to backends, and a **router** that applies
+the function at a front door: this module's :class:`Gateway`, the one
+place shard dispatch and failover live.
 
 * The partition function is the PR 5 result-cache key
   (:func:`~repro.workbench.cache.result_key`) hashed onto a consistent
@@ -152,13 +151,14 @@ class PartitionDirectory:
     ``backends`` accepts every routing spec shape
     (:func:`~repro.workbench.transport.parse_targets` — a comma list,
     an ``@manifest.json``, a list of addresses).  Membership changes
-    emit ``shard-joined``/``shard-left`` events; health transitions
-    observed by routers land as ``backend-failed``/``backend-restored``
-    — all into a :class:`~repro.workbench.membership.MembershipLog`
-    (the directory's own unless one is shared in).
+    emit ``shard-joined``/``shard-left`` events; health transitions the
+    gateway observes while routing land as
+    ``backend-failed``/``backend-restored`` — all into a
+    :class:`~repro.workbench.membership.MembershipLog` (the directory's
+    own unless one is shared in).
 
-    Thread-safe; both the blocking routed client and the asyncio
-    gateway hold one.
+    Thread-safe: the gateway changes it on its event loop while an
+    embedding caller may read or change it from its own thread.
     """
 
     def __init__(
@@ -223,19 +223,12 @@ class PartitionDirectory:
             raise ServerError("partition directory has no backends")
         return owners[0]
 
-    def split(self, keys: Sequence[str]) -> dict[str, list[int]]:
-        """Group request indices by shard owner (first-seen order)."""
-        shards: dict[str, list[int]] = {}
-        for index, key in enumerate(keys):
-            shards.setdefault(self.route(key), []).append(index)
-        return shards
-
     def split_groups(
         self, groups: Sequence[tuple[str, Sequence[int]]]
     ) -> dict[str, list[int]]:
-        """Like :meth:`split`, over atomic ``(key, indices)`` units
-        (see :func:`batch_groups`): every unit lands whole on one
-        shard, member indices in batch order."""
+        """Group request indices by shard owner, over atomic
+        ``(key, indices)`` units (see :func:`batch_groups`): every unit
+        lands whole on one shard, member indices in batch order."""
         shards: dict[str, list[int]] = {}
         for key, members in groups:
             shards.setdefault(self.route(key), []).extend(members)
@@ -332,10 +325,10 @@ class Gateway:
             ``"anonymous"`` tenant.
         connect_timeout, request_timeout: per-backend dial and exchange
             budgets for forwarded sub-batches.
-        failover: re-home a shard along the directory chain when its
-            owner is unreachable (on by default); the batch fails with
-            retryable ``ServerUnavailable`` only when *every* backend
-            refuses it.
+
+    A shard whose owner is unreachable re-homes along the directory
+    chain; the batch fails with retryable ``ServerUnavailable`` only
+    when *every* backend refuses it.
 
     The event loop runs on a dedicated thread, so the gateway embeds
     exactly like a :class:`~repro.workbench.server.PartitionServer`:
@@ -352,7 +345,6 @@ class Gateway:
         tenant_quota: int = 16,
         connect_timeout: float = 5.0,
         request_timeout: float | None = 300.0,
-        failover: bool = True,
     ) -> None:
         self.directory = (
             backends
@@ -366,7 +358,6 @@ class Gateway:
         self.tenant_quota = max(int(tenant_quota), 0)
         self.connect_timeout = connect_timeout
         self.request_timeout = request_timeout
-        self.failover = failover
 
         self._thread: threading.Thread | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -718,11 +709,8 @@ class Gateway:
         """Forward one shard's sub-batch, failing over along the chain."""
         subdoc = {k: v for k, v in document.items() if k != "tenant"}
         subdoc["requests"] = [document["requests"][i] for i in indices]
-        chain = (
-            self.directory.chain(primary) if self.failover else [primary]
-        )
         last: BaseException | None = None
-        for hop, backend in enumerate(chain):
+        for hop, backend in enumerate(self.directory.chain(primary)):
             rule = faults.hit("gateway.route")
             injected: BaseException | None = None
             if rule is not None:

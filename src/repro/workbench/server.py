@@ -45,7 +45,6 @@ import pickle
 import threading
 import time
 import warnings
-import zlib
 from collections import deque
 from dataclasses import asdict, replace
 from typing import Any, BinaryIO, Mapping, Sequence
@@ -1314,24 +1313,20 @@ def _budget_runs(
 
 
 class ServerClient:
-    """A connection to a :class:`PartitionServer` (or a routed fleet).
+    """A connection to a :class:`PartitionServer` or a
+    :class:`~repro.workbench.gateway.Gateway`.
 
     Thread-safe (one in-flight call at a time per client).  ``address``
-    is ``"host:port"``, an ``(host, port)`` pair, or a server's
-    :attr:`~PartitionServer.address`.  ``connect_timeout`` retries the
-    initial connection, so a client can be started alongside a server
-    that is still binding; each connect *attempt* is capped at the
-    remaining connect budget, so a dead backend fails in
-    ``connect_timeout``, never the full request ``timeout``.
-
-    **Routing.**  A multi-backend spec — ``"h1:p1,h2:p2"``, a list of
-    addresses, or ``"@manifest.json"`` — turns the client into its own
-    router: batches split by the deterministic result-key partition
-    function (see :class:`~repro.workbench.gateway.PartitionDirectory`),
-    fan out to shard owners concurrently, and reassemble in request
-    order — byte-identical to the unrouted path.  A shard whose owner
-    is unreachable fails over to the next directory backend (counted in
-    :attr:`route_failovers`).
+    is ``"host:port"``, an ``(host, port)`` pair, a server's
+    :attr:`~PartitionServer.address`, or a one-entry list or
+    ``@manifest.json``.  A spec naming more than one backend raises
+    :class:`ServerError` before any socket opens: a fleet is routed by
+    ``python -m repro gateway``, and the client talks to that one
+    address.  ``connect_timeout`` retries the initial connection, so a
+    client can be started alongside a server that is still binding;
+    each connect *attempt* is capped at the remaining connect budget,
+    so a dead backend fails in ``connect_timeout``, never the full
+    request ``timeout``.
 
     Transport failures (a reset connection, a dead server, a torn
     frame) surface as :class:`ServerUnavailable` — never a raw
@@ -1360,71 +1355,41 @@ class ServerClient:
         backoff_seed: int | None = None,
         tenant: str | None = None,
     ) -> None:
-        self._targets = parse_targets(address)
-        self._host, self._port = parse_address(self._targets[0])
-        self._timeout = timeout
-        self._connect_timeout = connect_timeout
+        targets = parse_targets(address)
+        if len(targets) > 1:
+            spec = ",".join(targets)
+            raise ServerError(
+                f"{spec} names {len(targets)} backends, but a client "
+                f"talks to one address: run `python -m repro gateway "
+                f"--backends {spec}` and point the client at the gateway"
+            )
+        host, port = parse_address(targets[0])
         self.retries = max(int(retries), 0)
-        self.backoff = backoff
         self.stats_timeout = stats_timeout
-        self.backoff_seed = backoff_seed
         self.tenant = tenant
         self._backoff = Backoff(base=backoff, seed=backoff_seed)
-        self._conn: ClientConnection | None = None
+        self._conn = ClientConnection(
+            host, port, timeout=timeout, connect_timeout=connect_timeout
+        )
         self._lock = threading.Lock()
         #: Transport failures that were recovered by reconnect+retry.
         self.transport_retries = 0
-        #: Shards re-homed to a surviving backend (routed mode only).
-        self.route_failovers = 0
         #: Result-cache counters from the most recent
         #: :meth:`partition_many` acknowledgement (the CLI's
         #: ``--stats`` source).
         self.last_batch_stats: dict[str, int] = {}
         self._graphs = _GraphCache()
-        self._router: _ClientRouter | None = None
-        if len(self._targets) > 1:
-            from .gateway import PartitionDirectory
-
-            self._router = _ClientRouter(
-                self, PartitionDirectory(self._targets)
-            )
-        else:
-            self._connect()
-
-    # -- connection management ---------------------------------------------
-
-    def _connect(self) -> None:
-        """(Re)establish the connection; raises ServerUnavailable."""
-        if self._conn is None:
-            self._conn = ClientConnection(
-                self._host,
-                self._port,
-                timeout=self._timeout,
-                connect_timeout=self._connect_timeout,
-            )
         self._conn.connect()
 
-    def _disconnect(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-
-    @property
-    def _connected(self) -> bool:
-        return self._conn is not None and self._conn.connected
+    # -- connection management ---------------------------------------------
 
     @property
     def _sock(self) -> Any:
         """The live socket (tests tear it to exercise retries)."""
-        return self._conn.sock if self._conn is not None else None
-
-    def _backoff_sleep(self, attempt: int) -> None:
-        """Exponential backoff with jitter, capped at ~5 s."""
-        self._backoff.sleep(attempt)
+        return self._conn.sock
 
     def close(self) -> None:
-        if self._router is not None:
-            self._router.close()
-        self._disconnect()
+        self._conn.close()
 
     def __enter__(self) -> "ServerClient":
         return self
@@ -1433,14 +1398,6 @@ class ServerClient:
         self.close()
 
     # -- plumbing ----------------------------------------------------------
-
-    def _recv(self) -> tuple[dict[str, Any], dict]:
-        assert self._conn is not None
-        return self._conn.recv()
-
-    def _send(self, document, arrays=None) -> None:
-        assert self._conn is not None
-        self._conn.send(document, arrays)
 
     def _call(self, document: Mapping[str, Any]) -> dict[str, Any]:
         with self._lock:
@@ -1460,16 +1417,16 @@ class ServerClient:
         for attempt in range(self.retries + 1):
             if attempt:
                 self.transport_retries += 1
-                self._backoff_sleep(attempt - 1)
+                self._backoff.sleep(attempt - 1)
             try:
-                if not self._connected:
-                    self._connect()
-                self._send(document)
-                reply, _ = self._recv()
+                if not self._conn.connected:
+                    self._conn.connect()
+                self._conn.send(document)
+                reply, _ = self._conn.recv()
                 return reply
             except ServerUnavailable as exc:
                 last = exc
-                self._disconnect()
+                self._conn.close()
         assert last is not None
         raise last
 
@@ -1477,8 +1434,6 @@ class ServerClient:
 
     def ping(self) -> dict[str, Any]:
         """Liveness + pool stats (worker count, requeues, respawns)."""
-        if self._router is not None:
-            return self._router.delegate("ping")
         return self._call({"op": "ping"})
 
     def stats(self, timeout: float | None = None) -> dict[str, Any]:
@@ -1490,19 +1445,16 @@ class ServerClient:
         the client's full request timeout.  Never retried: stats are a
         point-in-time observation.
         """
-        if self._router is not None:
-            return self._router.delegate("stats", timeout)
         budget = self.stats_timeout if timeout is None else timeout
         with self._lock:
-            if not self._connected:
-                self._connect()
-            assert self._conn is not None
+            if not self._conn.connected:
+                self._conn.connect()
             previous = self._conn.settimeout(budget)
             try:
-                self._send({"op": "stats"})
-                reply, _ = self._recv()
+                self._conn.send({"op": "stats"})
+                reply, _ = self._conn.recv()
             except (ServerUnavailable, OSError) as exc:
-                self._disconnect()
+                self._conn.close()
                 raise ServerUnavailable(
                     f"stats request failed within {budget}s: {exc}"
                 ) from exc
@@ -1514,13 +1466,9 @@ class ServerClient:
 
     def scale(self, workers: int) -> dict[str, Any]:
         """Ask the server to resize its pool; returns target + live."""
-        if self._router is not None:
-            return self._router.delegate("scale", workers)
         return self._call({"op": "scale", "workers": int(workers)})
 
     def scenarios(self) -> list[str]:
-        if self._router is not None:
-            return self._router.delegate("scenarios")
         return list(self._call({"op": "scenarios"})["scenarios"])
 
     def partition_many(
@@ -1540,15 +1488,6 @@ class ServerClient:
             else PartitionRequest.from_payload(r)
             for r in requests
         ]
-        if self._router is not None:
-            return self._router.partition_many(
-                scenario,
-                request_objs,
-                params=params,
-                platform=platform,
-                profiler=profiler,
-                skip_infeasible=skip_infeasible,
-            )
         document = {
             "op": "partition_many",
             "scenario": scenario,
@@ -1571,12 +1510,12 @@ class ServerClient:
             for attempt in range(self.retries + 1):
                 if attempt:
                     self.transport_retries += 1
-                    self._backoff_sleep(attempt - 1)
+                    self._backoff.sleep(attempt - 1)
                 try:
-                    if not self._connected:
-                        self._connect()
-                    self._send(document)
-                    ack, _ = self._recv()
+                    if not self._conn.connected:
+                        self._conn.connect()
+                    self._conn.send(document)
+                    ack, _ = self._conn.recv()
                     if not ack.get("ok"):
                         _raise_remote(ack)
                     count = int(ack["count"])
@@ -1588,7 +1527,7 @@ class ServerClient:
                     graph = self._graphs.get(scenario, params or {})
                     results: list[PartitionResult | None] = [None] * count
                     for _ in range(count):
-                        body, arrays = self._recv()
+                        body, arrays = self._conn.recv()
                         index = int(body["index"])
                         payload = body.get("result")
                         if payload is not None:
@@ -1598,7 +1537,7 @@ class ServerClient:
                     break
                 except ServerUnavailable as exc:
                     last = exc
-                    self._disconnect()
+                    self._conn.close()
             else:
                 assert last is not None
                 raise last
@@ -1619,8 +1558,7 @@ class _GraphCache:
 
     Each (scenario, resolved params) pair is built once and kept, up to
     :data:`_CLIENT_GRAPHS` pairs; a scenario re-registered under the
-    same name is built afresh.  Thread-safe: a routing client's
-    sub-clients share their owner's cache across shard threads.
+    same name is built afresh.  Thread-safe.
     """
 
     def __init__(self) -> None:
@@ -1655,167 +1593,3 @@ def _raise_remote(reply: Mapping[str, Any]) -> None:
         # retryable, exactly like a direct transport failure.
         raise ServerUnavailable(error)
     raise ServerError(f"{kind}: {error}")
-
-
-class _ClientRouter:
-    """Client-side routing: one sub-client per directory backend.
-
-    Owned by a :class:`ServerClient` constructed with a multi-backend
-    spec.  ``partition_many`` batches split by the shared deterministic
-    partition function (the result-cache key hashed onto the backend
-    ring), sub-batches fan out on concurrent threads, and results
-    reassemble in original request order.  When a shard's owner is
-    unreachable the shard fails over along the directory's backend
-    chain; *application* errors never fail over.
-
-    Admin ops (``ping``/``stats``/``scale``/``scenarios``) delegate to
-    the first reachable backend.
-    """
-
-    def __init__(self, owner: ServerClient, directory) -> None:
-        self.owner = owner
-        self.directory = directory
-        self._clients: dict[str, ServerClient] = {}
-        self._lock = threading.Lock()
-
-    def close(self) -> None:
-        with self._lock:
-            clients = list(self._clients.values())
-            self._clients.clear()
-        for client in clients:
-            client.close()
-
-    def _client_for(self, backend: str) -> ServerClient:
-        with self._lock:
-            client = self._clients.get(backend)
-        if client is not None:
-            return client
-        seed = self.owner.backoff_seed
-        client = ServerClient(
-            backend,
-            timeout=self.owner._timeout,
-            connect_timeout=self.owner._connect_timeout,
-            retries=self.owner.retries,
-            backoff=self.owner.backoff,
-            stats_timeout=self.owner.stats_timeout,
-            backoff_seed=(
-                None
-                if seed is None
-                else seed ^ zlib.crc32(backend.encode("utf-8"))
-            ),
-            tenant=self.owner.tenant,
-        )
-        client._graphs = self.owner._graphs
-        with self._lock:
-            kept = self._clients.setdefault(backend, client)
-        if kept is not client:
-            client.close()
-        return kept
-
-    def _drop(self, backend: str) -> None:
-        with self._lock:
-            client = self._clients.pop(backend, None)
-        if client is not None:
-            client.close()
-
-    def delegate(self, op: str, *args, **kwargs):
-        """Run an admin op against the first reachable backend."""
-        last: ServerUnavailable | None = None
-        for backend in self.directory.backends:
-            try:
-                return getattr(self._client_for(backend), op)(
-                    *args, **kwargs
-                )
-            except ServerUnavailable as exc:
-                last = exc
-                self._drop(backend)
-        raise last if last is not None else ServerUnavailable(
-            "directory names no backends"
-        )
-
-    def partition_many(
-        self,
-        scenario: str,
-        request_objs: Sequence[PartitionRequest],
-        params: Mapping[str, Any] | None = None,
-        platform: str | None = None,
-        profiler: Profiler | None = None,
-        skip_infeasible: bool = False,
-    ) -> list[PartitionResult | None]:
-        from .gateway import ROUTE_PLATFORM_DEFAULT, batch_groups
-
-        scenario_obj = get_scenario(scenario)
-        groups = batch_groups(
-            scenario_obj,
-            params or {},
-            profiler_config(profiler) if profiler is not None else None,
-            platform or ROUTE_PLATFORM_DEFAULT,
-            request_objs,
-        )
-        shards = self.directory.split_groups(groups)
-        results: list[PartitionResult | None] = [None] * len(request_objs)
-        stats_lock = threading.Lock()
-        totals = {"cache_hits": 0, "cache_misses": 0}
-        errors: list[Exception] = []
-
-        def run_shard(primary: str, indices: list[int]) -> None:
-            subset = [request_objs[i] for i in indices]
-            last: ServerUnavailable | None = None
-            for hop, backend in enumerate(self.directory.chain(primary)):
-                try:
-                    client = self._client_for(backend)
-                    shard_results = client.partition_many(
-                        scenario,
-                        subset,
-                        params=params,
-                        platform=platform,
-                        profiler=profiler,
-                        skip_infeasible=skip_infeasible,
-                    )
-                except ServerUnavailable as exc:
-                    last = exc
-                    self._drop(backend)
-                    self.directory.note_failure(backend, str(exc))
-                    continue
-                except Exception as exc:
-                    # Application error (infeasible, unknown scenario,
-                    # busy): every backend would answer the same way.
-                    with stats_lock:
-                        errors.append(exc)
-                    return
-                self.directory.note_ok(backend)
-                with stats_lock:
-                    if hop:
-                        self.owner.route_failovers += 1
-                    batch = client.last_batch_stats
-                    totals["cache_hits"] += batch.get("cache_hits", 0)
-                    totals["cache_misses"] += batch.get("cache_misses", 0)
-                    for index, result in zip(indices, shard_results):
-                        results[index] = result
-                return
-            with stats_lock:
-                errors.append(
-                    last
-                    if last is not None
-                    else ServerUnavailable(
-                        f"no reachable backend for shard {primary}"
-                    )
-                )
-
-        threads = [
-            threading.Thread(
-                target=run_shard,
-                args=(backend, indices),
-                name=f"route-{backend}",
-                daemon=True,
-            )
-            for backend, indices in shards.items()
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        self.owner.last_batch_stats = dict(totals)
-        return results

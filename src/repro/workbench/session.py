@@ -454,13 +454,15 @@ class Session:
     ) -> list[PartitionResult | None]:
         """Batched partitioning (see :meth:`PartitionService.partition_many`).
 
-        With ``server`` set — an address string (``"host:port"``), an
-        ``(host, port)`` pair, or an open
-        :class:`~repro.workbench.server.ServerClient` — the batch is
-        served by a remote partition server instead of solved in
-        process.  Served results are reconstructed from their wire
-        artifacts and are equivalent to the in-process answers (see
-        ``tests/workbench/test_server.py``).
+        With ``server`` set — one partition server's or gateway's
+        address (``"host:port"`` or an ``(host, port)`` pair), or an
+        open :class:`~repro.workbench.server.ServerClient` — the batch
+        is served remotely instead of solved in process.  A spec naming
+        several backends raises
+        :class:`~repro.workbench.transport.ServerError`: route those
+        through ``python -m repro gateway``.  Served results are
+        reconstructed from their wire artifacts and are equivalent to
+        the in-process answers (see ``tests/workbench/test_server.py``).
         """
         if server is not None:
             from .server import ServerClient

@@ -8,9 +8,10 @@ the blocking :class:`~repro.workbench.server.PartitionServer`, its
 * the typed transport error hierarchy (:class:`ServerError`,
   retryable :class:`ServerUnavailable`, :class:`ServerBusy`
   backpressure);
-* address parsing — a single ``host:port``, an ``(host, port)`` pair,
-  a ``host1:p1,host2:p2`` list, or an ``@manifest.json`` directory
-  file (:func:`parse_address`, :func:`parse_targets`);
+* address parsing — a single ``host:port`` or ``(host, port)`` pair
+  (:func:`parse_address`, what a client dials), and the gateway's
+  backend specs: a ``host1:p1,host2:p2`` list or an ``@manifest.json``
+  directory file (:func:`parse_targets`);
 * :class:`ClientConnection` — the blocking client side of one frames
   connection, with a connect loop whose *per-attempt* socket timeout is
   capped at the remaining connect deadline (a SYN-blackholed host fails
@@ -85,17 +86,29 @@ class ServerBusy(ServerError):
 
 
 def parse_address(address: Any) -> tuple[str, int]:
-    """One ``host:port`` (or ``(host, port)`` pair) → ``(host, port)``."""
+    """One ``host:port`` (or ``(host, port)`` pair) → ``(host, port)``.
+
+    A host holding a comma or whitespace, or starting with ``@``, is a
+    multi-target spec or a manifest reference that leaked into a
+    single-address slot; it is rejected here rather than failing later
+    as an unreachable backend.
+    """
+    host: str | None = None
     try:
         if isinstance(address, (tuple, list)) and len(address) == 2:
-            return str(address[0]), int(address[1])
-        if isinstance(address, str):
-            host, sep, port = address.rpartition(":")
-            if sep:
-                return host or "127.0.0.1", int(port)
+            host, port = str(address[0]), int(address[1])
+        elif isinstance(address, str) and ":" in address:
+            head, _, tail = address.rpartition(":")
+            host, port = head or "127.0.0.1", int(tail)
     except (TypeError, ValueError):
         pass
-    raise ServerError(f"address {address!r} is not host:port")
+    if (
+        host is None
+        or host.startswith("@")
+        or any(c == "," or c.isspace() for c in host)
+    ):
+        raise ServerError(f"address {address!r} is not host:port")
+    return host, port
 
 
 def format_address(address: Any) -> str:
@@ -160,11 +173,13 @@ def parse_targets(spec: Any) -> list[str]:
     """Normalize a routing spec into canonical ``host:port`` targets.
 
     Accepts every single-address shape :func:`parse_address` does, plus
-    the multi-backend shapes the gateway and the routing client speak:
-    a comma list (``"h1:p1,h2:p2"``), an ``@manifest.json`` reference,
-    or a list of addresses.  Order is preserved, duplicates collapse
-    (first occurrence wins) — the directory hashes *identities*, not
-    list positions.
+    the multi-backend shapes the gateway's directory reads: a comma
+    list (``"h1:p1,h2:p2"``), an ``@manifest.json`` reference, or a
+    list of addresses.  Order is preserved, duplicates collapse (first
+    occurrence wins) — the directory hashes *identities*, not list
+    positions.  :class:`~repro.workbench.server.ServerClient` parses
+    its address here too, and refuses a spec naming more than one
+    backend.
     """
     if isinstance(spec, str):
         if spec.startswith("@"):

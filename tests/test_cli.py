@@ -87,3 +87,16 @@ def test_store_backed_smoke_is_deterministic(tmp_path, capsys):
     warm = capsys.readouterr().out
     assert _strip_timings(cold) == _strip_timings(warm)
     assert "node partition" in cold
+
+
+def test_partition_server_refuses_multi_backend_spec(capsys):
+    """Several backends behind ``--server`` are refused with a pointer
+    to the gateway: exit 2, one error line, no traceback."""
+    argv = [
+        "partition", "eeg", "--rates", "1",
+        "--server", "127.0.0.1:1,127.0.0.1:2",
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "gateway" in err

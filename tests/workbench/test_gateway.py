@@ -1,13 +1,13 @@
-"""The multi-tenant gateway and client-side routing (ISSUE 9 tentpole).
+"""The multi-tenant gateway: the one router in front of a fleet.
 
-The routing contract, end to end: a ``partition_many`` batch split
-across shard-owning backends — by a gateway *or* by a multi-target
-client — reassembles **byte-identical in canonical form** to the
-in-process answers, in request order, with shuffled batches, with a
-backend killed out from under the fleet, and under injected
-``gateway.route`` faults.  Around that sit the partition directory's
-hash-ring properties (stable assignment, ~1/(N+1) movement — the same
-bar :mod:`tests.workbench.test_replication` holds the store ring to),
+The routing contract, end to end: a ``partition_many`` batch the
+gateway splits across shard-owning backends reassembles
+**byte-identical in canonical form** to the in-process answers, in
+request order, with shuffled batches, with a backend killed out from
+under the fleet, and under injected ``gateway.route`` faults.  Around
+that sit the partition directory's hash-ring properties (stable
+assignment, ~1/(N+1) movement — the same bar
+:mod:`tests.workbench.test_replication` holds the store ring to),
 membership events, and typed ``ServerBusy`` admission control.
 """
 
@@ -43,7 +43,6 @@ from repro.workbench.gateway import (
     batch_keys,
 )
 from repro.workbench.membership import MembershipLog
-from repro.workbench.scenarios import Scenario
 
 SCENARIO = "eeg"
 PARAMS = {"n_channels": 3}
@@ -193,7 +192,10 @@ def test_directory_movement_is_bounded(n, keys):
 def test_directory_split_partitions_all_indices():
     directory = PartitionDirectory(["h1:1", "h2:2", "h3:3"])
     keys = [f"{i:08x}" for i in range(97)]
-    shards = directory.split(keys)
+    # Singleton groups: every index its own atomic routing unit.
+    shards = directory.split_groups(
+        [(key, [index]) for index, key in enumerate(keys)]
+    )
     indices = sorted(i for chunk in shards.values() for i in chunk)
     assert indices == list(range(len(keys)))
     for backend in shards:
@@ -296,51 +298,6 @@ def test_gateway_routes_byte_identical(backends, ground_truth):
     ]
 
 
-def test_client_side_routing_byte_identical(backends, ground_truth):
-    """The same split/fan-out/reassemble, with no gateway in the path:
-    a multi-target ServerClient routes by itself."""
-    a, b = backends
-    with ServerClient([a.address, b.address]) as client:
-        served = client.partition_many(
-            SCENARIO, routed_batch(), params=PARAMS, skip_infeasible=True
-        )
-        batch = client.last_batch_stats
-    assert_equivalent(ground_truth, served)
-    assert batch["cache_hits"] + batch["cache_misses"] == len(
-        routed_batch()
-    )
-
-
-def test_client_side_routing_shares_one_graph(
-    backends, ground_truth, monkeypatch
-):
-    """The router's per-backend sub-clients decode against their
-    owner's graphs: two routed batches over two shards build the
-    scenario graph once on the client side."""
-    a, b = backends
-    built = []
-    original = Scenario.build
-    client_thread = threading.get_ident()
-
-    def counting_build(self, params):
-        thread = threading.current_thread()
-        if threading.get_ident() == client_thread or thread.name.startswith(
-            "route-"
-        ):
-            built.append(self.name)
-        return original(self, params)
-
-    monkeypatch.setattr(Scenario, "build", counting_build)
-    with ServerClient([a.address, b.address]) as client:
-        for _ in range(2):
-            served = client.partition_many(
-                SCENARIO, routed_batch(), params=PARAMS,
-                skip_infeasible=True,
-            )
-            assert_equivalent(ground_truth, served)
-    assert built == [SCENARIO]
-
-
 def test_gateway_survives_backend_kill(store_dir, ground_truth):
     """Kill one backend under a live gateway: every shard re-homes to
     the survivor, answers stay byte-identical, the failover is counted,
@@ -386,28 +343,6 @@ def test_gateway_survives_backend_kill(store_dir, ground_truth):
                     assert counters["backends_restored"] >= 1
                 finally:
                     replacement.close()
-
-
-def test_client_side_routing_survives_backend_kill(
-    store_dir, ground_truth
-):
-    with PartitionServer(workers=1, store=store_dir) as survivor:
-        victim = start_splitting_backend(survivor, store_dir)
-        with ServerClient(
-            [survivor.address, victim.address], connect_timeout=2.0
-        ) as client:
-            first = client.partition_many(
-                SCENARIO, routed_batch(), params=PARAMS,
-                skip_infeasible=True,
-            )
-            assert_equivalent(ground_truth, first)
-            victim.close()
-            second = client.partition_many(
-                SCENARIO, routed_batch(), params=PARAMS,
-                skip_infeasible=True,
-            )
-            assert_equivalent(ground_truth, second)
-            assert client.route_failovers >= 1
 
 
 def test_gateway_fault_site_drives_failover(backends, ground_truth):

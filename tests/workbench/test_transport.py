@@ -1,13 +1,14 @@
 """The shared client/server plumbing under the server and the gateway.
 
-Pins the contracts the routing layers lean on: address and manifest
+Pins the contracts the serving layers lean on: address and manifest
 parsing (every spec shape normalizes to canonical ``host:port``
-targets), the *per-attempt* connect deadline (ISSUE 9 bugfix: a dead
-backend must fail in about ``connect_timeout`` seconds even when the
-request ``timeout`` is minutes), the seeded, instance-private
-backoff RNG, and ``TCP_NODELAY`` on both ends of a blocking frames
-connection (with Nagle on, every served round trip stalls ~40 ms on
-the peer's delayed ACK).
+targets, and a client refuses a spec naming several backends), the
+*per-attempt* connect deadline (a dead backend must fail in about
+``connect_timeout`` seconds even when the request ``timeout`` is
+minutes), the seeded, instance-private backoff RNG, and
+``TCP_NODELAY`` on both ends of a blocking frames connection (with
+Nagle on, every served round trip stalls ~40 ms on the peer's delayed
+ACK).
 """
 
 from __future__ import annotations
@@ -21,7 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime.frames import send_message
-from repro.workbench import PartitionServer, ServerClient
+from repro.workbench import (
+    PartitionDirectory,
+    PartitionRequest,
+    PartitionServer,
+    ServerClient,
+    Session,
+)
 from repro.workbench.transport import (
     Backoff,
     ClientConnection,
@@ -54,6 +61,37 @@ def test_parse_address_shapes():
 def test_parse_address_rejects_garbage(bad):
     with pytest.raises(ServerError):
         parse_address(bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["h1:1,h2:2", "h1:1, h2:2", "@fleet.json:1", "h 1:2", "h\t1:2",
+     ("h1,h2", 1), ("@fleet.json", 1)],
+)
+def test_parse_address_rejects_multi_target_hosts(bad):
+    """A comma list or a manifest reference in a single-address slot is
+    refused, not read as one bogus host (``"h1:1,h2"`` on port 2)."""
+    with pytest.raises(ServerError, match="not host:port"):
+        parse_address(bad)
+    with pytest.raises(ServerError, match="not host:port"):
+        format_address(bad)
+
+
+def test_manifest_entry_holding_a_comma_list_is_rejected(tmp_path):
+    """One manifest entry naming two backends fails when the manifest
+    is read, instead of joining the directory as one unreachable
+    backend and failing over silently at connect time."""
+    path = tmp_path / "fleet.json"
+    path.write_text(
+        json.dumps({"backends": ["127.0.0.1:1,127.0.0.1:2"]}),
+        encoding="utf-8",
+    )
+    with pytest.raises(ServerError, match="not host:port"):
+        parse_targets(f"@{path}")
+    with pytest.raises(ServerError, match="not host:port"):
+        PartitionDirectory(f"@{path}")
+    with pytest.raises(ServerError, match="not host:port"):
+        PartitionDirectory(["127.0.0.1:1,127.0.0.1:2"])
 
 
 def test_parse_targets_shapes():
@@ -125,6 +163,66 @@ def test_parse_targets_idempotent(backends):
     assert parse_targets(once) == once
     assert parse_targets(",".join(once)) == once
     assert once == [format_address(b) for b in dict.fromkeys(once)]
+
+
+# ---------------------------------------------------------------------------
+# One address per client: a fleet is routed by the gateway
+# ---------------------------------------------------------------------------
+
+#: Two ports nothing listens on: a client that dialled them would retry
+#: until its connect timeout ran out.
+FLEET = ["127.0.0.1:1", "127.0.0.1:2"]
+
+
+def fleet_manifest(tmp_path, backends) -> str:
+    path = tmp_path / "fleet.json"
+    save_manifest(path, backends)
+    return f"@{path}"
+
+
+def assert_refused_before_connecting(call) -> None:
+    """``call`` raises a typed, non-retryable error naming the gateway,
+    well inside the connect timeout: no socket was dialled."""
+    start = time.monotonic()
+    with pytest.raises(ServerError, match="gateway") as info:
+        call()
+    assert time.monotonic() - start < 1.0
+    assert not isinstance(info.value, ServerUnavailable)
+
+
+@pytest.mark.parametrize("shape", ["comma", "list", "manifest"])
+def test_server_client_refuses_multi_backend_spec(tmp_path, shape):
+    spec = {
+        "comma": ",".join(FLEET),
+        "list": list(FLEET),
+        "manifest": fleet_manifest(tmp_path, FLEET),
+    }[shape]
+    assert_refused_before_connecting(
+        lambda: ServerClient(spec, connect_timeout=30)
+    )
+
+
+def test_session_partition_many_refuses_multi_backend_spec():
+    session = Session("eeg", params={"n_channels": 2})
+    assert_refused_before_connecting(
+        lambda: session.partition_many(
+            [PartitionRequest(rate_factor=1.0)], server=",".join(FLEET)
+        )
+    )
+
+
+def test_server_client_accepts_one_entry_list_and_manifest(tmp_path):
+    with socket_mod.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()
+        address = "%s:%d" % listener.getsockname()
+        for spec in (
+            [address],
+            [address, address],  # duplicates collapse to one backend
+            fleet_manifest(tmp_path, [address]),
+        ):
+            with ServerClient(spec, connect_timeout=5) as client:
+                assert client._sock is not None
 
 
 # ---------------------------------------------------------------------------
