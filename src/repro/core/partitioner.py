@@ -99,11 +99,11 @@ class Wishbone:
             radio's goodput capacity (or infinity without a radio).
         lp_engine: LP engine for branch and bound ("scipy" or "simplex").
         time_limit: wall-clock cap per solve, in seconds.
-        gap_tolerance: relative optimality gap at which branch and bound
-            declares a solution optimal.  Symmetric graphs (e.g. the 22
-            identical EEG channels) create huge plateaus of equivalent
-            solutions; a small positive gap prunes them without changing
-            which partitions are found.
+        gap_tolerance: relative optimality gap at which either solver
+            backend declares a solution optimal.  Symmetric graphs (e.g.
+            the 22 identical EEG channels) create huge plateaus of
+            equivalent solutions; a small positive gap prunes them without
+            changing which partitions are found.
         aggregate_fanin: §9 in-network aggregation — the expected fan-in
             of the aggregation tree (typically the network size).  Edge
             costs downstream of a ``reduce`` operator are divided by it;
@@ -228,7 +228,11 @@ class Wishbone:
                 time_limit=self.time_limit,
                 gap_tolerance=self.gap_tolerance,
             ).solve(program, relaxation=relaxation)
-        return solve_milp_scipy(program, time_limit=self.time_limit)
+        return solve_milp_scipy(
+            program,
+            time_limit=self.time_limit,
+            gap_tolerance=self.gap_tolerance,
+        )
 
     def prepare_probe(self, profile: GraphProfile) -> ScaledProbe:
         """Cache the rate-invariant parts of this instance for §4.3 probing.

@@ -283,8 +283,13 @@ def solve_lp_scipy(
 def solve_milp_scipy(
     program: LinearProgram | StandardArrays,
     time_limit: float | None = None,
+    gap_tolerance: float | None = None,
 ) -> Solution:
-    """Solve the MILP exactly with HiGHS branch and cut."""
+    """Solve the MILP with HiGHS branch and cut.
+
+    ``gap_tolerance`` is passed as HiGHS's ``mip_rel_gap`` (``None`` keeps
+    HiGHS's default of 1e-4).
+    """
     arrays = _as_arrays(program)
     start = time.perf_counter()
 
@@ -306,6 +311,8 @@ def solve_milp_scipy(
     options = {}
     if time_limit is not None:
         options["time_limit"] = time_limit
+    if gap_tolerance is not None:
+        options["mip_rel_gap"] = gap_tolerance
     result = optimize.milp(
         arrays.c,
         constraints=constraints,

@@ -133,3 +133,25 @@ def test_server_platform_everything_fits(server_speech_profile):
         server_speech_profile
     )
     assert result.feasible
+
+
+def test_scipy_backend_honours_gap_tolerance(
+    monkeypatch, tmote_speech_profile
+):
+    from repro.solver import scipy_backend
+
+    seen = []
+    real_milp = scipy_backend.optimize.milp
+
+    def spy(*args, **kwargs):
+        seen.append(dict(kwargs.get("options") or {}))
+        return real_milp(*args, **kwargs)
+
+    monkeypatch.setattr(scipy_backend.optimize, "milp", spy)
+    Wishbone(
+        mode=RelocationMode.PERMISSIVE,
+        solver=SolverBackend.SCIPY_MILP,
+        gap_tolerance=5e-3,
+        time_limit=30.0,
+    ).partition(tmote_speech_profile.scaled(0.05))
+    assert seen == [{"time_limit": 30.0, "mip_rel_gap": 5e-3}]

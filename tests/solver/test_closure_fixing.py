@@ -1,0 +1,181 @@
+"""Closure fixing: binaries whose ancestor closure overflows a budget row.
+
+``closure_overflow`` reads precedence rows (``x_v <= x_u``) and budget rows
+(nonnegative, at least three nonzeros) straight from the arrays and names
+the lb-0 binaries that can never be 1.  Branch and bound fixes them before
+its root relaxation.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core import PartitionObjective, RelocationMode, Wishbone
+from repro.experiments.common import profile_for
+from repro.solver import (
+    BranchAndBound,
+    LinearProgram,
+    SolveStatus,
+    solve_milp_scipy,
+)
+from repro.solver.branch_bound import closure_overflow
+
+
+def dag_program(weights, edges, budget, lb=None, objective=None):
+    """Binaries ``x0..``, rows ``x_child <= x_parent`` and one budget row.
+
+    ``edges`` are ``(parent, child)`` pairs, written the way the
+    restricted ILP writes Eq. 6 (``f_parent - f_child >= 0``).
+    """
+    lp = LinearProgram()
+    lb = lb or {}
+    objective = objective or [-1.0] * len(weights)
+    xs = [
+        lp.add_variable(
+            f"x{i}",
+            lb=lb.get(i, 0.0),
+            ub=1.0,
+            integer=True,
+            objective=objective[i],
+        )
+        for i in range(len(weights))
+    ]
+    for parent, child in edges:
+        lp.add_constraint({xs[parent]: 1.0, xs[child]: -1.0}, ">=", 0.0)
+    lp.add_constraint(
+        {x: float(w) for x, w in zip(xs, weights)}, "<=", budget
+    )
+    return lp
+
+
+def fixed(lp):
+    arrays = lp.to_arrays()
+    lb = np.asarray(arrays.lb, dtype=float)
+    ub = np.asarray(arrays.ub, dtype=float)
+    return sorted(closure_overflow(arrays, lb, ub).tolist())
+
+
+def test_chain_fixes_exactly_the_overflowing_tail():
+    # Closures weigh 3, 6, 9, 12 against a budget of 7.
+    lp = dag_program([3, 3, 3, 3], [(0, 1), (1, 2), (2, 3)], 7.0)
+    assert fixed(lp) == [2, 3]
+
+
+@pytest.mark.parametrize("budget, expected", [(8.5, [3]), (9.0, [])])
+def test_diamond_counts_a_shared_ancestor_once(budget, expected):
+    # top 0 -> {1, 2} -> 3, and a lone vertex 4.  Vertex 3's closure is
+    # {0, 1, 2, 3}: weight 9, not 11 (which counting the top once per path
+    # would give).
+    lp = dag_program(
+        [2, 3, 3, 1, 5], [(0, 1), (0, 2), (1, 3), (2, 3)], budget
+    )
+    assert fixed(lp) == expected
+
+
+def test_ancestor_at_lb_one_counts_toward_the_weight():
+    # x0 is pinned to 1 (weight 5): x1's closure weighs 8 > 7 only
+    # because x0 counts.  x0 itself is never fixed.
+    lp = dag_program([5, 3, 1], [(0, 1)], 7.0, lb={0: 1.0})
+    assert fixed(lp) == [1]
+
+
+def test_pinned_non_ancestor_counts_through_the_row_floor():
+    # x2 is pinned to 1 and unrelated to the chain 0 -> 1; its weight is
+    # spent whatever the chain does.
+    lp = dag_program([2, 2, 4], [(0, 1)], 7.0, lb={2: 1.0})
+    assert fixed(lp) == [1]
+
+
+def test_overflow_within_feasibility_tolerance_is_not_fixed():
+    # x1's closure weighs 7; the tolerance is 1e-7 * 7.
+    lp = dag_program([3, 4, 1], [(0, 1)], 7.0 - 5e-7)
+    assert fixed(lp) == []
+    lp = dag_program([3, 4, 1], [(0, 1)], 7.0 - 1e-6)
+    assert fixed(lp) == [1]
+
+
+def test_mixed_sign_row_is_not_a_budget_row():
+    lp = dag_program([3, 3, -3], [(0, 1), (1, 2)], 2.0)
+    assert fixed(lp) == []
+
+
+def test_non_binary_columns_are_left_alone():
+    lp = LinearProgram()
+    x0 = lp.add_binary("x0", objective=-1.0)
+    x1 = lp.add_binary("x1", objective=-1.0)
+    wide = lp.add_variable("wide", ub=3.0, integer=True, objective=-1.0)
+    flow = lp.add_variable("flow", ub=1.0, objective=-1.0)
+    # A "precedence" row on a general integer and one on a continuous
+    # column: neither is a closure edge.
+    lp.add_constraint({wide: 1.0, x0: -1.0}, ">=", 0.0)
+    lp.add_constraint({flow: 1.0, x1: -1.0}, ">=", 0.0)
+    # Both non-binary columns alone overflow the budget.
+    lp.add_constraint({x0: 1.0, x1: 1.0, wide: 50.0, flow: 50.0}, "<=", 10.0)
+    assert fixed(lp) == []
+
+
+def test_cyclic_precedence_leaves_bounds_untouched():
+    # 0 -> 1 -> 0 is a cycle; 2 hangs below it and would overflow.
+    lp = dag_program([3, 3, 3], [(0, 1), (1, 0), (1, 2)], 7.0)
+    assert fixed(lp) == []
+
+
+def test_no_budget_row_means_nothing_to_fix():
+    lp = LinearProgram()
+    xs = [lp.add_binary(f"x{i}", objective=-1.0) for i in range(3)]
+    lp.add_constraint({xs[0]: 1.0, xs[1]: -1.0}, ">=", 0.0)
+    lp.add_constraint({xs[1]: 5.0, xs[2]: 5.0}, "<=", 1.0)  # two nonzeros
+    assert fixed(lp) == []
+
+
+def reference_fixed(weights, edges, budget, lb):
+    """The fixed set by depth-first search from each vertex."""
+    parents = {v: [p for p, c in edges if c == v] for v in range(len(weights))}
+    floor = sum(w * lb.get(j, 0.0) for j, w in enumerate(weights))
+    out = []
+    for v in range(len(weights)):
+        seen, stack = {v}, [v]
+        while stack:
+            for p in parents[stack.pop()]:
+                if p not in seen:
+                    seen.add(p)
+                    stack.append(p)
+        weight = floor + sum(weights[j] for j in seen if not lb.get(j))
+        if not lb.get(v) and weight > budget + 1e-7 * max(1.0, budget):
+            out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fixing_keeps_the_optimum_on_random_dags(seed):
+    rng = np.random.default_rng(seed)
+    n = 12
+    edges = [
+        (int(p), c)
+        for c in range(1, n)
+        for p in rng.choice(c, size=min(c, 2), replace=False)
+    ]
+    weights = rng.integers(1, 10, size=n).tolist()
+    objective = (-rng.integers(1, 20, size=n)).astype(float).tolist()
+    lb = {0: 1.0}  # the one source, so pinning leaves the instance feasible
+    lp = dag_program(weights, edges, 25.0, lb=lb, objective=objective)
+    assert fixed(lp) == reference_fixed(weights, edges, 25.0, lb)
+    assert fixed(lp)  # the instance exercises the fixing
+    reference = solve_milp_scipy(lp)
+    solution = BranchAndBound().solve(lp)
+    assert solution.status is SolveStatus.OPTIMAL
+    assert solution.objective == pytest.approx(reference.objective, abs=1e-6)
+
+
+def test_eeg6_closes_at_the_root():
+    """EEG-6 at rate factor 30: the fixed closures close the root gap."""
+    probe = Wishbone(
+        objective=PartitionObjective(alpha=0.0, beta=1.0),
+        mode=RelocationMode.PERMISSIVE,
+        cpu_budget=1.0,
+        net_budget=float("inf"),
+        gap_tolerance=5e-3,
+    ).prepare_probe(profile_for("eeg", "tmote", n_channels=6))
+    result = probe.try_partition(30.0)
+    assert result is not None
+    assert result.solution.status is SolveStatus.OPTIMAL
+    assert result.solution.nodes_explored == 1
