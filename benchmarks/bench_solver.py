@@ -25,12 +25,7 @@ Measures the two paths this repo's headline figures depend on:
    served through the server's shared cache) against the solve path
    that populated it; hits must be canonically byte-identical and the
    hardware-independent hit-vs-solve ratio is gated in CI (≥10x
-   target).
-
-6. ``replicated_store`` — quorum-write and replica-read-hit overhead of
-   the 3-backend, 2-replica :class:`ReplicatedStore` against a single
-   directory, plus a degraded pass with one backend destroyed
-   (fall-through + read-repair); the efficiency ratios are gated in CI.
+   target).  Each hit time is the minimum of 3 passes.
 
 Results are written as machine-readable JSON (default:
 ``BENCH_solver.json`` in the current directory) so the perf trajectory is
@@ -64,6 +59,16 @@ def _timed(fn):
     start = time.perf_counter()
     value = fn()
     return value, time.perf_counter() - start
+
+
+#: Passes behind each result-cache hit time (the minimum is reported).
+_HIT_PASSES = 3
+
+
+def _min_timed(fn):
+    """``fn``'s first value and its fastest of :data:`_HIT_PASSES` runs."""
+    runs = [_timed(fn) for _ in range(_HIT_PASSES)]
+    return runs[0][0], min(seconds for _, seconds in runs)
 
 
 def _eeg_partitioner(gap: float = 5e-3) -> Wishbone:
@@ -432,6 +437,11 @@ def bench_result_cache(smoke: bool) -> dict:
     canonically byte-identically, ≥10x faster than solving.  Served
     hits ride the same store through the partition server's parent-side
     cache, so one figure covers both layers.
+
+    A hit pass takes tens of milliseconds, so one pass swings with
+    whatever else the box is doing; each hit time is the minimum of
+    :data:`_HIT_PASSES` passes.  Every disk pass opens a fresh
+    :class:`Session`, so each of them reads the store from disk.
     """
     import tempfile
 
@@ -448,23 +458,29 @@ def bench_result_cache(smoke: bool) -> dict:
         solved, solve_s = _timed(
             lambda: session.partition_many(requests, skip_infeasible=True)
         )
-        warm, warm_s = _timed(
+        warm, warm_s = _min_timed(
             lambda: session.partition_many(requests, skip_infeasible=True)
         )
-        fresh = Session(
-            "eeg", store=ProfileStore(store_dir), n_channels=n_channels
-        )
-        fresh.profile()
-        disk, disk_s = _timed(
-            lambda: fresh.partition_many(requests, skip_infeasible=True)
-        )
+
+        def disk_pass():
+            fresh = Session(
+                "eeg", store=ProfileStore(store_dir), n_channels=n_channels
+            )
+            fresh.profile()  # a profile-store disk hit, outside the timing
+            return _timed(
+                lambda: fresh.partition_many(requests, skip_infeasible=True)
+            )
+
+        disk_passes = [disk_pass() for _ in range(_HIT_PASSES)]
+        disk = disk_passes[0][0]
+        disk_s = min(seconds for _, seconds in disk_passes)
         with PartitionServer(workers=1, store=store_dir) as srv:
             with ServerClient(srv.address) as client:
                 params = {"n_channels": n_channels}
                 client.partition_many(  # warm the parent session cache
                     "eeg", requests[:1], params=params, skip_infeasible=True
                 )
-                served, served_s = _timed(
+                served, served_s = _min_timed(
                     lambda: client.partition_many(
                         "eeg", requests, params=params, skip_infeasible=True
                     )
@@ -494,89 +510,6 @@ def bench_result_cache(smoke: bool) -> dict:
         "mismatches_hit": mismatches(warm),
         "mismatches_disk_hit": mismatches(disk),
         "mismatches_served_hit": mismatches(served),
-    }
-
-
-def bench_replicated_store(smoke: bool) -> dict:
-    """Replication overhead at the storage layer (ISSUE 7).
-
-    Writes/reads a fixed batch of document+sidecar entries through a
-    plain single-directory layout and through a 3-backend, 2-replica
-    :class:`ReplicatedStore`, then re-reads the ring with one backend
-    destroyed (fall-through + read-repair).  The gated figures are
-    *efficiency ratios* (single time / replicated time): quorum writes
-    land every entry twice so write efficiency sits near 1/R, and a
-    healthy replica read adds only digest verification, so read
-    efficiency stays near 1.0.  Both are properties of the code path,
-    not the hardware, like every other gated ratio here.
-    """
-    import shutil
-    import tempfile
-
-    import numpy as np
-
-    from repro.workbench.replication import ReplicatedStore, SingleLayout
-
-    entries = 64 if smoke else 192
-    rng = np.random.default_rng(7)
-    payloads = [
-        ({"kind": "bench", "tag": float(i)}, {"x": rng.random(8192)})
-        for i in range(entries)
-    ]
-
-    def write_all(layout) -> None:
-        for i, (document, arrays) in enumerate(payloads):
-            layout.write(f"entry-{i}.json", dict(document), arrays)
-
-    def read_all(layout) -> int:
-        mismatches = 0
-        for i, (document, _) in enumerate(payloads):
-            got = layout.read(f"entry-{i}.json")
-            if got is None or got[0]["tag"] != document["tag"]:
-                mismatches += 1
-        return mismatches
-
-    def best_read(layout) -> tuple[int, float]:
-        # Healthy reads are idempotent; min-of-3 de-noises the gated
-        # ratio against transient load on the CI box.
-        passes = [_timed(lambda: read_all(layout)) for _ in range(3)]
-        return max(p[0] for p in passes), min(p[1] for p in passes)
-
-    with tempfile.TemporaryDirectory() as root:
-        # Writes land in fresh directories each pass (a rewrite is a
-        # different code path); min-of-3 again for the gated ratio.
-        single_writes, ring_writes = [], []
-        for k in range(3):
-            single = SingleLayout(os.path.join(root, f"single{k}"))
-            single_writes.append(_timed(lambda: write_all(single))[1])
-            ring = ReplicatedStore(
-                [os.path.join(root, f"ring{k}-b{i}") for i in range(3)],
-                replicas=2,
-            )
-            ring_writes.append(_timed(lambda: write_all(ring))[1])
-        single_write_s = min(single_writes)
-        ring_write_s = min(ring_writes)
-        single_miss, single_read_s = best_read(single)
-        ring_miss, ring_read_s = best_read(ring)
-        # Degraded pass: one backend destroyed mid-life; every read
-        # falls through to a survivor and repairs the lost replica.
-        shutil.rmtree(ring.backends[0])
-        degraded_miss, degraded_read_s = _timed(lambda: read_all(ring))
-        repairs = ring.stats.read_repairs
-
-    return {
-        "entries": entries,
-        "backends": 3,
-        "replicas": 2,
-        "single_write_seconds": single_write_s,
-        "replicated_write_seconds": ring_write_s,
-        "single_read_seconds": single_read_s,
-        "replicated_read_seconds": ring_read_s,
-        "degraded_read_seconds": degraded_read_s,
-        "write_efficiency_vs_single": single_write_s / ring_write_s,
-        "read_hit_efficiency_vs_single": single_read_s / ring_read_s,
-        "read_repairs": repairs,
-        "mismatches": single_miss + ring_miss + degraded_miss,
     }
 
 
@@ -637,7 +570,6 @@ def main() -> None:
     report["partition_many_served"] = bench_partition_many_served(args.smoke)
     report["degraded_fallback"] = bench_degraded_fallback(args.smoke)
     report["result_cache"] = bench_result_cache(args.smoke)
-    report["replicated_store"] = bench_replicated_store(args.smoke)
     report["end_to_end"] = bench_end_to_end(args.smoke)
     report["total_seconds"] = time.perf_counter() - total_start
 
@@ -697,17 +629,6 @@ def main() -> None:
         f"({rc['hit_vs_solve_speedup']:.0f}x warm, "
         f"{rc['disk_hit_vs_solve_speedup']:.0f}x disk, "
         f"{rc_mismatches} mismatches)"
-    )
-    rep = report["replicated_store"]
-    print(
-        f"replicated_store: {rep['entries']} entries, write "
-        f"{rep['single_write_seconds'] * 1000:.0f}ms single vs "
-        f"{rep['replicated_write_seconds'] * 1000:.0f}ms ring "
-        f"({rep['write_efficiency_vs_single']:.2f}x eff), read "
-        f"{rep['single_read_seconds'] * 1000:.0f}ms vs "
-        f"{rep['replicated_read_seconds'] * 1000:.0f}ms "
-        f"({rep['read_hit_efficiency_vs_single']:.2f}x eff, "
-        f"{rep['read_repairs']} repairs, {rep['mismatches']} mismatches)"
     )
     print(
         f"fig6: {report['end_to_end']['fig6']['seconds']:.2f}s  "

@@ -6,21 +6,19 @@ Commands:
   speech   [--platform P] [--rate R|auto] [--nodes N] [--dot FILE]
   eeg      [--platform P] [--channels C] [--rate R|auto] [--dot FILE]
   leak     [--platform P] [--nodes N] [--fanin F] [--dot FILE]
-  serve    [--host H] [--port P] [--workers N] [--store DIR|D1,D2,..|@RING]
-           [--replicas R] [--write-quorum Q]
+  serve    [--host H] [--port P] [--workers N] [--store DIR]
            [--min-workers N] [--max-workers N] [--heartbeat S]
            [--fault-plan JSON|@FILE]
   gateway  --backends H1:P1,H2:P2|@MANIFEST [--host H] [--port P]
            [--max-inflight N] [--tenant-quota N] [--platform P]
   profile  SCENARIO [--param k=v ...] [--scalar] [--batch-size N]
-           [--store SPEC] [--out FILE] [--canonical]
+           [--store DIR] [--out FILE] [--canonical]
   partition SCENARIO [--rates CSV] [--cpu-budgets CSV] [--net-budgets CSV]
            [--param k=v ...] [--server HOST:PORT]
            [--tenant ID] [--out DIR] [--canonical] [--stats]
-  store    stats|gc --store DIR|D1,D2,..|@RING [--server HOST:PORT]
+  store    stats|gc --store DIR [--server HOST:PORT]
            [--ttl S] [--max-bytes N] [--max-entries N] [--grace S]
            [--dry-run]
-  store    ring status|add|remove --store D1,D2,..|@RING [DIR] [--no-sync]
 
 Each application command opens a workbench :class:`~repro.workbench.Session`
 on the named scenario, profiles it (through the session's profile store —
@@ -45,13 +43,10 @@ address), optionally writing one artifact per request
 the artifact: every mode is byte-identical in canonical form, which the
 CI smoke step diffs).
 ``store`` is the lifecycle side: ``stats`` summarizes a durable store
-(``--server`` additionally reports a live server's fault counters —
-``store_errors``/``write_errors`` — and per-backend replica health),
-``gc`` applies TTL/LRU/size eviction policies and sweeps orphaned
-sidecars and temp files (over a replicated ring it runs anti-entropy
-first), and ``ring`` manages consistent-hash ring membership: every
-``--store`` flag also accepts ``dir1,dir2,...`` (a 2-replica ring) or
-``@manifest.json`` (a persisted ring spec).
+directory (``--server`` additionally reports a live server's fault
+counters — ``store_errors``/``write_errors``), and ``gc`` applies
+TTL/LRU/size eviction policies and sweeps orphaned sidecars and temp
+files.  Every ``--store`` names one directory.
 """
 
 from __future__ import annotations
@@ -80,9 +75,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dot", default=None,
                         help="write a GraphViz file of the partition")
     parser.add_argument("--store", default=None,
-                        help="durable profile store: directory, "
-                        "'dir1,dir2,...' (a replicated ring), or "
-                        "'@manifest.json' (default: in-memory)")
+                        help="durable profile store directory "
+                        "(default: in-memory)")
 
 
 def _session(args, scenario: str, **params) -> Session:
@@ -185,17 +179,11 @@ def cmd_serve(args) -> int:
     else:
         fault_plan = FaultPlan.from_env()
 
-    from .workbench.replication import parse_store_arg
-
     server = PartitionServer(
         host=args.host,
         port=args.port,
         workers=args.workers,
-        store=parse_store_arg(
-            args.store,
-            replicas=args.replicas,
-            write_quorum=args.write_quorum,
-        ),
+        store=args.store,
         default_platform=args.platform,
         result_cache=not args.no_result_cache,
         min_workers=args.min_workers,
@@ -385,38 +373,15 @@ def _format_bytes(count: float) -> str:
     return f"{count:.1f} GiB"  # pragma: no cover - unreachable
 
 
-def _print_replica_health(replication) -> None:
-    """Per-backend replica-health rows shared by stats and ring status."""
-    for row in replication.get("backends", []):
-        state = "FAILING" if row.get("failing") else (
-            "ok" if row.get("healthy", True) else "MISSING"
-        )
-        detail = ""
-        if "entries" in row:
-            detail = (
-                f", {row['entries']} entries "
-                f"({_format_bytes(row.get('bytes', 0))})"
-            )
-        if "writes" in row:
-            detail += (
-                f", {row['writes']} writes "
-                f"({row['write_errors']} failed), "
-                f"{row['reads']} reads ({row['read_failures']} failed), "
-                f"{row['repairs']} repairs"
-            )
-        print(f"  backend {row['dir']}: {state}{detail}")
-
-
 def cmd_store_stats(args) -> int:
     from .workbench import StoreJanitor
-    from .workbench.replication import parse_store_arg
 
     if not args.store and not args.server:
         print("error: store stats needs --store and/or --server",
               file=sys.stderr)
         return 2
     if args.store:
-        stats = StoreJanitor(parse_store_arg(args.store)).stats()
+        stats = StoreJanitor(args.store).stats()
         by_kind = ", ".join(
             f"{count} {kind}"
             for kind, count in stats["entries_by_kind"].items()
@@ -432,16 +397,6 @@ def cmd_store_stats(args) -> int:
             f"{stats['temp_files']} temp file(s), "
             f"{stats['corrupt_entries']} corrupt entries"
         )
-        replication = stats.get("replication")
-        if replication:
-            print(
-                f"ring: {len(replication['backends'])} backends, "
-                f"{replication['effective_replicas']} replicas, "
-                f"write quorum {replication['write_quorum']}; "
-                f"under-replicated: {replication['under_replicated']}, "
-                f"stray replicas: {replication['stray_replicas']}"
-            )
-            _print_replica_health(replication)
     if args.server:
         # The fault counters live in server processes, not on disk;
         # the stats wire op is the only place to read them.
@@ -464,80 +419,14 @@ def cmd_store_stats(args) -> int:
             f"faults: {faults.get('rules', 0)} rule(s), "
             f"{faults.get('fired', 0)} fired {faults.get('by_action', {})}"
         )
-        replication = store.get("replication")
-        if replication:
-            print(
-                f"ring: {len(replication['backends'])} backends, "
-                f"{replication['effective_replicas']} replicas, "
-                f"write quorum {replication['write_quorum']}; "
-                f"{replication['writes']} writes "
-                f"({replication['quorum_failures']} quorum failures), "
-                f"{replication['read_repairs']} read-repairs, "
-                f"{replication['recovered_reads']} recovered reads"
-            )
-            _print_replica_health(replication)
-    return 0
-
-
-def cmd_store_ring(args) -> int:
-    from .workbench.replication import (
-        ReplicatedStore,
-        as_layout,
-        parse_store_arg,
-        save_manifest,
-    )
-
-    layout = as_layout(
-        parse_store_arg(
-            args.store,
-            replicas=getattr(args, "replicas", None),
-            write_quorum=getattr(args, "write_quorum", None),
-        )
-    )
-    if not isinstance(layout, ReplicatedStore):
-        print(
-            "error: not a ring spec — use --store dir1,dir2,... or "
-            "--store @manifest.json",
-            file=sys.stderr,
-        )
-        return 2
-
-    if args.ring_command == "add":
-        layout.add_backend(args.backend)
-    elif args.ring_command == "remove":
-        layout.remove_backend(args.backend)
-    if args.ring_command in ("add", "remove"):
-        if args.store.startswith("@"):
-            save_manifest(args.store[1:], layout)
-            print(f"updated manifest {args.store[1:]}")
-        if not args.no_sync:
-            ae = layout.anti_entropy(grace_seconds=args.grace)
-            print(
-                f"anti-entropy: scanned {ae.scanned_keys} keys, "
-                f"re-replicated {ae.re_replicated}, pruned {ae.pruned} "
-                f"stray replica(s), {ae.repair_errors} repair error(s)"
-            )
-
-    info = layout.describe()
-    print(
-        f"ring: {len(info['backends'])} backends, "
-        f"{info['effective_replicas']} replicas, "
-        f"write quorum {info['write_quorum']}, {info['keys']} keys"
-    )
-    print(
-        f"under-replicated: {info['under_replicated']}, "
-        f"stray replicas: {info['stray_replicas']}"
-    )
-    _print_replica_health(info)
     return 0
 
 
 def cmd_store_gc(args) -> int:
     from .workbench import StoreJanitor
-    from .workbench.replication import parse_store_arg
 
     janitor = StoreJanitor(
-        parse_store_arg(args.store),
+        args.store,
         ttl=args.ttl,
         max_bytes=args.max_bytes,
         max_entries=args.max_entries,
@@ -552,13 +441,6 @@ def cmd_store_gc(args) -> int:
         f"{gc.removed_orphan_sidecars} orphan sidecar(s), "
         f"{gc.removed_temp_files} temp file(s)"
     )
-    if janitor.layout is not None:
-        verb = "would re-replicate" if args.dry_run else "re-replicated"
-        print(
-            f"anti-entropy: {verb} {gc.re_replicated} under-replicated "
-            f"entr{'y' if gc.re_replicated == 1 else 'ies'}, pruned "
-            f"{gc.pruned_replicas} stray replica(s)"
-        )
     print(
         f"{'reclaimable' if args.dry_run else 'reclaimed'} "
         f"{_format_bytes(gc.reclaimed_bytes)}; "
@@ -660,16 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=2,
                        help="worker process count")
     serve.add_argument("--store", default=None,
-                       help="durable profile store shared by all workers: "
-                       "a directory, 'dir1,dir2,...' (a replicated ring), "
-                       "or '@manifest.json' (default: one in-memory "
-                       "store per worker)")
-    serve.add_argument("--replicas", type=int, default=None,
-                       help="copies per entry on a replicated ring "
-                       "(default 2)")
-    serve.add_argument("--write-quorum", type=int, default=None,
-                       help="replica writes that must land for a durable "
-                       "write to count (default: majority)")
+                       help="durable profile store directory shared by "
+                       "all workers (default: one in-memory store per "
+                       "worker)")
     serve.add_argument("--platform", default="tmote",
                        choices=sorted(PLATFORMS),
                        help="default platform for requests naming none")
@@ -727,8 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--batch-size", type=int, default=None,
                          help="cap batched chunks at this many elements")
     profile.add_argument("--store", default=None,
-                         help="durable profile store: directory, "
-                         "'dir1,dir2,...' (ring), or '@manifest.json'")
+                         help="durable profile store directory")
     profile.add_argument("--out", default=None,
                          help="write the measurement artifact to this file")
     profile.add_argument("--canonical", action="store_true",
@@ -774,29 +648,25 @@ def build_parser() -> argparse.ArgumentParser:
     part.set_defaults(func=cmd_partition)
 
     store = sub.add_parser(
-        "store", help="durable-store lifecycle (stats, gc, ring)"
+        "store", help="durable-store lifecycle (stats, gc)"
     )
     store_sub = store.add_subparsers(dest="store_command", required=True)
     stats = store_sub.add_parser(
         "stats",
-        help="summarize a store (directory, ring, or live server)",
+        help="summarize a store directory or a live server",
     )
     stats.add_argument("--store", default=None,
-                       help="durable store: directory, 'dir1,dir2,...', "
-                       "or '@manifest.json'")
+                       help="durable store directory")
     stats.add_argument("--server", default=None,
                        help="host:port of a running partition server — "
                        "reports its live fault counters "
-                       "(store_errors/write_errors) and per-backend "
-                       "replica health")
+                       "(store_errors/write_errors)")
     stats.set_defaults(func=cmd_store_stats)
     gc = store_sub.add_parser(
-        "gc", help="evict by TTL/LRU/size and sweep orphaned sidecars "
-        "(a ring additionally runs anti-entropy first)"
+        "gc", help="evict by TTL/LRU/size and sweep orphaned sidecars"
     )
     gc.add_argument("--store", required=True,
-                    help="durable store: directory, 'dir1,dir2,...', or "
-                    "'@manifest.json'")
+                    help="durable store directory")
     gc.add_argument("--ttl", type=float, default=None,
                     help="evict entries unused for more than TTL seconds")
     gc.add_argument("--max-bytes", type=int, default=None,
@@ -812,56 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="report what would be removed without removing")
     gc.set_defaults(func=cmd_store_gc)
 
-    ring = store_sub.add_parser(
-        "ring",
-        help="consistent-hash ring membership (status, add, remove)",
-    )
-    ring_sub = ring.add_subparsers(dest="ring_command", required=True)
-
-    def _ring_common(sub_parser, with_backend: bool) -> None:
-        sub_parser.add_argument(
-            "--store", required=True,
-            help="ring spec: 'dir1,dir2,...' or '@manifest.json'")
-        sub_parser.add_argument(
-            "--replicas", type=int, default=None,
-            help="copies per entry (default 2, or the manifest's)")
-        sub_parser.add_argument(
-            "--write-quorum", type=int, default=None,
-            help="override the write quorum (default: majority)")
-        if with_backend:
-            sub_parser.add_argument(
-                "backend", help="backend directory to add/remove")
-            sub_parser.add_argument(
-                "--no-sync", action="store_true",
-                help="skip the anti-entropy pass after the change")
-            sub_parser.add_argument(
-                "--grace", type=float, default=60.0,
-                help="anti-entropy grace window in seconds (stray "
-                "replicas younger than this are kept; default 60)")
-        sub_parser.set_defaults(func=cmd_store_ring)
-
-    _ring_common(
-        ring_sub.add_parser(
-            "status",
-            help="replica placement health: per-backend entries, "
-            "under-replication, strays",
-        ),
-        with_backend=False,
-    )
-    _ring_common(
-        ring_sub.add_parser(
-            "add", help="grow the ring, then re-replicate onto the "
-            "new backend"
-        ),
-        with_backend=True,
-    )
-    _ring_common(
-        ring_sub.add_parser(
-            "remove", help="shrink the ring, then re-home the removed "
-            "backend's entries"
-        ),
-        with_backend=True,
-    )
     return parser
 
 

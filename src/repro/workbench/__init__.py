@@ -10,7 +10,8 @@ an embeddable service API:
   for measurements, profiles, partitions, and rate-search results;
 * :mod:`~repro.workbench.store` — a content-hash-keyed
   :class:`ProfileStore` that makes profiling durable across processes
-  and hands every caller defensive copies;
+  in one directory (atomic writes, digest-checked reads that degrade
+  to a miss) and hands every caller defensive copies;
 * :mod:`~repro.workbench.session` — :class:`Session` /
   :class:`PartitionService`, including ``partition_many`` batching that
   amortizes formulation and solver warm starts across whole request
@@ -26,10 +27,6 @@ an embeddable service API:
 * :mod:`~repro.workbench.membership` — :class:`ElasticPolicy` and the
   heartbeat/membership primitives behind the server's elastic,
   self-healing worker pool (``repro serve --min-workers/--max-workers``);
-* :mod:`~repro.workbench.replication` — :class:`ReplicatedStore`:
-  consistent-hash placement of store/cache entries across N backend
-  directories with R-way replication, quorum writes, read-repair, and
-  anti-entropy (``repro store ring add|remove|status``);
 * :mod:`~repro.workbench.faults` — the deterministic fault-injection
   (chaos) subsystem: a seeded :class:`FaultPlan` of scheduled worker
   kills, heartbeat stalls, frame drops/corruption, and store-write
@@ -71,12 +68,6 @@ from .membership import (
     MembershipEvent,
     MembershipLog,
 )
-from .replication import (
-    HashRing,
-    ReplicatedStore,
-    ReplicationStats,
-    as_layout,
-)
 from .scenarios import (
     Scenario,
     WorkbenchError,
@@ -109,7 +100,6 @@ __all__ = [
     "FaultRule",
     "GCStats",
     "Gateway",
-    "HashRing",
     "HeartbeatMonitor",
     "MembershipEvent",
     "MembershipLog",
@@ -119,8 +109,6 @@ __all__ = [
     "PartitionService",
     "ProfileStore",
     "RateSearchRequest",
-    "ReplicatedStore",
-    "ReplicationStats",
     "ResultCache",
     "ResultCacheStats",
     "SCHEMA_VERSION",
@@ -133,7 +121,6 @@ __all__ = [
     "StoreJanitor",
     "StoreStats",
     "WorkbenchError",
-    "as_layout",
     "batch_keys",
     "canonical_json",
     "from_json",

@@ -677,9 +677,7 @@ def from_json(text: str, graph: StreamGraph | None = None) -> Any:
     return from_document(document, arrays, graph)
 
 
-def write_document(
-    path, document: dict[str, Any], arrays, indent=None, backend=None
-):
+def write_document(path, document: dict[str, Any], arrays, indent=None):
     """Write a document + npz sidecar to disk (the on-disk convention).
 
     The sidecar lands first and both files appear via write-then-rename,
@@ -702,10 +700,7 @@ def write_document(
     # Chaos-only hook: a scheduled ``store.write`` fault raises (or
     # delays) here, before any byte lands — exercising every caller's
     # failed-durable-write path.  No-op without an installed plan.
-    # ``backend`` scopes the occurrence counter per replica when a
-    # ReplicatedStore is the caller, so one failing backend can be
-    # scheduled without touching its siblings.
-    faults.maybe_raise("store.write", backend=backend)
+    faults.maybe_raise("store.write")
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -734,8 +729,9 @@ def read_document(path) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
 
     Raises ``OSError`` (unreadable files), ``ValueError`` (bad JSON),
     or :class:`~repro.runtime.frames.SidecarError` (a sidecar that does
-    not decode); callers choose whether that is fatal
-    (:func:`load_artifact`) or a cache miss (the profile store).
+    not decode, or whose bytes do not hash to the digest in its name);
+    callers choose whether that is fatal (:func:`load_artifact`) or a
+    cache miss (the profile store and result cache).
     """
     from pathlib import Path
 
@@ -748,7 +744,17 @@ def read_document(path) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
     arrays: dict[str, np.ndarray] = {}
     npz_name = document.get("npz")
     if npz_name:
-        arrays = unpack_arrays(path.with_name(npz_name).read_bytes())
+        blob = path.with_name(npz_name).read_bytes()
+        # The name embeds sha256(bytes)[:16] (see write_document), so a
+        # swapped or bit-flipped sidecar is caught even when it still
+        # decodes as a well-formed npz.
+        parts = str(npz_name).rsplit(".", 2)
+        digest = hashlib.sha256(blob).hexdigest()[:16]
+        if len(parts) != 3 or parts[1] != digest:
+            raise SidecarError(
+                f"sidecar {npz_name} does not match its content digest"
+            )
+        arrays = unpack_arrays(blob)
     return document, arrays
 
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import os
 import threading
 import time
 from dataclasses import dataclass
@@ -52,9 +53,8 @@ from ..dataflow.graph import StreamGraph
 from ..profiler.profiler import Profiler
 from ..runtime.frames import encode_message
 from . import artifacts
-from .replication import ReplicatedStore, SingleLayout, as_layout
 from .scenarios import Scenario, get_scenario
-from .store import profiler_config
+from .store import profiler_config, read_entry, store_dir
 
 #: Filename prefix of result-cache entries inside a store directory.
 RESULT_PREFIX = "result-"
@@ -162,18 +162,10 @@ class ResultCache:
 
     def __init__(
         self,
-        root=None,
+        root: str | os.PathLike | None = None,
         max_memory_entries: int | None = 1024,
     ) -> None:
-        self.layout = as_layout(root)
-        if self.layout is None:
-            self.root = None
-        elif isinstance(self.layout, SingleLayout):
-            self.root = self.layout.root
-        else:
-            # A ring: ``root`` carries the shared layout (and its
-            # counters) the same way ``ProfileStore.root`` does.
-            self.root = self.layout
+        self.root = store_dir(root)
         self.max_memory_entries = max_memory_entries
         self._memory: dict[str, CacheEntry] = {}
         # The partition server shares one cache across its
@@ -192,12 +184,7 @@ class ResultCache:
                     self._memory.pop(next(iter(self._memory)))
 
     def _path_for(self, key: str) -> Path:
-        assert isinstance(self.layout, SingleLayout)
-        return self.layout.root / f"{RESULT_PREFIX}{key}.json"
-
-    @staticmethod
-    def _name_for(key: str) -> str:
-        return f"{RESULT_PREFIX}{key}.json"
+        return self.root / f"{RESULT_PREFIX}{key}.json"
 
     # -- lookups ------------------------------------------------------------
 
@@ -210,8 +197,8 @@ class ResultCache:
         """
         with self._lock:
             entry = self._memory.get(key)
-        if entry is None and self.layout is not None:
-            loaded = self.layout.read(self._name_for(key))
+        if entry is None and self.root is not None:
+            loaded = read_entry(self._path_for(key))
             if loaded is not None:
                 document, arrays = loaded
                 # Keep the payload in the on-wire shape: the disk
@@ -289,18 +276,19 @@ class ResultCache:
             self.store(key, None)
             return None
         arrays = dict(arrays or {})
-        if self.layout is not None:
+        if self.root is not None:
             # write_document records its sidecar name *in* the document
             # it writes; hand it a copy so the caller's dict (which the
             # server ships over the wire after caching it) and the
             # remembered entry stay in the pure wire shape.
             try:
-                self.layout.write(self._name_for(key), dict(document), arrays)
+                artifacts.write_document(
+                    self._path_for(key), dict(document), arrays
+                )
             except OSError:
-                # A failed durable write (or unmet replica quorum)
-                # must not fail the request: the in-memory entry below
-                # still answers this process; only cross-process
-                # sharing is lost.
+                # A failed durable write must not fail the request:
+                # the in-memory entry below still answers this
+                # process; only cross-process sharing is lost.
                 with self._lock:
                     self.stats.store_errors += 1
         entry = CacheEntry(document, arrays)
@@ -345,9 +333,6 @@ class GCStats:
     removed_orphan_sidecars: int = 0
     removed_temp_files: int = 0
     reclaimed_bytes: int = 0
-    #: Replicated sweeps only: anti-entropy repairs and prunes.
-    re_replicated: int = 0
-    pruned_replicas: int = 0
     dry_run: bool = False
 
     @property
@@ -386,31 +371,17 @@ class StoreJanitor:
     orphan) and just-written entries.  Everything else is safe by
     construction: removals are atomic unlinks, and every store/cache
     reader treats a vanished or half-gone entry as a miss.
-
-    Over a :class:`~repro.workbench.replication.ReplicatedStore` (pass
-    the ring spec, comma list, ``@manifest``, or layout instance as
-    ``root``) a sweep runs **anti-entropy first** — re-replicating
-    under-replicated entries and pruning stray off-ring copies — then
-    the per-backend hygiene policies, then TTL/LRU at the *logical*
-    entry level: recency is the newest replica's mtime, size budgets
-    count unique bytes, and an evicted entry is removed from every
-    backend at once (so a later anti-entropy pass cannot resurrect
-    it).
     """
 
     def __init__(
         self,
-        root,
+        root: str | os.PathLike,
         ttl: float | None = None,
         max_bytes: int | None = None,
         max_entries: int | None = None,
         grace_seconds: float = 60.0,
     ) -> None:
-        layout = as_layout(root)
-        self.layout = layout if isinstance(layout, ReplicatedStore) else None
-        self.root = (
-            Path(layout.root) if isinstance(layout, SingleLayout) else None
-        )
+        self.root = store_dir(root)
         self.ttl = ttl
         self.max_bytes = max_bytes
         self.max_entries = max_entries
@@ -477,8 +448,6 @@ class StoreJanitor:
 
     def stats(self) -> dict[str, Any]:
         """A machine-readable snapshot (``python -m repro store stats``)."""
-        if self.layout is not None:
-            return self._replicated_stats()
         entries, corrupt, orphans, temps = self._scan()
         kinds: dict[str, int] = {}
         for entry in entries:
@@ -494,44 +463,6 @@ class StoreJanitor:
             "temp_files": len(temps),
         }
 
-    def _replicated_stats(self) -> dict[str, Any]:
-        """The ring-wide snapshot: logical entries + replica health."""
-        assert self.layout is not None
-        logical: dict[str, _Entry] = {}
-        replica_files = 0
-        replica_bytes = 0
-        corrupt = orphans = temps = 0
-        orphan_bytes = 0
-        for backend in self.layout.backends:
-            sub = StoreJanitor(backend, grace_seconds=self.grace_seconds)
-            entries, bad, orphan_paths, temp_paths = sub._scan()
-            corrupt += len(bad)
-            orphans += len(orphan_paths)
-            orphan_bytes += sum(_size_of(p) for p in orphan_paths)
-            temps += len(temp_paths)
-            for entry in entries:
-                replica_files += 1
-                replica_bytes += entry.size
-                known = logical.get(entry.path.name)
-                if known is None or entry.mtime > known.mtime:
-                    logical[entry.path.name] = entry
-        kinds: dict[str, int] = {}
-        for entry in logical.values():
-            kinds[entry.kind] = kinds.get(entry.kind, 0) + 1
-        return {
-            "root": str(self.layout),
-            "entries": len(logical),
-            "entries_by_kind": {k: kinds[k] for k in sorted(kinds)},
-            "entry_bytes": sum(e.size for e in logical.values()),
-            "corrupt_entries": corrupt,
-            "orphan_sidecars": orphans,
-            "orphan_bytes": orphan_bytes,
-            "temp_files": temps,
-            "replica_files": replica_files,
-            "replica_bytes": replica_bytes,
-            "replication": self.layout.describe(),
-        }
-
     # -- sweeping -----------------------------------------------------------
 
     def sweep(
@@ -539,8 +470,6 @@ class StoreJanitor:
     ) -> GCStats:
         """Apply every policy once; returns what was (or would be) done."""
         now = time.time() if now is None else now
-        if self.layout is not None:
-            return self._replicated_sweep(dry_run, now)
         cutoff = now - self.grace_seconds
         entries, corrupt, orphans, temps = self._scan()
         gc = GCStats(scanned_entries=len(entries), dry_run=dry_run)
@@ -616,116 +545,6 @@ class StoreJanitor:
                     survivors.append(entry)
             live = survivors
 
-        gc.live_entries = len(live)
-        gc.live_bytes = sum(e.size for e in live)
-        return gc
-
-    def _replicated_sweep(self, dry_run: bool, now: float) -> GCStats:
-        """Anti-entropy, then per-backend hygiene, then logical TTL/LRU."""
-        assert self.layout is not None
-        cutoff = now - self.grace_seconds
-        gc = GCStats(dry_run=dry_run)
-
-        # Phase 1: reconcile replicas.  Runs before eviction so a
-        # re-replicated copy is immediately visible to the logical
-        # scan below (and eviction, removing every replica at once,
-        # can never be undone by a later reconciliation).
-        ae = self.layout.anti_entropy(
-            grace_seconds=self.grace_seconds, dry_run=dry_run, now=now
-        )
-        gc.re_replicated = ae.re_replicated
-        gc.pruned_replicas = ae.pruned
-
-        # Phase 2: per-backend hygiene — corrupt bodies (anything
-        # anti-entropy could not repair), orphan sidecars, temp files.
-        logical: dict[str, _Entry] = {}
-        for backend in self.layout.backends:
-            sub = StoreJanitor(backend, grace_seconds=self.grace_seconds)
-            entries, corrupt, orphans, temps = sub._scan()
-            for entry in entries:
-                known = logical.get(entry.path.name)
-                if known is None or entry.mtime > known.mtime:
-                    logical[entry.path.name] = entry
-            sub_gc = GCStats(dry_run=dry_run)
-
-            def unlink(path: Path) -> int:
-                size = _size_of(path)
-                if not dry_run:
-                    try:
-                        path.unlink()
-                    except OSError:
-                        return 0
-                return size
-
-            def removable(path: Path) -> bool:
-                try:
-                    return path.stat().st_mtime < cutoff
-                except OSError:
-                    return False
-
-            for path in orphans:
-                if removable(path):
-                    sub_gc.reclaimed_bytes += unlink(path)
-                    sub_gc.removed_orphan_sidecars += 1
-            for path in temps:
-                if removable(path):
-                    sub_gc.reclaimed_bytes += unlink(path)
-                    sub_gc.removed_temp_files += 1
-            for path in corrupt:
-                if removable(path):
-                    sub_gc.reclaimed_bytes += unlink(path)
-                    sub_gc.removed_corrupt += 1
-            gc.removed_orphan_sidecars += sub_gc.removed_orphan_sidecars
-            gc.removed_temp_files += sub_gc.removed_temp_files
-            gc.removed_corrupt += sub_gc.removed_corrupt
-            gc.reclaimed_bytes += sub_gc.reclaimed_bytes
-
-        # Phase 3: TTL + LRU over *logical* entries — recency is the
-        # newest replica's mtime, sizes count one copy, and eviction
-        # removes the entry from every backend atomically enough that
-        # anti-entropy cannot resurrect it.
-        gc.scanned_entries = len(logical)
-        live: list[_Entry] = []
-        for name, entry in sorted(logical.items()):
-            expired = (
-                self.ttl is not None
-                and entry.mtime < now - self.ttl
-                and entry.mtime < cutoff
-            )
-            if expired:
-                if dry_run:
-                    gc.reclaimed_bytes += entry.size
-                else:
-                    gc.reclaimed_bytes += self.layout.delete(name)
-                gc.removed_expired += 1
-            else:
-                live.append(entry)
-        if self.max_bytes is not None or self.max_entries is not None:
-            live.sort(key=lambda e: e.mtime)
-            total = sum(e.size for e in live)
-            count = len(live)
-            survivors: list[_Entry] = []
-            for entry in live:
-                over_bytes = (
-                    self.max_bytes is not None and total > self.max_bytes
-                )
-                over_count = (
-                    self.max_entries is not None
-                    and count > self.max_entries
-                )
-                if (over_bytes or over_count) and entry.mtime < cutoff:
-                    if dry_run:
-                        gc.reclaimed_bytes += entry.size
-                    else:
-                        gc.reclaimed_bytes += self.layout.delete(
-                            entry.path.name
-                        )
-                    gc.removed_lru += 1
-                    total -= entry.size
-                    count -= 1
-                else:
-                    survivors.append(entry)
-            live = survivors
         gc.live_entries = len(live)
         gc.live_bytes = sum(e.size for e in live)
         return gc

@@ -17,19 +17,17 @@ site                      where                                  actions
 ``worker.run``            worker process, at each job start      ``kill``, ``delay``, ``raise``
 ``worker.heartbeat``      worker heartbeat thread, per beat      ``stall``
 ``frames.send``           every :func:`~repro.runtime.frames.send_frames`  ``drop``, ``truncate``, ``corrupt``, ``delay``
-``store.write``           :func:`~repro.workbench.artifacts.write_document`  ``raise``
-``store.read``            :meth:`ReplicatedStore <repro.workbench.replication.ReplicatedStore>` replica read  ``miss``, ``corrupt``, ``delay``
+``store.write``           :func:`~repro.workbench.artifacts.write_document`  ``raise``, ``delay``
 ``pool.spawn``            :meth:`WorkerPool <repro.workbench.server.WorkerPool>` worker spawn  ``raise``
 ``gateway.route``         :class:`Gateway <repro.workbench.gateway.Gateway>` shard dispatch  ``raise``, ``delay``
 ========================  =====================================  ==========================
 
 Every site check is a no-op (one global read) when no plan is
 installed, so production serving pays nothing.  Occurrence counters are
-kept per ``(site, worker, backend)`` in each process, which makes a
-schedule deterministic wherever the hit sequence itself is (a worker
-counts its own jobs; a single-client connection counts its frames in
-lockstep with the server's replies; a replicated store counts each
-backend's reads and writes separately).
+kept per ``(site, worker)`` in each process, which makes a schedule
+deterministic wherever the hit sequence itself is (a worker counts its
+own jobs; a single-client connection counts its frames in lockstep
+with the server's replies).
 
 Plans cross process boundaries two ways: worker processes receive the
 parent's active plan spec at spawn time, and ``REPRO_FAULT_PLAN`` (JSON
@@ -61,7 +59,6 @@ SITES: dict[str, tuple[str, ...]] = {
     "worker.heartbeat": ("stall",),
     "frames.send": ("drop", "truncate", "corrupt", "delay"),
     "store.write": ("raise", "delay"),
-    "store.read": ("miss", "corrupt", "delay"),
     "pool.spawn": ("raise",),
     # Gateway shard dispatch: fired once per (shard, attempt)
     # before the sub-batch is forwarded to a backend.  ``raise``
@@ -89,10 +86,6 @@ class FaultRule:
             every hit from ``after`` on.
         worker: only hits reporting this worker id match (``None``
             matches any worker, including none).
-        backend: only hits reporting this store-backend index match
-            (``None`` matches any backend, including none) — scopes
-            ``store.read``/``store.write`` faults to one replica of a
-            :class:`~repro.workbench.replication.ReplicatedStore`.
         delay: seconds, for ``delay`` and bounded ``stall`` actions.
         error: exception class name for ``raise`` actions (``OSError``
             by default; any builtin exception name works).
@@ -104,7 +97,6 @@ class FaultRule:
     after: int = 0
     count: int = 1
     worker: int | None = None
-    backend: int | None = None
     delay: float = 0.0
     error: str = "OSError"
     message: str = "injected fault"
@@ -158,36 +150,28 @@ class FaultPlan:
             for rule in rules
         ]
         self._lock = threading.Lock()
-        self._hits: dict[tuple[str, int | None, int | None], int] = {}
+        self._hits: dict[tuple[str, int | None], int] = {}
         #: Fired (site, action, worker, occurrence) tuples, for tests
         #: and the server's chaos observability.
         self.fired: list[tuple[str, str, int | None, int]] = []
 
     # -- matching -----------------------------------------------------------
 
-    def hit(
-        self,
-        site: str,
-        worker: int | None = None,
-        backend: int | None = None,
-    ) -> FaultRule | None:
+    def hit(self, site: str, worker: int | None = None) -> FaultRule | None:
         """Record one hit at a site; the rule to apply, or ``None``.
 
-        Counters are per ``(site, worker, backend)``: a rule pinned to
-        worker 2 fires on worker 2's own ``after``-th hit no matter
-        how busy its siblings are, and a rule pinned to backend 1
-        counts only that replica's reads/writes.
+        Counters are per ``(site, worker)``: a rule pinned to worker 2
+        fires on worker 2's own ``after``-th hit no matter how busy its
+        siblings are.
         """
         with self._lock:
-            key = (site, worker, backend)
+            key = (site, worker)
             occurrence = self._hits.get(key, 0)
             self._hits[key] = occurrence + 1
             for rule in self.rules:
                 if rule.site != site:
                     continue
                 if rule.worker is not None and rule.worker != worker:
-                    continue
-                if rule.backend is not None and rule.backend != backend:
                     continue
                 if rule.covers(occurrence):
                     self.fired.append(
@@ -312,49 +296,6 @@ class FaultPlan:
         size = n_faults if n_faults is not None else rng.randint(1, 3)
         return cls([menu() for _ in range(size)])
 
-    @classmethod
-    def seeded_replica(
-        cls,
-        seed: int,
-        backends: int = 3,
-        keys: int = 6,
-        n_faults: int | None = None,
-    ) -> "FaultPlan":
-        """A reproducible random schedule over the *replica* fault menu.
-
-        Targets the replicated-store sites only: per-backend read
-        misses/corruption (exercising fall-through and read-repair)
-        and per-backend write errors (exercising quorum accounting).
-        Kept separate from :meth:`seeded` so the pool-chaos schedules
-        those seeds already pin stay byte-for-byte unchanged.
-        """
-        rng = random.Random(seed)
-
-        def menu() -> FaultRule:
-            kind = rng.randrange(3)
-            if kind == 0:
-                return FaultRule(
-                    site="store.read",
-                    action=rng.choice(["miss", "corrupt"]),
-                    backend=rng.randrange(backends),
-                    after=rng.randrange(max(keys // 2, 1)),
-                    count=rng.randrange(1, 3),
-                )
-            if kind == 1:
-                return FaultRule(
-                    site="store.write", action="raise",
-                    backend=rng.randrange(backends),
-                    after=rng.randrange(max(keys, 1)), count=0,
-                )
-            return FaultRule(
-                site="store.read", action="miss",
-                backend=rng.randrange(backends),
-                after=0, count=0,
-            )
-
-        size = n_faults if n_faults is not None else rng.randint(1, 3)
-        return cls([menu() for _ in range(size)])
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"FaultPlan({len(self.rules)} rules, fired={len(self.fired)})"
 
@@ -401,26 +342,18 @@ def injected(plan: FaultPlan | Mapping[str, Any]) -> Iterator[FaultPlan]:
         install(previous)
 
 
-def hit(
-    site: str,
-    worker: int | None = None,
-    backend: int | None = None,
-) -> FaultRule | None:
+def hit(site: str, worker: int | None = None) -> FaultRule | None:
     """Record a hit at a site against the active plan (fast no-op
     without one)."""
     plan = _ACTIVE
     if plan is None:
         return None
-    return plan.hit(site, worker=worker, backend=backend)
+    return plan.hit(site, worker=worker)
 
 
-def maybe_raise(
-    site: str,
-    worker: int | None = None,
-    backend: int | None = None,
-) -> None:
+def maybe_raise(site: str, worker: int | None = None) -> None:
     """Convenience for pure ``raise``/``delay`` sites (store writes)."""
-    rule = hit(site, worker=worker, backend=backend)
+    rule = hit(site, worker=worker)
     if rule is None:
         return
     if rule.action == "delay":

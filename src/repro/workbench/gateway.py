@@ -9,14 +9,15 @@ pattern supplies the shape: a **deterministic partition function**, a
 the function at a front door: this module's :class:`Gateway`, the one
 place shard dispatch and failover live.
 
-* The partition function is the PR 5 result-cache key
-  (:func:`~repro.workbench.cache.result_key`) hashed onto a consistent
-  ring (:class:`~repro.workbench.replication.HashRing`): every request
-  with the same content hash always lands on the same backend, so a
-  shard *owns its slice of the result cache* — repeat traffic hits the
-  backend that already solved it, and adding a backend moves only
-  ~1/(N+1) of the key space (the same stability property
-  ``test_replication.py`` pins for the store ring).  Routing is at
+* The partition function is the result-cache key
+  (:func:`~repro.workbench.cache.result_key`) placed by rendezvous
+  (highest-random-weight) hashing: each member scores
+  ``sha256(f"{member}#{key}")`` and the highest score owns the key.
+  Every request with the same content hash always lands on the same
+  backend, so a shard *owns its slice of the result cache* — repeat
+  traffic hits the backend that already solved it — and adding a
+  backend moves only the ~1/(N+1) of the key space it now wins, all of
+  it onto the newcomer (``test_gateway.py`` pins both).  Routing is at
   *solver-group* granularity (:func:`batch_groups`): requests sharing
   a formulation and resolved budgets are one budget run on the server
   — one warm-start chain — and splitting such a run across backends
@@ -30,7 +31,7 @@ place shard dispatch and failover live.
   (``backend-failed``/``backend-restored``) recorded as routed traffic
   fails over — the same
   :class:`~repro.workbench.membership.MembershipLog` vocabulary the
-  worker pool and replicated store already speak.
+  worker pool already speaks.
 
 * :class:`Gateway` speaks the existing :mod:`repro.runtime.frames`
   protocol on an asyncio event loop, so one process fronts many
@@ -52,6 +53,7 @@ plain server.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import threading
 from dataclasses import asdict
 from typing import Any, Mapping, Sequence
@@ -61,7 +63,6 @@ from ..runtime.frames import FrameError
 from . import faults
 from .cache import result_key
 from .membership import MembershipLog
-from .replication import HashRing
 from .scenarios import WorkbenchError, get_scenario, list_scenarios
 from .session import PartitionRequest
 from .transport import (
@@ -145,8 +146,14 @@ def batch_groups(
     ]
 
 
+def _weight(member: str, key: str) -> int:
+    """A member's rendezvous score for one key (first 8 sha256 bytes)."""
+    digest = hashlib.sha256(f"{member}#{key}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
 class PartitionDirectory:
-    """The shard→backend map: a consistent-hash ring over addresses.
+    """The shard→backend map: rendezvous hashing over addresses.
 
     ``backends`` accepts every routing spec shape
     (:func:`~repro.workbench.transport.parse_targets` — a comma list,
@@ -164,13 +171,11 @@ class PartitionDirectory:
     def __init__(
         self,
         backends: Any,
-        vnodes: int = 64,
         log: MembershipLog | None = None,
     ) -> None:
         self.log = log if log is not None else MembershipLog()
-        self.vnodes = vnodes
         self._lock = threading.RLock()
-        self._ring = HashRing([], vnodes=vnodes)
+        self._members: list[str] = []
         self._failed: set[str] = set()
         for backend in parse_targets(backends):
             self.add(backend)
@@ -179,17 +184,17 @@ class PartitionDirectory:
 
     @property
     def backends(self) -> list[str]:
-        """Ring members in join order (a snapshot)."""
+        """Members in join order (a snapshot)."""
         with self._lock:
-            return list(self._ring.backends)
+            return list(self._members)
 
     def add(self, backend: Any) -> bool:
         """Join a backend; ``False`` if it is already a member."""
         address = format_address(backend)
         with self._lock:
-            if address in self._ring.backends:
+            if address in self._members:
                 return False
-            self._ring.add(address)
+            self._members.append(address)
             self._failed.discard(address)
         self.log.record("shard-joined", None, address)
         return True
@@ -202,13 +207,13 @@ class PartitionDirectory:
         """
         address = format_address(backend)
         with self._lock:
-            if address not in self._ring.backends:
+            if address not in self._members:
                 return False
-            if len(self._ring.backends) == 1:
+            if len(self._members) == 1:
                 raise ServerError(
                     "cannot remove the last directory backend"
                 )
-            self._ring.remove(address)
+            self._members.remove(address)
             self._failed.discard(address)
         self.log.record("shard-left", None, address)
         return True
@@ -216,12 +221,19 @@ class PartitionDirectory:
     # -- routing ------------------------------------------------------------
 
     def route(self, key: str) -> str:
-        """The shard owner for one partition-function key."""
+        """The shard owner for one partition-function key: the member
+        with the largest ``sha256(f"{member}#{key}")[:8]``.
+
+        A pure function of the key and the member set, so join order,
+        process, and hash seed do not matter.
+        """
         with self._lock:
-            owners = self._ring.replicas_for(key, 1)
-        if not owners:
+            members = list(self._members)
+        if not members:
             raise ServerError("partition directory has no backends")
-        return owners[0]
+        # The name breaks (astronomically unlikely) score ties, so the
+        # owner never depends on join order.
+        return max(members, key=lambda m: (_weight(m, key), m))
 
     def split_groups(
         self, groups: Sequence[tuple[str, Sequence[int]]]
@@ -241,7 +253,7 @@ class PartitionDirectory:
         member deterministically (sorted), so concurrent routers agree
         on where a shard re-homes while its owner is down."""
         with self._lock:
-            members = list(self._ring.backends)
+            members = list(self._members)
         return [primary] + sorted(b for b in members if b != primary)
 
     # -- health -------------------------------------------------------------
@@ -282,14 +294,13 @@ class PartitionDirectory:
         """The ``directory`` op's status payload."""
         with self._lock:
             return {
-                "backends": list(self._ring.backends),
+                "backends": list(self._members),
                 "failed": sorted(self._failed),
-                "vnodes": self.vnodes,
             }
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._ring.backends)
+            return len(self._members)
 
     def __contains__(self, backend: Any) -> bool:
         return format_address(backend) in self.backends

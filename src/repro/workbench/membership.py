@@ -155,8 +155,6 @@ class MembershipStats:
     retired_stuck: int = 0
     spawn_failures: int = 0
     degraded_entries: int = 0
-    store_degraded: int = 0
-    store_restored: int = 0
     shards_joined: int = 0
     shards_left: int = 0
     backends_failed: int = 0
@@ -179,12 +177,8 @@ class MembershipLog:
         "retire-stuck": "retired_stuck",
         "spawn-failed": "spawn_failures",
         "degraded": "degraded_entries",
-        # Replicated-store backend health (see workbench.replication):
-        # a backend starts failing writes / serves again.
-        "store-degraded": "store_degraded",
-        "store-restored": "store_restored",
         # Partition-directory shard membership (workbench.gateway):
-        # a serving backend enters/leaves the routing ring, or its
+        # a serving backend enters/leaves the directory, or its
         # health transitions while routed traffic fails over.
         "shard-joined": "shards_joined",
         "shard-left": "shards_left",

@@ -47,6 +47,7 @@ import time
 import warnings
 from collections import deque
 from dataclasses import asdict, replace
+from pathlib import Path
 from typing import Any, BinaryIO, Mapping, Sequence
 
 import multiprocessing
@@ -66,7 +67,6 @@ from .membership import (
     MembershipLog,
     WorkerInfo,
 )
-from .replication import ReplicatedStore, as_layout
 from .scenarios import (
     Scenario,
     WorkbenchError,
@@ -74,7 +74,7 @@ from .scenarios import (
     list_scenarios,
 )
 from .session import PartitionRequest, Session, group_order
-from .store import ProfileStore, profiler_config
+from .store import ProfileStore, profiler_config, store_dir
 from .transport import (
     Backoff,
     ClientConnection,
@@ -195,7 +195,7 @@ def _run_job(
 
 def _worker_main(
     conn,
-    store_root: "str | Mapping[str, Any] | None",
+    store_root: "Path | None",
     wid: int = 0,
     heartbeat_interval: float | None = 1.0,
     plan_spec: Mapping[str, Any] | None = None,
@@ -357,7 +357,7 @@ class WorkerPool:
     def __init__(
         self,
         workers: int = 2,
-        store_root: "str | Mapping[str, Any] | None" = None,
+        store_root: "Path | None" = None,
         mp_context=None,
         policy: ElasticPolicy | None = None,
         inline_runner=None,
@@ -888,7 +888,7 @@ class PartitionServer:
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 2,
-        store: str | None = None,
+        store: "str | os.PathLike | None" = None,
         default_platform: str = "tmote",
         mp_context=None,
         job_timeout: float | None = 900.0,
@@ -904,19 +904,9 @@ class PartitionServer:
         self._port = port
         self.workers = workers
         self.default_platform = default_platform
-        # ``store`` accepts every layout shape (a directory, a
-        # ``dir1,dir2`` ring, ``@manifest.json``, a spec mapping, a
-        # layout instance).  The parent keeps the layout object — the
-        # result cache below shares it, counters and all — while
-        # workers receive the picklable spec and rebuild their own
-        # view at spawn (placement is deterministic, so all views
-        # agree on where every entry lives).
-        self._store_layout = as_layout(store)
-        self._store_root = (
-            self._store_layout.spec()
-            if self._store_layout is not None
-            else None
-        )
+        # Workers get the directory path and open their own store on
+        # it at spawn.
+        self._store_root = store_dir(store)
         self._mp_context = mp_context
         self.job_timeout = job_timeout
         self.policy = ElasticPolicy(
@@ -935,9 +925,9 @@ class PartitionServer:
             else fault_plan
         )
         self.result_cache: ResultCache | None = (
-            ResultCache(self._store_layout) if result_cache else None
+            ResultCache(self._store_root) if result_cache else None
         )
-        self._store = ProfileStore(self._store_layout)
+        self._store = ProfileStore(self._store_root)
         self._sessions: dict[str, Session] = {}
         self._sessions_lock = threading.Lock()
         self.pool: WorkerPool | None = None
@@ -993,15 +983,6 @@ class PartitionServer:
             inline_runner=self._solve_inline,
             fork_fd_snapshot=self._fork_fds,
         )
-        if isinstance(self._store_layout, ReplicatedStore):
-            # Backend health transitions (a replica starts failing
-            # writes, or serves again) land in the same membership log
-            # worker churn does: losing a store backend degrades to
-            # surviving replicas — counted, never fatal.
-            membership = self.pool.membership
-            self._store_layout.on_event = (
-                lambda kind, detail: membership.record(kind, None, detail)
-            )
         self._frames = FrameListener(self._host, self._port, self._serve_op)
         self._frames.start()
         return self.address
@@ -1125,14 +1106,7 @@ class PartitionServer:
                 "stores": cache.stats.stores if cache else 0,
                 "store_errors": cache.stats.store_errors if cache else 0,
             },
-            "store": {
-                "write_errors": self._store.stats.write_errors,
-                "replication": (
-                    self._store_layout.stats_payload()
-                    if isinstance(self._store_layout, ReplicatedStore)
-                    else None
-                ),
-            },
+            "store": {"write_errors": self._store.stats.write_errors},
             "swallowed_errors": dict(pool.swallowed_errors) if pool else {},
             "faults": asdict(faults.stats()),
         }

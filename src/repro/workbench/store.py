@@ -23,6 +23,11 @@ did not have:
 
 ``root=None`` keeps the store in memory (payload dicts, still
 materialized per call) — the right default for tests and one-shot runs.
+
+The on-disk side is two functions shared with the result cache:
+:func:`~repro.workbench.artifacts.write_document` (atomic, race-safe,
+content-addressed sidecars) and :func:`read_entry` (digest-checked,
+degrade-to-miss, mtime-touching).
 """
 
 from __future__ import annotations
@@ -30,14 +35,15 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
 from ..dataflow.graph import StreamGraph
 from ..profiler.profiler import Measurement, Profiler
+from ..runtime.frames import SidecarError
 from . import artifacts
-from .replication import SingleLayout, as_layout
 from .scenarios import Scenario, WorkbenchError, get_scenario
 
 #: Profiler settings participating in the content key, with the
@@ -89,20 +95,45 @@ class StoreStats:
     write_errors: int = 0
 
 
-def touch_entry(path: Path) -> None:
-    """Bump a durable entry's mtime: the store's LRU clock.
+def store_dir(root: str | os.PathLike | None) -> Path | None:
+    """The durable directory ``root`` names (``None``: in memory).
 
-    Disk hits call this so :class:`~repro.workbench.cache.StoreJanitor`
-    eviction (TTL and size-budget policies order by mtime) tracks *use*,
-    not just creation.  A file the janitor removed underneath us is
-    simply left alone — the caller already holds the payload.
+    A comma list or an ``@manifest.json`` reference was the spelling of
+    a replicated ring, which no longer exists; read literally it would
+    name a fresh, empty directory and every lookup would miss, so it is
+    refused with a :class:`WorkbenchError` instead.
     """
-    import os
+    if root is None:
+        return None
+    text = str(root)
+    if text.startswith("@") or "," in text:
+        raise WorkbenchError(
+            f"store {text!r} looks like a replicated-store ring spec; "
+            f"the replicated store was removed: pass one directory"
+        )
+    return Path(root)
 
+
+def read_entry(path: Path) -> tuple[dict[str, Any], dict[str, Any]] | None:
+    """One durable entry's ``(document, arrays)``, or ``None`` on a miss.
+
+    A missing, truncated, partial, vanished, or digest-mismatched entry
+    is a miss, never poison; the next write overwrites it.  A hit bumps
+    the entry's mtime, the LRU clock of
+    :class:`~repro.workbench.cache.StoreJanitor` eviction, so recency
+    tracks use rather than creation.
+    """
+    if not path.exists():
+        return None
+    try:
+        document, arrays = artifacts.read_document(path)
+    except (OSError, ValueError, SidecarError):
+        return None
     try:
         os.utime(path)
     except OSError:
-        pass
+        pass  # removed by the janitor since: the caller has the payload
+    return document, arrays
 
 
 @dataclass
@@ -115,26 +146,12 @@ class ProfileStore:
     """Content-hash-keyed storage for profiling measurements + artifacts.
 
     Args:
-        root: where durable entries live — a directory, a
-            ``dir1,dir2`` / ``@manifest.json`` / spec-mapping form
-            naming a :class:`~repro.workbench.replication.ReplicatedStore`
-            ring, an existing layout instance (shared, counters and
-            all), or ``None`` for a purely in-memory store.
-            Directories are created lazily.
+        root: the directory durable entries live in (created lazily),
+            or ``None`` for a purely in-memory store.
     """
 
-    def __init__(self, root=None) -> None:
-        self.layout = as_layout(root)
-        # Back-compat: ``root`` stays a Path for the single-directory
-        # layout (and the layout itself for a ring), so callers like
-        # ``ResultCache(store.root)`` keep sharing the same location —
-        # and, for a ring, the same layout instance and counters.
-        if self.layout is None:
-            self.root = None
-        elif isinstance(self.layout, SingleLayout):
-            self.root = self.layout.root
-        else:
-            self.root = self.layout
+    def __init__(self, root: str | os.PathLike | None = None) -> None:
+        self.root = store_dir(root)
         self._memory: dict[str, _CacheEntry] = {}
         self.stats = StoreStats()
 
@@ -171,20 +188,17 @@ class ProfileStore:
     # -- low-level payload cache -------------------------------------------
 
     def _path_for(self, key: str) -> Path:
-        assert isinstance(self.layout, SingleLayout)
-        return self.layout.root / f"{key}.json"
+        return self.root / f"{key}.json"
 
     def _load_entry(self, key: str) -> _CacheEntry | None:
         entry = self._memory.get(key)
         if entry is not None:
             return entry
-        if self.layout is None:
+        if self.root is None:
             return None
-        # The layout degrades truncated/partial/missing entries (and,
-        # for a ring, falls through and read-repairs replicas) — a
-        # bad durable entry is a cache miss, never poison; the
-        # re-profile overwrites it.
-        loaded = self.layout.read(f"{key}.json")
+        # A bad durable entry is a cache miss; the re-profile
+        # overwrites it.
+        loaded = read_entry(self._path_for(key))
         if loaded is None:
             return None
         document, arrays = loaded
@@ -195,14 +209,13 @@ class ProfileStore:
 
     def _store_entry(self, key: str, obj: Any, graph_ref) -> _CacheEntry:
         document, arrays = artifacts.to_document(obj, graph_ref)
-        if self.layout is not None:
+        if self.root is not None:
             try:
-                self.layout.write(f"{key}.json", document, arrays)
+                artifacts.write_document(self._path_for(key), document, arrays)
             except OSError:
-                # A failed durable write (or unmet replica quorum)
-                # costs persistence, not correctness: the in-memory
-                # entry still serves this process, and the next
-                # process re-profiles.
+                # A failed durable write costs persistence, not
+                # correctness: the in-memory entry still serves this
+                # process, and the next process re-profiles.
                 self.stats.write_errors += 1
         entry = _CacheEntry(document=document, arrays=arrays)
         self._memory[key] = entry

@@ -120,10 +120,10 @@ def format_address(address: Any) -> str:
 def split_spec(spec: str) -> tuple[Any, list[str]]:
     """Parse the shared ``a,b,c`` | ``@manifest.json`` target grammar.
 
-    The one spelling for every CLI flag naming backends or store
-    directories (``--server``, ``--backends``, ``--store``): a comma
-    list of items, or an ``@file`` reference to a JSON manifest whose
-    shape the caller interprets.  Returns ``(payload, items)`` — for an
+    The one spelling for every CLI flag naming backends
+    (``--server``, ``--backends``): a comma list of items, or an
+    ``@file`` reference to a JSON manifest whose shape the caller
+    interprets.  Returns ``(payload, items)`` — for an
     ``@file`` reference ``payload`` is the parsed JSON document and
     ``items`` is empty; otherwise ``payload`` is ``None`` and ``items``
     is the comma-split, stripped, non-empty parts.

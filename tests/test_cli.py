@@ -100,3 +100,38 @@ def test_partition_server_refuses_multi_backend_spec(capsys):
     err = capsys.readouterr().err
     assert "error:" in err
     assert "gateway" in err
+
+
+@pytest.mark.parametrize(
+    "spec", ["@ring.json", "./b1,./b2"], ids=["manifest", "comma-list"]
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["partition", "eeg"],
+        ["profile", "eeg"],
+        ["speech", "--rate", "1.0"],
+        ["store", "stats"],
+        ["store", "gc"],
+        ["serve", "--port", "0", "--workers", "0"],
+    ],
+    ids=["partition", "profile", "speech", "store-stats", "store-gc", "serve"],
+)
+def test_store_refuses_ring_spelling(
+    spec, command, tmp_path, monkeypatch, capsys
+):
+    """A replicated-ring spelling of ``--store`` exits 2 with a pointer
+    to one directory instead of creating a directory of that literal
+    name, which would leave every cache lookup a miss."""
+    from repro.workbench import PartitionServer
+
+    monkeypatch.chdir(tmp_path)
+    # Should the refusal regress, serve must still return, not block.
+    monkeypatch.setattr(PartitionServer, "start", lambda self: ("", 0))
+    monkeypatch.setattr(PartitionServer, "serve_forever", lambda self: None)
+    (tmp_path / "ring.json").write_text('{"backends": ["b1", "b2"]}')
+    assert main(command + ["--store", spec]) == 2
+    err = capsys.readouterr().err
+    assert "replicated store was removed" in err
+    assert "one directory" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ring.json"]

@@ -6,16 +6,18 @@ Two properties pin the serving surface down:
   ``RateSearchResult`` — ragged rows, NaN/inf rates, empty graphs, the
   lot — survives ``to_json``/``from_json`` *bit-exact* (the re-serialized
   string is identical); and
-* a truncated or bit-flipped ``.npz`` sidecar raises the typed
-  :class:`ArtifactError` (never unpickles garbage — sidecars load with
-  ``allow_pickle=False`` and every payload byte is CRC-protected by the
-  zip container).
+* a truncated, bit-flipped, or swapped ``.npz`` sidecar raises the
+  typed :class:`ArtifactError` (never unpickles garbage — sidecars load
+  with ``allow_pickle=False``, and their bytes must hash to the digest
+  in their name), and a store read of one is a miss.
 
 Flipped zip flag bits get explicit cases across all three sidecar
 readers (wire, ``load_artifact``, store).
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from repro.dataflow.graph import Pinning, StreamGraph, WorkCounts
 from repro.profiler import Profiler
 from repro.profiler.profiler import Measurement
 from repro.solver.solution import IncumbentEvent, Solution, SolveStatus
-from repro.runtime.frames import FrameError, unpack_arrays
+from repro.runtime.frames import FrameError, pack_arrays, unpack_arrays
 from repro.workbench.artifacts import (
     ArtifactError,
     from_json,
@@ -40,7 +42,8 @@ from repro.workbench.artifacts import (
     save_artifact,
     to_json,
 )
-from repro.workbench.replication import as_layout
+from repro.workbench.cache import ResultCache
+from repro.workbench.store import read_entry
 
 # ---------------------------------------------------------------------------
 # A small deterministic graph family (work functions are never invoked
@@ -296,8 +299,6 @@ def saved_artifact(tmp_path_factory):
     root = tmp_path_factory.mktemp("artifact")
     path = root / "partition.json"
     save_artifact(partition, path)
-    import json
-
     sidecar = path.with_name(json.loads(path.read_text())["npz"])
     assert sidecar.exists()
     return path, sidecar, sidecar.read_bytes(), to_json(partition)
@@ -358,7 +359,7 @@ def test_non_object_json_raises_typed_error(tmp_path):
     clone.write_text("[1, 2]")
     with pytest.raises(ArtifactError, match="not a document"):
         load_artifact(clone)
-    assert as_layout(str(tmp_path)).read(clone.name) is None
+    assert read_entry(clone) is None
 
 
 def _flip_central_directory_flag(blob: bytes, bit: int) -> bytes:
@@ -392,4 +393,44 @@ def test_zip_flag_bits_raise_typed_errors_everywhere(
     (tmp_path / sidecar.name).write_bytes(corrupted)
     with pytest.raises(ArtifactError):
         load_artifact(clone)
-    assert as_layout(str(tmp_path)).read(clone.name) is None
+    assert read_entry(clone) is None
+
+
+def _swap_arrays(blob: bytes) -> bytes:
+    """A well-formed npz holding the same keys with other values."""
+    arrays = unpack_arrays(blob)
+    return pack_arrays({k: np.asarray(v) * 100 for k, v in arrays.items()})
+
+
+def _flip_middle_byte(blob: bytes) -> bytes:
+    corrupted = bytearray(blob)
+    corrupted[len(corrupted) // 2] ^= 0xFF
+    return bytes(corrupted)
+
+
+@pytest.mark.parametrize("corrupt", [_swap_arrays, _flip_middle_byte])
+def test_sidecar_digest_mismatch_is_typed_error_and_miss(
+    saved_artifact, tmp_path, corrupt
+):
+    """A sidecar whose bytes do not hash to the digest in its name is
+    refused even when it decodes as a valid npz: ``load_artifact``
+    raises ArtifactError, and a cache or store read counts a miss
+    instead of serving the other arrays."""
+    path, sidecar, pristine, _ = saved_artifact
+    clone = tmp_path / path.name
+    clone.write_text(path.read_text())
+    (tmp_path / sidecar.name).write_bytes(corrupt(pristine))
+    with pytest.raises(ArtifactError, match="digest"):
+        load_artifact(clone)
+    assert read_entry(clone) is None
+
+    cache_dir = tmp_path / "cache"
+    ResultCache(cache_dir).store_document(
+        "k", {"kind": "bench"}, {"x": np.arange(4.0)}
+    )
+    entry = cache_dir / "result-k.json"
+    npz = cache_dir / json.loads(entry.read_text())["npz"]
+    npz.write_bytes(corrupt(npz.read_bytes()))
+    fresh = ResultCache(cache_dir)
+    assert fresh.lookup("k") is None
+    assert fresh.stats.misses == 1

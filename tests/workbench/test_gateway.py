@@ -5,10 +5,9 @@ gateway splits across shard-owning backends reassembles
 **byte-identical in canonical form** to the in-process answers, in
 request order, with shuffled batches, with a backend killed out from
 under the fleet, and under injected ``gateway.route`` faults.  Around
-that sit the partition directory's hash-ring properties (stable
-assignment, ~1/(N+1) movement — the same bar
-:mod:`tests.workbench.test_replication` holds the store ring to),
-membership events, and typed ``ServerBusy`` admission control.
+that sit the partition directory's rendezvous-hashing properties
+(stable assignment, balanced shares, ~1/(N+1) movement), membership
+events, and typed ``ServerBusy`` admission control.
 """
 
 from __future__ import annotations
@@ -144,7 +143,7 @@ def assert_equivalent(local_results, served_results):
 
 
 # ---------------------------------------------------------------------------
-# Partition directory: hash-ring properties
+# Partition directory: rendezvous-hashing properties
 # ---------------------------------------------------------------------------
 
 _keys = st.lists(
@@ -171,8 +170,7 @@ def test_directory_assignment_is_stable(n, keys):
 @given(n=_sizes, keys=_keys)
 @settings(max_examples=30, deadline=None)
 def test_directory_movement_is_bounded(n, keys):
-    """Adding one backend re-homes about 1/(N+1) of the keys — the
-    consistent-hash bar the store ring is held to."""
+    """Adding one backend re-homes about 1/(N+1) of the keys."""
     members = [f"10.0.0.{i}:7453" for i in range(n)]
     directory = PartitionDirectory(members)
     before = {key: directory.route(key) for key in keys}
@@ -187,6 +185,19 @@ def test_directory_movement_is_bounded(n, keys):
         owner = directory.route(key)
         if owner != before[key]:
             assert owner == "10.0.1.99:7453"
+
+
+def test_directory_shares_are_balanced():
+    """Per-backend key shares stay near 1/N."""
+    backends = [f"10.0.0.{i}:7453" for i in range(4)]
+    directory = PartitionDirectory(backends)
+    counts = {b: 0 for b in backends}
+    total = 4000
+    for i in range(total):
+        counts[directory.route(f"key-{i}")] += 1
+    for backend, count in counts.items():
+        share = count / total
+        assert 0.15 <= share <= 0.35, (backend, share)
 
 
 def test_directory_split_partitions_all_indices():

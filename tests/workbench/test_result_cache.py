@@ -388,6 +388,25 @@ def test_served_repeat_batch_is_cache_hit_and_identical(tmp_path):
     assert_canonically_identical(first, second)
 
 
+def test_second_server_life_answers_from_disk(tmp_path):
+    """A server restarted over the same store directory answers a batch
+    the first life solved entirely from disk, byte-identically."""
+    requests = batch()
+    store_dir = str(tmp_path)
+    lives = []
+    for _ in range(2):
+        with PartitionServer(workers=1, store=store_dir) as srv:
+            with ServerClient(srv.address) as client:
+                lives.append(
+                    client.partition_many(
+                        "eeg", requests, params=PARAMS, skip_infeasible=True
+                    )
+                )
+                stats = client.last_batch_stats
+    assert stats == {"cache_hits": len(requests), "cache_misses": 0}
+    assert_canonically_identical(*lives)
+
+
 def test_cache_shared_between_session_and_server(tmp_path):
     """One durable directory is one cache for every serving layer."""
     requests = batch()

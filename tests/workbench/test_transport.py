@@ -410,19 +410,3 @@ def test_split_spec_manifest_errors(tmp_path):
     bad.write_text("{nope")
     with pytest.raises(ServerError, match="is not JSON"):
         split_spec(f"@{bad}")
-
-
-def test_as_layout_routes_through_split_spec(tmp_path):
-    from repro.workbench.replication import (
-        ReplicatedStore,
-        SingleLayout,
-        as_layout,
-    )
-
-    single = as_layout(str(tmp_path / "solo"))
-    assert isinstance(single, SingleLayout)
-    # A trailing comma is still a single directory, not a ring.
-    also_single = as_layout(str(tmp_path / "solo") + ",")
-    assert isinstance(also_single, SingleLayout)
-    ring = as_layout(f"{tmp_path / 'a'},{tmp_path / 'b'}")
-    assert isinstance(ring, ReplicatedStore)
