@@ -677,7 +677,9 @@ def from_json(text: str, graph: StreamGraph | None = None) -> Any:
     return from_document(document, arrays, graph)
 
 
-def write_document(path, document: dict[str, Any], arrays, indent=None):
+def write_document(
+    path, document: dict[str, Any], arrays, indent=None, encoded=None
+):
     """Write a document + npz sidecar to disk (the on-disk convention).
 
     The sidecar lands first and both files appear via write-then-rename,
@@ -690,6 +692,12 @@ def write_document(path, document: dict[str, Any], arrays, indent=None):
     pins this).  A loser's sidecar may linger as an orphan — covered by
     the store GC item on the ROADMAP.  Mutates ``document`` to record the
     sidecar name.  Shared by :func:`save_artifact` and the profile store.
+
+    ``encoded`` is ``encode_message(document, arrays)`` when the caller
+    already has it (a server worker about to reply with it).  Its body
+    becomes the sidecar and its header the JSON body, with the sidecar
+    name appended as the last member, so nothing is serialized twice;
+    ``indent`` does not apply.
     """
     import os
     import threading
@@ -711,7 +719,7 @@ def write_document(path, document: dict[str, Any], arrays, indent=None):
         f"{next(_WRITE_COUNTER)}"
     )
     if arrays:
-        blob = pack_arrays(arrays)
+        blob = pack_arrays(arrays) if encoded is None else encoded[1]
         digest = hashlib.sha256(blob).hexdigest()[:16]
         npz_name = f"{path.name}.{digest}.npz"
         document["npz"] = npz_name
@@ -719,8 +727,15 @@ def write_document(path, document: dict[str, Any], arrays, indent=None):
         npz_tmp = path.with_name(f"{npz_name}.tmp.{token}")
         npz_tmp.write_bytes(blob)
         npz_tmp.replace(npz_path)
+    if encoded is None:
+        text = json.dumps(document, sort_keys=True, indent=indent).encode()
+    elif arrays:
+        member = b', "npz": %s}' % json.dumps(npz_name).encode()
+        text = encoded[0][:-1] + member
+    else:
+        text = encoded[0]
     tmp = path.with_name(f"{path.name}.tmp.{token}")
-    tmp.write_text(json.dumps(document, sort_keys=True, indent=indent))
+    tmp.write_bytes(text)
     tmp.replace(path)
 
 

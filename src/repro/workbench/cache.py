@@ -45,13 +45,13 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Mapping
 
 from ..core.cut import InfeasiblePartition
 from ..core.partitioner import PartitionResult
 from ..dataflow.graph import StreamGraph
 from ..profiler.profiler import Profiler
-from ..runtime.frames import encode_message
+from ..runtime.frames import decode_message, encode_message
 from . import artifacts
 from .scenarios import Scenario, get_scenario
 from .store import profiler_config, read_entry, store_dir
@@ -106,32 +106,86 @@ def result_key(
     return hashlib.sha256(blob.encode()).hexdigest()[:32]
 
 
-class _Answer(NamedTuple):
-    document: dict[str, Any]
-    arrays: dict[str, Any]
-
-
-#: Serializes first encodings, so each entry's wire form is built once.
+#: Serializes first encodings and decodings, so each entry's wire
+#: form and its decoded answer are each built at most once.
 _WIRE_LOCK = threading.Lock()
 
 
-class CacheEntry(_Answer):
-    """One remembered answer: ``(document, arrays)`` plus its wire form.
+class CacheEntry:
+    """One remembered answer: ``(document, arrays)`` and its wire form.
 
-    Unpacks like the plain pair.  :meth:`wire` encodes the answer on
-    first use and keeps the bytes, so a hit served over the network
-    costs no ``json.dumps`` or ``np.savez``.  The memory LRU bounds
-    the kept bytes along with the entries.
+    Built from either side; the other is derived on first use and
+    kept.  Unpacks like the plain pair.  :meth:`wire` encodes the
+    answer on first use, so a hit served over the network costs no
+    ``json.dumps`` or ``np.savez``.  An entry built by
+    :meth:`from_wire` (a fresh answer a server worker encoded) is
+    forwarded as is and decoded only if something reads
+    :attr:`document` or :attr:`arrays`.  The memory LRU bounds the
+    kept bytes along with the entries.
     """
 
-    _wire: tuple[bytes, bytes] | None = None
+    __slots__ = ("_answer", "_wire")
+
+    def __init__(
+        self,
+        document: dict[str, Any] | None = None,
+        arrays: dict[str, Any] | None = None,
+        wire: tuple[bytes, bytes] | None = None,
+    ) -> None:
+        self._answer = None if document is None else (document, arrays or {})
+        self._wire = wire
+
+    @classmethod
+    def from_wire(cls, header: bytes, body: bytes) -> "CacheEntry":
+        """An entry around ``encode_message(document, arrays)`` bytes.
+
+        Only solved partitions travel as wire bytes: an infeasible
+        answer is sent as ``null`` (see the server's result frames), so
+        such an entry is never :attr:`infeasible`.
+        """
+        return cls(wire=(header, body))
+
+    def _decoded(self) -> tuple[dict[str, Any], dict[str, Any]]:
+        with _WIRE_LOCK:
+            if self._answer is None:
+                self._answer = decode_message(*self._wire)
+            return self._answer
+
+    @property
+    def document(self) -> dict[str, Any]:
+        return self._decoded()[0]
+
+    @property
+    def arrays(self) -> dict[str, Any]:
+        return self._decoded()[1]
+
+    def __iter__(self):
+        return iter(self._decoded())
+
+    @property
+    def infeasible(self) -> bool:
+        """Whether this entry records a proven-infeasible request."""
+        answer = self._answer
+        return (
+            answer is not None and answer[0].get("kind") == _INFEASIBLE_KIND
+        )
 
     def wire(self) -> tuple[bytes, bytes]:
         """``encode_message(document, arrays)``, built at most once."""
         with _WIRE_LOCK:
             if self._wire is None:
-                self._wire = encode_message(self.document, self.arrays)
+                self._wire = encode_message(*self._answer)
             return self._wire
+
+
+def _infeasible_document() -> dict[str, Any]:
+    """The document a cached infeasible answer is stored as."""
+    return {
+        "schema": "repro.workbench",
+        "schema_version": artifacts.SCHEMA_VERSION,
+        "kind": _INFEASIBLE_KIND,
+        "payload": None,
+    }
 
 
 @dataclass
@@ -215,15 +269,8 @@ class ResultCache:
             self.stats.hits += 1
         return entry
 
-    @staticmethod
-    def is_infeasible(document: Mapping[str, Any]) -> bool:
-        """Whether a cached document records an infeasible answer."""
-        return document.get("kind") == _INFEASIBLE_KIND
-
     def materialize(
-        self,
-        entry: tuple[dict[str, Any], dict[str, Any]],
-        graph: StreamGraph | None = None,
+        self, entry: CacheEntry, graph: StreamGraph | None = None
     ) -> PartitionResult | None:
         """Reconstruct a cached entry (``None`` for cached infeasibility).
 
@@ -232,9 +279,9 @@ class ResultCache:
         the entry; the document is deep-copied first so callers can
         never mutate the cached payload through shared sub-objects.
         """
-        document, arrays = entry
-        if self.is_infeasible(document):
+        if entry.infeasible:
             return None
+        document, arrays = entry
         return artifacts.from_document(copy.deepcopy(document), arrays, graph)
 
     # -- population ---------------------------------------------------------
@@ -247,13 +294,7 @@ class ResultCache:
     ) -> None:
         """Record one solved answer (``None`` = proven infeasible)."""
         if result is None:
-            document: dict[str, Any] = {
-                "schema": "repro.workbench",
-                "schema_version": artifacts.SCHEMA_VERSION,
-                "kind": _INFEASIBLE_KIND,
-                "payload": None,
-            }
-            arrays: dict[str, Any] = {}
+            document, arrays = _infeasible_document(), {}
         else:
             document, arrays = artifacts.to_document(result, graph_ref)
         self.store_document(key, document, arrays)
@@ -263,11 +304,14 @@ class ResultCache:
         key: str,
         document: dict[str, Any] | None,
         arrays: Mapping[str, Any] | None,
+        wire: tuple[bytes, bytes] | None = None,
     ) -> CacheEntry | None:
-        """Record an already-serialized answer (the server's wire form).
+        """Record an already-serialized answer.
 
-        Returns the remembered entry (the server sends its
-        :meth:`~CacheEntry.wire` bytes, which later hits reuse).
+        Returns the remembered entry.  ``wire`` is the answer's
+        ``encode_message(document, arrays)`` when the caller has
+        already encoded it (a server worker about to reply): the entry
+        keeps those bytes, and the durable write is made from them.
         ``document=None`` records infeasibility, mirroring the ``None``
         slots the worker protocol uses for skipped requests, and
         returns ``None``.
@@ -278,12 +322,14 @@ class ResultCache:
         arrays = dict(arrays or {})
         if self.root is not None:
             # write_document records its sidecar name *in* the document
-            # it writes; hand it a copy so the caller's dict (which the
-            # server ships over the wire after caching it) and the
+            # it writes; hand it a copy so the caller's dict and the
             # remembered entry stay in the pure wire shape.
             try:
                 artifacts.write_document(
-                    self._path_for(key), dict(document), arrays
+                    self._path_for(key),
+                    dict(document),
+                    arrays,
+                    encoded=wire,
                 )
             except OSError:
                 # A failed durable write must not fail the request:
@@ -291,11 +337,24 @@ class ResultCache:
                 # process; only cross-process sharing is lost.
                 with self._lock:
                     self.stats.store_errors += 1
-        entry = CacheEntry(document, arrays)
+        entry = CacheEntry(document, arrays, wire)
+        self.remember(key, entry)
+        return entry
+
+    def remember(self, key: str, entry: CacheEntry | None) -> None:
+        """Count one stored answer and keep it in memory, writing
+        nothing: the partition server's workers already wrote the
+        durable entry.  ``None`` records infeasibility."""
+        if entry is None:
+            entry = CacheEntry(_infeasible_document())
         self._remember(key, entry)
         with self._lock:
             self.stats.stores += 1
-        return entry
+
+    def add_store_errors(self, count: int) -> None:
+        """Count durable writes that failed in another process."""
+        with self._lock:
+            self.stats.store_errors += count
 
     def raise_infeasible(self, key: str) -> None:
         """The error a cached-infeasible hit raises under strict mode."""

@@ -364,6 +364,20 @@ def maybe_raise(site: str, worker: int | None = None) -> None:
         raise rule.build_error()
 
 
+def absorb(fired: Sequence[tuple[str, str, int | None, int]]) -> None:
+    """Add faults another process fired to the active plan's record.
+
+    A server worker runs its own copy of the plan and reports what it
+    fired with each reply; absorbing those events makes :func:`stats`
+    count them.  A no-op without an installed plan.
+    """
+    plan = _ACTIVE
+    if plan is None or not fired:
+        return
+    with plan._lock:
+        plan.fired.extend(tuple(event) for event in fired)
+
+
 def _frame_hook(site: str) -> FaultRule | None:
     plan = _ACTIVE
     if plan is None:

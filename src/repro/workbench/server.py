@@ -30,8 +30,14 @@ own in-memory store — and answers each run with its own session's
 :meth:`PartitionService.partition_many`, the in-process code path
 itself.  A worker therefore formulates each probe group once, keeps the
 :class:`~repro.core.probe.ScaledProbe`, and re-probes it for every later
-run of that group at any rate and budget; the parent only groups, orders
-and shards.  A worker that dies mid-run (crash, OOM kill, SIGKILL) is
+run of that group at any rate and budget.  The worker also serializes
+what it solved: it encodes each answer once into the bytes of its
+result message, writes the answer's result-cache entry from those bytes
+(see :func:`~repro.workbench.artifacts.write_document`), and only then
+replies with the bytes.  The parent groups, orders and shards, then stores and
+forwards: it keeps each fresh answer's bytes in its memory cache and
+sends them as they are, never encoding, decoding or writing an answer
+itself.  A worker that dies mid-run (crash, OOM kill, SIGKILL) is
 detected by its process sentinel, its unfinished run is requeued to the
 survivors, and a replacement worker is spawned — no request is lost or
 answered twice.
@@ -48,7 +54,7 @@ import warnings
 from collections import deque
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Any, BinaryIO, Mapping, Sequence
+from typing import Any, BinaryIO, Mapping, NamedTuple, Sequence
 
 import multiprocessing
 from multiprocessing import connection as mp_connection
@@ -58,7 +64,7 @@ from ..core.partitioner import PartitionResult
 from ..platforms import get_platform
 from ..profiler.profiler import Profiler
 from ..dataflow.graph import StreamGraph
-from ..runtime.frames import send_frames, send_message
+from ..runtime.frames import encode_message, send_frames, send_message
 from . import artifacts, faults
 from .cache import CacheEntry, ResultCache, result_key
 from .membership import (
@@ -103,6 +109,12 @@ _TEST_DELAY_ENV = "REPRO_SERVER_TEST_DELAY"
 #: many (scenario, params) pairs the least recently used is dropped.
 _CLIENT_GRAPHS = 8
 
+#: Sessions (each with its probe and profile caches) one worker, or the
+#: degraded parent, keeps; past this many (scenario, params, platform,
+#: profiler) keys the least recently used is dropped.  One e2ebench
+#: catalog pass uses 19.
+_SESSIONS = 32
+
 
 # ---------------------------------------------------------------------------
 # Worker side
@@ -136,7 +148,7 @@ def _session_for(
     profiler_cfg: Mapping[str, Any] | None,
 ) -> Session:
     key = _session_key(scenario, params, platform, profiler_cfg)
-    session = sessions.get(key)
+    session = sessions.pop(key, None)
     if session is None:
         profiler = Profiler(**profiler_cfg) if profiler_cfg else None
         session = Session(
@@ -146,25 +158,40 @@ def _session_for(
             profiler=profiler,
             params=params,
         )
-        sessions[key] = session
+    sessions[key] = session
+    while len(sessions) > _SESSIONS:
+        sessions.pop(next(iter(sessions)))
     return session
+
+
+class _JobAnswers(NamedTuple):
+    """A run's reply: ``(original_index, header, body)`` per request —
+    the answer's ``encode_message`` frames, or ``(index, None, None)``
+    for an infeasible request under ``skip_infeasible`` — and how many
+    of its durable result writes failed."""
+
+    answers: list[tuple[int, bytes | None, bytes | None]]
+    store_errors: int
 
 
 def _run_job(
     payload: Mapping[str, Any],
     store: ProfileStore,
     sessions: dict[str, Session],
-) -> list[tuple[int, dict | None, dict | None]]:
-    """Solve one run (same-budget slice of one group) and serialize it.
+) -> _JobAnswers:
+    """Solve one run (same-budget slice of one group), then encode and
+    persist each answer.
 
     The run goes through the worker session's own
     :meth:`PartitionService.partition_many`, which keeps one probe per
     probe group across runs and resets its warm-start state at entry,
     so every run is answered exactly as a fresh in-process batch.
 
-    Returns ``(original_index, document, arrays)`` per request;
-    ``(index, None, None)`` marks an infeasible request under
-    ``skip_infeasible``.
+    Each answer is encoded once.  When the payload carries the run's
+    result keys and the store is durable, each answer's result-cache
+    entry (infeasible ones included) is written from those bytes before
+    this returns, so it is on disk before the reply leaves the server.
+    A failed write is counted in the reply, never raised.
     """
     delay = float(os.environ.get(_TEST_DELAY_ENV, "0") or 0.0)
     if delay > 0.0:
@@ -183,14 +210,21 @@ def _run_job(
     results = session.service.partition_many(
         requests, skip_infeasible=payload["skip_infeasible"]
     )
-    out: list[tuple[int, dict | None, dict | None]] = []
-    for (index, _), result in zip(entries, results):
-        if result is None:
-            out.append((index, None, None))
-        else:
+    keys = payload.get("keys")
+    cache = None
+    if keys is not None and store.root is not None:
+        # Writes only: the server parent keeps the entries it forwards.
+        cache = ResultCache(store.root, max_memory_entries=0)
+    answers: list[tuple[int, bytes | None, bytes | None]] = []
+    for i, ((index, _), result) in enumerate(zip(entries, results)):
+        document = arrays = header = body = None
+        if result is not None:
             document, arrays = artifacts.to_document(result, graph_ref)
-            out.append((index, document, arrays))
-    return out
+            header, body = encode_message(document, arrays)
+        if cache is not None:
+            cache.store_document(keys[i], document, arrays, (header, body))
+        answers.append((index, header, body))
+    return _JobAnswers(answers, cache.stats.store_errors if cache else 0)
 
 
 def _worker_main(
@@ -210,7 +244,9 @@ def _worker_main(
     moving — from a busy one.  ``plan_spec`` installs the parent's
     fault plan in this process (fresh occurrence counters); the
     ``worker.run`` site fires at each job start and the
-    ``worker.heartbeat`` site before each beat.
+    ``worker.heartbeat`` site before each beat.  Each reply carries the
+    faults this process fired since its previous reply, which the
+    parent adds to its own plan's count.
     """
     # A worker forked while the server holds client connections (any
     # respawn/scale-up after serving began) inherits those socket fds;
@@ -223,11 +259,12 @@ def _worker_main(
         except OSError:
             pass
     if plan_spec is not None:
-        faults.install(faults.FaultPlan.from_spec(plan_spec))
+        plan = faults.install(faults.FaultPlan.from_spec(plan_spec))
     else:
         # A fork-inherited plan would double-count against the parent's
         # schedule; workers only ever run explicitly shipped plans.
-        faults.clear()
+        plan = faults.install(None)
+    reported = 0
     store = ProfileStore(store_root)
     sessions: dict[str, Session] = {}
     runner = job_runner if job_runner is not None else _run_job
@@ -278,9 +315,11 @@ def _worker_main(
             reply = (job_id, "ok", result)
         except Exception as exc:
             reply = (job_id, "error", (type(exc).__name__, str(exc)))
+        fired = plan.fired[reported:] if plan is not None else []
+        reported += len(fired)
         try:
             with send_lock:
-                conn.send(reply)
+                conn.send((*reply, fired))
         except (BrokenPipeError, OSError):
             stop.set()
             return
@@ -776,9 +815,10 @@ class WorkerPool:
                 )
 
     def _complete_locked(self, handle: _WorkerHandle, message) -> None:
-        job_id, status, data = message
+        job_id, status, data, fired = message
         if not isinstance(job_id, int):
             return
+        faults.absorb(fired)
         job = self._jobs.pop(job_id, None)
         if handle.current is not None and handle.current.job_id == job_id:
             handle.current = None
@@ -1142,9 +1182,11 @@ class PartitionServer:
             if job.error is not None:
                 failure = failure or job.error
                 continue
-            for index, doc, arrays in job.result or []:
-                if doc is not None:
-                    slots[index] = CacheEntry(doc, arrays or {})
+            if self.result_cache is not None:
+                self.result_cache.add_store_errors(job.result.store_errors)
+            for index, header, body in job.result.answers:
+                if header is not None:
+                    slots[index] = CacheEntry.from_wire(header, body)
         if failure is not None:
             send_message(
                 stream,
@@ -1152,19 +1194,11 @@ class PartitionServer:
             )
             return
         if self.result_cache is not None:
-            # Populate the shared cache with the fresh solves; the
-            # workers already produced the wire documents, so this is a
-            # pure store (race-safe content-addressed writes).  Sending
-            # the remembered entry encodes it once for this reply and
-            # every later hit.
+            # The workers already wrote each fresh answer's durable
+            # entry; the parent remembers the bytes it forwards, which
+            # this reply and every later hit send as they are.
             for index, key in miss_keys.items():
-                slot = slots[index]
-                if slot is None:
-                    self.result_cache.store_document(key, None, None)
-                else:
-                    slots[index] = self.result_cache.store_document(
-                        key, *slot
-                    )
+                self.result_cache.remember(key, slots[index])
         send_message(
             stream,
             {
@@ -1220,7 +1254,7 @@ class PartitionServer:
                 if entry is None:
                     miss_keys[index] = key
                     miss_indices.append(index)
-                elif self.result_cache.is_infeasible(entry.document):
+                elif entry.infeasible:
                     if not skip_infeasible:
                         self.result_cache.raise_infeasible(key)
                     prefilled[index] = None
@@ -1252,6 +1286,12 @@ class PartitionServer:
                     "profiler": profiler_cfg,
                     "skip_infeasible": skip_infeasible,
                     "entries": [(i, payloads[i]) for i in run],
+                    # The worker persists each answer under its key.
+                    "keys": (
+                        [miss_keys[i] for i in run]
+                        if self.result_cache is not None
+                        else None
+                    ),
                 }
                 jobs.append(self.pool.submit(payload))
         return jobs, len(requests), platform, prefilled, miss_keys

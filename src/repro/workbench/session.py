@@ -510,7 +510,7 @@ class Session:
             if entry is None:
                 misses.append(index)
                 continue
-            if cache.is_infeasible(entry[0]):
+            if entry.infeasible:
                 if not skip_infeasible:
                     cache.raise_infeasible(key)
                 results[index] = None

@@ -101,7 +101,8 @@ def store_dir(root: str | os.PathLike | None) -> Path | None:
     A comma list or an ``@manifest.json`` reference was the spelling of
     a replicated ring, which no longer exists; read literally it would
     name a fresh, empty directory and every lookup would miss, so it is
-    refused with a :class:`WorkbenchError` instead.
+    refused with a :class:`WorkbenchError` instead.  A leading ``~``
+    expands to the home directory, as a shell would expand it.
     """
     if root is None:
         return None
@@ -111,7 +112,7 @@ def store_dir(root: str | os.PathLike | None) -> Path | None:
             f"store {text!r} looks like a replicated-store ring spec; "
             f"the replicated store was removed: pass one directory"
         )
-    return Path(root)
+    return Path(root).expanduser()
 
 
 def read_entry(path: Path) -> tuple[dict[str, Any], dict[str, Any]] | None:

@@ -22,7 +22,13 @@ from repro.workbench import (
     save_artifact,
     to_json,
 )
-from repro.workbench.artifacts import SCHEMA_VERSION
+from repro.runtime.frames import encode_message
+from repro.workbench.artifacts import (
+    SCHEMA_VERSION,
+    read_document,
+    to_document,
+    write_document,
+)
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +159,30 @@ def test_save_and_load_with_npz_sidecar(tmp_path, eeg_session):
     loaded = load_artifact(path)
     assert loaded.partition.node_set == result.partition.node_set
     np.testing.assert_array_equal(loaded.solution.x, result.solution.x)
+
+
+def test_write_from_encoded_bytes_matches_write_from_document(
+    tmp_path, eeg_session
+):
+    """An entry written from an answer's wire bytes reads back as the
+    entry written from its document: same document, same sidecar bytes,
+    and the sidecar name recorded in the caller's document both ways."""
+    result = eeg_session.partition(
+        rate_factor=2.0, gap_tolerance=5e-3, net_budget=float("inf")
+    )
+    document, arrays = to_document(result, _graph_ref(eeg_session))
+    encoded = encode_message(document, arrays)
+    plain, spliced = dict(document), dict(document)
+    write_document(tmp_path / "a.json", plain, arrays)
+    write_document(tmp_path / "b.json", spliced, arrays, encoded=encoded)
+    doc_a, arrays_a = read_document(tmp_path / "a.json")
+    doc_b, arrays_b = read_document(tmp_path / "b.json")
+    assert plain["npz"] == doc_a["npz"] and spliced["npz"] == doc_b["npz"]
+    assert doc_b.pop("npz").replace("b.json", "a.json") == doc_a.pop("npz")
+    assert doc_a == doc_b == document
+    assert arrays_a.keys() == arrays_b.keys()
+    for key in arrays_a:
+        np.testing.assert_array_equal(arrays_a[key], arrays_b[key])
 
 
 def test_schema_version_mismatch_raises(eeg_session):

@@ -8,14 +8,17 @@ order, concurrent clients, or a worker being SIGKILLed mid-batch.
 The result cache is disabled on *both* sides throughout this file: the
 sessions and servers here share one durable store, and a cache hit would
 answer from disk instead of exercising the sharded solve path these
-tests exist to pin.  Cached-path equivalence (hits byte-identical to the
-solves that populated them) is pinned by
-``tests/workbench/test_result_cache.py``.
+tests exist to pin.  The exceptions are the tests of where a fresh answer
+is encoded and persisted, which give each server a fresh cache directory.
+Cached-path equivalence (hits byte-identical to the solves that populated
+them) is pinned by ``tests/workbench/test_result_cache.py``.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import shutil
 import signal
 import threading
 import time
@@ -34,11 +37,18 @@ from repro.workbench import (
     ServerError,
     Session,
 )
-from repro.workbench.artifacts import canonical_json
+from repro.runtime import frames
+from repro.workbench import artifacts, cache as cache_module
+from repro.workbench import server as server_module
+from repro.workbench.artifacts import canonical_document, canonical_json
 from repro.runtime.frames import encode_message
-from repro.workbench.cache import CacheEntry
+from repro.workbench.cache import RESULT_PREFIX, CacheEntry, result_key
 from repro.workbench.scenarios import Scenario
-from repro.workbench.server import _budget_runs, _result_frames
+from repro.workbench.server import (
+    _budget_runs,
+    _result_frames,
+    _session_for,
+)
 
 #: Small scenario parameterizations so profiling (shared via a durable
 #: store) and the per-request solves stay fast.
@@ -292,6 +302,151 @@ def test_reused_worker_probe_answers_like_a_fresh_one(store_dir):
                     requests, skip_infeasible=True
                 )
                 assert_equivalent(local, served)
+
+
+def test_worker_sessions_are_bounded(store_dir, monkeypatch):
+    """Past the bound the least recently used session is dropped: with
+    room for one, alternating two scenarios keeps one session, rebuilds
+    the evicted one on return, and every answer equals a fresh
+    session's."""
+    monkeypatch.setattr(server_module, "_SESSIONS", 1)
+    sessions: dict = {}
+    store = ProfileStore(store_dir)
+    built = []
+    for scenario in ("eeg", "speech", "eeg"):
+        session = _session_for(
+            sessions, store, scenario, SCENARIO_PARAMS[scenario], "tmote",
+            None,
+        )
+        assert list(sessions.values()) == [session]
+        assert all(session is not earlier for earlier in built)
+        built.append(session)
+        requests = budget_batch(0.9)
+        assert_equivalent(
+            local_session(scenario, store_dir).partition_many(
+                requests, skip_infeasible=True
+            ),
+            session.service.partition_many(requests, skip_infeasible=True),
+        )
+
+
+def warm_cache_dir(store_dir: str, tmp_path) -> str:
+    """A fresh store holding the shared store's profiles (no results):
+    profiling stays warm while every request must be solved."""
+    root = tmp_path / "cache"
+    root.mkdir()
+    for name in os.listdir(store_dir):
+        source = os.path.join(store_dir, name)
+        if os.path.isfile(source) and not name.startswith(RESULT_PREFIX):
+            shutil.copy(source, root / name)
+    return str(root)
+
+
+def test_parent_only_forwards_fresh_answers(
+    store_dir, tmp_path, monkeypatch
+):
+    """Once the workers are forked, the parent needs none of the code
+    that encodes, decodes or writes an answer: a cold batch with every
+    such function refusing answers in the parent still comes back equal
+    to the in-process one."""
+    requests = batch_for("eeg")
+    local = local_session("eeg", store_dir).partition_many(
+        requests, skip_infeasible=True
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the server parent serialized an answer")
+
+    def refuse_answers(original):
+        def encode(document, arrays=None):
+            if document.get("schema") == "repro.workbench":
+                refuse()
+            return original(document, arrays)
+
+        return encode
+
+    with PartitionServer(
+        workers=2, store=warm_cache_dir(store_dir, tmp_path)
+    ) as srv, monkeypatch.context() as patch:
+        patch.setattr(artifacts, "to_document", refuse)
+        patch.setattr(artifacts, "write_document", refuse)
+        patch.setattr(cache_module, "decode_message", refuse)
+        for module in (frames, cache_module, server_module):
+            patch.setattr(
+                module, "encode_message",
+                refuse_answers(module.encode_message),
+            )
+        with ServerClient(srv.address) as client:
+            served = client.partition_many(
+                "eeg", requests, params=SCENARIO_PARAMS["eeg"],
+                skip_infeasible=True,
+            )
+        assert srv.result_cache.stats.stores == len(requests)
+    assert_equivalent(local, served)
+
+
+def test_answers_are_durable_when_the_reply_arrives(store_dir, tmp_path):
+    """Workers write each answer's result entry before replying: when
+    ``partition_many`` returns, every entry reads back from disk, and
+    each solved one holds the answer the client got."""
+    requests = batch_for("eeg")
+    root = warm_cache_dir(store_dir, tmp_path)
+    with PartitionServer(workers=2, store=root) as srv:
+        with ServerClient(srv.address) as client:
+            served = client.partition_many(
+                "eeg", requests, params=SCENARIO_PARAMS["eeg"],
+                skip_infeasible=True,
+            )
+            kinds = []
+            for request, result in zip(requests, served):
+                key = result_key(
+                    "eeg", SCENARIO_PARAMS["eeg"], None, "tmote", request
+                )
+                document, arrays = artifacts.read_document(
+                    os.path.join(root, f"{RESULT_PREFIX}{key}.json")
+                )
+                kinds.append(document["kind"])
+                if result is not None:
+                    stored = artifacts.from_document(document, arrays)
+                    assert canonical_json(stored) == canonical_json(result)
+    assert kinds.count("infeasible_result") == 1
+    assert kinds.count("partition_result") == len(requests) - 1
+
+
+def test_degraded_runner_replies_like_a_worker(store_dir, tmp_path):
+    """The in-process fallback runs the workers' own job code: for the
+    same run its reply carries the same indices and the same bytes,
+    wall-clock fields aside."""
+
+    def canonical(answers):
+        return [
+            (
+                index,
+                None if header is None
+                else canonical_document(json.loads(header)),
+                body,
+            )
+            for index, header, body in answers
+        ]
+
+    requests = batch_for("eeg")
+    with PartitionServer(
+        workers=1, store=warm_cache_dir(store_dir, tmp_path)
+    ) as srv:
+        jobs = srv._submit_batch(
+            {
+                "scenario": "eeg",
+                "params": SCENARIO_PARAMS["eeg"],
+                "skip_infeasible": True,
+                "requests": [r.to_payload() for r in requests],
+            }
+        )[0]
+        assert len(jobs) > 1
+        for job in jobs:
+            assert job.event.wait(120.0) and job.error is None, job.error
+            inline = srv._solve_inline(job.payload)
+            assert canonical(inline.answers) == canonical(job.result.answers)
+            assert inline.store_errors == job.result.store_errors == 0
 
 
 def test_in_memory_store_server_equals_inprocess():

@@ -149,3 +149,14 @@ def test_scenario_version_invalidates_key():
     assert ProfileStore.measurement_key(
         scenario, params
     ) != ProfileStore.measurement_key(bumped, params)
+
+
+def test_store_paths_expand_home(tmp_path, monkeypatch):
+    """``~`` names the home directory, as in the module docstring's
+    ``ProfileStore("~/.repro-store")``: both stores land under it, not
+    under a directory literally named ``~``."""
+    from repro.workbench.cache import ResultCache
+
+    monkeypatch.setenv("HOME", str(tmp_path))
+    assert ProfileStore("~/s").root == tmp_path / "s"
+    assert ResultCache("~/s").root == tmp_path / "s"
