@@ -4,11 +4,12 @@ Measures the two paths this repo's headline figures depend on:
 
 1. ``branch_bound`` — our :class:`BranchAndBound` on the EEG (Figure 6)
    instance at a binding rate factor where a search tree survives the
-   root, in two configurations: ``tuned`` (warm-started persistent HiGHS,
-   diving, reduced-cost fixing) and ``plain`` (all tuning knobs off — the
-   seed-equivalent search).  Reports nodes/sec, relaxations/sec, and
-   simplex iterations/sec, plus the node count of a rate factor that
-   closure fixing closes at the root (``root_closing``).
+   root, in two configurations: ``tuned`` (one HiGHS model warm-started
+   from node to node, diving, reduced-cost fixing) and ``plain`` (all
+   tuning knobs off — the seed-equivalent search).  Reports nodes/sec,
+   relaxations/sec, and simplex iterations/sec, plus the node count of
+   a rate factor that closure fixing closes at the root
+   (``root_closing``).
 
 2. ``rate_search`` — a full §4.3 :class:`RateSearch` sweep with the
    incremental :class:`ScaledProbe` (formulate once, rescale per probe)
@@ -216,10 +217,13 @@ def _partition_many_requests(n_requests: int) -> list[PartitionRequest]:
 def bench_partition_many(smoke: bool) -> dict:
     """Workbench batched serving vs. a loop of independent partitions.
 
-    The batch path shares one cached formulation and one persistent
-    warm-started relaxation across all compatible requests; the loop
-    re-runs the full pin -> reduce -> formulate -> solve pipeline per
-    request (what every caller did before the workbench existed).
+    The batch path shares one cached formulation (and its HiGHS model)
+    across all compatible requests, each solved from no solver state;
+    the loop re-runs the full pin -> reduce -> formulate -> solve
+    pipeline per request (what every caller did before the workbench
+    existed).  ``equivalent_ties`` counts requests where the two reach
+    the same optimum at a different vertex: the probe's rescaled arrays
+    and a rebuild at the same rate differ in float rounding.
     """
     n_channels = 6 if smoke else 22
     session = Session("eeg", n_channels=n_channels)
@@ -257,7 +261,8 @@ def bench_partition_many(smoke: bool) -> dict:
             <= 1e-9
         ):
             # Same optimum, different representative of a symmetric
-            # plateau (the EEG channels are identical).
+            # plateau (the EEG channels are identical), reached because
+            # the rescaled and the rebuilt arrays round differently.
             equivalent_ties += 1
         else:
             mismatches += 1
@@ -276,8 +281,8 @@ def bench_partition_many(smoke: bool) -> dict:
 def bench_partition_many_served(smoke: bool) -> dict:
     """The acceptance batch through the partition server.
 
-    Times the full EEG batch (4 budget pairs x 5 rates, so 4 shardable
-    budget runs) served over the socket by 1-worker and 2-worker pools
+    Times the full EEG batch (4 budget pairs x 5 rates, one job per
+    request) served over the socket by 1-worker and 2-worker pools
     against the in-process ``Session.partition_many``, and counts
     canonical-artifact mismatches (must be 0: the server's contract is
     byte-identical answers).  Profiling is shared through one durable
@@ -597,7 +602,8 @@ def main() -> None:
         f"partition_many: {pm['requests']} requests in "
         f"{pm['batch_seconds']:.2f}s batched vs {pm['loop_seconds']:.2f}s "
         f"looped ({pm['batch_vs_loop_speedup']:.1f}x, "
-        f"{pm['identical']} identical, {pm['equivalent_ties']} ties, "
+        f"{pm['identical']} identical, {pm['equivalent_ties']} rounding "
+        f"ties with the rebuild, "
         f"{pm['mismatches']} mismatches)"
     )
     pms = report["partition_many_served"]

@@ -19,10 +19,10 @@ survive process restarts and every caller gets defensive copies), a
 :class:`Scenario` registry (EEG, speech, and leak detection ship
 pre-registered; new workloads are one :func:`register_scenario` call),
 and a batched :class:`PartitionService` whose ``partition_many`` shares
-one cached formulation and one warm-started relaxation across every
-compatible request in a batch.  All solver artifacts round-trip through
-versioned JSON via :func:`repro.workbench.to_json` /
-:func:`repro.workbench.save_artifact`.
+one cached formulation across every compatible request in a batch, while
+each request's answer depends on that request alone.  All solver
+artifacts round-trip through versioned JSON via
+:func:`repro.workbench.to_json` / :func:`repro.workbench.save_artifact`.
 
 The underlying layers remain public for direct use:
 

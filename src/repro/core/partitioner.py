@@ -218,9 +218,10 @@ class Wishbone:
     def solve_arrays(self, program, relaxation=None) -> Solution:
         """Run the configured MILP backend on a program or raw arrays.
 
-        ``relaxation`` is an optional persistent HiGHS engine shared
-        across calls (see :meth:`BranchAndBound.solve`); rate searches use
-        it to carry the root LP basis from probe to probe.
+        ``relaxation`` is an optional prebuilt HiGHS engine for
+        ``program`` (see :meth:`BranchAndBound.solve`); rate probes use it
+        to skip rebuilding a model that only their costs and budget rows
+        change.
         """
         if self.solver is SolverBackend.BRANCH_AND_BOUND:
             return BranchAndBound(

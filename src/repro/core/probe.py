@@ -98,69 +98,14 @@ class ScaledProbe:
                 or np.all(self._arrays.b_eq == 0.0)
             )
         )
-        # Persistent HiGHS relaxation shared across probes: each probe only
-        # rescales c and the budget rhs, so the model is edited in place
-        # and the root LP basis carries over from probe to probe (the first
-        # ROADMAP open solver item).  Built lazily on the first probe;
-        # ``False`` marks "unavailable, stop trying".
+        # HiGHS model shared across probes: like the formulation it is
+        # rate-invariant, so each probe edits c and the budget rhs in place
+        # and clears the basis (no answer depends on an earlier probe).
+        # Built lazily on the first probe; ``False`` marks "unavailable,
+        # stop trying".
         self._relaxation: object | None | bool = None
-        # Effective (cpu, net) budgets the live relaxation last solved
-        # under.  A basis from a *different* budget configuration must not
-        # carry into this solve: it steers tie-breaking on symmetric
-        # plateaus (and, under a positive gap tolerance, can change which
-        # within-gap incumbent is returned), so a request that omits a
-        # budget after a prior request overrode it would not get the same
-        # answer as a fresh probe.  See :meth:`_sync_relaxation_budgets`.
-        self._relaxation_budget_key: tuple | None = None
 
     # -- probing -----------------------------------------------------------
-
-    def _effective_budget_key(
-        self, cpu_budget: float | None, net_budget: float | None
-    ) -> tuple:
-        """The (cpu, net) right-hand sides this probe would solve under."""
-        key = []
-        for name, override in (
-            ("cpu_budget", cpu_budget),
-            ("net_budget", net_budget),
-        ):
-            row = self._budget_row_index.get(name)
-            if override is None:
-                key.append(
-                    float(self._base_b_ub[row]) if row is not None else None
-                )
-            elif name == "net_budget":
-                key.append(min(float(override), NET_BUDGET_CAP))
-            else:
-                key.append(float(override))
-        return tuple(key)
-
-    def reset_solver_state(self) -> None:
-        """Forget warm-start state: the next solve behaves like a fresh
-        probe's.  The batched partition service calls this when a cached
-        probe enters a new batch, so batch results are a pure function
-        of the batch content, whatever the probe served before (a server
-        worker answers every run through its own cached probes)."""
-        if self._relaxation is not False:
-            self._relaxation = None
-        self._relaxation_budget_key = None
-
-    def _sync_relaxation_budgets(self, budget_key: tuple) -> None:
-        """Discard the persistent relaxation when the budgets change.
-
-        Warm starts are only carried between solves of the *same* budget
-        configuration (rate factors may differ — that is the §4.3 sweep).
-        Crossing a budget change with a live basis made the outcome of a
-        default-budget ``partition()`` depend on which overridden requests
-        ran before it; discarding the engine restores the fresh-probe
-        answer for every call, which is also what lets the workbench
-        server shard a request group at budget boundaries without
-        changing any result.
-        """
-        if budget_key != self._relaxation_budget_key:
-            if self._relaxation is not False:
-                self._relaxation = None
-            self._relaxation_budget_key = budget_key
 
     def _arrays_at(
         self,
@@ -190,7 +135,7 @@ class ScaledProbe:
         )
 
     def _shared_relaxation(self, arrays):
-        """The persistent cross-probe HiGHS engine, synced to ``arrays``.
+        """The cached HiGHS model, set to ``arrays`` with no solver state.
 
         Returns ``None`` when the partitioner configuration cannot use it
         (non-B&B backend, tableau engine) or the private HiGHS bindings
@@ -230,9 +175,10 @@ class ScaledProbe:
         infeasibility (mirrors :meth:`Wishbone.partition`).
 
         ``cpu_budget``/``net_budget`` override the budgets the base
-        formulation was built with — the workbench's batched partition
-        service uses this to serve mixed-budget request batches from one
-        cached formulation and one persistent warm-started relaxation.
+        formulation was built with — the workbench's partition service
+        uses this to serve every budget of a probe group from one cached
+        formulation.  Each call solves from no state, so its answer is a
+        function of its arguments alone.
         """
         if factor <= 0.0:
             raise ValueError("rate factor must be positive")
@@ -255,9 +201,6 @@ class ScaledProbe:
             return partitioner.partition(self.profile.scaled(factor))
 
         prep_start = time.perf_counter()
-        self._sync_relaxation_budgets(
-            self._effective_budget_key(cpu_budget, net_budget)
-        )
         arrays = self._arrays_at(factor, cpu_budget, net_budget)
         relaxation = self._shared_relaxation(arrays)
         build_seconds = time.perf_counter() - prep_start

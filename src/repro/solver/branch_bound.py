@@ -221,8 +221,8 @@ class BranchAndBound:
         across nodes (bound edits + dual-simplex resume); otherwise each
         call is an independent solve.  ``shared`` is an already-built
         :class:`~repro.solver.scipy_backend.HighsRelaxation` to reuse (it
-        outlives this solve — rate searches pass one engine across every
-        probe so the basis carries over).
+        outlives this solve: a rate probe keeps one model across probes
+        and clears its basis before each).
         """
         if self.lp_engine == "scipy":
             state = {
@@ -405,11 +405,10 @@ class BranchAndBound:
     ) -> Solution:
         """Solve the MILP.
 
-        ``relaxation`` is an optional persistent
-        :class:`~repro.solver.scipy_backend.HighsRelaxation` shared across
-        solves (scipy engine with warm starts only): the root relaxation
-        warm-starts from the basis the previous solve's root ended with,
-        and the basis reached here is exported for the next caller.
+        ``relaxation`` is an optional already-built
+        :class:`~repro.solver.scipy_backend.HighsRelaxation` of ``program``
+        with no solver state (scipy engine with warm starts only), so a
+        caller that solves one model many times skips the model build.
         """
         arrays = (
             program.to_arrays()
@@ -438,13 +437,7 @@ class BranchAndBound:
             if relaxation is not None
             else self._make_relaxation_solver(arrays)
         )
-        if relaxation is not None:
-            # Start this tree from the previous solve's root basis rather
-            # than whatever leaf the last branch-and-bound finished at.
-            relaxation.restore_root_basis()
         root = solve_relaxation(lb0, ub0, None)
-        if relaxation is not None:
-            relaxation.save_root_basis()
         total_iterations += root.iterations
         if root.status == SolveStatus.INFEASIBLE:
             return Solution(

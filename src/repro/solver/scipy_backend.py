@@ -48,6 +48,8 @@ class HighsRelaxation:
     passes the model to HiGHS once and then serves each node with two bound
     edits and a warm ``run()`` — HiGHS reuses the previous optimal basis, so
     a child relaxation typically needs a handful of dual simplex pivots.
+    Warm starts stay inside one solve: :meth:`update_problem` retargets
+    the model for the next solve and discards every basis.
 
     Raises ``RuntimeError`` at construction when scipy's private HiGHS
     bindings are unavailable; callers fall back to :func:`solve_lp_scipy`.
@@ -103,7 +105,6 @@ class HighsRelaxation:
         self._col_indices = np.arange(n, dtype=np.int32)
         self._current_lb = np.asarray(arrays.lb, dtype=float)
         self._current_ub = np.asarray(arrays.ub, dtype=float)
-        self._root_basis = None
 
     # -- incremental model edits (rate probes) ---------------------------
 
@@ -112,13 +113,14 @@ class HighsRelaxation:
         c: np.ndarray | None = None,
         b_ub: np.ndarray | None = None,
     ) -> None:
-        """Rewrite the objective and/or inequality right-hand sides in place.
+        """Rewrite the objective and/or inequality right-hand sides in
+        place, then drop all solver state.
 
         Used by :class:`~repro.core.probe.ScaledProbe`: a §4.3 rate probe
-        only rescales the cost vector and the budget rows, so the
-        persistent HiGHS model (and its basis) survives across probes —
-        the next root relaxation warm-starts from the previous probe's
-        optimal basis instead of a cold solve.
+        only rescales the cost vector and the budget rows, so the model is
+        kept across probes.  Its basis is not: the next solve starts cold
+        and is bit-identical to one on a model freshly built from the new
+        arrays, so no answer depends on what was solved before.
         """
         if c is not None:
             c = np.asarray(c, dtype=float)
@@ -133,37 +135,7 @@ class HighsRelaxation:
                     int(row), -np.inf, float(b_ub[row])
                 )
             self.arrays = self.arrays.with_b_ub(b_ub)
-
-    # -- basis export/import ---------------------------------------------
-
-    def save_root_basis(self) -> bool:
-        """Snapshot the current basis (call right after a root solve)."""
-        try:
-            basis = self._highs.getBasis()
-        except Exception:
-            return False
-        if not getattr(basis, "valid", False):
-            return False
-        self._root_basis = basis
-        return True
-
-    def restore_root_basis(self) -> bool:
-        """Reinstall the last saved root basis, if any.
-
-        Branch and bound leaves the model at some leaf's basis; probing a
-        new rate factor from the *root* basis of the previous probe is the
-        productive warm start.
-        """
-        if self._root_basis is None:
-            return False
-        try:
-            status = self._highs.setBasis(self._root_basis)
-        except Exception:
-            return False
-        return status in (
-            _highs_core.HighsStatus.kOk,
-            _highs_core.HighsStatus.kWarning,
-        )
+        self._highs.clearSolver()
 
     def solve(
         self, lb: np.ndarray | None = None, ub: np.ndarray | None = None

@@ -14,8 +14,7 @@ an embeddable service API:
   to a miss) and hands every caller defensive copies;
 * :mod:`~repro.workbench.session` — :class:`Session` /
   :class:`PartitionService`, including ``partition_many`` batching that
-  amortizes formulation and solver warm starts across whole request
-  batches;
+  amortizes formulation across whole request batches;
 * :mod:`~repro.workbench.server` — :class:`PartitionServer` /
   :class:`ServerClient`, the same ``partition_many`` served over a
   socket and sharded across a fault-tolerant pool of worker processes

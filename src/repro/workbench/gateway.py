@@ -17,12 +17,9 @@ place shard dispatch and failover live.
   backend, so a shard *owns its slice of the result cache* — repeat
   traffic hits the backend that already solved it — and adding a
   backend moves only the ~1/(N+1) of the key space it now wins, all of
-  it onto the newcomer (``test_gateway.py`` pins both).  Routing is at
-  *solver-group* granularity (:func:`batch_groups`): requests sharing
-  a formulation and resolved budgets are one budget run on the server
-  — one warm-start chain — and splitting such a run across backends
-  would change which optimal vertex the solver walks to.  A group
-  routes by the smallest member key, so the unit stays content-hashed.
+  it onto the newcomer (``test_gateway.py`` pins both).  Each request
+  routes by its own key: an answer depends only on its request, so
+  splitting a batch anywhere changes no answer.
 
 * :class:`PartitionDirectory` holds the shard→backend map: seeded from
   a static ``@manifest.json`` (or a comma list), mutated at runtime by
@@ -58,7 +55,6 @@ import threading
 from dataclasses import asdict
 from typing import Any, Mapping, Sequence
 
-from ..platforms import get_platform
 from ..runtime.frames import FrameError
 from . import faults
 from .cache import result_key
@@ -80,7 +76,6 @@ __all__ = [
     "Gateway",
     "PartitionDirectory",
     "ROUTE_PLATFORM_DEFAULT",
-    "batch_groups",
     "batch_keys",
 ]
 
@@ -108,41 +103,6 @@ def batch_keys(
     return [
         result_key(scenario, params, profiler_cfg, platform, request)
         for request in requests
-    ]
-
-
-def batch_groups(
-    scenario: Any,
-    params: Mapping[str, Any] | None,
-    profiler_cfg: Mapping[str, Any] | None,
-    platform: str,
-    requests: Sequence[PartitionRequest],
-) -> list[tuple[str, list[int]]]:
-    """Atomic routing units: ``(routing key, request indices)`` pairs.
-
-    A unit is one *budget run* — requests sharing a probe group and
-    resolved budgets, exactly the set a
-    :class:`~repro.workbench.server.PartitionServer` solves through one
-    warm-start chain.  Splitting a run across backends would hand each
-    half a different chain and (under a nonzero gap tolerance) a
-    different optimal vertex, breaking routed-vs-unrouted
-    byte-identity; shipping runs whole keeps every backend's recomputed
-    grouping equal to the unrouted server's.
-
-    The unit routes by its smallest member :func:`batch_keys` key —
-    still the content-hashed result-cache key, so placement stays
-    deterministic and cache-affine.
-    """
-    keys = batch_keys(scenario, params, profiler_cfg, platform, requests)
-    groups: dict[tuple, list[int]] = {}
-    for index, request in enumerate(requests):
-        platform_obj = get_platform(request.platform or platform)
-        budgets = request.partitioner().resolve_budgets(platform_obj)
-        identity = (request.probe_group(platform), budgets)
-        groups.setdefault(identity, []).append(index)
-    return [
-        (min(keys[i] for i in members), members)
-        for members in groups.values()
     ]
 
 
@@ -235,17 +195,13 @@ class PartitionDirectory:
         # owner never depends on join order.
         return max(members, key=lambda m: (_weight(m, key), m))
 
-    def split_groups(
-        self, groups: Sequence[tuple[str, Sequence[int]]]
-    ) -> dict[str, list[int]]:
-        """Group request indices by shard owner, over atomic
-        ``(key, indices)`` units (see :func:`batch_groups`): every unit
-        lands whole on one shard, member indices in batch order."""
+    def split(self, keys: Sequence[str]) -> dict[str, list[int]]:
+        """Group request indices by the shard owner of each one's
+        partition-function key (:func:`batch_keys`), indices in batch
+        order."""
         shards: dict[str, list[int]] = {}
-        for key, members in groups:
-            shards.setdefault(self.route(key), []).extend(members)
-        for indices in shards.values():
-            indices.sort()
+        for index, key in enumerate(keys):
+            shards.setdefault(self.route(key), []).append(index)
         return shards
 
     def chain(self, primary: str) -> list[str]:
@@ -640,15 +596,14 @@ class Gateway:
             payloads = list(document.get("requests") or [])
             requests = [PartitionRequest.from_payload(p) for p in payloads]
             platform = document.get("platform") or self.default_platform
-            groups = batch_groups(
-                scenario,
-                document.get("params") or {},
-                document.get("profiler"),
-                platform,
-                requests,
-            )
-            shards = (
-                self.directory.split_groups(groups) if groups else {}
+            shards = self.directory.split(
+                batch_keys(
+                    scenario,
+                    document.get("params") or {},
+                    document.get("profiler"),
+                    platform,
+                    requests,
+                )
             )
             self.routed_batches += 1
             self.routed_shards += len(shards)

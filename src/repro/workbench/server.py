@@ -9,36 +9,31 @@ serialization layers verbatim: requests and results travel as
 framed over TCP by the runtime's length-prefixed
 :mod:`repro.runtime.frames` protocol.
 
-**Sharding.**  A request batch is grouped by
-:meth:`PartitionRequest.probe_group` exactly as the in-process
-:meth:`PartitionService.partition_many` does, each group is ordered by
-:func:`~repro.workbench.session.group_order`, and the ordered group is
-split at budget boundaries into *runs* — maximal subsequences solved
-under one (cpu, net) budget pair.  Runs are the sharding unit: since a
-:class:`~repro.core.probe.ScaledProbe` discards its persistent
-relaxation whenever the budgets change (see
-``ScaledProbe._sync_relaxation_budgets``), an in-process group is
-computationally a sequence of independent runs, so executing the runs on
-different processes reproduces the in-process answers *bit for bit*
-(``tests/workbench/test_server.py`` pins this, wall-clock fields aside).
+**Sharding.**  Each request the result cache misses is one job, and
+any worker may take any job.  Every solve starts from no solver state
+(see :meth:`~repro.core.probe.ScaledProbe.partition`), so an answer
+depends only on its request: which worker ran it, and what that worker
+solved before, change nothing.  Served answers therefore equal the
+in-process ones *bit for bit* (``tests/workbench/test_server.py`` pins
+this, wall-clock fields aside).
 
 **Workers.**  Each worker process owns a
 :class:`~repro.workbench.store.ProfileStore` view — durable when the
 server has a store directory (all workers share it; the store's atomic
 write-then-rename makes concurrent same-key writers safe), otherwise its
-own in-memory store — and answers each run with its own session's
-:meth:`PartitionService.partition_many`, the in-process code path
-itself.  A worker therefore formulates each probe group once, keeps the
-:class:`~repro.core.probe.ScaledProbe`, and re-probes it for every later
-run of that group at any rate and budget.  The worker also serializes
-what it solved: it encodes each answer once into the bytes of its
-result message, writes the answer's result-cache entry from those bytes
-(see :func:`~repro.workbench.artifacts.write_document`), and only then
-replies with the bytes.  The parent groups, orders and shards, then stores and
-forwards: it keeps each fresh answer's bytes in its memory cache and
+own in-memory store — and answers each job with its own session's
+:class:`~repro.workbench.session.PartitionService`, the in-process code
+path itself.  A worker therefore formulates each probe group once, keeps
+the :class:`~repro.core.probe.ScaledProbe`, and re-probes it for every
+later request of that group at any rate and budget.  The worker also
+serializes what it solved: it encodes the answer once into the bytes of
+its result message, writes the answer's result-cache entry from those
+bytes (see :func:`~repro.workbench.artifacts.write_document`), and only
+then replies with the bytes.  The parent submits the jobs, then stores
+and forwards: it keeps each fresh answer's bytes in its memory cache and
 sends them as they are, never encoding, decoding or writing an answer
-itself.  A worker that dies mid-run (crash, OOM kill, SIGKILL) is
-detected by its process sentinel, its unfinished run is requeued to the
+itself.  A worker that dies mid-job (crash, OOM kill, SIGKILL) is
+detected by its process sentinel, its unfinished job is requeued to the
 survivors, and a replacement worker is spawned — no request is lost or
 answered twice.
 """
@@ -61,7 +56,6 @@ from multiprocessing import connection as mp_connection
 
 from ..core.cut import InfeasiblePartition
 from ..core.partitioner import PartitionResult
-from ..platforms import get_platform
 from ..profiler.profiler import Profiler
 from ..dataflow.graph import StreamGraph
 from ..runtime.frames import encode_message, send_frames, send_message
@@ -79,7 +73,7 @@ from .scenarios import (
     get_scenario,
     list_scenarios,
 )
-from .session import PartitionRequest, Session, group_order
+from .session import PartitionRequest, Session
 from .store import ProfileStore, profiler_config, store_dir
 from .transport import (
     Backoff,
@@ -101,7 +95,7 @@ __all__ = [
     "WorkerPool",
 ]
 
-#: Test hook: seconds each worker sleeps before starting a run (lets the
+#: Test hook: seconds each worker sleeps before starting a job (lets the
 #: fault-tolerance tests kill a worker reliably mid-batch).
 _TEST_DELAY_ENV = "REPRO_SERVER_TEST_DELAY"
 
@@ -164,13 +158,13 @@ def _session_for(
     return session
 
 
-class _JobAnswers(NamedTuple):
-    """A run's reply: ``(original_index, header, body)`` per request —
-    the answer's ``encode_message`` frames, or ``(index, None, None)``
-    for an infeasible request under ``skip_infeasible`` — and how many
+class _JobAnswer(NamedTuple):
+    """A job's reply: the answer's ``encode_message`` frames (``None``
+    for an infeasible request under ``skip_infeasible``) and how many
     of its durable result writes failed."""
 
-    answers: list[tuple[int, bytes | None, bytes | None]]
+    header: bytes | None
+    body: bytes | None
     store_errors: int
 
 
@@ -178,53 +172,48 @@ def _run_job(
     payload: Mapping[str, Any],
     store: ProfileStore,
     sessions: dict[str, Session],
-) -> _JobAnswers:
-    """Solve one run (same-budget slice of one group), then encode and
-    persist each answer.
+) -> _JobAnswer:
+    """Solve one request, then encode and persist its answer.
 
-    The run goes through the worker session's own
-    :meth:`PartitionService.partition_many`, which keeps one probe per
-    probe group across runs and resets its warm-start state at entry,
-    so every run is answered exactly as a fresh in-process batch.
+    The request goes through the worker session's own
+    :class:`~repro.workbench.session.PartitionService`, which keeps one
+    probe per probe group across jobs.  Every solve starts from no
+    solver state, so the answer equals the in-process one whatever this
+    worker solved before.
 
-    Each answer is encoded once.  When the payload carries the run's
-    result keys and the store is durable, each answer's result-cache
-    entry (infeasible ones included) is written from those bytes before
-    this returns, so it is on disk before the reply leaves the server.
-    A failed write is counted in the reply, never raised.
+    The answer is encoded once.  When the payload carries the request's
+    result key and the store is durable, its result-cache entry (an
+    infeasible one included) is written from those bytes before this
+    returns, so it is on disk before the reply leaves the server.  A
+    failed write is counted in the reply, never raised.
     """
     delay = float(os.environ.get(_TEST_DELAY_ENV, "0") or 0.0)
     if delay > 0.0:
         time.sleep(delay)
     scenario = payload["scenario"]
     params = payload["params"]
-    entries = payload["entries"]
-    requests = [
-        PartitionRequest.from_payload(request) for _, request in entries
-    ]
-    graph_ref = {"scenario": scenario, "params": dict(params)}
-    session = _session_for(
+    request = PartitionRequest.from_payload(payload["request"])
+    service = _session_for(
         sessions, store, scenario, params, payload["platform"],
         payload.get("profiler"),
-    )
-    results = session.service.partition_many(
-        requests, skip_infeasible=payload["skip_infeasible"]
-    )
-    keys = payload.get("keys")
-    cache = None
-    if keys is not None and store.root is not None:
-        # Writes only: the server parent keeps the entries it forwards.
-        cache = ResultCache(store.root, max_memory_entries=0)
-    answers: list[tuple[int, bytes | None, bytes | None]] = []
-    for i, ((index, _), result) in enumerate(zip(entries, results)):
-        document = arrays = header = body = None
-        if result is not None:
-            document, arrays = artifacts.to_document(result, graph_ref)
-            header, body = encode_message(document, arrays)
-        if cache is not None:
-            cache.store_document(keys[i], document, arrays, (header, body))
-        answers.append((index, header, body))
-    return _JobAnswers(answers, cache.stats.store_errors if cache else 0)
+    ).service
+    if payload["skip_infeasible"]:
+        result = service.try_partition(request)
+    else:
+        result = service.partition(request)
+    document = arrays = header = body = None
+    if result is not None:
+        document, arrays = artifacts.to_document(
+            result, {"scenario": scenario, "params": dict(params)}
+        )
+        header, body = encode_message(document, arrays)
+    key = payload.get("key")
+    if key is None or store.root is None:
+        return _JobAnswer(header, body, 0)
+    # Writes only: the server parent keeps the entries it forwards.
+    cache = ResultCache(store.root, max_memory_entries=0)
+    cache.store_document(key, document, arrays, (header, body))
+    return _JobAnswer(header, body, cache.stats.store_errors)
 
 
 def _worker_main(
@@ -331,7 +320,7 @@ def _worker_main(
 
 
 class _Job:
-    """One submitted run: payload, completion event, outcome."""
+    """One submitted job: payload, completion event, outcome."""
 
     __slots__ = ("job_id", "payload", "event", "result", "error")
 
@@ -364,25 +353,25 @@ class WorkerPool:
 
     * **Sentinel death** (the PR 4 path): a crashed/SIGKILLed worker is
       observed through its process sentinel, results it fully sent
-      before dying are honored, its unfinished run requeues to the
+      before dying are honored, its unfinished job requeues to the
       survivors, and — under the policy's ``respawn`` — a replacement
       spawns.
     * **Heartbeats**: workers beat over their pipes from a dedicated
       thread, so a *wedged* worker (process alive, GIL pinned, nothing
       moving) is detected by the dispatch-loop supervisor after
-      ``heartbeat_miss_limit`` silent intervals, retired, and its run
+      ``heartbeat_miss_limit`` silent intervals, retired, and its job
       requeued — membership is judged by liveness, not just death.
     * **Degradation**: when no live worker remains (every respawn
-      failed, or the pool was scaled to zero) pending runs fall back to
+      failed, or the pool was scaled to zero) pending jobs fall back to
       the ``inline_runner`` — in-process solving in the parent — warned
       once and counted in :attr:`degraded_runs`, so the service answers
       slowly instead of never.
 
     :meth:`scale_to` resizes membership at runtime within the policy's
     ``[min_workers, max_workers]`` bounds: growth spawns and immediately
-    rebalances pending runs onto the joiners; shrink retires idle
+    rebalances pending jobs onto the joiners; shrink retires idle
     workers outright and marks busy ones *draining* (they finish their
-    current run, then leave).  Every transition lands in the
+    current job, then leave).  Every transition lands in the
     :class:`~repro.workbench.membership.MembershipLog`.
 
     Replacement workers are forked from a parent that by then runs
@@ -544,7 +533,7 @@ class WorkerPool:
 
     def _reconcile_locked(self) -> None:
         """Make membership match the target: spawn up, drain down,
-        rebalance pending runs, degrade if the pool is empty."""
+        rebalance pending jobs, degrade if the pool is empty."""
         while len(self._live_locked()) < self._target and not self._closed:
             try:
                 self._spawn_locked()
@@ -573,7 +562,7 @@ class WorkerPool:
     def scale_to(self, workers: int) -> int:
         """Resize the pool at runtime; returns the (clamped) target.
 
-        Growth is immediate (joiners pick up pending runs); shrink is
+        Growth is immediate (joiners pick up pending jobs); shrink is
         graceful (busy workers drain).  The target is clamped into the
         policy's ``[min_workers, max_workers]``.
         """
@@ -693,7 +682,7 @@ class WorkerPool:
     # -- degraded (in-process) fallback ------------------------------------
 
     def _maybe_degrade_locked(self) -> None:
-        """With zero live workers, answer pending runs in process."""
+        """With zero live workers, answer pending jobs in process."""
         if self._handles:
             if self._degraded_active and self._live_locked():
                 self._degraded_active = False
@@ -775,7 +764,7 @@ class WorkerPool:
 
     def _supervise(self) -> None:
         """Retire workers whose heartbeats went silent (wedged, not
-        dead: the sentinel never fires for these), requeue their runs,
+        dead: the sentinel never fires for these), requeue their jobs,
         and reconcile membership back to the target."""
         overdue = self.heartbeats.overdue()
         if not overdue:
@@ -899,7 +888,7 @@ class PartitionServer:
             the parent) shares; ``None`` gives each worker its own
             in-memory store, which it profiles into on first use.
         default_platform: platform for requests that do not name one.
-        job_timeout: seconds one sharded run may take before it is
+        job_timeout: seconds one job may take before it is
             abandoned (error to the client, stuck worker retired);
             ``None`` waits forever.
         min_workers, max_workers: elastic bounds for
@@ -909,7 +898,7 @@ class PartitionServer:
         heartbeat_interval: seconds between worker heartbeats (``0``
             disables heartbeating; sentinel death detection remains).
         heartbeat_miss_limit: silent intervals before a wedged worker
-            is retired and its run requeued.
+            is retired and its job requeued.
         respawn: replace workers that die unexpectedly; with ``False``
             the pool drains toward in-process degradation instead.
         fault_plan: a :class:`~repro.workbench.faults.FaultPlan` (or
@@ -995,7 +984,7 @@ class PartitionServer:
         return self.pool.scale_to(workers)
 
     def _solve_inline(self, payload: Mapping[str, Any]):
-        """Degraded-mode runner: solve one sharded run in process,
+        """Degraded-mode runner: solve one job in process,
         against the parent's own store and session cache."""
         with self._sessions_lock:
             return _run_job(payload, self._store, self._sessions)
@@ -1182,11 +1171,13 @@ class PartitionServer:
             if job.error is not None:
                 failure = failure or job.error
                 continue
+            answer = job.result
             if self.result_cache is not None:
-                self.result_cache.add_store_errors(job.result.store_errors)
-            for index, header, body in job.result.answers:
-                if header is not None:
-                    slots[index] = CacheEntry.from_wire(header, body)
+                self.result_cache.add_store_errors(answer.store_errors)
+            if answer.header is not None:
+                slots[job.payload["index"]] = CacheEntry.from_wire(
+                    answer.header, answer.body
+                )
         if failure is not None:
             send_message(
                 stream,
@@ -1237,10 +1228,7 @@ class PartitionServer:
         requests = [PartitionRequest.from_payload(p) for p in payloads]
 
         # Result-cache pass: hits are answered by the parent; only the
-        # misses reach the grouping/sharding below — run through the
-        # same group/order/solve code an in-process session applies to
-        # *its* miss subset, so equivalence is preserved request by
-        # request whatever each side's cache already holds.
+        # misses reach the workers.
         prefilled: dict[int, CacheEntry | None] = {}
         miss_keys: dict[int, str] = {}
         miss_indices: list[int] = list(range(len(requests)))
@@ -1261,39 +1249,24 @@ class PartitionServer:
                 else:
                     prefilled[index] = entry
 
-        # Group + order + resolve budgets exactly as the in-process
-        # service does; shard each ordered group at budget boundaries.
-        order: dict[tuple, list[int]] = {}
-        for index in miss_indices:
-            request = requests[index]
-            order.setdefault(request.probe_group(platform), []).append(index)
-        resolved: dict[int, tuple[float, float]] = {}
-        for index in miss_indices:
-            request = requests[index]
-            platform_obj = get_platform(request.platform or platform)
-            resolved[index] = request.partitioner().resolve_budgets(
-                platform_obj
-            )
-
-        jobs: list[_Job] = []
-        for indices in order.values():
-            ordered = group_order(indices, requests, resolved)
-            for run in _budget_runs(ordered, resolved):
-                payload = {
+        # One job per miss: every answer depends only on its request, so
+        # any worker may solve any of them.
+        jobs = [
+            self.pool.submit(
+                {
                     "scenario": scenario.name,
                     "params": dict(params),
                     "platform": platform,
                     "profiler": profiler_cfg,
                     "skip_infeasible": skip_infeasible,
-                    "entries": [(i, payloads[i]) for i in run],
-                    # The worker persists each answer under its key.
-                    "keys": (
-                        [miss_keys[i] for i in run]
-                        if self.result_cache is not None
-                        else None
-                    ),
+                    "index": index,
+                    "request": payloads[index],
+                    # The worker persists the answer under its key.
+                    "key": miss_keys.get(index),
                 }
-                jobs.append(self.pool.submit(payload))
+            )
+            for index in miss_indices
+        ]
         return jobs, len(requests), platform, prefilled, miss_keys
 
 
@@ -1306,19 +1279,6 @@ def _result_frames(
     answer."""
     result, body = answer.wire() if answer is not None else (b"null", b"")
     return b'{"index": %d, "result": ' % index + result + b"}", body
-
-
-def _budget_runs(
-    ordered: Sequence[int], resolved: Mapping[int, tuple[float, float]]
-) -> list[list[int]]:
-    """Split an ordered group into maximal same-budget runs."""
-    runs: list[list[int]] = []
-    for index in ordered:
-        if runs and resolved[runs[-1][-1]] == resolved[index]:
-            runs[-1].append(index)
-        else:
-            runs.append([index])
-    return runs
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,13 @@ six underlying classes by hand::
     batch = session.partition_many(requests)        # many, amortized
     prediction = session.deploy(result, n_nodes=10)
 
-Batching is where the serving-system shape pays off:
-:meth:`Session.partition_many` groups compatible requests (same platform
-/ objective / formulation — budgets and rates may differ) onto one
-cached :class:`~repro.core.probe.ScaledProbe`, so the pin -> reduce ->
-formulate pipeline runs once per group and one persistent warm-started
-HiGHS relaxation carries its basis across the whole batch.  Requests
-within a group are solved in sorted (budget, rate) order so consecutive
-solves stay similar, and results return in request order.
+Batching is where the serving-system shape pays off: compatible
+requests (same platform / objective / formulation — budgets and rates
+may differ) share one cached :class:`~repro.core.probe.ScaledProbe`, so
+the pin -> reduce -> formulate pipeline runs once per probe group, in a
+batch or across calls.  Every solve starts from no solver state, so an
+answer depends only on its request: not on the batch around it, its
+order, or what the service solved before.
 """
 
 from __future__ import annotations
@@ -166,30 +165,6 @@ class RateSearchRequest:
     incremental: bool = True
 
 
-# ---------------------------------------------------------------------------
-# Within-group solve order, shared by the in-process service and the
-# partition server's sharding (repro.workbench.server): the server splits
-# each group in this order into same-budget runs, and its workers answer
-# every run with PartitionService.partition_many itself.
-# ---------------------------------------------------------------------------
-
-
-def group_order(
-    indices: Sequence[int],
-    requests: Sequence["PartitionRequest"],
-    resolved: Mapping[int, tuple[float, float]],
-) -> list[int]:
-    """Solve order within one group: sorted (cpu, net, rate), stable.
-
-    Consecutive solves differ by a handful of right-hand-side entries, so
-    the persistent relaxation's basis stays hot; the stable tie-break on
-    the original position keeps the order a pure function of the batch.
-    """
-    return sorted(
-        indices, key=lambda i: (*resolved[i], requests[i].rate_factor)
-    )
-
-
 class PartitionService:
     """Answers partition requests against per-platform profiles, batching
     compatible requests onto shared cached formulations.
@@ -268,48 +243,15 @@ class PartitionService:
         requests: Sequence[PartitionRequest],
         skip_infeasible: bool = False,
     ) -> list[PartitionResult | None]:
-        """Serve a batch of requests, amortizing formulation and warm starts.
+        """Serve a batch of requests, in request order.
 
-        Requests are grouped by :meth:`PartitionRequest.probe_group` and
-        each group is solved through one cached formulation in sorted
-        (cpu_budget, net_budget, rate) order — consecutive solves differ
-        by a handful of right-hand-side entries, so the persistent
-        relaxation's basis stays hot.  Results come back in request
-        order.  With ``skip_infeasible`` an infeasible request yields
-        ``None`` instead of raising.
+        Each request is answered exactly as :meth:`partition` answers it
+        alone; the batch only shares the cached formulations.  With
+        ``skip_infeasible`` an infeasible request yields ``None`` instead
+        of raising.
         """
-        order: dict[tuple, list[int]] = {}
-        for index, request in enumerate(requests):
-            key = request.probe_group(self.default_platform)
-            order.setdefault(key, []).append(index)
-
-        results: list[PartitionResult | None] = [None] * len(requests)
-        for group_indices in order.values():
-            resolved = {
-                i: self._resolved_budgets(requests[i]) for i in group_indices
-            }
-            ordered_indices = group_order(group_indices, requests, resolved)
-            probe = self._probe(requests[ordered_indices[0]])
-            # Batch answers are a pure function of the batch: a cached
-            # probe must not carry the previous batch's (or a previous
-            # single call's) warm-start state into this one, or repeated
-            # identical batches could pick different within-gap/tie
-            # solutions — and a server worker, which answers each run of
-            # a batch through this method on probes it has reused across
-            # earlier runs, would stop matching an in-process batch.
-            probe.reset_solver_state()
-            solve = probe.try_partition if skip_infeasible else probe.partition
-            for i in ordered_indices:
-                cpu_budget, net_budget = resolved[i]
-                result = solve(
-                    requests[i].rate_factor,
-                    cpu_budget=cpu_budget,
-                    net_budget=net_budget,
-                )
-                if result is not None:
-                    result.request = self._with_platform(requests[i])
-                results[i] = result
-        return results
+        solve = self.try_partition if skip_infeasible else self.partition
+        return [solve(request) for request in requests]
 
 
 class Session:
@@ -492,9 +434,7 @@ class Session:
             )
 
         # Memoized path: serve hits from the cache byte-identically (in
-        # canonical form) and run only the misses through the service —
-        # grouped/ordered by the same code as always, so an all-miss
-        # batch behaves exactly like the uncached path.
+        # canonical form) and run only the misses through the service.
         keys = [
             result_key(
                 self.scenario, self.params, self.profiler, self.platform,

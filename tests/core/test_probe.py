@@ -120,26 +120,77 @@ def test_probe_reduction_shared_across_factors(tmote_speech_profile):
 def test_probe_shares_relaxation_and_basis_across_probes(
     tmote_speech_profile,
 ):
-    """The persistent HiGHS engine (and its root basis) outlives a probe."""
-    from repro.solver.scipy_backend import make_highs_relaxation
-
+    """The HiGHS engine outlives a probe; its basis does not.  Moving to
+    the next rate factor leaves no valid basis behind, and the probe
+    agrees with the cold rebuild path."""
     probe = make_partitioner().prepare_probe(tmote_speech_profile)
-    first = probe.try_partition(0.05)
+    probe.try_partition(0.05)
     engine = probe._relaxation
     if engine is None or engine is False:
         pytest.skip("private HiGHS bindings unavailable")
-    # The root basis of the first probe was exported for the next one.
-    assert engine._root_basis is not None
+    arrays = probe._arrays_at(0.1, None, None)
+    engine.update_problem(c=arrays.c, b_ub=arrays.b_ub)
+    assert not engine._highs.getBasis().valid  # basis discarded
     second = probe.try_partition(0.1)
     assert probe._relaxation is engine  # reused, not rebuilt
-    # Warm-started probes still agree with the cold rebuild path.
     rebuilt = make_partitioner().try_partition(
         tmote_speech_profile.scaled(0.1)
     )
     assert (second is None) == (rebuilt is None)
     if second is not None:
         assert second.partition.node_set == rebuilt.partition.node_set
-    del first, make_highs_relaxation
+
+
+def test_relaxation_persists_within_one_budget_configuration(
+    tmote_speech_profile,
+):
+    """The engine is kept across rate factors and across budget changes:
+    each solve starts from no basis, so no reset is needed on either."""
+    probe = make_partitioner().prepare_probe(tmote_speech_profile)
+    probe.try_partition(0.05, cpu_budget=0.9)
+    engine = probe._relaxation
+    if engine is None or engine is False:
+        pytest.skip("private HiGHS bindings unavailable")
+    probe.try_partition(0.1, cpu_budget=0.9)  # same budgets, new rate
+    assert probe._relaxation is engine
+    probe.try_partition(0.1, cpu_budget=0.8)  # budget change: still kept
+    assert probe._relaxation is engine
+
+
+def test_probe_reuses_its_model_and_solves_like_a_fresh_one():
+    """The probe keeps one HiGHS model across probes, and a probe solve
+    after any earlier sequence of factors and budgets returns the same
+    ``x``, node count and simplex iterations as a freshly built model.
+    The sequence repeats a (factor, budget) pair after other solves,
+    and EEG-3 at these rates keeps a search tree."""
+    import numpy as np
+
+    from repro.workbench import Session
+
+    profile = Session("eeg", n_channels=3).profile()
+    partitioner = make_partitioner(gap_tolerance=5e-3)
+    probe = partitioner.prepare_probe(profile)
+    engine = None
+    sequence = [
+        (8.0, 1.0), (12.0, 0.9), (8.0, 0.8), (20.0, 1.0), (8.0, 1.0),
+        (30.0, 0.9),
+    ]
+    for factor, cpu_budget in sequence:
+        result = probe.try_partition(
+            factor, cpu_budget=cpu_budget, net_budget=float("inf")
+        )
+        if engine is None:
+            engine = probe._relaxation
+            if engine is None or engine is False:
+                pytest.skip("private HiGHS bindings unavailable")
+        assert probe._relaxation is engine  # reused, not rebuilt
+        fresh = partitioner.solve_arrays(
+            probe._arrays_at(factor, cpu_budget, float("inf"))
+        )
+        assert result is not None
+        assert np.array_equal(result.solution.x, fresh.x)
+        assert result.solution.nodes_explored == fresh.nodes_explored
+        assert result.solution.iterations == fresh.iterations
 
 
 def test_highs_relaxation_update_problem_matches_fresh_build(
@@ -209,18 +260,3 @@ def test_budget_override_reported_in_problem(tmote_speech_profile):
     if result is None:
         pytest.skip("override infeasible on this profile")
     assert result.problem.cpu_budget == pytest.approx(0.75)
-
-
-def test_relaxation_persists_within_one_budget_configuration(
-    tmote_speech_profile,
-):
-    """The budget-change reset must not kill same-budget warm starts."""
-    probe = make_partitioner().prepare_probe(tmote_speech_profile)
-    probe.try_partition(0.05, cpu_budget=0.9)
-    engine = probe._relaxation
-    if engine is None or engine is False:
-        pytest.skip("private HiGHS bindings unavailable")
-    probe.try_partition(0.1, cpu_budget=0.9)  # same budgets, new rate
-    assert probe._relaxation is engine
-    probe.try_partition(0.1, cpu_budget=0.8)  # budget change: discarded
-    assert probe._relaxation is not engine

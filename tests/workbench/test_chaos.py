@@ -150,9 +150,10 @@ def run_under_plan(
 
 
 SCHEDULES = {
-    # Whichever worker reaches a second run dies there: a batch of three
-    # runs on two workers always gives some worker a second run, so the
-    # kill does not depend on which worker finishes first.
+    # Whichever worker reaches a second job dies there: a batch of five
+    # jobs (one per request) on two workers always gives some worker a
+    # second job, so the kill does not depend on which worker finishes
+    # first.
     "worker-kill": FaultPlan(
         [FaultRule(site="worker.run", action="kill", after=1)]
     ),
@@ -199,6 +200,8 @@ def test_chaos_schedule_preserves_artifacts(
     if schedule == "worker-kill":
         assert stats["membership"]["counters"]["died"] >= 1
         assert stats["respawned"] >= 1
+        # The kill landed mid-batch: the victim's job was requeued.
+        assert stats["requeued"] >= 1
     if schedule == "heartbeat-stall":
         assert stats["membership"]["counters"]["retired_heartbeat"] >= 1
     if schedule in ("dropped-frame", "corrupted-frame", "truncated-frame"):

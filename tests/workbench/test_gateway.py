@@ -36,11 +36,7 @@ from repro.workbench import (
 )
 from repro.workbench import faults
 from repro.workbench.artifacts import canonical_json
-from repro.workbench.gateway import (
-    ROUTE_PLATFORM_DEFAULT,
-    batch_groups,
-    batch_keys,
-)
+from repro.workbench.gateway import ROUTE_PLATFORM_DEFAULT, batch_keys
 from repro.workbench.membership import MembershipLog
 
 SCENARIO = "eeg"
@@ -87,20 +83,20 @@ def start_splitting_backend(first, store_dir, attempts=40):
     canonical batch.
 
     Placement is a pure function of the backend address strings, and
-    the servers bind ephemeral ports — so roughly one landing in four
-    puts every routing group on a single backend, which would turn the
-    fan-out and failover assertions below into coin flips.  Reject
-    such a landing and restart on a fresh port (p(split) ≈ 3/4 per
-    try, so the attempt bound never binds in practice).
+    the servers bind ephemeral ports — so a landing can put every
+    request's key on a single backend, which would turn the fan-out and
+    failover assertions below into coin flips.  Reject such a landing
+    and restart on a fresh port (with one routing key per request that
+    is rare, so the attempt bound never binds in practice).
     """
-    groups = batch_groups(
+    keys = batch_keys(
         SCENARIO, PARAMS, None, ROUTE_PLATFORM_DEFAULT, routed_batch()
     )
     for _ in range(attempts):
         backend = PartitionServer(workers=1, store=store_dir)
         address = backend.start()
         directory = PartitionDirectory([first.address, address])
-        if len(directory.split_groups(groups)) == 2:
+        if len(directory.split(keys)) == 2:
             return backend
         backend.close()
     raise AssertionError(
@@ -203,14 +199,13 @@ def test_directory_shares_are_balanced():
 def test_directory_split_partitions_all_indices():
     directory = PartitionDirectory(["h1:1", "h2:2", "h3:3"])
     keys = [f"{i:08x}" for i in range(97)]
-    # Singleton groups: every index its own atomic routing unit.
-    shards = directory.split_groups(
-        [(key, [index]) for index, key in enumerate(keys)]
-    )
+    shards = directory.split(keys)
     indices = sorted(i for chunk in shards.values() for i in chunk)
     assert indices == list(range(len(keys)))
-    for backend in shards:
+    for backend, chunk in shards.items():
         assert backend in directory
+        assert chunk == sorted(chunk)  # batch order within a shard
+        assert all(directory.route(keys[i]) == backend for i in chunk)
 
 
 def test_directory_chain_is_deterministic_failover_order():

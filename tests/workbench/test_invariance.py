@@ -1,0 +1,139 @@
+"""A partition answer depends only on its request.
+
+Every answer in the solver benchmark's EEG-6 batch must equal, as a
+canonical artifact, the same request solved alone on a fresh
+:class:`Session`: whether it is solved inside the batch, in the batch
+reversed, next to a result cache that already holds half the batch, or
+by a two-worker partition server.  A §4.3 rate search's result must
+equal a direct request at the rate the search found.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from repro.workbench import (
+    PartitionRequest,
+    PartitionServer,
+    ProfileStore,
+    RateSearchRequest,
+    ResultCache,
+    ServerClient,
+    Session,
+)
+from repro.workbench.artifacts import canonical_json
+
+PARAMS = {"n_channels": 6}
+
+
+def benchmark_batch() -> list[PartitionRequest]:
+    """``bench_solver``'s 20-request batch: 4 CPU budgets x 5 rates."""
+    path = Path(__file__).parents[2] / "benchmarks" / "bench_solver.py"
+    spec = importlib.util.spec_from_file_location("bench_solver", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._partition_many_requests(20)
+
+
+@pytest.fixture(scope="module")
+def store_dir(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("invariance-store"))
+
+
+def fresh_session(store_dir: str, **kwargs) -> Session:
+    kwargs.setdefault("result_cache", False)
+    return Session("eeg", store=ProfileStore(store_dir), params=PARAMS,
+                   **kwargs)
+
+
+@pytest.fixture(scope="module")
+def batch():
+    return benchmark_batch()
+
+
+@pytest.fixture(scope="module")
+def alone(store_dir, batch):
+    """Each request's canonical answer, solved alone on a fresh session
+    (``None`` where it is infeasible)."""
+    answers = []
+    for request in batch:
+        result = fresh_session(store_dir).try_partition(request)
+        answers.append(None if result is None else canonical_json(result))
+    return answers
+
+
+def differing(alone, results) -> list[int]:
+    """Indices whose answer differs from the request solved alone."""
+    assert len(results) == len(alone)
+    return [
+        index
+        for index, (expected, result) in enumerate(zip(alone, results))
+        if expected != (None if result is None else canonical_json(result))
+    ]
+
+
+def test_batch_answers_equal_requests_solved_alone(store_dir, batch, alone):
+    results = fresh_session(store_dir).partition_many(
+        batch, skip_infeasible=True
+    )
+    assert differing(alone, results) == []
+
+
+def test_reversed_batch_answers_equal_requests_solved_alone(
+    store_dir, batch, alone
+):
+    results = fresh_session(store_dir).partition_many(
+        batch[::-1], skip_infeasible=True
+    )
+    assert differing(alone, results[::-1]) == []
+
+
+def test_half_cached_batch_answers_equal_requests_solved_alone(
+    store_dir, batch, alone, tmp_path
+):
+    """Seed a result cache with every other request, then serve the
+    whole batch through it: the hits and the solved misses both equal
+    the requests solved alone."""
+    cache = ResultCache(str(tmp_path / "results"))
+    session = fresh_session(store_dir, result_cache=cache)
+    session.partition_many(batch[::2], skip_infeasible=True)
+    assert cache.stats.stores == len(batch[::2])
+    results = fresh_session(store_dir, result_cache=cache).partition_many(
+        batch, skip_infeasible=True
+    )
+    assert cache.stats.hits == len(batch[::2])
+    assert differing(alone, results) == []
+
+
+def test_served_answers_equal_requests_solved_alone(store_dir, batch, alone):
+    with PartitionServer(
+        workers=2, store=store_dir, result_cache=False
+    ) as server:
+        with ServerClient(server.address) as client:
+            results = client.partition_many(
+                "eeg", batch, params=PARAMS, skip_infeasible=True
+            )
+    assert differing(alone, results) == []
+
+
+@pytest.mark.parametrize("channels", [3, 4])
+def test_rate_search_result_equals_a_direct_request(store_dir, channels):
+    """The e2ebench EEG rate search: its result is the answer a direct
+    request at the found rate gets."""
+    request = PartitionRequest(platform="tmote", gap_tolerance=5e-3)
+    store = ProfileStore(store_dir)
+    params = {"n_channels": channels}
+    found = Session(
+        "eeg", store=store, params=params, result_cache=False
+    ).rate_search(
+        RateSearchRequest(partition=request, target_factor=1024.0)
+    )
+    assert found.result is not None
+    direct = Session(
+        "eeg", store=store, params=params, result_cache=False
+    ).partition(replace(request, rate_factor=found.rate_factor))
+    assert canonical_json(found.result) == canonical_json(direct)

@@ -44,11 +44,7 @@ from repro.workbench.artifacts import canonical_document, canonical_json
 from repro.runtime.frames import encode_message
 from repro.workbench.cache import RESULT_PREFIX, CacheEntry, result_key
 from repro.workbench.scenarios import Scenario
-from repro.workbench.server import (
-    _budget_runs,
-    _result_frames,
-    _session_for,
-)
+from repro.workbench.server import _result_frames, _session_for
 
 #: Small scenario parameterizations so profiling (shared via a durable
 #: store) and the per-request solves stay fast.
@@ -197,10 +193,8 @@ def test_shuffled_request_order_is_normalized(server, store_dir):
 
 def test_repeated_batches_are_pure_functions_of_the_batch(server, store_dir):
     """Running one batch twice through one session returns identical
-    canonical artifacts both times — a cached probe's warm-start state
-    does not leak across batch boundaries — and both match the served
-    answers.  (A single-budget rate sweep is the sharpest case: no
-    budget change inside the batch ever resets the relaxation.)"""
+    canonical artifacts both times — a cached probe carries nothing
+    across batch boundaries — and both match the served answers."""
     requests = [
         PartitionRequest(rate_factor=r, cpu_budget=0.9, gap_tolerance=5e-3)
         for r in (1.0, 2.0, 4.0, 6.0)
@@ -218,7 +212,7 @@ def test_repeated_batches_are_pure_functions_of_the_batch(server, store_dir):
 
 
 def test_job_timeout_abandons_stuck_worker(store_dir, monkeypatch):
-    """A wedged run errors out to the client instead of hanging, and
+    """A wedged job errors out to the client instead of hanging, and
     the pool retires the stuck worker."""
     monkeypatch.setenv("REPRO_SERVER_TEST_DELAY", "30")
     with PartitionServer(
@@ -251,7 +245,7 @@ def test_bad_server_address_is_a_typed_error():
 
 
 def budget_batch(cpu: float) -> list[PartitionRequest]:
-    """One probe group at one CPU budget: a single served run."""
+    """One probe group at one CPU budget, three rates."""
     return [
         PartitionRequest(rate_factor=rate, cpu_budget=cpu, gap_tolerance=5e-3)
         for rate in (1.0, 2.0, 6.0)
@@ -260,7 +254,7 @@ def budget_batch(cpu: float) -> list[PartitionRequest]:
 
 def test_probe_group_is_formulated_once_per_process(store_dir, monkeypatch):
     """A degraded server solves in this process: two batches of one
-    probe group formulate it once, and the second batch re-probes the
+    probe group formulate it once, and every later job re-probes the
     cached formulation."""
     calls = []
     original = Wishbone.prepare_probe
@@ -280,14 +274,15 @@ def test_probe_group_is_formulated_once_per_process(store_dir, monkeypatch):
                         "eeg", budget_batch(cpu),
                         params=SCENARIO_PARAMS["eeg"], skip_infeasible=True,
                     )
-                assert client.stats()["degraded_runs"] == 2
+                # One inline job per request.
+                assert client.stats()["degraded_runs"] == 6
     assert len(calls) == 1
 
 
 def test_reused_worker_probe_answers_like_a_fresh_one(store_dir):
     """One worker answers A, B, then A again through the probe it built
     for A: each reply equals a fresh in-process batch, so a reused probe
-    carries nothing from the runs it served before."""
+    carries nothing from the requests it served before."""
     with PartitionServer(
         workers=1, store=store_dir, result_cache=False
     ) as srv:
@@ -415,19 +410,17 @@ def test_answers_are_durable_when_the_reply_arrives(store_dir, tmp_path):
 
 def test_degraded_runner_replies_like_a_worker(store_dir, tmp_path):
     """The in-process fallback runs the workers' own job code: for the
-    same run its reply carries the same indices and the same bytes,
-    wall-clock fields aside."""
+    same job its reply carries the same bytes, wall-clock fields
+    aside."""
 
-    def canonical(answers):
-        return [
-            (
-                index,
-                None if header is None
-                else canonical_document(json.loads(header)),
-                body,
-            )
-            for index, header, body in answers
-        ]
+    def canonical(answer):
+        header = answer.header
+        return (
+            None if header is None
+            else canonical_document(json.loads(header)),
+            answer.body,
+            answer.store_errors,
+        )
 
     requests = batch_for("eeg")
     with PartitionServer(
@@ -445,8 +438,8 @@ def test_degraded_runner_replies_like_a_worker(store_dir, tmp_path):
         for job in jobs:
             assert job.event.wait(120.0) and job.error is None, job.error
             inline = srv._solve_inline(job.payload)
-            assert canonical(inline.answers) == canonical(job.result.answers)
-            assert inline.store_errors == job.result.store_errors == 0
+            assert canonical(inline) == canonical(job.result)
+            assert inline.store_errors == 0
 
 
 def test_in_memory_store_server_equals_inprocess():
@@ -585,7 +578,7 @@ def test_worker_sigkill_mid_batch_loses_nothing(store_dir, monkeypatch):
     local = local_session("eeg", store_dir).partition_many(
         requests, skip_infeasible=True
     )
-    # Slow each run down so the kill reliably lands mid-batch.  The env
+    # Slow each job down so the kill reliably lands mid-batch.  The env
     # var is read by the (forked) workers at job start.
     monkeypatch.setenv("REPRO_SERVER_TEST_DELAY", "0.25")
     with PartitionServer(
@@ -706,12 +699,6 @@ def test_request_payload_roundtrip():
     assert PartitionRequest.from_payload(payload) == request
     with pytest.raises(Exception, match="unknown partition-request"):
         PartitionRequest.from_payload({"bogus": 1})
-
-
-def test_budget_runs_split_at_budget_boundaries():
-    resolved = {0: (1.0, 10.0), 1: (1.0, 10.0), 2: (0.9, 10.0), 3: (0.9, 20.0)}
-    assert _budget_runs([0, 1, 2, 3], resolved) == [[0, 1], [2], [3]]
-    assert _budget_runs([], resolved) == []
 
 
 json_values = st.recursive(
