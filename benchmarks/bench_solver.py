@@ -6,7 +6,8 @@ Measures the two paths this repo's headline figures depend on:
    instance at a binding rate factor where a search tree survives the
    root, in two configurations: ``tuned`` (one HiGHS model warm-started
    from node to node, diving, reduced-cost fixing) and ``plain`` (all
-   tuning knobs off — the seed-equivalent search).  Reports nodes/sec,
+   three knobs off: best-first search with one cold ``linprog`` HiGHS
+   solve per node).  Reports nodes/sec,
    relaxations/sec, and simplex iterations/sec, plus the node count of
    a rate factor that closure fixing closes at the root
    (``root_closing``).
@@ -361,7 +362,8 @@ def bench_degraded_fallback(smoke: bool) -> dict:
     so every request is answered by the parent's in-process fallback,
     and times that degraded batch against plain in-process
     ``Session.partition_many``.  Degraded serving pays socket framing
-    plus per-job threads, so the ratio sits near (a little under) 1.0;
+    plus a hand-off to the pool's one runner thread, so the ratio sits
+    near (a little under) 1.0;
     gating it keeps the fallback path measured, not merely believed.
     Artifacts must stay byte-identical — degradation changes where a
     run solves, never its answer.

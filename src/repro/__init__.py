@@ -79,7 +79,7 @@ from .network import NetworkProfiler, RoutingTree, Testbed
 from .platforms import PLATFORMS, CycleCosts, Platform, RadioSpec, get_platform
 from .profiler import GraphProfile, Measurement, Profiler
 from .runtime import Deployment, DeploymentPrediction
-from .solver import BranchAndBound, LinearProgram, solve_lp, solve_milp
+from .solver import BranchAndBound, LinearProgram, solve_milp
 from .viz import graph_to_dot, write_dot
 from .workbench import (
     PartitionRequest,
@@ -159,7 +159,6 @@ __all__ = [
     "graph_to_dot",
     "max_feasible_rate",
     "run_graph",
-    "solve_lp",
     "solve_milp",
     "synth_eeg",
     "synth_speech_audio",

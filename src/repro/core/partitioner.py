@@ -97,7 +97,6 @@ class Wishbone:
             the platform's ``cpu_budget_fraction``.
         net_budget: channel budget in bytes/s; defaults to the platform
             radio's goodput capacity (or infinity without a radio).
-        lp_engine: LP engine for branch and bound ("scipy" or "simplex").
         time_limit: wall-clock cap per solve, in seconds.
         gap_tolerance: relative optimality gap at which either solver
             backend declares a solution optimal.  Symmetric graphs (e.g.
@@ -119,7 +118,6 @@ class Wishbone:
         use_preprocess: bool = True,
         cpu_budget: float | None = None,
         net_budget: float | None = None,
-        lp_engine: str = "scipy",
         time_limit: float | None = None,
         gap_tolerance: float = 1e-6,
         aggregate_fanin: float = 1.0,
@@ -131,7 +129,6 @@ class Wishbone:
         self.use_preprocess = use_preprocess
         self.cpu_budget = cpu_budget
         self.net_budget = net_budget
-        self.lp_engine = lp_engine
         self.time_limit = time_limit
         self.gap_tolerance = gap_tolerance
         self.aggregate_fanin = aggregate_fanin
@@ -225,7 +222,6 @@ class Wishbone:
         """
         if self.solver is SolverBackend.BRANCH_AND_BOUND:
             return BranchAndBound(
-                lp_engine=self.lp_engine,
                 time_limit=self.time_limit,
                 gap_tolerance=self.gap_tolerance,
             ).solve(program, relaxation=relaxation)

@@ -138,17 +138,13 @@ class ScaledProbe:
         """The cached HiGHS model, set to ``arrays`` with no solver state.
 
         Returns ``None`` when the partitioner configuration cannot use it
-        (non-B&B backend, tableau engine) or the private HiGHS bindings
-        are unavailable — probes then solve exactly as before.
+        (non-B&B backend) or the private HiGHS bindings are unavailable —
+        probes then solve exactly as before.
         """
         from ..solver.scipy_backend import make_highs_relaxation
         from .partitioner import SolverBackend
 
-        partitioner = self.partitioner
-        if (
-            partitioner.solver is not SolverBackend.BRANCH_AND_BOUND
-            or partitioner.lp_engine != "scipy"
-        ):
+        if self.partitioner.solver is not SolverBackend.BRANCH_AND_BOUND:
             return None
         if self._relaxation is False:
             return None

@@ -76,7 +76,6 @@ def run(
     n_runs: int | None = None,
     n_channels: int | None = None,
     max_factor: float = 40.0,
-    lp_engine: str = "scipy",
     gap_tolerance: float = 5e-3,
     time_limit: float | None = 30.0,
 ) -> Fig6Result:
@@ -102,7 +101,6 @@ def run(
         formulation=Formulation.RESTRICTED,
         cpu_budget=1.0,
         net_budget=float("inf"),
-        lp_engine=lp_engine,
         gap_tolerance=gap_tolerance,
         time_limit=time_limit,
     )

@@ -2,16 +2,18 @@
 
 Public pieces:
   * :class:`LinearProgram` — declarative model (variables + constraints);
-  * :func:`solve_lp` — dense two-phase simplex written from scratch;
   * :class:`BranchAndBound` / :func:`solve_milp` — our MILP solver with
     incumbent-history tracking (find-vs-prove times, Figure 6);
-  * :func:`solve_lp_scipy` / :func:`solve_milp_scipy` — HiGHS cross-checks.
+  * :func:`solve_lp_scipy` — one cold HiGHS LP solve (branch and bound's
+    relaxation when warm starts are off or scipy's private HiGHS bindings
+    are missing);
+  * :func:`solve_milp_scipy` — HiGHS branch and cut, the exact-MILP
+    cross-check.
 """
 
 from .branch_bound import BranchAndBound, solve_milp
 from .model import INF, Constraint, LinearProgram, StandardArrays, Variable
 from .scipy_backend import solve_lp_scipy, solve_milp_scipy
-from .simplex import solve_lp
 from .solution import IncumbentEvent, Solution, SolveStatus
 
 __all__ = [
@@ -24,7 +26,6 @@ __all__ = [
     "SolveStatus",
     "StandardArrays",
     "Variable",
-    "solve_lp",
     "solve_lp_scipy",
     "solve_milp",
     "solve_milp_scipy",

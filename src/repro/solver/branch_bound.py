@@ -28,18 +28,18 @@ Design notes:
     incumbent, integer variables whose reduced cost proves they cannot move
     off their bound in any improving solution are fixed permanently,
     shrinking the tree;
-  * warm starts: each node passes its parent's basis to the LP engine; the
-    tableau simplex resumes from it (phase 1 skipped when still feasible),
-    while HiGHS — which scipy exposes with no warm-start entry point —
-    ignores the hint;
-  * the LP engine is pluggable: ``"scipy"`` (HiGHS, default — fast on the
-    1300-variable EEG instances) or ``"simplex"`` (our own dense tableau,
-    fully self-contained).
+  * one LP engine, HiGHS: with warm starts a single persistent
+    :class:`~repro.solver.scipy_backend.HighsRelaxation` serves every node
+    of a solve with two bound edits and a dual-simplex resume from the
+    previous node's basis; without them each node is one cold
+    :func:`~repro.solver.scipy_backend.solve_lp_scipy` run.  No basis
+    outlives a solve.
 
 Knobs (constructor arguments): ``dive`` toggles the diving hybrid,
-``reduced_cost_fixing`` the root fixing, ``warm_start`` the basis reuse.
-All default to on; disabling all three gives the plain best-first solver
-for A/B measurements (``plain`` in ``benchmarks/bench_solver.py``).
+``reduced_cost_fixing`` the root fixing, ``warm_start`` the persistent
+HiGHS model.  All default to on; disabling all three gives the plain
+best-first solver with a cold LP per node for A/B measurements
+(``plain`` in ``benchmarks/bench_solver.py``).
 Closure fixing has no knob: it never changes the feasible set.
 """
 
@@ -55,7 +55,6 @@ import numpy as np
 
 from .model import INF, LinearProgram, StandardArrays
 from .scipy_backend import make_highs_relaxation, solve_lp_scipy
-from .simplex import solve_lp
 from .solution import IncumbentEvent, Solution, SolveStatus
 
 _INT_TOL = 1e-6
@@ -170,16 +169,12 @@ class _Node:
     # bounds overrides: variable index -> (lb, ub)
     var_bounds: dict[int, tuple[float, float]] = field(compare=False)
     depth: int = field(compare=False, default=0)
-    # warm-start hint: the parent relaxation's basis (simplex engine only)
-    basis: np.ndarray | None = field(compare=False, default=None)
 
 
 class BranchAndBound:
     """Best-first branch and bound (with diving) over LP relaxations.
 
     Args:
-        lp_engine: ``"scipy"`` for HiGHS relaxations, ``"simplex"`` for the
-            built-in dense tableau simplex.
         gap_tolerance: relative gap at which a solve is declared optimal.
         node_limit: maximum number of explored nodes.
         time_limit: wall-clock limit in seconds (``None`` = unlimited).
@@ -187,13 +182,13 @@ class BranchAndBound:
             after branching (earlier incumbents, same final objective).
         reduced_cost_fixing: permanently fix integer variables at the root
             when their reduced cost proves no improving solution moves them.
-        warm_start: pass each parent's LP basis to the engine (used by the
-            tableau simplex; ignored by HiGHS).
+        warm_start: solve every node of a solve on one persistent HiGHS
+            model, each warm-started from the previous node's basis;
+            otherwise each node is a cold ``linprog`` run.
     """
 
     def __init__(
         self,
-        lp_engine: str = "scipy",
         gap_tolerance: float = 1e-6,
         node_limit: int = 200_000,
         time_limit: float | None = None,
@@ -201,9 +196,6 @@ class BranchAndBound:
         reduced_cost_fixing: bool = True,
         warm_start: bool = True,
     ) -> None:
-        if lp_engine not in ("scipy", "simplex"):
-            raise ValueError(f"unknown lp engine {lp_engine!r}")
-        self.lp_engine = lp_engine
         self.gap_tolerance = gap_tolerance
         self.node_limit = node_limit
         self.time_limit = time_limit
@@ -214,45 +206,35 @@ class BranchAndBound:
     # -- helpers -----------------------------------------------------------
 
     def _make_relaxation_solver(self, arrays: StandardArrays, shared=None):
-        """Bind an LP engine to this instance for the duration of a solve.
+        """Bind HiGHS to this instance for the duration of a solve.
 
-        Returns ``solve(lb, ub, warm) -> Solution``.  For the scipy engine
-        with warm starts enabled, a persistent HiGHS model is kept hot
-        across nodes (bound edits + dual-simplex resume); otherwise each
-        call is an independent solve.  ``shared`` is an already-built
+        Returns ``solve(lb, ub) -> Solution``.  With warm starts enabled,
+        a persistent HiGHS model is kept hot across nodes (bound edits +
+        dual-simplex resume); otherwise each call is an independent cold
+        solve.  ``shared`` is an already-built
         :class:`~repro.solver.scipy_backend.HighsRelaxation` to reuse (it
         outlives this solve: a rate probe keeps one model across probes
         and clears its basis before each).
         """
-        if self.lp_engine == "scipy":
-            state = {
-                "engine": (
-                    shared
-                    if shared is not None
-                    else make_highs_relaxation(arrays)
-                )
-                if self.warm_start
-                else None
-            }
-
-            def relax(lb, ub, warm):
-                engine = state["engine"]
-                if engine is not None:
-                    try:
-                        return engine.solve(lb, ub)
-                    except Exception:
-                        # The private HiGHS bindings misbehaved mid-solve
-                        # (e.g. a scipy upgrade changed a signature):
-                        # degrade permanently to cold linprog solves.
-                        state["engine"] = None
-                return solve_lp_scipy(arrays.with_bounds(lb, ub))
-
-            return relax
+        engine = None
         if self.warm_start:
-            return lambda lb, ub, warm: solve_lp(
-                arrays.with_bounds(lb, ub), warm_basis=warm
+            engine = (
+                shared if shared is not None else make_highs_relaxation(arrays)
             )
-        return lambda lb, ub, warm: solve_lp(arrays.with_bounds(lb, ub))
+
+        def relax(lb, ub):
+            nonlocal engine
+            if engine is not None:
+                try:
+                    return engine.solve(lb, ub)
+                except Exception:
+                    # The private HiGHS bindings misbehaved mid-solve
+                    # (e.g. a scipy upgrade changed a signature):
+                    # degrade permanently to cold linprog solves.
+                    engine = None
+            return solve_lp_scipy(arrays.with_bounds(lb, ub))
+
+        return relax
 
     @staticmethod
     def _fractionality(
@@ -407,8 +389,8 @@ class BranchAndBound:
 
         ``relaxation`` is an optional already-built
         :class:`~repro.solver.scipy_backend.HighsRelaxation` of ``program``
-        with no solver state (scipy engine with warm starts only), so a
-        caller that solves one model many times skips the model build.
+        with no solver state (used with warm starts only), so a caller
+        that solves one model many times skips the model build.
         """
         arrays = (
             program.to_arrays()
@@ -428,16 +410,8 @@ class BranchAndBound:
         ub0 = ub_orig.copy()
         ub0[closure_overflow(arrays, lb0, ub0)] = 0.0
 
-        if relaxation is not None and not (
-            self.lp_engine == "scipy" and self.warm_start
-        ):
-            relaxation = None
-        solve_relaxation = (
-            self._make_relaxation_solver(arrays, relaxation)
-            if relaxation is not None
-            else self._make_relaxation_solver(arrays)
-        )
-        root = solve_relaxation(lb0, ub0, None)
+        solve_relaxation = self._make_relaxation_solver(arrays, relaxation)
+        root = solve_relaxation(lb0, ub0)
         total_iterations += root.iterations
         if root.status == SolveStatus.INFEASIBLE:
             return Solution(
@@ -570,8 +544,7 @@ class BranchAndBound:
         counter = itertools.count()
         heap: list[_Node] = []
         root_node = _Node(
-            bound=root.objective, order=next(counter), var_bounds={},
-            basis=root.basis,
+            bound=root.objective, order=next(counter), var_bounds={}
         )
         # The root relaxation is already solved (and its integrality check
         # and rounding heuristic already ran above); seed the loop with it
@@ -618,7 +591,7 @@ class BranchAndBound:
                 for idx, (vlb, vub) in node.var_bounds.items():
                     lb[idx] = vlb
                     ub[idx] = vub
-                relax = solve_relaxation(lb, ub, node.basis)
+                relax = solve_relaxation(lb, ub)
                 total_iterations += relax.iterations
                 if relax.status == SolveStatus.INFEASIBLE:
                     continue  # infeasible subtree
@@ -687,7 +660,6 @@ class BranchAndBound:
                     order=next(counter),
                     var_bounds=child,
                     depth=node.depth + 1,
-                    basis=relax.basis,
                 )
                 # A child is kept only when its branch interval is
                 # non-empty AND strictly tighter than the parent's box —
@@ -744,10 +716,7 @@ class BranchAndBound:
 
 def solve_milp(
     program: LinearProgram | StandardArrays,
-    lp_engine: str = "scipy",
     time_limit: float | None = None,
 ) -> Solution:
     """Convenience wrapper: solve a MILP with default B&B settings."""
-    return BranchAndBound(lp_engine=lp_engine, time_limit=time_limit).solve(
-        program
-    )
+    return BranchAndBound(time_limit=time_limit).solve(program)

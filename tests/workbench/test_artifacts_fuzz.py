@@ -94,12 +94,6 @@ def float_array(max_size: int = 8):
     )
 
 
-def int_array(max_size: int = 8):
-    return st.lists(
-        st.integers(min_value=-3, max_value=3), min_size=0, max_size=max_size
-    ).map(lambda values: np.asarray(values, dtype=np.int32))
-
-
 @st.composite
 def solutions(draw):
     names = [f"v{i}" for i in range(draw(st.integers(0, 5)))]
@@ -122,7 +116,6 @@ def solutions(draw):
         nodes_explored=draw(small_int),
         iterations=draw(small_int),
         reduced_costs=draw(st.one_of(st.none(), float_array())),
-        basis=draw(st.one_of(st.none(), int_array())),
     )
 
 
@@ -293,7 +286,6 @@ def saved_artifact(tmp_path_factory):
             x=np.linspace(0.0, 1.0, 64),
             names=[f"v{i}" for i in range(64)],
             reduced_costs=np.arange(64, dtype=np.float64),
-            basis=np.arange(64, dtype=np.int32),
         ),
     )
     root = tmp_path_factory.mktemp("artifact")

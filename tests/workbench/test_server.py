@@ -36,6 +36,7 @@ from repro.workbench import (
     ServerClient,
     ServerError,
     Session,
+    WorkbenchError,
 )
 from repro.runtime import frames
 from repro.workbench import artifacts, cache as cache_module
@@ -442,6 +443,45 @@ def test_degraded_runner_replies_like_a_worker(store_dir, tmp_path):
             assert inline.store_errors == 0
 
 
+def test_degraded_batch_is_drained_by_one_runner_thread(
+    store_dir, monkeypatch
+):
+    """With no workers, a batch of misses is answered in process by a
+    single runner thread (not one thread per job), and the answers
+    equal in-process ones."""
+    earlier = set(threading.enumerate())
+    alive = []
+    original = PartitionServer._solve_inline
+
+    def counting_solve(self, payload):
+        alive.append(
+            sum(
+                t not in earlier and t.name.startswith("degraded-")
+                for t in threading.enumerate()
+            )
+        )
+        return original(self, payload)
+
+    monkeypatch.setattr(PartitionServer, "_solve_inline", counting_solve)
+    requests = budget_batch(1.0) + budget_batch(0.9)
+    with pytest.warns(RuntimeWarning, match="no live workers"):
+        with PartitionServer(
+            workers=0, min_workers=0, store=store_dir, result_cache=False
+        ) as srv:
+            with ServerClient(srv.address) as client:
+                served = client.partition_many(
+                    "eeg", requests, params=SCENARIO_PARAMS["eeg"],
+                    skip_infeasible=True,
+                )
+                assert client.stats()["degraded_runs"] == len(requests)
+    assert len(alive) == len(requests) >= 4
+    assert max(alive) == 1
+    local = local_session("eeg", store_dir).partition_many(
+        requests, skip_infeasible=True
+    )
+    assert_equivalent(local, served)
+
+
 def test_in_memory_store_server_equals_inprocess():
     """With no ``store`` each worker profiles into its own in-memory
     store; the answers still equal the in-process ones."""
@@ -699,6 +739,17 @@ def test_request_payload_roundtrip():
     assert PartitionRequest.from_payload(payload) == request
     with pytest.raises(Exception, match="unknown partition-request"):
         PartitionRequest.from_payload({"bogus": 1})
+
+
+def test_stale_lp_engine_field_is_a_typed_error():
+    """A client that still sends the removed ``lp_engine`` field gets a
+    typed unknown-field error, not a ``TypeError``."""
+    payload = PartitionRequest().to_payload()
+    payload["lp_engine"] = "scipy"
+    with pytest.raises(
+        WorkbenchError, match="unknown partition-request fields"
+    ):
+        PartitionRequest.from_payload(payload)
 
 
 json_values = st.recursive(
