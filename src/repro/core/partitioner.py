@@ -50,7 +50,15 @@ class PartitionObjective:
 
 @dataclass
 class PartitionResult:
-    """Everything a partitioning run produced.
+    """A partitioning run's answer: its decision, not its instance.
+
+    ``partition`` is the decision (node set, CPU and network load,
+    objective) and ``solution`` the solver outcome behind it (status,
+    objective, bound, incumbent history, effort); ``partition``'s
+    ``solver_solution`` is the same object.  The solution carries no
+    variable vector: the node set is what the vector decoded to.
+    ``vertices`` and ``reduced_vertices`` count the instance's vertices
+    before and after §4.1 preprocessing (equal when it is off).
 
     ``request`` is optional serving-context metadata (the workbench's
     :class:`~repro.workbench.session.PartitionRequest`) attached by the
@@ -61,9 +69,8 @@ class PartitionResult:
 
     partition: Partition
     solution: Solution
-    problem: PartitionProblem
-    reduced: ReducedProblem | None
-    pins: dict[str, Pinning]
+    vertices: int
+    reduced_vertices: int
     build_seconds: float
     solve_seconds: float
     request: object | None = None
@@ -75,11 +82,9 @@ class PartitionResult:
     @property
     def reduction_ratio(self) -> float:
         """Vertices removed by preprocessing (0 = none, 1 = all)."""
-        if self.reduced is None:
+        if not self.vertices:
             return 0.0
-        before = len(self.problem.vertices)
-        after = len(self.reduced.problem.vertices)
-        return 1.0 - after / before if before else 0.0
+        return 1.0 - self.reduced_vertices / self.vertices
 
 
 class Wishbone:
@@ -248,7 +253,6 @@ class Wishbone:
         model,
         solution: Solution,
         reduced: ReducedProblem | None,
-        pins: dict[str, Pinning],
         build_seconds: float,
         solve_seconds: float,
     ) -> PartitionResult:
@@ -256,9 +260,11 @@ class Wishbone:
 
         Shared by the direct path (:meth:`partition`) and the incremental
         rate probe (``repro.core.probe``) so the two paths cannot drift.
-        Raises :class:`InfeasiblePartition` when the solver found no
-        solution, :class:`PartitionError` when the decoded assignment
-        violates the budgets of ``problem`` (an encoding bug).
+        ``reduced`` only expands clusters and counts vertices, so any
+        rate or budget variant of one reduction serves.  Raises
+        :class:`InfeasiblePartition` when the solver found no solution,
+        :class:`PartitionError` when the decoded assignment violates the
+        budgets of ``problem`` (an encoding bug).
         """
         if not solution.status.has_solution:
             raise InfeasiblePartition(
@@ -275,6 +281,19 @@ class Wishbone:
                 "solver returned an assignment that violates the budgets; "
                 "this indicates an encoding bug"
             )
+        # The node set is what the variable vector decodes to: keep the
+        # outcome without the vector (or the names and reduced costs
+        # indexed like it), so this answer holds what a decoded one does.
+        solution = Solution(
+            status=solution.status,
+            objective=solution.objective,
+            bound=solution.bound,
+            incumbents=solution.incumbents,
+            discover_elapsed=solution.discover_elapsed,
+            prove_elapsed=solution.prove_elapsed,
+            nodes_explored=solution.nodes_explored,
+            iterations=solution.iterations,
+        )
         partition = Partition(
             graph=graph,
             node_set=frozenset(node_set),
@@ -284,19 +303,23 @@ class Wishbone:
             feasible=True,
             solver_solution=solution,
         )
+        vertices = len(problem.vertices)
         return PartitionResult(
             partition=partition,
             solution=solution,
-            problem=problem,
-            reduced=reduced,
-            pins=pins,
+            vertices=vertices,
+            reduced_vertices=(
+                len(reduced.problem.vertices)
+                if reduced is not None
+                else vertices
+            ),
             build_seconds=build_seconds,
             solve_seconds=solve_seconds,
         )
 
     def partition(self, profile: GraphProfile) -> PartitionResult:
         """Partition a profiled graph; raises on infeasibility."""
-        problem, pins = self.build_problem(profile)
+        problem, _ = self.build_problem(profile)
         build_start = time.perf_counter()
         reduced = preprocess(problem) if self.use_preprocess else None
         target = reduced.problem if reduced is not None else problem
@@ -312,7 +335,6 @@ class Wishbone:
             model,
             solution,
             reduced,
-            pins,
             build_seconds,
             solve_seconds,
         )

@@ -46,35 +46,6 @@ class ReducedProblem:
             node_set.update(self.members[cluster])
         return node_set
 
-    def scaled(self, factor: float) -> "ReducedProblem":
-        """The same reduction at a different input rate (§4.3).
-
-        The merge decisions compare bandwidths against each other, so a
-        uniform scaling never changes *which* vertices were contracted —
-        only the weights on the clustered problem.  The cluster membership
-        tables are shared, which is what lets the incremental rate probe
-        (``repro.core.probe``) reuse one reduction across a whole search.
-        """
-        return ReducedProblem(
-            problem=self.problem.scaled(factor),
-            members=self.members,
-            cluster_of=self.cluster_of,
-        )
-
-    def with_budgets(
-        self, cpu_budget: float, net_budget: float
-    ) -> "ReducedProblem":
-        """The same reduction under different budgets.
-
-        The §4.1 merge rule compares bandwidths and pins only — budgets
-        never enter it — so cluster membership is shared unchanged.
-        """
-        return ReducedProblem(
-            problem=self.problem.with_budgets(cpu_budget, net_budget),
-            members=self.members,
-            cluster_of=self.cluster_of,
-        )
-
 
 def _combine_pins(a: Pinning, b: Pinning) -> Pinning:
     if a is b:

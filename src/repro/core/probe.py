@@ -53,7 +53,6 @@ class ScaledProbe:
 
     Attributes:
         problem: the base (factor 1.0) :class:`PartitionProblem`.
-        pins: the computed pinnings (rate-invariant).
         reduced: the §4.1 reduction of the base problem (``None`` when the
             partitioner has preprocessing disabled).
         build_seconds: one-time cost of pin + reduce + formulate + export.
@@ -66,7 +65,7 @@ class ScaledProbe:
         self.profile = profile
 
         build_start = time.perf_counter()
-        self.problem, self.pins = partitioner.build_problem(profile)
+        self.problem, _ = partitioner.build_problem(profile)
         self.reduced = (
             preprocess(self.problem) if partitioner.use_preprocess else None
         )
@@ -204,7 +203,7 @@ class ScaledProbe:
         solve_start = time.perf_counter()
         solution = self.partitioner.solve_arrays(arrays, relaxation=relaxation)
         solve_seconds = time.perf_counter() - solve_start
-        problem, reduced = self.problem, self.reduced
+        problem = self.problem
         if override:
             effective_cpu = (
                 cpu_budget if cpu_budget is not None else problem.cpu_budget
@@ -215,15 +214,12 @@ class ScaledProbe:
                 else problem.net_budget
             )
             problem = problem.with_budgets(effective_cpu, effective_net)
-            if reduced is not None:
-                reduced = reduced.with_budgets(effective_cpu, effective_net)
         return self.partitioner.package_result(
             self.profile.graph,
             problem.scaled(factor),
             self.model,
             solution,
-            reduced.scaled(factor) if reduced is not None else None,
-            self.pins,
+            self.reduced,
             build_seconds,
             solve_seconds,
         )

@@ -6,7 +6,7 @@ an embeddable service API:
 
 * :mod:`~repro.workbench.scenarios` — a registry of named, parameterized
   workloads (EEG, speech, and leak detection ship pre-registered);
-* :mod:`~repro.workbench.artifacts` — versioned JSON (+ npz) round-trips
+* :mod:`~repro.workbench.artifacts` — versioned JSON round-trips
   for measurements, profiles, partitions, and rate-search results;
 * :mod:`~repro.workbench.store` — a content-hash-keyed
   :class:`ProfileStore` that makes profiling durable across processes

@@ -1,4 +1,4 @@
-"""Serializable artifacts: versioned JSON (+ npz sidecar) round-trips.
+"""Serializable artifacts: versioned JSON round-trips.
 
 Everything the profile-once / re-partition-many workflow produces can be
 written to disk and reconstructed exactly:
@@ -10,22 +10,32 @@ written to disk and reconstructed exactly:
   :class:`~repro.core.partitioner.PartitionResult` — solver outcomes;
 * :class:`~repro.core.rate_search.RateSearchResult` — §4.3 searches.
 
+A partition answer is its decision: the node set with its loads and
+objective, the solver's status, bound, incumbent history and effort, and
+the instance's vertex counts before and after §4.1 preprocessing.  It
+carries neither the instance it was solved on nor the solver's variable
+vector, so it is a small JSON document and nothing else.
+
 Numbers round-trip bit-exactly: scalars ride through JSON via Python's
-shortest-repr floats, numpy arrays through an ``.npz`` sidecar on disk
-(or base64 inline for the string form).  Work functions are code, not
-data — graphs are therefore stored *by reference*: a structural
-fingerprint plus, when known, the ``(scenario, params)`` pair that
-rebuilds the graph through the registry.  Loading verifies the
-fingerprint, so a stale scenario or mismatched graph fails loudly
-instead of silently decoding against the wrong topology.
+shortest-repr floats.  No artifact kind holds an array; the on-disk
+convention (:func:`write_document`) and the wire (``encode_message``)
+still carry an ``arrays`` sidecar, which is empty for every artifact
+this module writes.
+
+Work functions are code, not data — graphs are therefore stored *by
+reference*: a structural fingerprint plus, when known, the
+``(scenario, params)`` pair that rebuilds the graph through the
+registry.  Loading verifies the fingerprint, so a stale scenario or
+mismatched graph fails loudly instead of silently decoding against the
+wrong topology.
 
 The wire format is versioned (:data:`SCHEMA_VERSION`); a document with a
-different version raises :class:`ArtifactError` rather than guessing.
+different version raises :class:`ArtifactError` rather than guessing, and
+the durable stores read one as a miss (:func:`is_current`).
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import itertools
 import json
@@ -35,11 +45,9 @@ import numpy as np
 
 from ..core.cut import Partition
 from ..core.partitioner import PartitionResult
-from ..core.preprocess import ReducedProblem
-from ..core.problem import PartitionProblem, WeightedEdge
 from ..core.rate_search import RateSearchResult
 from ..dataflow.execute import ExecutionStats
-from ..dataflow.graph import Edge, Pinning, StreamGraph, WorkCounts
+from ..dataflow.graph import Edge, StreamGraph, WorkCounts
 from ..platforms import get_platform
 from ..profiler.profiler import Measurement
 from ..profiler.records import EdgeProfile, GraphProfile, OperatorProfile
@@ -49,8 +57,9 @@ from .scenarios import get_scenario
 
 #: Version of the artifact wire format.  Bump on breaking changes.
 #: Version 2 dropped the per-bucket peak fields of measurements and
-#: graph profiles.
-SCHEMA_VERSION = 2
+#: graph profiles; 3 drops the instance and solution vectors from
+#: answers.
+SCHEMA_VERSION = 3
 
 #: Monotonic discriminator for temp-file names (see write_document).
 _WRITE_COUNTER = itertools.count()
@@ -142,56 +151,6 @@ def resolve_graph(
 
 
 # ---------------------------------------------------------------------------
-# Array vault: ndarrays referenced out of the JSON body
-# ---------------------------------------------------------------------------
-
-
-class _Vault:
-    """Collects ndarrays keyed ``a0, a1, ...`` during payload building."""
-
-    def __init__(self) -> None:
-        self.arrays: dict[str, np.ndarray] = {}
-
-    def put(self, array: np.ndarray | None) -> dict[str, str] | None:
-        if array is None:
-            return None
-        key = f"a{len(self.arrays)}"
-        # Copy: a cached/stored document must never alias the live
-        # object's buffers (in-place mutation would corrupt the store).
-        self.arrays[key] = np.array(array)
-        return {"__array__": key}
-
-    @staticmethod
-    def get(
-        token: Mapping[str, str] | None, arrays: Mapping[str, np.ndarray]
-    ) -> np.ndarray | None:
-        if token is None:
-            return None
-        key = token["__array__"]
-        try:
-            # Copy: loaded artifacts must never alias the cached sidecar.
-            return np.array(arrays[key])
-        except KeyError:
-            raise ArtifactError(f"missing array {key!r} in sidecar") from None
-
-
-def _array_to_inline(array: np.ndarray) -> dict[str, Any]:
-    array = np.ascontiguousarray(array)
-    return {
-        "dtype": array.dtype.str,
-        "shape": list(array.shape),
-        "data": base64.b64encode(array.tobytes()).decode("ascii"),
-    }
-
-
-def _array_from_inline(spec: Mapping[str, Any]) -> np.ndarray:
-    raw = base64.b64decode(spec["data"])
-    return np.frombuffer(raw, dtype=np.dtype(spec["dtype"])).reshape(
-        spec["shape"]
-    ).copy()
-
-
-# ---------------------------------------------------------------------------
 # Leaf payloads
 # ---------------------------------------------------------------------------
 
@@ -218,26 +177,13 @@ def _edge_from_key(key: list) -> Edge:
     return Edge(src=key[0], dst=key[1], dst_port=int(key[2]))
 
 
-def _pins_payload(pins: Mapping[str, Pinning]) -> dict[str, str]:
-    return {name: pin.value for name, pin in sorted(pins.items())}
-
-
-#: ``Pinning(value)`` walks the enum machinery on every call; a decoded
-#: EEG answer holds hundreds of pins.
-_PINNINGS = {pin.value: pin for pin in Pinning}
-
-
-def _pins_from(payload: Mapping[str, str]) -> dict[str, Pinning]:
-    return {name: _PINNINGS[value] for name, value in payload.items()}
-
-
-def _solution_payload(solution: Solution, vault: _Vault) -> dict[str, Any]:
+def _solution_payload(solution: Solution) -> dict[str, Any]:
+    """The solver outcome without its variable vector (the decision
+    records what the vector decoded to)."""
     return {
         "status": solution.status.value,
         "objective": solution.objective,
         "bound": solution.bound,
-        "x": vault.put(solution.x),
-        "names": solution.names,
         "incumbents": [
             [e.elapsed, e.objective, e.node_count]
             for e in solution.incumbents
@@ -246,19 +192,14 @@ def _solution_payload(solution: Solution, vault: _Vault) -> dict[str, Any]:
         "prove_elapsed": solution.prove_elapsed,
         "nodes_explored": solution.nodes_explored,
         "iterations": solution.iterations,
-        "reduced_costs": vault.put(solution.reduced_costs),
     }
 
 
-def _solution_from(
-    payload: Mapping[str, Any], arrays: Mapping[str, np.ndarray]
-) -> Solution:
+def _solution_from(payload: Mapping[str, Any]) -> Solution:
     return Solution(
         status=SolveStatus(payload["status"]),
         objective=payload["objective"],
         bound=payload["bound"],
-        x=_Vault.get(payload["x"], arrays),
-        names=payload["names"],
         incumbents=[
             IncumbentEvent(elapsed=e, objective=o, node_count=n)
             for e, o, n in payload["incumbents"]
@@ -267,60 +208,6 @@ def _solution_from(
         prove_elapsed=payload["prove_elapsed"],
         nodes_explored=payload["nodes_explored"],
         iterations=payload["iterations"],
-        reduced_costs=_Vault.get(payload["reduced_costs"], arrays),
-    )
-
-
-def _problem_payload(problem: PartitionProblem) -> dict[str, Any]:
-    return {
-        "vertices": list(problem.vertices),
-        "cpu": {v: problem.cpu[v] for v in sorted(problem.cpu)},
-        "edges": [[e.src, e.dst, e.bandwidth] for e in problem.edges],
-        "pins": _pins_payload(problem.pins),
-        "cpu_budget": problem.cpu_budget,
-        "net_budget": problem.net_budget,
-        "alpha": problem.alpha,
-        "beta": problem.beta,
-    }
-
-
-def _problem_from(payload: Mapping[str, Any]) -> PartitionProblem:
-    return PartitionProblem(
-        vertices=list(payload["vertices"]),
-        cpu=dict(payload["cpu"]),
-        edges=[
-            WeightedEdge(src, dst, bandwidth)
-            for src, dst, bandwidth in payload["edges"]
-        ],
-        pins=_pins_from(payload["pins"]),
-        cpu_budget=payload["cpu_budget"],
-        net_budget=payload["net_budget"],
-        alpha=payload["alpha"],
-        beta=payload["beta"],
-    )
-
-
-def _reduced_payload(reduced: ReducedProblem) -> dict[str, Any]:
-    return {
-        "problem": _problem_payload(reduced.problem),
-        "members": {
-            cluster: list(members)
-            for cluster, members in sorted(reduced.members.items())
-        },
-    }
-
-
-def _reduced_from(payload: Mapping[str, Any]) -> ReducedProblem:
-    members = {
-        cluster: tuple(ms) for cluster, ms in payload["members"].items()
-    }
-    cluster_of = {
-        name: cluster for cluster, ms in members.items() for name in ms
-    }
-    return ReducedProblem(
-        problem=_problem_from(payload["problem"]),
-        members=members,
-        cluster_of=cluster_of,
     )
 
 
@@ -330,7 +217,7 @@ def _reduced_from(payload: Mapping[str, Any]) -> ReducedProblem:
 
 
 def _measurement_payload(
-    m: Measurement, vault: _Vault, graph_ref: Mapping[str, Any] | None
+    m: Measurement, graph_ref: Mapping[str, Any] | None
 ) -> dict[str, Any]:
     stats = m.stats
     return {
@@ -365,9 +252,7 @@ def _measurement_payload(
 
 
 def _measurement_from(
-    payload: Mapping[str, Any],
-    arrays: Mapping[str, np.ndarray],
-    graph: StreamGraph | None,
+    payload: Mapping[str, Any], graph: StreamGraph | None
 ) -> Measurement:
     graph = resolve_graph(payload["graph"], graph)
     stats = ExecutionStats(graph)
@@ -395,7 +280,7 @@ def _measurement_from(
 
 
 def _graph_profile_payload(
-    p: GraphProfile, vault: _Vault, graph_ref: Mapping[str, Any] | None
+    p: GraphProfile, graph_ref: Mapping[str, Any] | None
 ) -> dict[str, Any]:
     return {
         "graph": _graph_ref_payload(p.graph, graph_ref),
@@ -434,9 +319,7 @@ def _graph_profile_payload(
 
 
 def _graph_profile_from(
-    payload: Mapping[str, Any],
-    arrays: Mapping[str, np.ndarray],
-    graph: StreamGraph | None,
+    payload: Mapping[str, Any], graph: StreamGraph | None
 ) -> GraphProfile:
     graph = resolve_graph(payload["graph"], graph)
     platform = get_platform(payload["platform"])
@@ -477,7 +360,9 @@ def _graph_profile_from(
 
 
 def _partition_payload(
-    p: Partition, vault: _Vault, graph_ref: Mapping[str, Any] | None
+    p: Partition,
+    graph_ref: Mapping[str, Any] | None,
+    solution: Solution | None,
 ) -> dict[str, Any]:
     return {
         "graph": _graph_ref_payload(p.graph, graph_ref),
@@ -488,17 +373,13 @@ def _partition_payload(
         "feasible": p.feasible,
         "notes": {k: p.notes[k] for k in sorted(p.notes)},
         "solution": (
-            _solution_payload(p.solver_solution, vault)
-            if p.solver_solution is not None
-            else None
+            _solution_payload(solution) if solution is not None else None
         ),
     }
 
 
 def _partition_from(
-    payload: Mapping[str, Any],
-    arrays: Mapping[str, np.ndarray],
-    graph: StreamGraph | None,
+    payload: Mapping[str, Any], graph: StreamGraph | None
 ) -> Partition:
     graph = resolve_graph(payload["graph"], graph)
     solution = payload["solution"]
@@ -510,52 +391,49 @@ def _partition_from(
         objective_value=payload["objective_value"],
         feasible=payload["feasible"],
         solver_solution=(
-            _solution_from(solution, arrays) if solution is not None else None
+            _solution_from(solution) if solution is not None else None
         ),
         notes=dict(payload["notes"]),
     )
 
 
 def _partition_result_payload(
-    r: PartitionResult, vault: _Vault, graph_ref: Mapping[str, Any] | None
+    r: PartitionResult, graph_ref: Mapping[str, Any] | None
 ) -> dict[str, Any]:
+    # The answer's solution is written once, in its partition's slot;
+    # decoding hands the one Solution to both attributes again.
     return {
-        "partition": _partition_payload(r.partition, vault, graph_ref),
-        "solution": _solution_payload(r.solution, vault),
-        "problem": _problem_payload(r.problem),
-        "reduced": (
-            _reduced_payload(r.reduced) if r.reduced is not None else None
-        ),
-        "pins": _pins_payload(r.pins),
+        "partition": _partition_payload(r.partition, graph_ref, r.solution),
+        "vertices": r.vertices,
+        "reduced_vertices": r.reduced_vertices,
         "build_seconds": r.build_seconds,
         "solve_seconds": r.solve_seconds,
     }
 
 
 def _partition_result_from(
-    payload: Mapping[str, Any],
-    arrays: Mapping[str, np.ndarray],
-    graph: StreamGraph | None,
+    payload: Mapping[str, Any], graph: StreamGraph | None
 ) -> PartitionResult:
-    reduced = payload["reduced"]
+    partition = _partition_from(payload["partition"], graph)
+    if partition.solver_solution is None:
+        raise ArtifactError("partition result carries no solution")
     return PartitionResult(
-        partition=_partition_from(payload["partition"], arrays, graph),
-        solution=_solution_from(payload["solution"], arrays),
-        problem=_problem_from(payload["problem"]),
-        reduced=_reduced_from(reduced) if reduced is not None else None,
-        pins=_pins_from(payload["pins"]),
+        partition=partition,
+        solution=partition.solver_solution,
+        vertices=payload["vertices"],
+        reduced_vertices=payload["reduced_vertices"],
         build_seconds=payload["build_seconds"],
         solve_seconds=payload["solve_seconds"],
     )
 
 
 def _rate_search_payload(
-    r: RateSearchResult, vault: _Vault, graph_ref: Mapping[str, Any] | None
+    r: RateSearchResult, graph_ref: Mapping[str, Any] | None
 ) -> dict[str, Any]:
     return {
         "rate_factor": r.rate_factor,
         "result": (
-            _partition_result_payload(r.result, vault, graph_ref)
+            _partition_result_payload(r.result, graph_ref)
             if r.result is not None
             else None
         ),
@@ -565,15 +443,13 @@ def _rate_search_payload(
 
 
 def _rate_search_from(
-    payload: Mapping[str, Any],
-    arrays: Mapping[str, np.ndarray],
-    graph: StreamGraph | None,
+    payload: Mapping[str, Any], graph: StreamGraph | None
 ) -> RateSearchResult:
     result = payload["result"]
     return RateSearchResult(
         rate_factor=payload["rate_factor"],
         result=(
-            _partition_result_from(result, arrays, graph)
+            _partition_result_from(result, graph)
             if result is not None
             else None
         ),
@@ -587,7 +463,11 @@ _BUILDERS: dict[str, tuple[type, Callable, Callable]] = {
     "graph_profile": (
         GraphProfile, _graph_profile_payload, _graph_profile_from
     ),
-    "partition": (Partition, _partition_payload, _partition_from),
+    "partition": (
+        Partition,
+        lambda p, ref: _partition_payload(p, ref, p.solver_solution),
+        _partition_from,
+    ),
     "partition_result": (
         PartitionResult, _partition_result_payload, _partition_result_from
     ),
@@ -613,10 +493,13 @@ def artifact_kind(obj: Any) -> str:
 def to_document(
     obj: Any, graph_ref: Mapping[str, Any] | None = None
 ) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
-    """(JSON-ready document, ndarray sidecar) for a supported artifact."""
+    """(JSON-ready document, ndarray sidecar) for a supported artifact.
+
+    The sidecar is always empty: no artifact kind holds an array.  It
+    is returned for the on-disk and wire conventions, which take one.
+    """
     kind = artifact_kind(obj)
-    vault = _Vault()
-    payload = _BUILDERS[kind][1](obj, vault, graph_ref)
+    payload = _BUILDERS[kind][1](obj, graph_ref)
     return (
         {
             "schema": _SCHEMA_NAME,
@@ -624,7 +507,15 @@ def to_document(
             "kind": kind,
             "payload": payload,
         },
-        vault.arrays,
+        {},
+    )
+
+
+def is_current(document: Mapping[str, Any]) -> bool:
+    """Whether ``document`` is of this build's schema and version."""
+    return (
+        document.get("schema") == _SCHEMA_NAME
+        and document.get("schema_version") == SCHEMA_VERSION
     )
 
 
@@ -633,7 +524,11 @@ def from_document(
     arrays: Mapping[str, np.ndarray] | None = None,
     graph: StreamGraph | None = None,
 ) -> Any:
-    """Reconstruct an artifact from its document + array sidecar."""
+    """Reconstruct an artifact from its document.
+
+    ``arrays`` is the sidecar read alongside it (:func:`read_document`,
+    ``decode_message``); no artifact kind reads one.
+    """
     if document.get("schema") != _SCHEMA_NAME:
         raise ArtifactError(
             f"not a {_SCHEMA_NAME} document (schema="
@@ -648,31 +543,18 @@ def from_document(
     kind = document.get("kind")
     if kind not in _BUILDERS:
         raise ArtifactError(f"unknown artifact kind {kind!r}")
-    return _BUILDERS[kind][2](document["payload"], arrays or {}, graph)
+    return _BUILDERS[kind][2](document["payload"], graph)
 
 
 def to_json(obj: Any, graph_ref: Mapping[str, Any] | None = None) -> str:
-    """Serialize an artifact to a standalone JSON string.
-
-    Arrays are inlined base64 so the string is self-contained; prefer
-    :func:`save_artifact` (npz sidecar) for large artifacts on disk.
-    """
-    document, arrays = to_document(obj, graph_ref)
-    if arrays:
-        document["inline_arrays"] = {
-            key: _array_to_inline(array) for key, array in arrays.items()
-        }
+    """Serialize an artifact to a standalone JSON string."""
+    document, _ = to_document(obj, graph_ref)
     return json.dumps(document, sort_keys=True)
 
 
 def from_json(text: str, graph: StreamGraph | None = None) -> Any:
     """Reconstruct an artifact from a :func:`to_json` string."""
-    document = json.loads(text)
-    arrays = {
-        key: _array_from_inline(spec)
-        for key, spec in document.get("inline_arrays", {}).items()
-    }
-    return from_document(document, arrays, graph)
+    return from_document(json.loads(text), None, graph)
 
 
 def write_document(
@@ -776,7 +658,7 @@ def save_artifact(
     path,
     graph_ref: Mapping[str, Any] | None = None,
 ) -> None:
-    """Write ``<path>`` (JSON) and, when arrays exist, ``<path>.npz``."""
+    """Write ``<path>`` (JSON); no artifact has arrays for a sidecar."""
     document, arrays = to_document(obj, graph_ref)
     write_document(path, document, arrays, indent=1)
 
@@ -851,10 +733,5 @@ def canonical_json(
     Two runs that made the same decisions produce identical strings; two
     runs that differ anywhere but timing do not.
     """
-    document, arrays = to_document(obj, graph_ref)
-    document = canonical_document(document)
-    if arrays:
-        document["inline_arrays"] = {
-            key: _array_to_inline(array) for key, array in arrays.items()
-        }
-    return json.dumps(document, sort_keys=True)
+    document, _ = to_document(obj, graph_ref)
+    return json.dumps(canonical_document(document), sort_keys=True)

@@ -18,7 +18,7 @@ did not have:
   one harness mutating a profile silently corrupted every other
   experiment in the process.
 * **durability** — with ``root`` set, payloads live on disk as
-  JSON (+ npz sidecars) and survive process restarts; a fresh process
+  JSON and survive process restarts; a fresh process
   reconstructs byte-identical profiles without re-executing the graph.
 
 ``root=None`` keeps the store in memory (payload dicts, still
@@ -119,7 +119,10 @@ def read_entry(path: Path) -> tuple[dict[str, Any], dict[str, Any]] | None:
     """One durable entry's ``(document, arrays)``, or ``None`` on a miss.
 
     A missing, truncated, partial, vanished, or digest-mismatched entry
-    is a miss, never poison; the next write overwrites it.  A hit bumps
+    is a miss, never poison; the next write overwrites it.  So is one
+    written under another schema or schema version: keys do not include
+    the version, so an entry an older build wrote is re-solved and
+    replaced rather than decoded or forwarded.  A hit bumps
     the entry's mtime, the LRU clock of
     :class:`~repro.workbench.cache.StoreJanitor` eviction, so recency
     tracks use rather than creation.
@@ -129,6 +132,8 @@ def read_entry(path: Path) -> tuple[dict[str, Any], dict[str, Any]] | None:
     try:
         document, arrays = artifacts.read_document(path)
     except (OSError, ValueError, SidecarError):
+        return None
+    if not artifacts.is_current(document):
         return None
     try:
         os.utime(path)

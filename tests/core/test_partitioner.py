@@ -67,12 +67,13 @@ def test_preprocessing_shrinks_problem(tmote_speech_profile):
     result = Wishbone(mode=RelocationMode.PERMISSIVE).partition(
         tmote_speech_profile.scaled(0.05)
     )
-    assert result.reduced is not None
+    assert result.reduced_vertices < result.vertices
     assert result.reduction_ratio > 0.0
     without = Wishbone(
         mode=RelocationMode.PERMISSIVE, use_preprocess=False
     ).partition(tmote_speech_profile.scaled(0.05))
-    assert without.reduced is None
+    assert without.reduced_vertices == without.vertices == result.vertices
+    assert without.reduction_ratio == 0.0
     assert without.partition.objective_value == pytest.approx(
         result.partition.objective_value, rel=1e-6
     )

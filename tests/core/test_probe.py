@@ -111,10 +111,11 @@ def test_probe_reduction_shared_across_factors(tmote_speech_profile):
     a = probe.try_partition(0.05)
     b = probe.try_partition(0.1)
     assert a is not None and b is not None
-    assert a.reduced is not None and b.reduced is not None
-    assert a.reduced.members == b.reduced.members
-    # The reduced problems only differ by the uniform scale.
-    assert a.reduced.problem.vertices == b.reduced.problem.vertices
+    assert probe.reduced is not None
+    assert a.vertices == b.vertices == len(probe.problem.vertices)
+    reduced = len(probe.reduced.problem.vertices)
+    assert a.reduced_vertices == b.reduced_vertices == reduced
+    assert a.reduction_ratio == b.reduction_ratio > 0.0
 
 
 def test_probe_shares_relaxation_and_basis_across_probes(
@@ -160,11 +161,10 @@ def test_relaxation_persists_within_one_budget_configuration(
 def test_probe_reuses_its_model_and_solves_like_a_fresh_one():
     """The probe keeps one HiGHS model across probes, and a probe solve
     after any earlier sequence of factors and budgets returns the same
-    ``x``, node count and simplex iterations as a freshly built model.
+    decision, objective, node count and simplex iterations as a freshly
+    built model.
     The sequence repeats a (factor, budget) pair after other solves,
     and EEG-3 at these rates keeps a search tree."""
-    import numpy as np
-
     from repro.workbench import Session
 
     profile = Session("eeg", n_channels=3).profile()
@@ -188,7 +188,11 @@ def test_probe_reuses_its_model_and_solves_like_a_fresh_one():
             probe._arrays_at(factor, cpu_budget, float("inf"))
         )
         assert result is not None
-        assert np.array_equal(result.solution.x, fresh.x)
+        fresh_set = probe.model.node_set(fresh.values)
+        if probe.reduced is not None:
+            fresh_set = probe.reduced.expand(fresh_set)
+        assert result.partition.node_set == fresh_set
+        assert result.solution.objective == fresh.objective
         assert result.solution.nodes_explored == fresh.nodes_explored
         assert result.solution.iterations == fresh.iterations
 
@@ -224,11 +228,10 @@ def test_budget_override_does_not_leak_into_default_calls(
     """A request that omits budgets after a prior request set them must
     get the fresh-probe answer — the overridden solve's relaxation state
     (basis, within-gap incumbent steering) may not carry over."""
-    import numpy as np
+    from repro.workbench.artifacts import canonical_json
 
-    probe = make_partitioner(gap_tolerance=5e-3).prepare_probe(
-        tmote_speech_profile
-    )
+    partitioner = make_partitioner(gap_tolerance=5e-3)
+    probe = partitioner.prepare_probe(tmote_speech_profile)
     factor = 0.05
     baseline = probe.partition(factor)
     # An overridden solve with different (still feasible) budgets...
@@ -239,24 +242,36 @@ def test_budget_override_does_not_leak_into_default_calls(
     )
     assert overridden is not None
     # ...then a default-budget call again: identical to the first call
-    # and to a brand-new probe, down to the solution vector.
+    # and to a brand-new probe, down to the solver's effort.
     after = probe.partition(factor)
     fresh = make_partitioner(gap_tolerance=5e-3).prepare_probe(
         tmote_speech_profile
     ).partition(factor)
     assert after.partition.node_set == baseline.partition.node_set
     assert after.partition.node_set == fresh.partition.node_set
-    assert np.array_equal(after.solution.x, baseline.solution.x)
-    assert np.array_equal(after.solution.x, fresh.solution.x)
-    assert after.problem.cpu_budget == baseline.problem.cpu_budget
-    assert after.problem.net_budget == baseline.problem.net_budget
+    assert canonical_json(after) == canonical_json(baseline)
+    assert canonical_json(after) == canonical_json(fresh)
+    # ...and it meets the default budgets, resolved as a request's are.
+    cpu_budget, net_budget = partitioner.resolve_budgets(
+        tmote_speech_profile.platform
+    )
+    assert after.partition.cpu_utilization <= cpu_budget + 1e-9
+    assert after.partition.network_bytes_per_sec <= net_budget + 1e-9
 
 
-def test_budget_override_reported_in_problem(tmote_speech_profile):
-    """Overridden budgets land in the result's problem metadata."""
+def test_budget_override_binds_the_answer(tmote_speech_profile):
+    """An overridden budget is the one the answer is solved under: it
+    meets it, moves the answer off the default-budget one, and equals a
+    partitioner configured with that budget."""
     probe = make_partitioner().prepare_probe(tmote_speech_profile)
     factor = 0.05
-    result = probe.try_partition(factor, cpu_budget=0.75)
+    default = probe.partition(factor)
+    result = probe.try_partition(factor, cpu_budget=0.3)
     if result is None:
         pytest.skip("override infeasible on this profile")
-    assert result.problem.cpu_budget == pytest.approx(0.75)
+    assert result.partition.cpu_utilization <= 0.3 + 1e-9
+    assert result.partition.node_set != default.partition.node_set
+    configured = make_partitioner(cpu_budget=0.3).partition(
+        tmote_speech_profile.scaled(factor)
+    )
+    assert result.partition.node_set == configured.partition.node_set

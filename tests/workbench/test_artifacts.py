@@ -25,6 +25,7 @@ from repro.workbench import (
 from repro.runtime.frames import encode_message
 from repro.workbench.artifacts import (
     SCHEMA_VERSION,
+    canonical_json,
     read_document,
     to_document,
     write_document,
@@ -105,16 +106,16 @@ def test_partition_result_roundtrip_and_solution(eeg_session):
     text = to_json(result, graph_ref=ref)
     loaded = from_json(text)
     assert to_json(loaded, graph_ref=ref) == text
+    assert canonical_json(loaded, ref) == canonical_json(result, ref)
     assert loaded.partition.node_set == result.partition.node_set
     assert loaded.solution.status is result.solution.status
-    np.testing.assert_array_equal(loaded.solution.x, result.solution.x)
-    assert loaded.problem.cpu_budget == result.problem.cpu_budget
-    assert loaded.pins == result.pins
-    # reduced-problem membership survives
-    assert (loaded.reduced is None) == (result.reduced is None)
-    if result.reduced is not None:
-        assert loaded.reduced.members == result.reduced.members
-        assert loaded.reduced.cluster_of == result.reduced.cluster_of
+    # One Solution per answer, in process and decoded alike.
+    assert result.partition.solver_solution is result.solution
+    assert loaded.partition.solver_solution is loaded.solution
+    # The §4.1 reduction's size survives.
+    assert loaded.vertices == result.vertices
+    assert loaded.reduced_vertices == result.reduced_vertices
+    assert 0.0 < loaded.reduction_ratio == result.reduction_ratio
 
 
 def test_partition_roundtrip(eeg_session):
@@ -145,20 +146,31 @@ def test_rate_search_result_roundtrip(speech_session):
 
 
 def test_save_and_load_with_npz_sidecar(tmp_path, eeg_session):
+    """An answer saves as one JSON file (it holds no arrays); arrays
+    handed to the on-disk convention land in a content-addressed npz
+    sidecar next to the JSON and read back with it."""
     ref = _graph_ref(eeg_session)
     result = eeg_session.partition(
         rate_factor=2.0, gap_tolerance=5e-3, net_budget=float("inf")
     )
     path = tmp_path / "result.json"
     save_artifact(result, path, graph_ref=ref)
-    assert path.exists()
-    # Arrays land in a content-addressed npz sidecar next to the JSON.
-    sidecar = json.loads(path.read_text())["npz"]
-    assert sidecar.startswith("result.json.") and sidecar.endswith(".npz")
-    assert (tmp_path / sidecar).exists()
+    assert "npz" not in json.loads(path.read_text())
+    assert [p.name for p in tmp_path.iterdir()] == ["result.json"]
     loaded = load_artifact(path)
+    assert canonical_json(loaded, ref) == canonical_json(result, ref)
+
+    document, _ = to_document(result, ref)
+    arrays = {"a0": np.linspace(0.0, 1.0, 16)}
+    with_arrays = tmp_path / "arrays.json"
+    write_document(with_arrays, document, arrays)
+    sidecar = json.loads(with_arrays.read_text())["npz"]
+    assert sidecar.startswith("arrays.json.") and sidecar.endswith(".npz")
+    assert (tmp_path / sidecar).exists()
+    _, read_arrays = read_document(with_arrays)
+    np.testing.assert_array_equal(read_arrays["a0"], arrays["a0"])
+    loaded = load_artifact(with_arrays)
     assert loaded.partition.node_set == result.partition.node_set
-    np.testing.assert_array_equal(loaded.solution.x, result.solution.x)
 
 
 def test_write_from_encoded_bytes_matches_write_from_document(
@@ -166,11 +178,18 @@ def test_write_from_encoded_bytes_matches_write_from_document(
 ):
     """An entry written from an answer's wire bytes reads back as the
     entry written from its document: same document, same sidecar bytes,
-    and the sidecar name recorded in the caller's document both ways."""
+    and the sidecar name recorded in the caller's document both ways.
+    Answers hold no arrays, so the sidecar case uses an explicit one."""
     result = eeg_session.partition(
         rate_factor=2.0, gap_tolerance=5e-3, net_budget=float("inf")
     )
-    document, arrays = to_document(result, _graph_ref(eeg_session))
+    document, no_arrays = to_document(result, _graph_ref(eeg_session))
+    assert no_arrays == {}
+    answer = dict(document)
+    wire = encode_message(answer, {})
+    write_document(tmp_path / "c.json", answer, {}, encoded=wire)
+    assert read_document(tmp_path / "c.json") == (document, {})
+    arrays = {"a0": np.arange(5.0), "a1": np.linspace(0.0, 1.0, 3)}
     encoded = encode_message(document, arrays)
     plain, spliced = dict(document), dict(document)
     write_document(tmp_path / "a.json", plain, arrays)

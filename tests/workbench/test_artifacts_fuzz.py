@@ -6,7 +6,8 @@ Two properties pin the serving surface down:
   ``RateSearchResult`` — ragged rows, NaN/inf rates, empty graphs, the
   lot — survives ``to_json``/``from_json`` *bit-exact* (the re-serialized
   string is identical); and
-* a truncated, bit-flipped, or swapped ``.npz`` sidecar raises the
+* a truncated, bit-flipped, or swapped ``.npz`` sidecar (no artifact
+  holds arrays, but the on-disk convention still carries them) raises the
   typed :class:`ArtifactError` (never unpickles garbage — sidecars load
   with ``allow_pickle=False``, and their bytes must hash to the digest
   in their name), and a store read of one is a miss.
@@ -26,11 +27,10 @@ from hypothesis import strategies as st
 
 from repro.core.cut import Partition
 from repro.core.partitioner import PartitionResult
-from repro.core.problem import PartitionProblem, WeightedEdge
 from repro.core.rate_search import RateSearchResult
 from repro.dataflow.builder import GraphBuilder
 from repro.dataflow.execute import ExecutionStats
-from repro.dataflow.graph import Pinning, StreamGraph, WorkCounts
+from repro.dataflow.graph import StreamGraph, WorkCounts
 from repro.profiler import Profiler
 from repro.profiler.profiler import Measurement
 from repro.solver.solution import IncumbentEvent, Solution, SolveStatus
@@ -39,8 +39,9 @@ from repro.workbench.artifacts import (
     ArtifactError,
     from_json,
     load_artifact,
-    save_artifact,
+    to_document,
     to_json,
+    write_document,
 )
 from repro.workbench.cache import ResultCache
 from repro.workbench.store import read_entry
@@ -88,21 +89,12 @@ def counts_strategy():
     )
 
 
-def float_array(max_size: int = 8):
-    return st.lists(anyfloat, min_size=0, max_size=max_size).map(
-        lambda values: np.asarray(values, dtype=np.float64)
-    )
-
-
 @st.composite
 def solutions(draw):
-    names = [f"v{i}" for i in range(draw(st.integers(0, 5)))]
     return Solution(
         status=draw(st.sampled_from(list(SolveStatus))),
         objective=draw(st.one_of(st.none(), anyfloat)),
         bound=draw(st.one_of(st.none(), anyfloat)),
-        x=draw(st.one_of(st.none(), float_array(len(names) or 1))),
-        names=names,
         incumbents=[
             IncumbentEvent(
                 elapsed=draw(finite),
@@ -115,7 +107,6 @@ def solutions(draw):
         prove_elapsed=draw(st.one_of(st.none(), finite)),
         nodes_explored=draw(small_int),
         iterations=draw(small_int),
-        reduced_costs=draw(st.one_of(st.none(), float_array())),
     )
 
 
@@ -138,7 +129,7 @@ def measurements(draw):
 
 
 @st.composite
-def partitions(draw):
+def partitions(draw, solution=st.one_of(st.none(), solutions())):
     graph = draw(st.sampled_from([*GRAPHS.values(), EMPTY_GRAPH]))
     names = sorted(graph.operators)
     node_set = frozenset(name for name in names if draw(st.booleans()))
@@ -149,46 +140,11 @@ def partitions(draw):
         network_bytes_per_sec=draw(anyfloat),
         objective_value=draw(anyfloat),
         feasible=draw(st.booleans()),
-        solver_solution=draw(st.one_of(st.none(), solutions())),
+        solver_solution=draw(solution),
         notes={
             draw(st.sampled_from(["a", "b", "c"])): draw(finite)
             for _ in range(draw(st.integers(0, 2)))
         },
-    )
-
-
-#: Costs a PartitionProblem accepts: non-negative (NaN is rejected-ish
-#: by comparison semantics but inf is legal and interesting).
-nonneg = st.floats(
-    allow_nan=False, allow_infinity=True, width=64, min_value=0.0
-)
-
-
-@st.composite
-def problems(draw):
-    n = draw(st.integers(1, 4))
-    vertices = [f"v{i}" for i in range(n)]
-    edges = [
-        WeightedEdge(
-            src=draw(st.sampled_from(vertices)),
-            dst=draw(st.sampled_from(vertices)),
-            bandwidth=draw(nonneg),
-        )
-        for _ in range(draw(st.integers(0, 4)))
-    ]
-    return PartitionProblem(
-        vertices=vertices,
-        cpu={v: draw(nonneg) for v in vertices},
-        edges=edges,
-        pins={
-            v: draw(st.sampled_from(list(Pinning)))
-            for v in vertices
-            if draw(st.booleans())
-        },
-        cpu_budget=draw(anyfloat),
-        net_budget=draw(anyfloat),
-        alpha=draw(finite),
-        beta=draw(finite),
     )
 
 
@@ -197,16 +153,14 @@ def rate_search_results(draw):
     if draw(st.booleans()):
         result = None
     else:
-        partition = draw(partitions())
+        # An answer's partition carries the answer's one solution.
+        partition = draw(partitions(solution=solutions()))
+        vertices = draw(st.integers(0, 600))
         result = PartitionResult(
             partition=partition,
-            solution=draw(solutions()),
-            problem=draw(problems()),
-            reduced=None,
-            pins={
-                name: draw(st.sampled_from(list(Pinning)))
-                for name in partition.graph.operators
-            },
+            solution=partition.solver_solution,
+            vertices=vertices,
+            reduced_vertices=draw(st.integers(0, vertices)),
             build_seconds=draw(finite),
             solve_seconds=draw(finite),
         )
@@ -271,7 +225,11 @@ def test_ragged_sink_rows_roundtrip_bit_exact():
 
 @pytest.fixture(scope="module")
 def saved_artifact(tmp_path_factory):
-    """One on-disk artifact with a real npz sidecar to corrupt."""
+    """One on-disk artifact with a real npz sidecar to corrupt.
+
+    No artifact holds arrays, so the arrays are handed to the on-disk
+    convention explicitly, as ``write_document`` still accepts them.
+    """
     graph = GRAPHS[3]
     partition = Partition(
         graph=graph,
@@ -280,17 +238,16 @@ def saved_artifact(tmp_path_factory):
         network_bytes_per_sec=800.0,
         objective_value=800.0,
         feasible=True,
-        solver_solution=Solution(
-            status=SolveStatus.OPTIMAL,
-            objective=800.0,
-            x=np.linspace(0.0, 1.0, 64),
-            names=[f"v{i}" for i in range(64)],
-            reduced_costs=np.arange(64, dtype=np.float64),
-        ),
+        solver_solution=Solution(status=SolveStatus.OPTIMAL, objective=800.0),
     )
     root = tmp_path_factory.mktemp("artifact")
     path = root / "partition.json"
-    save_artifact(partition, path)
+    document, _ = to_document(partition)
+    arrays = {
+        "a0": np.linspace(0.0, 1.0, 64),
+        "a1": np.arange(64, dtype=np.float64),
+    }
+    write_document(path, document, arrays, indent=1)
     sidecar = path.with_name(json.loads(path.read_text())["npz"])
     assert sidecar.exists()
     return path, sidecar, sidecar.read_bytes(), to_json(partition)

@@ -22,7 +22,7 @@ from repro.core.cut import Partition
 from repro.dataflow.builder import GraphBuilder
 from repro.solver.solution import Solution, SolveStatus
 from repro.workbench import ProfileStore, StoreJanitor
-from repro.workbench.artifacts import to_json
+from repro.workbench.artifacts import to_document, to_json, write_document
 
 
 def _noop(ctx, port, item):  # pragma: no cover - never invoked
@@ -39,7 +39,6 @@ def _make_graph():
 
 
 def _payload(writer_id: int = 0) -> Partition:
-    rng = np.random.default_rng(writer_id)
     return Partition(
         graph=_make_graph(),
         node_set=frozenset(["src"] if writer_id == 0 else ["src", "op"]),
@@ -50,11 +49,23 @@ def _payload(writer_id: int = 0) -> Partition:
         solver_solution=Solution(
             status=SolveStatus.OPTIMAL,
             objective=100.0 + writer_id,
-            x=rng.random(128),
-            names=[f"v{i}" for i in range(128)],
         ),
         notes={"writer": float(writer_id)},
     )
+
+
+def _put(store: ProfileStore, name: str, writer_id: int = 0) -> None:
+    """Store writer ``writer_id``'s payload under ``name`` with a real
+    array sidecar.
+
+    No artifact holds arrays, so ``store.put`` writes no sidecar.  The
+    entry is rewritten in place through the on-disk convention, which
+    still carries one, so the sidecar rules have a file to act on.
+    """
+    key = store.put(name, _payload(writer_id))
+    document, _ = to_document(_payload(writer_id))
+    arrays = {"x": np.random.default_rng(writer_id).random(128)}
+    write_document(store.root / f"{key}.json", document, arrays)
 
 
 def _entry_paths(root):
@@ -80,7 +91,7 @@ def _backdate_entry(root, json_path, seconds: float) -> None:
 
 def test_orphan_sidecar_and_temp_sweep(tmp_path):
     store = ProfileStore(tmp_path)
-    store.put("keep", _payload())
+    _put(store, "keep")
     (entry,) = _entry_paths(tmp_path)
     orphan = tmp_path / f"{entry.name}.deadbeefdeadbeef.npz"
     orphan.write_bytes(b"loser of a same-key write race")
@@ -101,7 +112,7 @@ def test_orphan_sidecar_and_temp_sweep(tmp_path):
 def test_grace_window_protects_fresh_garbage(tmp_path):
     """An in-flight write looks like an orphan; grace is the guard."""
     store = ProfileStore(tmp_path)
-    store.put("keep", _payload())
+    _put(store, "keep")
     (entry,) = _entry_paths(tmp_path)
     inflight = tmp_path / f"{entry.name}.0123456789abcdef.npz"
     inflight.write_bytes(b"sidecar landed; json rename still pending")
@@ -119,7 +130,7 @@ def test_grace_edge_entry_is_kept(tmp_path):
     """An entry whose mtime sits *exactly* at the grace cutoff is still
     inside its window and must be kept; one tick older is garbage."""
     store = ProfileStore(tmp_path)
-    store.put("edge", _payload())
+    _put(store, "edge")
     (entry,) = _entry_paths(tmp_path)
     orphan = tmp_path / f"{entry.name}.0123456789abcdef.npz"
     orphan.write_bytes(b"write race loser at the edge")
@@ -143,7 +154,7 @@ def test_grace_edge_entry_is_kept(tmp_path):
 def test_grace_edge_ttl_entry_is_kept(tmp_path):
     """TTL expiry honors the same strict grace edge for live entries."""
     store = ProfileStore(tmp_path)
-    store.put("edge", _payload())
+    _put(store, "edge")
     (entry,) = _entry_paths(tmp_path)
     now = time.time()
     grace = 60.0
@@ -166,8 +177,8 @@ def test_grace_edge_ttl_entry_is_kept(tmp_path):
 
 def test_ttl_expiry(tmp_path):
     store = ProfileStore(tmp_path)
-    store.put("old", _payload(0))
-    store.put("new", _payload(1))
+    _put(store, "old", 0)
+    _put(store, "new", 1)
     assert len(_entry_paths(tmp_path)) == 2
     target = _entry_paths(tmp_path)[0]
     _backdate_entry(tmp_path, target, 7200.0)
@@ -185,7 +196,7 @@ def test_ttl_expiry(tmp_path):
 def test_lru_size_budget_evicts_least_recently_used(tmp_path):
     store = ProfileStore(tmp_path)
     for index in range(4):
-        store.put(f"entry-{index}", _payload(index % 2))
+        _put(store, f"entry-{index}", index % 2)
     entries = _entry_paths(tmp_path)
     assert len(entries) == 4
     # Stagger ages: entry i backdated (4-i) hours; then "use" the oldest
@@ -216,7 +227,7 @@ def test_lru_size_budget_evicts_least_recently_used(tmp_path):
 def test_lru_count_budget(tmp_path):
     store = ProfileStore(tmp_path)
     for index in range(5):
-        store.put(f"entry-{index}", _payload())
+        _put(store, f"entry-{index}")
     for age, path in enumerate(_entry_paths(tmp_path)):
         _backdate_entry(tmp_path, path, (10 - age) * 3600.0)
     gc = StoreJanitor(tmp_path, max_entries=2, grace_seconds=1.0).sweep()
@@ -227,7 +238,7 @@ def test_lru_count_budget(tmp_path):
 
 def test_corrupt_entry_removed_after_grace(tmp_path):
     store = ProfileStore(tmp_path)
-    store.put("victim", _payload())
+    _put(store, "victim")
     (entry,) = _entry_paths(tmp_path)
     text = entry.read_text()
     entry.write_text(text[: len(text) // 2])
@@ -246,7 +257,7 @@ def test_corrupt_entry_removed_after_grace(tmp_path):
 
 def test_dry_run_removes_nothing(tmp_path):
     store = ProfileStore(tmp_path)
-    store.put("entry", _payload())
+    _put(store, "entry")
     for path in _entry_paths(tmp_path):
         _backdate_entry(tmp_path, path, 7200.0)
     before = sorted(p.name for p in tmp_path.iterdir())
@@ -259,7 +270,7 @@ def test_dry_run_removes_nothing(tmp_path):
 
 def test_stats_snapshot(tmp_path):
     store = ProfileStore(tmp_path)
-    store.put("a", _payload())
+    _put(store, "a")
     store.measurement("eeg", {"n_channels": 2})
     orphan = tmp_path / "lost.json.0000000000000000.npz"
     orphan.write_bytes(b"x" * 64)
@@ -280,7 +291,7 @@ def test_store_cli_stats_and_gc(tmp_path, capsys):
     from repro.__main__ import main
 
     store = ProfileStore(tmp_path)
-    store.put("entry", _payload())
+    _put(store, "entry")
     orphan = tmp_path / "gone.json.1111111111111111.npz"
     orphan.write_bytes(b"y" * 32)
     _backdate(orphan, 3600.0)
@@ -316,10 +327,9 @@ def test_store_cli_stats_and_gc(tmp_path, capsys):
 
 def _churn_writer(root: str, writer_id: int, rounds: int, barrier) -> None:
     store = ProfileStore(root)
-    payload = _payload(writer_id)
     for round_index in range(rounds):
         barrier.wait(timeout=60)
-        store.put(f"gc-race-{round_index}", payload)
+        _put(store, f"gc-race-{round_index}", writer_id)
 
 
 def _churn_janitor(root: str, rounds: int, barrier, stop) -> None:

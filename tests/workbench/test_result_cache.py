@@ -12,6 +12,9 @@ version must *hit*.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core import InfeasiblePartition
@@ -357,6 +360,76 @@ def test_lookup_corruption_degrades_to_miss(tmp_path):
     results = fresh.partition_many(requests, skip_infeasible=True)
     assert fresh.result_cache.stats.misses == 1
     assert results[0] is not None
+
+
+def _age_entries(store_dir, field: str, stale) -> list:
+    """Rewrite every durable result entry as another build wrote it."""
+    entries = sorted(Path(store_dir).glob("result-*.json"))
+    assert entries
+    for entry in entries:
+        document = json.loads(entry.read_text())
+        document[field] = stale
+        entry.write_text(json.dumps(document))
+    return entries
+
+
+def assert_current(entries) -> None:
+    for entry in entries:
+        document = json.loads(entry.read_text())
+        assert document["schema"] == "repro.workbench"
+        assert document["schema_version"] == SCHEMA_VERSION
+
+
+STALE = pytest.mark.parametrize(
+    "field, stale", [("schema_version", 1), ("schema", "other.schema")]
+)
+
+
+@STALE
+def test_stale_schema_entry_is_resolved_and_overwritten(
+    tmp_path, field, stale
+):
+    """``result_key`` does not include the schema version, so an entry
+    an older build wrote sits under the same key: it must be a miss,
+    re-solved and overwritten, never decoded or served."""
+    requests = batch()[:2]
+    first = session_for(tmp_path).partition_many(
+        requests, skip_infeasible=True
+    )
+    entries = _age_entries(tmp_path, field, stale)
+    fresh = session_for(tmp_path)
+    again = fresh.partition_many(requests, skip_infeasible=True)
+    assert fresh.result_cache.stats.hits == 0
+    assert fresh.result_cache.stats.misses == len(requests)
+    assert_canonically_identical(first, again)
+    assert_current(entries)
+    third = session_for(tmp_path)
+    third.partition_many(requests, skip_infeasible=True)
+    assert third.result_cache.stats.hits == len(requests)
+
+
+@STALE
+def test_served_stale_schema_entry_is_resolved_and_overwritten(
+    tmp_path, field, stale
+):
+    """The server reads a stale entry as a miss too: it re-solves and
+    overwrites it instead of forwarding bytes the client cannot read."""
+    requests = batch()[:2]
+    local = session_for(tmp_path).partition_many(
+        requests, skip_infeasible=True
+    )
+    entries = _age_entries(tmp_path, field, stale)
+    with PartitionServer(workers=1, store=str(tmp_path)) as srv:
+        with ServerClient(srv.address) as client:
+            served = client.partition_many(
+                "eeg", requests, params=PARAMS, skip_infeasible=True
+            )
+            assert client.last_batch_stats == {
+                "cache_hits": 0,
+                "cache_misses": len(requests),
+            }
+    assert_canonically_identical(local, served)
+    assert_current(entries)
 
 
 # ---------------------------------------------------------------------------

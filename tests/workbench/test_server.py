@@ -105,8 +105,8 @@ def assert_equivalent(local_results, served_results):
         assert (local is None) == (served is None), f"request {index}"
         if local is None:
             continue
-        assert np.array_equal(local.solution.x, served.solution.x), (
-            f"request {index}: solution vectors differ"
+        assert local.partition.node_set == served.partition.node_set, (
+            f"request {index}: decisions differ"
         )
         assert canonical_json(local) == canonical_json(served), (
             f"request {index}: canonical artifacts differ"
@@ -134,6 +134,43 @@ def test_served_equals_inprocess(server, store_dir, scenario):
     assert any(r is None for r in served)  # the hopeless request
     assert any(r is not None for r in served)
     assert_equivalent(local, served)
+
+
+def test_answer_is_its_decision(server, store_dir, tmp_path):
+    """An answer carries its decision and nothing else: an EEG-4
+    answer's header is at most 4 KB with an empty body, it holds no
+    instance or solution vector, storing it writes no npz sidecar, and
+    its reduction ratio survives a served round trip."""
+    params = {"n_channels": 4}
+    request = PartitionRequest(
+        rate_factor=8.0,
+        cpu_budget=1.2,
+        net_budget=float("inf"),
+        gap_tolerance=5e-3,
+    )
+    session = Session(
+        "eeg", store=ProfileStore(store_dir), params=params,
+        result_cache=False,
+    )
+    local = session.partition(request)
+    ref = {"scenario": "eeg", "params": dict(session.params)}
+    document, arrays = artifacts.to_document(local, ref)
+    header, body = encode_message(document, arrays)
+    assert len(header) <= 4096
+    assert body == b""
+    payload = document["payload"]
+    assert not {"problem", "reduced", "pins", "solution"} & set(payload)
+    solution = payload["partition"]["solution"]
+    assert not {"x", "names", "reduced_costs"} & set(solution)
+
+    cache = cache_module.ResultCache(tmp_path)
+    cache.store("answer", local, ref)
+    assert [p.name for p in tmp_path.iterdir()] == ["result-answer.json"]
+
+    with ServerClient(server.address) as client:
+        (served,) = client.partition_many("eeg", [request], params=params)
+    assert served.reduction_ratio == local.reduction_ratio > 0.0
+    assert canonical_json(served) == canonical_json(local)
 
 
 def test_served_results_carry_requests_for_deploy(server, store_dir):

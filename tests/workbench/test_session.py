@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from repro.core import InfeasiblePartition, RateSearchResult
+from repro.platforms import get_platform
 from repro.workbench import (
     PartitionRequest,
     Scenario,
@@ -14,6 +17,7 @@ from repro.workbench import (
     register_scenario,
     unregister_scenario,
 )
+from repro.workbench.artifacts import canonical_json
 
 
 # ---------------------------------------------------------------------------
@@ -90,21 +94,33 @@ def test_session_platform_default_applies_to_explicit_requests():
     """A request that names no platform must inherit the session's,
     even when constructed explicitly (e.g. inside partition_many)."""
     session = Session("speech", platform="server")
-    result = session.partition(
-        PartitionRequest(rate_factor=1.0, gap_tolerance=5e-3)
+    request = PartitionRequest(rate_factor=1.0, gap_tolerance=5e-3)
+    result = session.partition(request)
+    assert result.request.platform == "server"
+    explicit = session.partition(replace(request, platform="server"))
+    assert canonical_json(result) == canonical_json(explicit)
+    # no radio on the server: the budget the answer was solved under
+    _, net_budget = request.partitioner().resolve_budgets(
+        get_platform("server")
     )
-    assert result.problem.net_budget >= 1e15  # no radio on the server
+    assert net_budget >= 1e15
     [batched] = session.partition_many(
         [PartitionRequest(rate_factor=1.0, gap_tolerance=5e-3)]
     )
     assert batched.partition.node_set == result.partition.node_set
     # an explicit platform on the request still wins
-    tmote = session.try_partition(
-        PartitionRequest(
-            platform="tmote", rate_factor=0.05, gap_tolerance=5e-3
-        )
+    tmote_request = PartitionRequest(
+        platform="tmote", rate_factor=0.05, gap_tolerance=5e-3
     )
-    assert tmote is None or tmote.problem.net_budget < 1e15
+    tmote = session.try_partition(tmote_request)
+    _, net_budget = tmote_request.partitioner().resolve_budgets(
+        get_platform("tmote")
+    )
+    assert net_budget < 1e15
+    assert tmote is None or (
+        tmote.request.platform == "tmote"
+        and tmote.partition.network_bytes_per_sec <= net_budget + 1e-9
+    )
 
 
 def test_profile_rate_scaling(session):
@@ -236,7 +252,7 @@ def test_partition_many_matches_independent_calls():
                 b.network_bytes_per_sec, rel=1e-6
             )
         # every batch answer must satisfy its own request's budgets
-        assert got.problem.cpu_budget == request.cpu_budget
+        assert got.request.cpu_budget == request.cpu_budget
         assert got.partition.cpu_utilization <= request.cpu_budget + 1e-6
     assert identical >= 10  # ties are the exception, not the rule
 
@@ -250,13 +266,13 @@ def test_partition_many_returns_in_request_order():
         for rate in (16.0, 2.0, 8.0)
     ]
     results = session.partition_many(requests, skip_infeasible=True)
-    # The problem attached to each result is the base instance scaled by
-    # that request's rate, so total CPU identifies which answer is whose:
-    # results must come back in request order, not solve order.
-    totals = [sum(res.problem.cpu.values()) for res in results]
-    base = totals[1] / 2.0
-    for req, total in zip(requests, totals):
-        assert total == pytest.approx(base * req.rate_factor, rel=1e-12)
+    # Each answer is its own request's, solved alone: results must come
+    # back in request order, not solve order.
+    for req, res in zip(requests, results):
+        alone = Session("eeg", n_channels=2).partition(req)
+        assert canonical_json(res) == canonical_json(alone)
+    loads = [res.partition.cpu_utilization for res in results]
+    assert len(set(loads)) == len(loads)
 
 
 def test_partition_many_raises_without_skip():

@@ -118,6 +118,29 @@ def test_corrupt_disk_entry_degrades_to_miss(tmp_path):
     assert again.stats.disk_hits == 1
 
 
+@pytest.mark.parametrize(
+    "field, stale", [("schema_version", 1), ("schema", "other.schema")]
+)
+def test_stale_schema_entry_is_a_miss(tmp_path, field, stale):
+    """An entry written under another schema or schema version (keys do
+    not include it) is a miss: it is re-profiled and overwritten."""
+    import json
+
+    ProfileStore(tmp_path).measurement("speech")
+    [entry] = tmp_path.glob("*.json")
+    document = json.loads(entry.read_text())
+    document[field] = stale
+    entry.write_text(json.dumps(document))
+
+    fresh = ProfileStore(tmp_path)
+    _, measurement = fresh.measurement("speech")  # re-profiles, no crash
+    assert fresh.stats.misses == 1
+    assert measurement.duration > 0
+    again = ProfileStore(tmp_path)
+    again.measurement("speech")
+    assert again.stats.disk_hits == 1
+
+
 def test_generic_artifact_put_get(tmp_path):
     store = ProfileStore(tmp_path)
     session = Session("eeg", store=store, n_channels=2)

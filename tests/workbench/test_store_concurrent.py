@@ -19,7 +19,12 @@ from repro.core.cut import Partition
 from repro.dataflow.builder import GraphBuilder
 from repro.solver.solution import Solution, SolveStatus
 from repro.workbench import ProfileStore, WorkbenchError
-from repro.workbench.artifacts import to_json
+from repro.workbench.artifacts import (
+    read_document,
+    to_document,
+    to_json,
+    write_document,
+)
 
 
 def _noop(ctx, port, item):  # pragma: no cover - never invoked
@@ -36,8 +41,7 @@ def _make_graph():
 
 
 def _payload(writer_id: int) -> Partition:
-    """A writer-distinctive artifact with a real array sidecar."""
-    rng = np.random.default_rng(writer_id)
+    """A writer-distinctive artifact."""
     return Partition(
         graph=_make_graph(),
         node_set=frozenset(["src"] if writer_id == 0 else ["src", "op"]),
@@ -48,19 +52,36 @@ def _payload(writer_id: int) -> Partition:
         solver_solution=Solution(
             status=SolveStatus.OPTIMAL,
             objective=100.0 + writer_id,
-            x=rng.random(256),
-            names=[f"v{i}" for i in range(256)],
         ),
         notes={"writer": float(writer_id)},
     )
 
 
+def _arrays(writer_id: int) -> dict[str, np.ndarray]:
+    """Writer-distinctive arrays for the entry's npz sidecar."""
+    return {"x": np.random.default_rng(writer_id).random(256)}
+
+
+def _put(store: ProfileStore, name: str, writer_id: int):
+    """Store writer ``writer_id``'s payload under ``name`` with a real
+    array sidecar; returns the entry's path.
+
+    No artifact holds arrays, so ``store.put`` writes no sidecar.  The
+    entry is rewritten in place through the on-disk convention, which
+    still carries one, so the body/sidecar pairing has a file to pin.
+    """
+    key = store.put(name, _payload(writer_id))
+    path = store.root / f"{key}.json"
+    document, _ = to_document(_payload(writer_id))
+    write_document(path, document, _arrays(writer_id))
+    return path
+
+
 def _writer(root: str, writer_id: int, rounds: int, barrier) -> None:
     store = ProfileStore(root)
-    payload = _payload(writer_id)
     for round_index in range(rounds):
         barrier.wait(timeout=60)
-        store.put(f"raced-{round_index}", payload)
+        _put(store, f"raced-{round_index}", writer_id)
 
 
 def test_concurrent_same_key_writers_never_corrupt(tmp_path):
@@ -89,15 +110,18 @@ def test_concurrent_same_key_writers_never_corrupt(tmp_path):
     for round_index in range(rounds):
         # A fresh store (new process-equivalent view) must reconstruct
         # one writer's payload exactly — fields, arrays, and all.
-        loaded = ProfileStore(str(tmp_path)).get(
-            f"raced-{round_index}", graph=graph
-        )
+        name = f"raced-{round_index}"
+        loaded = ProfileStore(str(tmp_path)).get(name, graph=graph)
         text = to_json(loaded)
         assert text in expected.values(), (
             f"round {round_index}: reconstructed entry matches neither "
             "writer — a corrupt/mixed payload"
         )
-        winners.add(text == expected[1])
+        winner = int(text == expected[1])
+        key = ProfileStore().put(name, _payload(winner))
+        _, arrays = read_document(tmp_path / f"{key}.json")
+        np.testing.assert_array_equal(arrays["x"], _arrays(winner)["x"])
+        winners.add(winner)
     # Sanity: the race actually happened both ways at least once is not
     # guaranteed, but at least one complete payload won every round.
     assert len(winners) >= 1
@@ -106,7 +130,7 @@ def test_concurrent_same_key_writers_never_corrupt(tmp_path):
 def test_truncated_entry_degrades_to_miss(tmp_path):
     """A killed writer's half-written JSON is a miss, not a crash."""
     store = ProfileStore(str(tmp_path))
-    store.put("victim", _payload(0))
+    _put(store, "victim", 0)
     (entry_path,) = [p for p in tmp_path.iterdir() if p.suffix == ".json"]
     text = entry_path.read_text()
     entry_path.write_text(text[: len(text) // 2])
@@ -118,8 +142,7 @@ def test_truncated_entry_degrades_to_miss(tmp_path):
 
 def test_truncated_sidecar_degrades_to_miss(tmp_path):
     store = ProfileStore(str(tmp_path))
-    store.put("victim", _payload(0))
-    (entry_path,) = [p for p in tmp_path.iterdir() if p.suffix == ".json"]
+    entry_path = _put(store, "victim", 0)
     sidecar = entry_path.with_name(json.loads(entry_path.read_text())["npz"])
     blob = sidecar.read_bytes()
     sidecar.write_bytes(blob[: len(blob) // 3])
@@ -137,8 +160,7 @@ def test_missing_sidecar_degrades_to_miss(tmp_path):
     from repro.workbench.cache import ResultCache
 
     store = ProfileStore(str(tmp_path))
-    store.put("victim", _payload(0))
-    (entry_path,) = [p for p in tmp_path.iterdir() if p.suffix == ".json"]
+    entry_path = _put(store, "victim", 0)
     sidecar = entry_path.with_name(json.loads(entry_path.read_text())["npz"])
     sidecar.unlink()
 
