@@ -2,9 +2,9 @@
 
 Measures the two paths this repo's headline figures depend on:
 
-1. ``branch_bound`` — our :class:`BranchAndBound` on the EEG (Figure 6)
-   instance at a binding rate factor where a search tree survives the
-   root, in two configurations: ``tuned`` (one HiGHS model warm-started
+1. ``branch_bound`` — our :class:`BranchAndBound` on an EEG (Figure 6)
+   instance whose search tree survives the root and orbital branching,
+   in two configurations: ``tuned`` (one HiGHS model warm-started
    from node to node, diving, reduced-cost fixing) and ``plain`` (all
    three knobs off: best-first search with one cold ``linprog`` HiGHS
    solve per node).  Reports nodes/sec,
@@ -16,18 +16,21 @@ Measures the two paths this repo's headline figures depend on:
    incremental :class:`ScaledProbe` (formulate once, rescale per probe)
    versus the full per-probe rebuild, on the speech and EEG applications.
 
-3. ``end_to_end`` — wall-clock of the Figure 6 sweep and the Figure 7
-   profiling run.
+3. ``end_to_end`` — wall-clock of the Figure 6 sweep (and the count of
+   its runs stopped by the time limit, gated at 0 in CI) and the
+   Figure 7 profiling run.
 
-4. ``partition_many_served`` — the same EEG batch through the socket
-   partition server: served vs in-process, and 1 vs 2 worker processes
-   (the sharding payoff; results must stay canonically byte-identical).
+4. ``partition_many_served`` — copies of the EEG batch through the
+   socket partition server: served vs in-process, and 1 vs 2 worker
+   processes (the sharding payoff; results must stay canonically
+   byte-identical).  Each side is the minimum of 3 passes.
 
 5. ``result_cache`` — the repeated-batch hit path (in-memory, disk, and
    served through the server's shared cache) against the solve path
    that populated it; hits must be canonically byte-identical and the
    hardware-independent hit-vs-solve ratio is gated in CI (≥10x
-   target).  Each hit time is the minimum of 3 passes.
+   target).  Each solve time is the minimum of 3 passes, each hit time
+   the minimum of 10.
 
 Results are written as machine-readable JSON (default:
 ``BENCH_solver.json`` in the current directory) so the perf trajectory is
@@ -64,14 +67,17 @@ def _timed(fn):
 
 
 #: Passes behind each timing of work that repeats unchanged from pass
-#: to pass (result-cache hits, the degraded fallback; the minimum is
-#: reported).
-_HIT_PASSES = 3
+#: to pass (solves, served batches, the degraded fallback; the minimum
+#: is reported).
+_PASSES = 3
+#: Passes behind each result-cache hit timing: a hit pass takes a few
+#: milliseconds, so more of them cost nothing and steady the minimum.
+_HIT_PASSES = 10
 
 
-def _min_timed(fn):
-    """``fn``'s first value and its fastest of :data:`_HIT_PASSES` runs."""
-    runs = [_timed(fn) for _ in range(_HIT_PASSES)]
+def _min_timed(fn, passes: int = _PASSES):
+    """``fn``'s first value and its fastest of ``passes`` runs."""
+    runs = [_timed(fn) for _ in range(passes)]
     return runs[0][0], min(seconds for _, seconds in runs)
 
 
@@ -86,15 +92,18 @@ def _eeg_partitioner(gap: float = 5e-3) -> Wishbone:
 
 
 def bench_branch_bound(smoke: bool) -> dict:
-    """Node/relaxation throughput on the EEG instance, tuned vs plain.
+    """Node/relaxation throughput on an EEG instance, tuned vs plain.
 
-    Throughput needs a tree: at rate factor 30 closure fixing proves the
-    optimum at the root (one node), so the tuned/plain comparison runs at
-    rate factor 8, where one survives.  Rate 30's node count is reported
-    on its own; both counts are deterministic and gated in CI.
+    Throughput needs a tree.  Orbital branching closes the rate-8
+    instances in a few dozen nodes (EEG-6: 19), so the tuned/plain
+    comparison runs at a low rate, where one survives: rate factor 1.0
+    on EEG-12 (smoke), 0.5 on EEG-22 (full size).  At rate factor 30
+    closure fixing proves the optimum at the root (one node); that count
+    is reported on its own.  Both counts are deterministic and gated in
+    CI.  Each configuration's time is the fastest of :data:`_PASSES`
+    identical solves.
     """
-    n_channels = 6 if smoke else 22
-    rate_factor = 8.0
+    n_channels, rate_factor = (12, 1.0) if smoke else (22, 0.5)
     root_rate_factor = 30.0
     profile = profile_for("eeg", "tmote", n_channels=n_channels)
     probe = _eeg_partitioner().prepare_probe(profile)
@@ -116,7 +125,7 @@ def bench_branch_bound(smoke: bool) -> dict:
     }
     for name, kwargs in configs.items():
         solver = BranchAndBound(gap_tolerance=5e-3, **kwargs)
-        solution, seconds = _timed(lambda: solver.solve(arrays))
+        solution, seconds = _min_timed(lambda: solver.solve(arrays))
         nodes = max(solution.nodes_explored, 1)
         out[name] = {
             "status": solution.status.value,
@@ -281,15 +290,27 @@ def bench_partition_many(smoke: bool) -> dict:
     }
 
 
+#: Copies of the 20-request acceptance grid in the served batch.  With
+#: orbital branching one grid solves in ~0.2 s (EEG-6) to ~0.5 s
+#: (EEG-22) in process, too short for a worker pool to amortize its
+#: per-batch costs; fifteen copies keep every side of the comparison,
+#: two workers included, above one second.
+_SERVED_COPIES = 15
+
+
 def bench_partition_many_served(smoke: bool) -> dict:
     """The acceptance batch through the partition server.
 
-    Times the full EEG batch (4 budget pairs x 5 rates, one job per
-    request) served over the socket by 1-worker and 2-worker pools
-    against the in-process ``Session.partition_many``, and counts
-    canonical-artifact mismatches (must be 0: the server's contract is
-    byte-identical answers).  Profiling is shared through one durable
-    store and warmed before any timer starts.
+    Times an EEG batch (:data:`_SERVED_COPIES` copies of the 4 budget x
+    5 rate grid, one job per request) served over the socket by 1-worker
+    and 2-worker pools against the in-process ``Session.partition_many``,
+    and counts canonical-artifact mismatches (must be 0: the server's
+    contract is byte-identical answers).  Result caching is off, so
+    every copy is solved again.  Each side's time is the minimum of
+    :data:`_PASSES` passes.  The single grid's 2-worker speedup is
+    reported too (``small_batch_two_worker_speedup``), to show what the
+    pool's fixed costs take from a short batch.  Profiling is shared
+    through one durable store and warmed before any timer starts.
     """
     import tempfile
 
@@ -297,7 +318,8 @@ def bench_partition_many_served(smoke: bool) -> dict:
     from repro.workbench.artifacts import canonical_json
 
     n_channels = 6 if smoke else 22
-    requests = _partition_many_requests(20)
+    grid = _partition_many_requests(20)
+    requests = grid * _SERVED_COPIES
     params = {"n_channels": n_channels}
 
     with tempfile.TemporaryDirectory() as store_dir:
@@ -310,11 +332,11 @@ def bench_partition_many_served(smoke: bool) -> dict:
             **params,
         )
         session.profile()  # profile once, durably, outside all timings
-        inproc, inproc_s = _timed(
+        inproc, inproc_s = _min_timed(
             lambda: session.partition_many(requests, skip_infeasible=True)
         )
 
-        def served(workers: int) -> tuple[list, float]:
+        def served(workers: int, batch: list) -> tuple[list, float]:
             with PartitionServer(
                 workers=workers, store=store_dir, result_cache=False
             ) as srv:
@@ -322,18 +344,20 @@ def bench_partition_many_served(smoke: bool) -> dict:
                     # Warm the parent's session/profile caches so the
                     # timing measures serving, not first-touch setup.
                     client.partition_many(
-                        "eeg", requests[:1], params=params,
+                        "eeg", batch[:1], params=params,
                         skip_infeasible=True,
                     )
-                    return _timed(
+                    return _min_timed(
                         lambda: client.partition_many(
-                            "eeg", requests, params=params,
+                            "eeg", batch, params=params,
                             skip_infeasible=True,
                         )
                     )
 
-        served_one, one_s = served(1)
-        served_two, two_s = served(2)
+        served_one, one_s = served(1, requests)
+        served_two, two_s = served(2, requests)
+        _, small_one_s = served(1, grid)
+        _, small_two_s = served(2, grid)
 
     def mismatches(results: list) -> int:
         count = 0
@@ -352,6 +376,10 @@ def bench_partition_many_served(smoke: bool) -> dict:
         "served_two_worker_seconds": two_s,
         "two_worker_speedup": one_s / two_s,
         "served_two_vs_inproc_speedup": inproc_s / two_s,
+        "small_batch_requests": len(grid),
+        "small_batch_one_worker_seconds": small_one_s,
+        "small_batch_two_worker_seconds": small_two_s,
+        "small_batch_two_worker_speedup": small_one_s / small_two_s,
         "mismatches_one_worker": mismatches(served_one),
         "mismatches_two_workers": mismatches(served_two),
     }
@@ -371,7 +399,7 @@ def bench_degraded_fallback(smoke: bool) -> dict:
     run solves, never its answer.
 
     Both sides run without a result cache, so every pass repeats the
-    same solves; each side's time is the minimum of :data:`_HIT_PASSES`
+    same solves; each side's time is the minimum of :data:`_PASSES`
     passes, which keeps one slow pass from moving the gated ratio.
     ``degraded_runs`` counts the inline runs of all degraded passes.
     """
@@ -383,7 +411,22 @@ def bench_degraded_fallback(smoke: bool) -> dict:
     from repro.workbench.artifacts import canonical_json
 
     n_channels = 6 if smoke else 22
-    requests = _partition_many_requests(8)
+    # Low rates, where search trees survive orbital branching: each
+    # solve takes tens of milliseconds to a second, so the fallback's
+    # per-request framing stays small beside it.  (The acceptance
+    # grid's requests now solve in ~10 ms each, and there that framing
+    # alone moves the ratio by a third.)
+    requests = [
+        PartitionRequest(
+            platform="tmote",
+            rate_factor=rate,
+            cpu_budget=budget,
+            net_budget=float("inf"),
+            gap_tolerance=5e-3,
+        )
+        for rate in (2.0, 3.0)
+        for budget in (1.2, 1.0, 0.9, 0.8)
+    ]
     params = {"n_channels": n_channels}
 
     with tempfile.TemporaryDirectory() as store_dir:
@@ -452,28 +495,55 @@ def bench_result_cache(smoke: bool) -> dict:
     hits ride the same store through the partition server's parent-side
     cache, so one figure covers both layers.
 
-    A hit pass takes tens of milliseconds, so one pass swings with
-    whatever else the box is doing; each hit time is the minimum of
-    :data:`_HIT_PASSES` passes.  Every disk pass opens a fresh
+    A hit pass takes milliseconds and, with orbital branching, the
+    solve pass only a few hundred, so one pass swings with whatever else
+    the box is doing: the solve time is the minimum of :data:`_PASSES`
+    passes and each hit time the minimum of :data:`_HIT_PASSES`.  Every
+    solve pass fills an empty result cache through a fresh
+    :class:`Session`, and every disk pass opens a fresh
     :class:`Session`, so each of them reads the store from disk.
     """
     import tempfile
 
-    from repro.workbench import PartitionServer, ProfileStore, ServerClient
+    from repro.workbench import (
+        PartitionServer,
+        ProfileStore,
+        ResultCache,
+        ServerClient,
+    )
     from repro.workbench.artifacts import canonical_json
 
     n_channels = 6 if smoke else 22
     requests = _partition_many_requests(20)
     with tempfile.TemporaryDirectory() as store_dir:
-        session = Session(
-            "eeg", store=ProfileStore(store_dir), n_channels=n_channels
-        )
-        session.profile()  # profiling is shared and outside all timings
-        solved, solve_s = _timed(
-            lambda: session.partition_many(requests, skip_infeasible=True)
-        )
+
+        def solve_pass(cache_dir: str) -> tuple[Session, list, float]:
+            session = Session(
+                "eeg",
+                store=ProfileStore(store_dir),
+                result_cache=ResultCache(cache_dir),
+                n_channels=n_channels,
+            )
+            session.profile()  # shared, and outside all timings
+            solved, seconds = _timed(
+                lambda: session.partition_many(
+                    requests, skip_infeasible=True
+                )
+            )
+            return session, solved, seconds
+
+        # Each solve pass fills an empty result cache; the last one
+        # fills the store's own, which every hit pass below reads.
+        cache_dirs = [
+            os.path.join(store_dir, f"solve-pass-{i}")
+            for i in range(_PASSES - 1)
+        ]
+        solve_passes = [solve_pass(d) for d in cache_dirs + [store_dir]]
+        session, solved, _ = solve_passes[-1]
+        solve_s = min(seconds for _, _, seconds in solve_passes)
         warm, warm_s = _min_timed(
-            lambda: session.partition_many(requests, skip_infeasible=True)
+            lambda: session.partition_many(requests, skip_infeasible=True),
+            _HIT_PASSES,
         )
 
         def disk_pass():
@@ -497,7 +567,8 @@ def bench_result_cache(smoke: bool) -> dict:
                 served, served_s = _min_timed(
                     lambda: client.partition_many(
                         "eeg", requests, params=params, skip_infeasible=True
-                    )
+                    ),
+                    _HIT_PASSES,
                 )
                 served_stats = dict(client.last_batch_stats)
 
@@ -542,6 +613,7 @@ def bench_end_to_end(smoke: bool) -> dict:
             "channels": fig6_channels,
             "seconds": fig6_s,
             "feasible_runs": len(feasible),
+            "limit_hits": result6.limit_hits,
             "median_prove_seconds": result6.percentile("prove", 50.0)
             if feasible
             else None,
@@ -621,6 +693,8 @@ def main() -> None:
         f"{pms['served_one_worker_seconds']:.2f}s served/1w vs "
         f"{pms['served_two_worker_seconds']:.2f}s served/2w "
         f"({pms['two_worker_speedup']:.2f}x for 2 workers, "
+        f"{pms['small_batch_two_worker_speedup']:.2f}x on one "
+        f"{pms['small_batch_requests']}-request grid, "
         f"{pms['mismatches_two_workers']} mismatches)"
     )
     dg = report["degraded_fallback"]
@@ -646,7 +720,8 @@ def main() -> None:
         f"{rc_mismatches} mismatches)"
     )
     print(
-        f"fig6: {report['end_to_end']['fig6']['seconds']:.2f}s  "
+        f"fig6: {report['end_to_end']['fig6']['seconds']:.2f}s "
+        f"({report['end_to_end']['fig6']['limit_hits']} limit hits)  "
         f"fig7: {report['end_to_end']['fig7']['seconds']:.2f}s"
     )
 

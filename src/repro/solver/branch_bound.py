@@ -28,6 +28,17 @@ Design notes:
     incumbent, integer variables whose reduced cost proves they cannot move
     off their bound in any improving solution are fixed permanently,
     shrinking the tree;
+  * *orbital branching* (Ostrowski, Linderoth, Rossi and Smriglio, 2011)
+    on verified block symmetry: at the first branching of a solve,
+    :func:`~repro.solver.symmetry.detect_block_symmetry` finds families
+    of interchangeable column blocks (the EEG channels) from the arrays
+    alone.  Blocks of a family whose node bounds are identical position
+    by position can be permuted inside the node, so branching on a
+    binary in one of them sets it to 1 in the up child and sets its
+    whole orbit (its position in every such block) to 0 in the down
+    child.  A solve that closes at the root never runs the detector;
+    like closure fixing it has no knob (the optimum is unchanged, though
+    which of several symmetric optima is returned may differ);
   * one LP engine, HiGHS: with warm starts a single persistent
     :class:`~repro.solver.scipy_backend.HighsRelaxation` serves every node
     of a solve with two bound edits and a dual-simplex resume from the
@@ -40,7 +51,8 @@ Knobs (constructor arguments): ``dive`` toggles the diving hybrid,
 HiGHS model.  All default to on; disabling all three gives the plain
 best-first solver with a cold LP per node for A/B measurements
 (``plain`` in ``benchmarks/bench_solver.py``).
-Closure fixing has no knob: it never changes the feasible set.
+Closure fixing and orbital branching have no knob: neither changes the
+optimal value.
 """
 
 from __future__ import annotations
@@ -56,6 +68,7 @@ import numpy as np
 from .model import INF, LinearProgram, StandardArrays
 from .scipy_backend import make_highs_relaxation, solve_lp_scipy
 from .solution import IncumbentEvent, Solution, SolveStatus
+from .symmetry import BlockSymmetry, detect_block_symmetry
 
 _INT_TOL = 1e-6
 #: Feasibility tolerance for validating *rounded* integer candidates
@@ -555,6 +568,9 @@ class BranchAndBound:
         # own limit (not infeasibility); optimality cannot be claimed past
         # this value.
         unresolved_bound = INF
+        # Found at the first branching: a solve that closes at the root
+        # never pays for detection.
+        symmetry: BlockSymmetry | None = None
 
         while pending is not None or dive_next is not None or heap:
             if nodes_explored >= self.node_limit:
@@ -568,6 +584,7 @@ class BranchAndBound:
             if pending is not None:
                 node, relax, run_checks = pending
                 pending = None
+                lb, ub = lb0, ub0
             else:
                 run_checks = True
                 if dive_next is not None:
@@ -651,6 +668,15 @@ class BranchAndBound:
                 continue
             down = dict(node.var_bounds)
             down[branch_idx] = (blb, float(floor_val))
+            if (blb, bub) == (0.0, 1.0):
+                # Orbital branching: the down child fixes the binary's
+                # whole orbit, since any point with some orbit member at 1
+                # maps onto one with this member at 1 (the up child).
+                if symmetry is None:
+                    symmetry = detect_block_symmetry(arrays)
+                orbit = symmetry.orbit(branch_idx, lb, ub)
+                if orbit is not None:
+                    down.update(dict.fromkeys(orbit.tolist(), (0.0, 0.0)))
             up = dict(node.var_bounds)
             up[branch_idx] = (float(ceil_val), bub)
 

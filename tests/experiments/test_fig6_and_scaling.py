@@ -17,6 +17,10 @@ def test_fig6_all_runs_terminate(fig6_result):
     assert feasible, "some rates must be partitionable"
 
 
+def test_fig6_every_run_proves_before_the_time_limit(fig6_result):
+    assert fig6_result.limit_hits == 0
+
+
 def test_fig6_prove_at_least_discover(fig6_result):
     for sample in fig6_result.samples:
         if sample.feasible:

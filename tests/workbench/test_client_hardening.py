@@ -110,11 +110,10 @@ def test_server_client_accepts_backoff_seed(tmp_path):
     with PartitionServer(workers=1, store=str(tmp_path / "s")) as srv:
         with ServerClient(srv.address, backoff_seed=5) as client:
             assert client.ping()["ok"]
-            assert client._backoff.delay(0) == pytest.approx(
-                ServerClient(
-                    srv.address, backoff_seed=5
-                )._backoff.delay(0)
-            )
+            with ServerClient(srv.address, backoff_seed=5) as twin:
+                assert client._backoff.delay(0) == pytest.approx(
+                    twin._backoff.delay(0)
+                )
 
 
 def test_swallowed_errors_ship_in_stats(tmp_path):
