@@ -12,9 +12,9 @@ Measures the two paths this repo's headline figures depend on:
    a rate factor that closure fixing closes at the root
    (``root_closing``).
 
-2. ``rate_search`` — a full §4.3 :class:`RateSearch` sweep with the
-   incremental :class:`ScaledProbe` (formulate once, rescale per probe)
-   versus the full per-probe rebuild, on the speech and EEG applications.
+2. ``rate_search`` — a full §4.3 :class:`RateSearch` sweep (one
+   :class:`ScaledProbe`: formulate once, rescale per probe) on the
+   speech and EEG applications.
 
 3. ``end_to_end`` — wall-clock of the Figure 6 sweep (and the count of
    its runs stopped by the time limit, gated at 0 in CI) and the
@@ -159,7 +159,7 @@ def bench_branch_bound(smoke: bool) -> dict:
 
 
 def bench_rate_search(smoke: bool) -> dict:
-    """Full §4.3 sweep: incremental probe cache vs per-probe rebuild."""
+    """Full §4.3 sweep: one formulation, rescaled per probe."""
     scenarios = [
         ("speech", profile_for("speech", "tmote"), _speech_partitioner(), 1.0),
         (
@@ -171,31 +171,15 @@ def bench_rate_search(smoke: bool) -> dict:
     ]
     out: dict = {}
     for name, profile, partitioner, target in scenarios:
-        inc, inc_s = _timed(
-            lambda: RateSearch(partitioner, incremental=True).search(
-                profile, target_factor=target
-            )
-        )
-        full, full_s = _timed(
-            lambda: RateSearch(partitioner, incremental=False).search(
+        found, seconds = _timed(
+            lambda: RateSearch(partitioner).search(
                 profile, target_factor=target
             )
         )
         out[name] = {
-            "rate_factor": inc.rate_factor,
-            "probes": inc.probes,
-            "incremental_seconds": inc_s,
-            "full_rebuild_seconds": full_s,
-            "speedup": full_s / inc_s,
-            "results_match": (
-                abs(inc.rate_factor - full.rate_factor) < 1e-9
-                and (inc.result is None) == (full.result is None)
-                and (
-                    inc.result is None
-                    or inc.result.partition.node_set
-                    == full.result.partition.node_set
-                )
-            ),
+            "rate_factor": found.rate_factor,
+            "probes": found.probes,
+            "seconds": seconds,
         }
     return out
 
@@ -231,19 +215,33 @@ def bench_partition_many(smoke: bool) -> dict:
 
     The batch path shares one cached formulation (and its HiGHS model)
     across all compatible requests, each solved from no solver state;
-    the loop re-runs the full pin -> reduce -> formulate -> solve
-    pipeline per request (what every caller did before the workbench
-    existed).  ``equivalent_ties`` counts requests where the two reach
-    the same optimum at a different vertex: the probe's rescaled arrays
-    and a rebuild at the same rate differ in float rounding.
+    the loop gives every request its own partitioner on the rate-scaled
+    profile, which formulates the base profile again per request.  Both
+    sides probe the same base formulation, so every answer must be
+    identical: ``mismatches`` must read 0, and ``equivalent_ties`` (the
+    same optimum at a different vertex) is gated at 0 in CI.  Each
+    side's time is the minimum of :data:`_PASSES` passes; every batch
+    pass runs on a fresh :class:`Session`, so none reuses a formulation
+    or a cached answer.
     """
-    n_channels = 6 if smoke else 22
-    session = Session("eeg", n_channels=n_channels)
-    requests = _partition_many_requests(20)
-    profile = session.profile()  # also warms the store outside the timings
+    from repro.workbench import ProfileStore
 
-    batch, batch_s = _timed(
-        lambda: session.partition_many(requests, skip_infeasible=True)
+    n_channels = 6 if smoke else 22
+    store = ProfileStore()
+    requests = _partition_many_requests(20)
+    # Profiling is shared through the store and happens outside the
+    # timings, as does building the sessions.
+    profile = Session("eeg", store=store, n_channels=n_channels).profile()
+    sessions = iter(
+        [
+            Session("eeg", store=store, n_channels=n_channels)
+            for _ in range(_PASSES)
+        ]
+    )
+    batch, batch_s = _min_timed(
+        lambda: next(sessions).partition_many(
+            requests, skip_infeasible=True
+        )
     )
 
     def loop() -> list:
@@ -254,7 +252,7 @@ def bench_partition_many(smoke: bool) -> dict:
             for request in requests
         ]
 
-    independent, loop_s = _timed(loop)
+    independent, loop_s = _min_timed(loop)
 
     identical = 0
     equivalent_ties = 0
@@ -273,8 +271,8 @@ def bench_partition_many(smoke: bool) -> dict:
             <= 1e-9
         ):
             # Same optimum, different representative of a symmetric
-            # plateau (the EEG channels are identical), reached because
-            # the rescaled and the rebuilt arrays round differently.
+            # plateau (the EEG channels are identical): the two sides
+            # solved differently rounded instances.
             equivalent_ties += 1
         else:
             mismatches += 1
@@ -674,17 +672,16 @@ def main() -> None:
     )
     for name, row in rs.items():
         print(
-            f"rate search [{name}]: {row['incremental_seconds']:.2f}s "
-            f"incremental vs {row['full_rebuild_seconds']:.2f}s rebuild "
-            f"({row['speedup']:.1f}x, results_match={row['results_match']})"
+            f"rate search [{name}]: {row['seconds']:.2f}s, "
+            f"{row['probes']} probes, rate x{row['rate_factor']:g}"
         )
     pm = report["partition_many"]
     print(
         f"partition_many: {pm['requests']} requests in "
         f"{pm['batch_seconds']:.2f}s batched vs {pm['loop_seconds']:.2f}s "
         f"looped ({pm['batch_vs_loop_speedup']:.1f}x, "
-        f"{pm['identical']} identical, {pm['equivalent_ties']} rounding "
-        f"ties with the rebuild, "
+        f"{pm['identical']} identical, {pm['equivalent_ties']} "
+        f"equivalent ties, "
         f"{pm['mismatches']} mismatches)"
     )
     pms = report["partition_many_served"]

@@ -106,9 +106,11 @@ def main(full: bool = False):
     )
     rows = []
     for platform_name in ("tmote", "n80"):
-        profile = measurement.on(get_platform(platform_name))
+        probe = wishbone.prepare_probe(
+            measurement.on(get_platform(platform_name))
+        )
         for factor in (1.0, 5.0, 10.0, 15.0, 20.0):
-            result = wishbone.try_partition(profile.scaled(factor))
+            result = probe.try_partition(factor)
             ops = len(result.partition.node_set) if result else 0
             cpu = result.partition.cpu_utilization if result else 0.0
             rows.append([platform_name, f"x{factor:.0f}", ops, f"{cpu:.0%}"])

@@ -9,19 +9,16 @@ plots).
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass
 
-from ..dataflow.graph import Pinning
 from ..profiler.records import GraphProfile
 from ..solver.branch_bound import BranchAndBound
 from ..solver.scipy_backend import solve_milp_scipy
 from ..solver.solution import Solution
-from .cut import InfeasiblePartition, Partition, PartitionError
+from .cut import InfeasiblePartition, Partition
 from .ilp_general import build_general_ilp
 from .ilp_restricted import build_restricted_ilp
 from .pinning import RelocationMode, compute_pinnings
-from .preprocess import ReducedProblem, preprocess
 from .probe import ScaledProbe
 from .problem import NET_BUDGET_CAP, PartitionProblem, problem_from_profile
 
@@ -185,9 +182,7 @@ class Wishbone:
 
     # -- problem construction -----------------------------------------------
 
-    def build_problem(
-        self, profile: GraphProfile
-    ) -> tuple[PartitionProblem, dict[str, Pinning]]:
+    def build_problem(self, profile: GraphProfile) -> PartitionProblem:
         """Pin operators and assemble the weighted instance."""
         platform = profile.platform
         objective = self.objective or PartitionObjective(
@@ -198,7 +193,7 @@ class Wishbone:
         pins = compute_pinnings(
             profile.graph, self.mode, single_crossing=single_crossing
         )
-        problem = problem_from_profile(
+        return problem_from_profile(
             profile,
             pins,
             cpu_budget=cpu_budget,
@@ -207,7 +202,6 @@ class Wishbone:
             beta=objective.beta,
             aggregate_fanin=self.aggregate_fanin,
         )
-        return problem, pins
 
     # -- solving --------------------------------------------------------------
 
@@ -240,104 +234,20 @@ class Wishbone:
         """Cache the rate-invariant parts of this instance for §4.3 probing.
 
         The returned :class:`~repro.core.probe.ScaledProbe` answers
-        ``try_partition(factor)`` for any rate factor while re-running the
+        ``partition(factor)`` for any rate factor while running the
         pin -> reduce -> formulate pipeline exactly once; see
         ``repro.core.probe`` for the equivalence argument.
         """
         return ScaledProbe(self, profile)
 
-    def package_result(
-        self,
-        graph,
-        problem: PartitionProblem,
-        model,
-        solution: Solution,
-        reduced: ReducedProblem | None,
-        build_seconds: float,
-        solve_seconds: float,
-    ) -> PartitionResult:
-        """Decode, cross-check, and package a solver outcome.
-
-        Shared by the direct path (:meth:`partition`) and the incremental
-        rate probe (``repro.core.probe``) so the two paths cannot drift.
-        ``reduced`` only expands clusters and counts vertices, so any
-        rate or budget variant of one reduction serves.  Raises
-        :class:`InfeasiblePartition` when the solver found no solution,
-        :class:`PartitionError` when the decoded assignment violates the
-        budgets of ``problem`` (an encoding bug).
-        """
-        if not solution.status.has_solution:
-            raise InfeasiblePartition(
-                f"no feasible partition (solver status: {solution.status})"
-            )
-        cluster_set = model.node_set(solution.values)
-        node_set = (
-            reduced.expand(cluster_set) if reduced is not None else cluster_set
-        )
-        # Evaluate against the problem the solver actually saw (which may
-        # discount aggregated edges); cross-check feasibility there.
-        if not problem.is_feasible(node_set):
-            raise PartitionError(
-                "solver returned an assignment that violates the budgets; "
-                "this indicates an encoding bug"
-            )
-        # The node set is what the variable vector decodes to: keep the
-        # outcome without the vector (or the names and reduced costs
-        # indexed like it), so this answer holds what a decoded one does.
-        solution = Solution(
-            status=solution.status,
-            objective=solution.objective,
-            bound=solution.bound,
-            incumbents=solution.incumbents,
-            discover_elapsed=solution.discover_elapsed,
-            prove_elapsed=solution.prove_elapsed,
-            nodes_explored=solution.nodes_explored,
-            iterations=solution.iterations,
-        )
-        partition = Partition(
-            graph=graph,
-            node_set=frozenset(node_set),
-            cpu_utilization=problem.cpu_load(node_set),
-            network_bytes_per_sec=problem.net_load(node_set),
-            objective_value=problem.objective(node_set),
-            feasible=True,
-            solver_solution=solution,
-        )
-        vertices = len(problem.vertices)
-        return PartitionResult(
-            partition=partition,
-            solution=solution,
-            vertices=vertices,
-            reduced_vertices=(
-                len(reduced.problem.vertices)
-                if reduced is not None
-                else vertices
-            ),
-            build_seconds=build_seconds,
-            solve_seconds=solve_seconds,
-        )
-
     def partition(self, profile: GraphProfile) -> PartitionResult:
-        """Partition a profiled graph; raises on infeasibility."""
-        problem, _ = self.build_problem(profile)
-        build_start = time.perf_counter()
-        reduced = preprocess(problem) if self.use_preprocess else None
-        target = reduced.problem if reduced is not None else problem
-        model = self.formulate(target)
-        build_seconds = time.perf_counter() - build_start
+        """Partition a profiled graph; raises on infeasibility.
 
-        solve_start = time.perf_counter()
-        solution = self.solve_arrays(model.program)
-        solve_seconds = time.perf_counter() - solve_start
-        return self.package_result(
-            profile.graph,
-            problem,
-            model,
-            solution,
-            reduced,
-            build_seconds,
-            solve_seconds,
-        )
+        A scaled profile is partitioned as a probe of its base at its
+        cumulative factor, so ``partition(profile.scaled(f))`` is the
+        answer ``prepare_probe(profile).partition(f)`` gives.
+        """
+        return self.prepare_probe(profile.base).partition(profile.base_factor)
 
     def try_partition(self, profile: GraphProfile) -> PartitionResult | None:
         """Like :meth:`partition` but returns ``None`` on infeasibility."""

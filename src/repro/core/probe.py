@@ -1,9 +1,9 @@
-"""Incremental rate probing: one formulation, many rates (paper §4.3).
+"""Rate probing: one formulation, many rates (paper §4.3).
 
-A :class:`~repro.core.rate_search.RateSearch` issues up to ``max_probes``
-(default 60) partitioner invocations, and the seed implementation re-ran
-the full pin -> reduce -> formulate -> ``to_arrays`` pipeline for every
-probe even though *none of it depends on the rate*:
+Every partition is a probe.  A :class:`ScaledProbe` runs the pin ->
+reduce -> formulate -> ``to_arrays`` pipeline once for a profile and
+answers any rate factor from it, because none of that pipeline depends
+on the rate:
 
 * pins are a function of the graph alone;
 * the §4.1 preprocessing merges on bandwidth *comparisons*
@@ -19,10 +19,12 @@ instance with the cost vector multiplied by ``f`` and the budget
 right-hand sides divided by ``f`` — two O(n) vector operations per probe
 instead of a full rebuild.
 
-:class:`ScaledProbe` caches the base formulation once and serves probes at
-any rate factor.  When a formulation is not rate-separable in this sense
-(some structural row carries a nonzero rhs), the probe transparently falls
-back to the full per-factor rebuild, so it is always safe to use.
+There is no other path: :meth:`Wishbone.partition
+<repro.core.partitioner.Wishbone.partition>` partitions a scaled profile
+by probing its unscaled base, and a formulation that is not
+rate-separable in this sense (a structural row carries a nonzero
+right-hand side) raises :class:`~repro.core.cut.PartitionError` when its
+probe is built.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..profiler.records import GraphProfile
-from .cut import InfeasiblePartition
+from ..solver.solution import Solution
+from .cut import InfeasiblePartition, Partition, PartitionError
 from .preprocess import preprocess
 from .problem import NET_BUDGET_CAP
 
@@ -47,17 +50,21 @@ BUDGET_ROW_NAMES = ("cpu_budget", "net_budget")
 class ScaledProbe:
     """Rate-invariant cached formulation of one partitioning instance.
 
-    Built once per (partitioner, profile) pair — typically at the top of a
-    rate search — and then probed at arbitrary rate factors.  Each probe
-    costs two vector copies plus the MILP solve itself.
+    Built once per (partitioner, profile) pair — at the top of a rate
+    search or a sweep, once per probe group in a service, or per call in
+    :meth:`Wishbone.partition` — and then probed at arbitrary rate
+    factors.  Each probe costs two vector copies plus the MILP solve
+    itself.
 
     Attributes:
         problem: the base (factor 1.0) :class:`PartitionProblem`.
         reduced: the §4.1 reduction of the base problem (``None`` when the
             partitioner has preprocessing disabled).
         build_seconds: one-time cost of pin + reduce + formulate + export.
-        incremental: False when the formulation was not rate-separable and
-            probes fall back to full rebuilds.
+
+    Raises:
+        PartitionError: the formulation is not rate-separable (a
+            structural row has a nonzero right-hand side).
     """
 
     def __init__(self, partitioner: "Wishbone", profile: GraphProfile) -> None:
@@ -65,7 +72,7 @@ class ScaledProbe:
         self.profile = profile
 
         build_start = time.perf_counter()
-        self.problem, _ = partitioner.build_problem(profile)
+        self.problem = partitioner.build_problem(profile)
         self.reduced = (
             preprocess(self.problem) if partitioner.use_preprocess else None
         )
@@ -90,13 +97,14 @@ class ScaledProbe:
         )
         structural = np.ones(len(self._base_b_ub), dtype=bool)
         structural[self._budget_rows] = False
-        self.incremental = bool(
-            np.all(self._base_b_ub[structural] == 0.0)
-            and (
-                self._arrays.b_eq.size == 0
-                or np.all(self._arrays.b_eq == 0.0)
+        if np.any(self._base_b_ub[structural] != 0.0) or np.any(
+            self._arrays.b_eq != 0.0
+        ):
+            raise PartitionError(
+                "formulation is not rate-separable: a structural row has a "
+                "nonzero right-hand side, so no rate can be probed by "
+                "rescaling costs and budgets"
             )
-        )
         # HiGHS model shared across probes: like the formulation it is
         # rate-invariant, so each probe edits c and the budget rhs in place
         # and clears the basis (no answer depends on an earlier probe).
@@ -166,35 +174,22 @@ class ScaledProbe:
         cpu_budget: float | None = None,
         net_budget: float | None = None,
     ) -> "PartitionResult":
-        """Partition at ``factor`` times the profiled rate; raises on
-        infeasibility (mirrors :meth:`Wishbone.partition`).
+        """Partition at ``factor`` times the profiled rate.
 
         ``cpu_budget``/``net_budget`` override the budgets the base
         formulation was built with — the workbench's partition service
         uses this to serve every budget of a probe group from one cached
         formulation.  Each call solves from no state, so its answer is a
         function of its arguments alone.
+
+        Raises :class:`InfeasiblePartition` when the solver found no
+        solution, :class:`PartitionError` when the decoded assignment
+        violates the budgets of the scaled instance (an encoding bug).
         """
+        from .partitioner import PartitionResult
+
         if factor <= 0.0:
             raise ValueError("rate factor must be positive")
-        override = cpu_budget is not None or net_budget is not None
-        if not self.incremental:
-            partitioner = self.partitioner
-            if override:
-                partitioner = partitioner.with_overrides(
-                    cpu_budget=(
-                        cpu_budget
-                        if cpu_budget is not None
-                        else partitioner.cpu_budget
-                    ),
-                    net_budget=(
-                        net_budget
-                        if net_budget is not None
-                        else partitioner.net_budget
-                    ),
-                )
-            return partitioner.partition(self.profile.scaled(factor))
-
         prep_start = time.perf_counter()
         arrays = self._arrays_at(factor, cpu_budget, net_budget)
         relaxation = self._shared_relaxation(arrays)
@@ -203,25 +198,69 @@ class ScaledProbe:
         solve_start = time.perf_counter()
         solution = self.partitioner.solve_arrays(arrays, relaxation=relaxation)
         solve_seconds = time.perf_counter() - solve_start
+        if not solution.status.has_solution:
+            raise InfeasiblePartition(
+                f"no feasible partition (solver status: {solution.status})"
+            )
+
         problem = self.problem
-        if override:
-            effective_cpu = (
-                cpu_budget if cpu_budget is not None else problem.cpu_budget
+        if cpu_budget is not None or net_budget is not None:
+            problem = problem.with_budgets(
+                cpu_budget if cpu_budget is not None else problem.cpu_budget,
+                (
+                    min(net_budget, NET_BUDGET_CAP)
+                    if net_budget is not None
+                    else problem.net_budget
+                ),
             )
-            effective_net = (
-                min(net_budget, NET_BUDGET_CAP)
-                if net_budget is not None
-                else problem.net_budget
+        problem = problem.scaled(factor)
+        cluster_set = self.model.node_set(solution.values)
+        node_set = (
+            self.reduced.expand(cluster_set)
+            if self.reduced is not None
+            else cluster_set
+        )
+        # Evaluate against the problem the solver actually saw (which may
+        # discount aggregated edges); cross-check feasibility there.
+        if not problem.is_feasible(node_set):
+            raise PartitionError(
+                "solver returned an assignment that violates the budgets; "
+                "this indicates an encoding bug"
             )
-            problem = problem.with_budgets(effective_cpu, effective_net)
-        return self.partitioner.package_result(
-            self.profile.graph,
-            problem.scaled(factor),
-            self.model,
-            solution,
-            self.reduced,
-            build_seconds,
-            solve_seconds,
+        # The node set is what the variable vector decodes to: keep the
+        # outcome without the vector (or the names and reduced costs
+        # indexed like it), so this answer holds what a decoded one does.
+        solution = Solution(
+            status=solution.status,
+            objective=solution.objective,
+            bound=solution.bound,
+            incumbents=solution.incumbents,
+            discover_elapsed=solution.discover_elapsed,
+            prove_elapsed=solution.prove_elapsed,
+            nodes_explored=solution.nodes_explored,
+            iterations=solution.iterations,
+        )
+        partition = Partition(
+            graph=self.profile.graph,
+            node_set=frozenset(node_set),
+            cpu_utilization=problem.cpu_load(node_set),
+            network_bytes_per_sec=problem.net_load(node_set),
+            objective_value=problem.objective(node_set),
+            feasible=True,
+            solver_solution=solution,
+        )
+        vertices = len(problem.vertices)
+        return PartitionResult(
+            partition=partition,
+            solution=solution,
+            vertices=vertices,
+            reduced_vertices=(
+                len(self.reduced.problem.vertices)
+                if self.reduced is not None
+                else vertices
+            ),
+            build_seconds=build_seconds,
+            solve_seconds=solve_seconds,
         )
 
     def try_partition(

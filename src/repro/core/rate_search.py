@@ -6,14 +6,11 @@ scale (approximately) linearly and monotonically with input rate,
 feasibility is monotone in the rate factor, so a binary search over the
 factor — each probe one partitioner run — converges quickly.
 
-By default the search probes through an incremental
-:class:`~repro.core.probe.ScaledProbe`: the pins, the §4.1 reduction, and
-the ILP's sparsity structure are rate-invariant, so the formulation is
-cached once and each probe only rescales the cost vector and the budget
-right-hand sides (two vector copies) before solving.  Pass
-``incremental=False`` to force the original full rebuild per probe — the
-two paths produce equivalent results, and ``benchmarks/bench_solver.py``
-measures both.
+The search probes through one :class:`~repro.core.probe.ScaledProbe`:
+the pins, the §4.1 reduction, and the ILP's sparsity structure are
+rate-invariant, so the formulation is built once and each probe only
+rescales the cost vector and the budget right-hand sides (two vector
+copies) before solving.
 """
 
 from __future__ import annotations
@@ -51,9 +48,6 @@ class RateSearch:
         max_factor: upper limit of the search range (as a multiple of the
             profiled rate).
         max_probes: hard cap on partitioner invocations.
-        incremental: probe through a cached :class:`ScaledProbe` (pin /
-            reduce / formulate once, rescale per probe) instead of
-            rebuilding the instance from the profile at every factor.
     """
 
     def __init__(
@@ -62,7 +56,6 @@ class RateSearch:
         tolerance: float = 0.01,
         max_factor: float = 1024.0,
         max_probes: int = 60,
-        incremental: bool = True,
     ) -> None:
         if tolerance <= 0:
             raise ValueError("tolerance must be positive")
@@ -70,7 +63,6 @@ class RateSearch:
         self.tolerance = tolerance
         self.max_factor = max_factor
         self.max_probes = max_probes
-        self.incremental = incremental
 
     def search(
         self, profile: GraphProfile, target_factor: float = 1.0
@@ -85,18 +77,12 @@ class RateSearch:
                 application's native rate).
         """
         probes = 0
-        prober = (
-            self.partitioner.prepare_probe(profile)
-            if self.incremental
-            else None
-        )
+        prober = self.partitioner.prepare_probe(profile)
 
         def probe(factor: float) -> PartitionResult | None:
             nonlocal probes
             probes += 1
-            if prober is not None:
-                return prober.try_partition(factor)
-            return self.partitioner.try_partition(profile.scaled(factor))
+            return prober.try_partition(factor)
 
         at_target = probe(target_factor)
         if at_target is not None:

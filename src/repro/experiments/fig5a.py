@@ -68,9 +68,11 @@ def run(
     points: list[Fig5aPoint] = []
     wishbone = partitioner()
     for platform_name in platforms:
-        profile = measurement.on(get_platform(platform_name))
+        probe = wishbone.prepare_probe(
+            measurement.on(get_platform(platform_name))
+        )
         for factor in rate_factors:
-            result = wishbone.try_partition(profile.scaled(factor))
+            result = probe.try_partition(factor)
             if result is None:
                 # Not even the pinned sources fit: report the floor.
                 points.append(Fig5aPoint(platform_name, factor, 0, 0.0, 0.0))

@@ -70,6 +70,13 @@ class GraphProfile:
     ``rate_factor`` tracks scaling applied by :meth:`scaled` relative to the
     profiled input trace (Section 4.3 treats data rate as a free variable
     under the linear-scaling assumption).
+
+    ``base`` is the unscaled profile a chain of :meth:`scaled` calls
+    started from and ``base_factor`` the product of their factors, so a
+    partitioner formulates the base once and probes it at that factor.
+    The link lives in memory only: a profile built any other way
+    (measured, restricted, decoded from a store) is its own base at
+    factor 1.
     """
 
     def __init__(
@@ -87,6 +94,13 @@ class GraphProfile:
         self.operators = operators
         self.edges = edges
         self.rate_factor = rate_factor
+        self._base: GraphProfile | None = None
+        self.base_factor = 1.0
+
+    @property
+    def base(self) -> "GraphProfile":
+        """The unscaled profile this one is ``base_factor`` times."""
+        return self._base if self._base is not None else self
 
     # -- cost accessors (the c_v and r_uv of Section 4.2.1) ---------------
 
@@ -146,7 +160,7 @@ class GraphProfile:
         """Profile at a different input rate (loads scale linearly)."""
         if factor < 0:
             raise ValueError("rate factor must be non-negative")
-        return GraphProfile(
+        scaled = GraphProfile(
             graph=self.graph,
             platform=self.platform,
             duration=self.duration,
@@ -156,6 +170,9 @@ class GraphProfile:
             edges={edge: ep.scaled(factor) for edge, ep in self.edges.items()},
             rate_factor=self.rate_factor * factor,
         )
+        scaled._base = self.base
+        scaled.base_factor = self.base_factor * factor
+        return scaled
 
     def restricted_to(self, names: set[str]) -> "GraphProfile":
         """Profile view containing only ``names`` (movable-subgraph step)."""

@@ -57,7 +57,7 @@ class StandardArrays:
     read-only tuple view for compatibility and tests.
 
     ``ub_row_names``/``eq_row_names`` carry the constraint names row by row,
-    which lets incremental callers (``repro.core.probe``) locate and rescale
+    which lets rate probes (``repro.core.probe``) locate and rescale
     specific right-hand-side entries without re-running model construction.
     """
 

@@ -107,7 +107,7 @@ class HighsRelaxation:
         self._current_lb = np.asarray(arrays.lb, dtype=float)
         self._current_ub = np.asarray(arrays.ub, dtype=float)
 
-    # -- incremental model edits (rate probes) ---------------------------
+    # -- in-place model edits (rate probes) -------------------------------
 
     def update_problem(
         self,

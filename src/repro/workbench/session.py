@@ -160,7 +160,6 @@ class RateSearchRequest:
     tolerance: float = 0.01
     max_factor: float = 1024.0
     max_probes: int = 60
-    incremental: bool = True
 
 
 class PartitionService:
@@ -299,6 +298,9 @@ class Session:
         self.service = PartitionService(
             self._factor_one_profile, default_platform=platform
         )
+        # The graph result-cache hits are materialized onto, built on
+        # the first hit and shared by every later one.
+        self._hit_graph: StreamGraph | None = None
 
     # -- profiling ----------------------------------------------------------
 
@@ -442,7 +444,6 @@ class Session:
         ]
         results: list[PartitionResult | None] = [None] * len(requests)
         misses: list[int] = []
-        graph: StreamGraph | None = None
         for index, key in enumerate(keys):
             entry = cache.lookup(key)
             if entry is None:
@@ -453,9 +454,9 @@ class Session:
                     cache.raise_infeasible(key)
                 results[index] = None
                 continue
-            if graph is None:
-                graph = self.scenario.build(self.params)
-            result = cache.materialize(entry, graph)
+            if self._hit_graph is None:
+                self._hit_graph = self.scenario.build(self.params)
+            result = cache.materialize(entry, self._hit_graph)
             result.request = self.service._with_platform(requests[index])
             results[index] = result
         if misses:
@@ -513,7 +514,6 @@ class Session:
             tolerance=request.tolerance,
             max_factor=request.max_factor,
             max_probes=request.max_probes,
-            incremental=request.incremental,
         )
         return search.search(profile, target_factor=request.target_factor)
 

@@ -1,17 +1,19 @@
-"""Incremental rate probing (repro.core.probe) vs the full rebuild path.
+"""Rate probing (repro.core.probe) against the full rebuild oracle.
 
 The §4.3 equivalence: a uniformly scaled instance is the cached base
 instance with the cost vector multiplied and the budget right-hand sides
-divided by the rate factor.  Every probe must therefore agree with a full
-pin -> reduce -> formulate -> solve rebuild at the same factor.
+divided by the rate factor.  Every probe must therefore reach the
+optimum of a pin -> reduce -> formulate rebuild at the same factor,
+solved by an independent MILP engine (``tests/rebuild_oracle.py``).
 """
 
 import pytest
+from rebuild_oracle import rebuild_objective, within_gap
 
 from repro.core import (
     Formulation,
+    PartitionError,
     PartitionObjective,
-    RateSearch,
     RelocationMode,
     SolverBackend,
     Wishbone,
@@ -26,63 +28,54 @@ def make_partitioner(**kwargs):
     )
 
 
+def assert_matches_rebuild(partitioner, profile, factor):
+    """The probe's answer at ``factor`` is optimal for the rebuilt
+    instance (both infeasible, or equal objectives within the gap)."""
+    via_probe = partitioner.prepare_probe(profile).try_partition(factor)
+    oracle = rebuild_objective(partitioner, profile, factor)
+    assert (via_probe is None) == (oracle is None)
+    if via_probe is not None:
+        assert within_gap(
+            via_probe.partition.objective_value,
+            oracle,
+            partitioner.gap_tolerance,
+        )
+
+
 @pytest.mark.parametrize("factor", [0.05, 0.1, 0.5, 1.0])
 def test_probe_matches_full_rebuild(tmote_speech_profile, factor):
-    partitioner = make_partitioner()
-    probe = partitioner.prepare_probe(tmote_speech_profile)
-    assert probe.incremental
-    via_probe = probe.try_partition(factor)
-    via_rebuild = partitioner.try_partition(
-        tmote_speech_profile.scaled(factor)
-    )
-    assert (via_probe is None) == (via_rebuild is None)
-    if via_probe is not None:
-        assert via_probe.partition.node_set == via_rebuild.partition.node_set
-        assert via_probe.partition.objective_value == pytest.approx(
-            via_rebuild.partition.objective_value, rel=1e-9
-        )
-        assert via_probe.partition.cpu_utilization == pytest.approx(
-            via_rebuild.partition.cpu_utilization, rel=1e-9
-        )
+    assert_matches_rebuild(make_partitioner(), tmote_speech_profile, factor)
 
 
 def test_probe_general_formulation(tmote_speech_profile):
     partitioner = make_partitioner(formulation=Formulation.GENERAL)
-    probe = partitioner.prepare_probe(tmote_speech_profile)
-    assert probe.incremental
     for factor in (0.05, 0.2):
-        via_probe = probe.try_partition(factor)
-        via_rebuild = partitioner.try_partition(
-            tmote_speech_profile.scaled(factor)
-        )
-        assert (via_probe is None) == (via_rebuild is None)
-        if via_probe is not None:
-            assert via_probe.partition.objective_value == pytest.approx(
-                via_rebuild.partition.objective_value, rel=1e-6
-            )
+        assert_matches_rebuild(partitioner, tmote_speech_profile, factor)
 
 
 def test_probe_scipy_backend(tmote_speech_profile):
     partitioner = make_partitioner(solver=SolverBackend.SCIPY_MILP)
-    probe = partitioner.prepare_probe(tmote_speech_profile)
-    via_probe = probe.try_partition(0.1)
-    via_rebuild = partitioner.try_partition(tmote_speech_profile.scaled(0.1))
-    assert (via_probe is None) == (via_rebuild is None)
-    if via_probe is not None:
-        assert via_probe.partition.objective_value == pytest.approx(
-            via_rebuild.partition.objective_value, rel=1e-6
-        )
+    assert_matches_rebuild(partitioner, tmote_speech_profile, 0.1)
 
 
 def test_probe_without_preprocess(tmote_speech_profile):
     partitioner = make_partitioner(use_preprocess=False)
-    probe = partitioner.prepare_probe(tmote_speech_profile)
-    assert probe.reduced is None
-    result = probe.try_partition(0.1)
-    rebuilt = partitioner.try_partition(tmote_speech_profile.scaled(0.1))
-    assert (result is None) == (rebuilt is None)
-    if result is not None:
-        assert result.partition.node_set == rebuilt.partition.node_set
+    assert partitioner.prepare_probe(tmote_speech_profile).reduced is None
+    assert_matches_rebuild(partitioner, tmote_speech_profile, 0.1)
+
+
+def test_probe_matches_full_rebuild_on_eeg():
+    """EEG-3: its identical channels make ties (at rate 8 the oracle
+    and the probe pick different node sets of one objective), so only
+    objectives can be compared."""
+    from repro.workbench import Session
+
+    profile = Session("eeg", n_channels=3).profile()
+    partitioner = make_partitioner(
+        cpu_budget=0.9, net_budget=float("inf"), gap_tolerance=5e-3
+    )
+    for factor in (8.0, 12.0, 20.0):
+        assert_matches_rebuild(partitioner, profile, factor)
 
 
 def test_probe_rejects_nonpositive_factor(tmote_speech_profile):
@@ -91,17 +84,35 @@ def test_probe_rejects_nonpositive_factor(tmote_speech_profile):
         probe.partition(0.0)
 
 
-def test_rate_search_incremental_matches_full(tmote_speech_profile):
-    partitioner = make_partitioner()
-    inc = RateSearch(partitioner, incremental=True).search(
-        tmote_speech_profile
+class StructuralRhs(Wishbone):
+    """A partitioner whose formulation adds a structural row with a
+    nonzero right-hand side: rescaling costs and budgets no longer gives
+    the instance at another rate."""
+
+    sense = "<="
+
+    def formulate(self, problem):
+        model = super().formulate(problem)
+        first = model.program.variables[0]
+        model.program.add_constraint(
+            {first: 1.0}, self.sense, 1.0, name="structural"
+        )
+        return model
+
+
+@pytest.mark.parametrize("sense", ["<=", ">=", "="])
+def test_probe_rejects_a_formulation_that_is_not_rate_separable(
+    tmote_speech_profile, sense
+):
+    partitioner = StructuralRhs(
+        objective=PartitionObjective(alpha=0.0, beta=1.0),
+        mode=RelocationMode.PERMISSIVE,
     )
-    full = RateSearch(partitioner, incremental=False).search(
-        tmote_speech_profile
-    )
-    assert inc.rate_factor == pytest.approx(full.rate_factor, rel=1e-12)
-    assert inc.probes == full.probes
-    assert inc.result.partition.node_set == full.result.partition.node_set
+    partitioner.sense = sense
+    with pytest.raises(PartitionError, match="rate-separable"):
+        partitioner.prepare_probe(tmote_speech_profile)
+    with pytest.raises(PartitionError, match="rate-separable"):
+        partitioner.partition(tmote_speech_profile.scaled(0.1))
 
 
 def test_probe_reduction_shared_across_factors(tmote_speech_profile):
@@ -123,7 +134,7 @@ def test_probe_shares_relaxation_and_basis_across_probes(
 ):
     """The HiGHS engine outlives a probe; its basis does not.  Moving to
     the next rate factor leaves no valid basis behind, and the probe
-    agrees with the cold rebuild path."""
+    agrees with a fresh one."""
     probe = make_partitioner().prepare_probe(tmote_speech_profile)
     probe.try_partition(0.05)
     engine = probe._relaxation
@@ -134,12 +145,12 @@ def test_probe_shares_relaxation_and_basis_across_probes(
     assert not engine._highs.getBasis().valid  # basis discarded
     second = probe.try_partition(0.1)
     assert probe._relaxation is engine  # reused, not rebuilt
-    rebuilt = make_partitioner().try_partition(
+    fresh = make_partitioner().try_partition(
         tmote_speech_profile.scaled(0.1)
     )
-    assert (second is None) == (rebuilt is None)
+    assert (second is None) == (fresh is None)
     if second is not None:
-        assert second.partition.node_set == rebuilt.partition.node_set
+        assert second.partition.node_set == fresh.partition.node_set
 
 
 def test_relaxation_persists_within_one_budget_configuration(

@@ -2,13 +2,35 @@
 
 import pytest
 
+from repro.core import ScaledProbe
 from repro.experiments import fig6, scaling
 
 
 @pytest.fixture(scope="module")
-def fig6_result():
-    # Small configuration for CI: 4 channels, 5 rate points.
-    return fig6.run(n_runs=5, n_channels=4, max_factor=30.0)
+def fig6_run():
+    """A small configuration for CI (4 channels, 5 rate points) and the
+    number of formulations it built."""
+    formulations = []
+    init = ScaledProbe.__init__
+
+    def counting_init(self, *args, **kwargs):
+        formulations.append(args)
+        init(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ScaledProbe, "__init__", counting_init)
+        result = fig6.run(n_runs=5, n_channels=4, max_factor=30.0)
+    return result, len(formulations)
+
+
+@pytest.fixture(scope="module")
+def fig6_result(fig6_run):
+    return fig6_run[0]
+
+
+def test_fig6_formulates_once(fig6_run):
+    """The sweep probes one formulation at every rate (§4.3)."""
+    assert fig6_run[1] == 1
 
 
 def test_fig6_all_runs_terminate(fig6_result):

@@ -78,6 +78,25 @@ def test_scaled_profile_is_linear():
         )
 
 
+def test_scaled_profiles_link_their_unscaled_base():
+    """A chain of ``scaled`` calls keeps the profile it started from and
+    the product of its factors; any other profile is its own base."""
+    from repro.workbench.artifacts import from_document, to_document
+
+    graph = simple_graph()
+    profile = Profiler().profile(
+        graph, {"src": [1.0] * 4}, {"src": 2.0}, get_platform("tmote")
+    )
+    assert profile.base is profile and profile.base_factor == 1.0
+    chained = profile.scaled(2.0).scaled(3.0)
+    assert chained.base is profile and chained.base_factor == 6.0
+    restricted = chained.restricted_to({"f"})
+    assert restricted.base is restricted and restricted.base_factor == 1.0
+    decoded = from_document(*to_document(chained), graph)
+    assert decoded.rate_factor == 6.0
+    assert decoded.base is decoded and decoded.base_factor == 1.0
+
+
 def test_scaled_rejects_negative():
     graph = simple_graph()
     profile = Profiler().profile(

@@ -1,0 +1,42 @@
+"""The full per-rate rebuild, kept only as a test oracle.
+
+A partitioner formulates a profile once and probes it at every rate
+(``repro.core.probe``).  This module does what the probe replaces: it
+pins, reduces and formulates ``profile.scaled(factor)`` from scratch and
+solves that instance with scipy's HiGHS MILP, an engine independent of
+branch and bound.  The two instances differ in float rounding, so a tie
+may resolve to another node set; tests compare objectives within the
+solve's gap.
+"""
+
+from __future__ import annotations
+
+from repro.core import SolverBackend, Wishbone, preprocess
+from repro.profiler import GraphProfile
+
+
+def rebuild_objective(
+    partitioner: Wishbone, profile: GraphProfile, factor: float
+) -> float | None:
+    """The optimal objective of ``profile.scaled(factor)`` under
+    ``partitioner``'s settings (``None`` when infeasible)."""
+    oracle = partitioner.with_overrides(solver=SolverBackend.SCIPY_MILP)
+    problem = oracle.build_problem(profile.scaled(factor))
+    reduced = preprocess(problem) if oracle.use_preprocess else None
+    model = oracle.formulate(
+        reduced.problem if reduced is not None else problem
+    )
+    solution = oracle.solve_arrays(model.program)
+    if not solution.status.has_solution:
+        return None
+    node_set = model.node_set(solution.values)
+    if reduced is not None:
+        node_set = reduced.expand(node_set)
+    assert problem.is_feasible(node_set)
+    return problem.objective(node_set)
+
+
+def within_gap(value: float, oracle: float, gap: float) -> bool:
+    """Whether two objectives, each optimal within relative ``gap``,
+    can both be optimal."""
+    return abs(value - oracle) <= 2.0 * gap * max(1.0, abs(oracle)) + 1e-9

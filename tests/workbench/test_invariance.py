@@ -3,9 +3,10 @@
 Every answer in the solver benchmark's EEG-6 batch must equal, as a
 canonical artifact, the same request solved alone on a fresh
 :class:`Session`: whether it is solved inside the batch, in the batch
-reversed, next to a result cache that already holds half the batch, or
-by a two-worker partition server.  A §4.3 rate search's result must
-equal a direct request at the rate the search found.
+reversed, next to a result cache that already holds half the batch, by
+a two-worker partition server, or by the request's own partitioner on a
+rate-scaled profile.  A §4.3 rate search's result must equal a direct
+request at the rate the search found.
 """
 
 from __future__ import annotations
@@ -118,6 +119,33 @@ def test_served_answers_equal_requests_solved_alone(store_dir, batch, alone):
                 "eeg", batch, params=PARAMS, skip_infeasible=True
             )
     assert differing(alone, results) == []
+
+
+def test_partitioner_on_a_scaled_profile_answers_like_the_session(
+    store_dir, batch, alone
+):
+    """``Wishbone.partition`` on ``profile.scaled(f)`` is the session's
+    answer: a scaled profile is formulated as its base, never rebuilt at
+    the rate."""
+    profile = fresh_session(store_dir).profile()
+    results = [
+        request.partitioner().try_partition(
+            profile.scaled(request.rate_factor)
+        )
+        for request in batch
+    ]
+    assert differing(alone, results) == []
+
+
+def test_a_chain_of_scalings_partitions_like_their_product(store_dir, batch):
+    profile = fresh_session(store_dir).profile()
+    for request, (a, b) in zip(batch[::4], [(2.0, 4.0), (0.3, 40.0)] * 3):
+        partitioner = replace(request, rate_factor=a * b).partitioner()
+        chained = partitioner.try_partition(profile.scaled(a).scaled(b))
+        direct = partitioner.try_partition(profile.scaled(a * b))
+        assert (chained is None) == (direct is None)
+        if direct is not None:
+            assert canonical_json(chained) == canonical_json(direct)
 
 
 @pytest.mark.parametrize("channels", [3, 4])
