@@ -30,7 +30,12 @@ Measures the two paths this repo's headline figures depend on:
    that populated it; hits must be canonically byte-identical and the
    hardware-independent hit-vs-solve ratio is gated in CI (≥10x
    target).  Each solve time is the minimum of 3 passes, each hit time
-   the minimum of 10.
+   the minimum of 10 (a memory or served hit pass times 10 batches).
+
+6. ``probe_solve`` — per-solve milliseconds of probe solves over the
+   e2ebench catalog's grid shape, one probe per (scenario, platform)
+   group: what a served-cold answer costs beyond its formulation.  Not
+   gated.
 
 Results are written as machine-readable JSON (default:
 ``BENCH_solver.json`` in the current directory) so the perf trajectory is
@@ -73,11 +78,27 @@ _PASSES = 3
 #: Passes behind each result-cache hit timing: a hit pass takes a few
 #: milliseconds, so more of them cost nothing and steady the minimum.
 _HIT_PASSES = 10
+#: Hit batches timed together in one hit pass.  One batch of 20 memory
+#: hits takes about a millisecond, and on a 2-vCPU VM the fastest single
+#: batch read either ~1.0 or ~1.9 ms from one process to the next (so
+#: the smoke ``hit_vs_solve_speedup`` read 112 or 193); the mean over ten
+#: batches read 1.0-1.3 ms in every process.
+_HITS_PER_PASS = 10
 
 
-def _min_timed(fn, passes: int = _PASSES):
-    """``fn``'s first value and its fastest of ``passes`` runs."""
-    runs = [_timed(fn) for _ in range(passes)]
+def _min_timed(fn, passes: int = _PASSES, repeats: int = 1):
+    """``fn``'s first value and its fastest of ``passes`` runs.
+
+    With ``repeats``, each pass calls ``fn`` that many times in a row and
+    counts the mean of those calls.
+    """
+
+    def run():
+        start = time.perf_counter()
+        values = [fn() for _ in range(repeats)]
+        return values[0], (time.perf_counter() - start) / repeats
+
+    runs = [run() for _ in range(passes)]
     return runs[0][0], min(seconds for _, seconds in runs)
 
 
@@ -101,7 +122,10 @@ def bench_branch_bound(smoke: bool) -> dict:
     closure fixing proves the optimum at the root (one node); that count
     is reported on its own.  Both counts are deterministic and gated in
     CI.  Each configuration's time is the fastest of :data:`_PASSES`
-    identical solves.
+    identical solves, and the two configurations take turns, so a
+    slowdown of the machine that outlasts one solve meets both of them
+    (timed one configuration after the other, the smoke ratio ranged
+    4.8-8.6 over twelve runs on a 2-vCPU VM).
     """
     n_channels, rate_factor = (12, 1.0) if smoke else (22, 0.5)
     root_rate_factor = 30.0
@@ -123,9 +147,17 @@ def bench_branch_bound(smoke: bool) -> dict:
             "ub_rows": int(arrays.a_ub.shape[0]),
         }
     }
-    for name, kwargs in configs.items():
-        solver = BranchAndBound(gap_tolerance=5e-3, **kwargs)
-        solution, seconds = _min_timed(lambda: solver.solve(arrays))
+    solvers = {
+        name: BranchAndBound(gap_tolerance=5e-3, **kwargs)
+        for name, kwargs in configs.items()
+    }
+    runs: dict[str, list] = {name: [] for name in configs}
+    for _ in range(_PASSES):
+        for name, solver in solvers.items():
+            runs[name].append(_timed(lambda: solver.solve(arrays)))
+    for name in configs:
+        solution = runs[name][0][0]
+        seconds = min(seconds for _, seconds in runs[name])
         nodes = max(solution.nodes_explored, 1)
         out[name] = {
             "status": solution.status.value,
@@ -180,6 +212,96 @@ def bench_rate_search(smoke: bool) -> dict:
             "rate_factor": found.rate_factor,
             "probes": found.probes,
             "seconds": seconds,
+        }
+    return out
+
+
+#: The e2ebench catalog's grid shape: speech and leak on every platform
+#: at three rates and two budgets (``None`` keeps the platform's own),
+#: and an EEG instance at the Figure 6 rates and budgets.
+_PROBE_PLATFORMS = (
+    "tmote", "n80", "iphone", "gumstix", "voxnet", "meraki", "scheme",
+    "server",
+)
+_PROBE_SMALL_RATES = (0.25, 1.0, 4.0)
+_PROBE_SMALL_BUDGETS = (None, 0.5)
+_PROBE_EEG_RATES = (8.0, 12.0, 20.0, 30.0, 40.0)
+_PROBE_EEG_BUDGETS = (1.2, 1.0, 0.9, 0.8)
+
+
+def bench_probe_solve(smoke: bool) -> dict:
+    """Per-solve cost of probing one formulation at many rates and budgets.
+
+    Every partition is a probe solve, and a served worker answers a
+    probe group's requests from one cached formulation, so what a solve
+    pays beyond the formulation is what a served-cold answer costs.
+    One :class:`Session` per scenario keeps one probe per (scenario,
+    platform) group and no result cache; a first pass over the grid
+    builds the probes (and is not timed), then each group's time is the
+    minimum of :data:`_PASSES` passes over its requests.  The grid is
+    the same at both sizes: the speech and leak applications on 8
+    platforms x 3 rates x 2 budgets, and EEG-4 x 5 rates x 4 budgets.
+    Not gated: it moves with the machine's speed.
+    """
+    from repro.workbench import ProfileStore
+
+    store = ProfileStore()
+    small = []
+    for scenario in ("speech", "leak"):
+        session = Session(scenario, store=store, result_cache=False)
+        for platform_name in _PROBE_PLATFORMS:
+            small.append(
+                (
+                    session,
+                    [
+                        PartitionRequest(
+                            platform=platform_name,
+                            rate_factor=rate,
+                            cpu_budget=budget,
+                        )
+                        for rate in _PROBE_SMALL_RATES
+                        for budget in _PROBE_SMALL_BUDGETS
+                    ],
+                )
+            )
+    eeg4 = [
+        (
+            Session("eeg", store=store, result_cache=False, n_channels=4),
+            [
+                PartitionRequest(
+                    platform="tmote",
+                    rate_factor=rate,
+                    cpu_budget=budget,
+                    net_budget=float("inf"),
+                    gap_tolerance=5e-3,
+                )
+                for rate in _PROBE_EEG_RATES
+                for budget in _PROBE_EEG_BUDGETS
+            ],
+        )
+    ]
+    out: dict = {}
+    for name, groups in (("small", small), ("eeg4", eeg4)):
+        solves = nodes = 0
+        seconds = 0.0
+        for session, requests in groups:
+            session.partition_many(requests, skip_infeasible=True)
+            results, group_s = _min_timed(
+                lambda: session.partition_many(
+                    requests, skip_infeasible=True
+                )
+            )
+            solves += len(requests)
+            nodes += sum(
+                r.solution.nodes_explored for r in results if r is not None
+            )
+            seconds += group_s
+        out[name] = {
+            "probes": len(groups),
+            "solves": solves,
+            "nodes": nodes,
+            "seconds": seconds,
+            "per_solve_ms": 1000.0 * seconds / solves,
         }
     return out
 
@@ -496,7 +618,10 @@ def bench_result_cache(smoke: bool) -> dict:
     A hit pass takes milliseconds and, with orbital branching, the
     solve pass only a few hundred, so one pass swings with whatever else
     the box is doing: the solve time is the minimum of :data:`_PASSES`
-    passes and each hit time the minimum of :data:`_HIT_PASSES`.  Every
+    passes and each hit time the minimum of :data:`_HIT_PASSES` (memory
+    hits: after each solve pass); a memory or served hit pass times
+    :data:`_HITS_PER_PASS` batches and counts their mean, the time of one
+    batch.  Every
     solve pass fills an empty result cache through a fresh
     :class:`Session`, and every disk pass opens a fresh
     :class:`Session`, so each of them reads the store from disk.
@@ -530,19 +655,27 @@ def bench_result_cache(smoke: bool) -> dict:
             )
             return session, solved, seconds
 
-        # Each solve pass fills an empty result cache; the last one
-        # fills the store's own, which every hit pass below reads.
+        # Each solve pass fills an empty result cache, and its memory
+        # hit passes follow it, so solves and hits take turns through
+        # any slow spell of the machine.  The last solve pass fills the
+        # store's own cache, which the disk and served hits read.
         cache_dirs = [
             os.path.join(store_dir, f"solve-pass-{i}")
             for i in range(_PASSES - 1)
         ]
-        solve_passes = [solve_pass(d) for d in cache_dirs + [store_dir]]
-        session, solved, _ = solve_passes[-1]
-        solve_s = min(seconds for _, _, seconds in solve_passes)
-        warm, warm_s = _min_timed(
-            lambda: session.partition_many(requests, skip_infeasible=True),
-            _HIT_PASSES,
-        )
+        solve_times, warm_times = [], []
+        for cache_dir in cache_dirs + [store_dir]:
+            session, solved, seconds = solve_pass(cache_dir)
+            solve_times.append(seconds)
+            warm, seconds = _min_timed(
+                lambda: session.partition_many(
+                    requests, skip_infeasible=True
+                ),
+                _HIT_PASSES,
+                _HITS_PER_PASS,
+            )
+            warm_times.append(seconds)
+        solve_s, warm_s = min(solve_times), min(warm_times)
 
         def disk_pass():
             fresh = Session(
@@ -567,6 +700,7 @@ def bench_result_cache(smoke: bool) -> dict:
                         "eeg", requests, params=params, skip_infeasible=True
                     ),
                     _HIT_PASSES,
+                    _HITS_PER_PASS,
                 )
                 served_stats = dict(client.last_batch_stats)
 
@@ -650,6 +784,7 @@ def main() -> None:
     total_start = time.perf_counter()
     report["branch_bound"] = bench_branch_bound(args.smoke)
     report["rate_search"] = bench_rate_search(args.smoke)
+    report["probe_solve"] = bench_probe_solve(args.smoke)
     report["partition_many"] = bench_partition_many(args.smoke)
     report["partition_many_served"] = bench_partition_many_served(args.smoke)
     report["degraded_fallback"] = bench_degraded_fallback(args.smoke)
@@ -674,6 +809,11 @@ def main() -> None:
         print(
             f"rate search [{name}]: {row['seconds']:.2f}s, "
             f"{row['probes']} probes, rate x{row['rate_factor']:g}"
+        )
+    for name, row in report["probe_solve"].items():
+        print(
+            f"probe solve [{name}]: {row['per_solve_ms']:.2f} ms per solve "
+            f"({row['solves']} solves, {row['probes']} probes)"
         )
     pm = report["partition_many"]
     print(

@@ -211,19 +211,23 @@ class Wishbone:
             return build_restricted_ilp(problem)
         return build_general_ilp(problem)
 
-    def solve_arrays(self, program, relaxation=None) -> Solution:
+    def solve_arrays(
+        self, program, relaxation=None, structure=None
+    ) -> Solution:
         """Run the configured MILP backend on a program or raw arrays.
 
         ``relaxation`` is an optional prebuilt HiGHS engine for
-        ``program`` (see :meth:`BranchAndBound.solve`); rate probes use it
-        to skip rebuilding a model that only their costs and budget rows
-        change.
+        ``program`` and ``structure`` the formulation's
+        :class:`~repro.solver.branch_bound.ProgramStructure` (see
+        :meth:`BranchAndBound.solve`); rate probes pass both so that no
+        solve redoes what only their costs and budget rows leave unchanged.
+        Only branch and bound reads them.
         """
         if self.solver is SolverBackend.BRANCH_AND_BOUND:
             return BranchAndBound(
                 time_limit=self.time_limit,
                 gap_tolerance=self.gap_tolerance,
-            ).solve(program, relaxation=relaxation)
+            ).solve(program, relaxation=relaxation, structure=structure)
         return solve_milp_scipy(
             program,
             time_limit=self.time_limit,

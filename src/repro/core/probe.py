@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..profiler.records import GraphProfile
+from ..solver.branch_bound import ProgramStructure
 from ..solver.solution import Solution
 from .cut import InfeasiblePartition, Partition, PartitionError
 from .preprocess import preprocess
@@ -53,8 +54,19 @@ class ScaledProbe:
     Built once per (partitioner, profile) pair — at the top of a rate
     search or a sweep, once per probe group in a service, or per call in
     :meth:`Wishbone.partition` — and then probed at arbitrary rate
-    factors.  Each probe costs two vector copies plus the MILP solve
-    itself.
+    factors.  Whatever no rate or budget changes is computed once per
+    probe: the formulation, the HiGHS model, and the closure loads and
+    block symmetry (:class:`~repro.solver.branch_bound.ProgramStructure`).
+    A probe solve then costs:
+
+    * the scaled cost vector and budget right-hand sides (two O(n)
+      vector writes);
+    * the model update (new costs, changed row bounds, cleared basis);
+    * one comparison of the closure loads with the budgets and, when the
+      solve branches, a check that the symmetry still holds for its
+      costs and budgets;
+    * the branch and bound itself;
+    * decoding the node set and summing its loads at the rate factor.
 
     Attributes:
         problem: the base (factor 1.0) :class:`PartitionProblem`.
@@ -111,6 +123,9 @@ class ScaledProbe:
         # Built lazily on the first probe; ``False`` marks "unavailable,
         # stop trying".
         self._relaxation: object | None | bool = None
+        # Closure loads and block symmetry, for every solve of this
+        # formulation.
+        self._structure = ProgramStructure(self._arrays)
 
     # -- probing -----------------------------------------------------------
 
@@ -196,33 +211,37 @@ class ScaledProbe:
         build_seconds = time.perf_counter() - prep_start
 
         solve_start = time.perf_counter()
-        solution = self.partitioner.solve_arrays(arrays, relaxation=relaxation)
+        solution = self.partitioner.solve_arrays(
+            arrays, relaxation=relaxation, structure=self._structure
+        )
         solve_seconds = time.perf_counter() - solve_start
         if not solution.status.has_solution:
             raise InfeasiblePartition(
                 f"no feasible partition (solver status: {solution.status})"
             )
 
-        problem = self.problem
-        if cpu_budget is not None or net_budget is not None:
-            problem = problem.with_budgets(
-                cpu_budget if cpu_budget is not None else problem.cpu_budget,
-                (
-                    min(net_budget, NET_BUDGET_CAP)
-                    if net_budget is not None
-                    else problem.net_budget
-                ),
-            )
-        problem = problem.scaled(factor)
         cluster_set = self.model.node_set(solution.values)
         node_set = (
             self.reduced.expand(cluster_set)
             if self.reduced is not None
             else cluster_set
         )
-        # Evaluate against the problem the solver actually saw (which may
-        # discount aggregated edges); cross-check feasibility there.
-        if not problem.is_feasible(node_set):
+        # Evaluate against the instance the solver saw (which may discount
+        # aggregated edges); cross-check feasibility there.
+        cpu, net = self._loads(node_set, factor)
+        problem = self.problem
+        if cpu_budget is None:
+            cpu_budget = problem.cpu_budget
+        net_budget = (
+            problem.net_budget
+            if net_budget is None
+            else min(net_budget, NET_BUDGET_CAP)
+        )
+        if not (
+            problem.respects_pins(node_set)
+            and cpu <= cpu_budget + 1e-9
+            and net <= net_budget + 1e-9
+        ):
             raise PartitionError(
                 "solver returned an assignment that violates the budgets; "
                 "this indicates an encoding bug"
@@ -243,9 +262,9 @@ class ScaledProbe:
         partition = Partition(
             graph=self.profile.graph,
             node_set=frozenset(node_set),
-            cpu_utilization=problem.cpu_load(node_set),
-            network_bytes_per_sec=problem.net_load(node_set),
-            objective_value=problem.objective(node_set),
+            cpu_utilization=cpu,
+            network_bytes_per_sec=net,
+            objective_value=problem.alpha * cpu + problem.beta * net,
             feasible=True,
             solver_solution=solution,
         )
@@ -262,6 +281,27 @@ class ScaledProbe:
             build_seconds=build_seconds,
             solve_seconds=solve_seconds,
         )
+
+    def _loads(self, node_set: set[str], factor: float) -> tuple[float, float]:
+        """CPU and network load of ``node_set`` at ``factor``.
+
+        Each load is scaled term by term and summed in the base problem's
+        order, the floats :meth:`PartitionProblem.cpu_load` and
+        :meth:`~PartitionProblem.net_load` give on the instance with every
+        load multiplied by ``factor``.
+        """
+        problem = self.problem
+        cpu = sum(
+            problem.cpu.get(v, 0.0) * factor
+            for v in problem.vertices
+            if v in node_set
+        )
+        net = sum(
+            e.bandwidth * factor
+            for e in problem.edges
+            if (e.src in node_set) != (e.dst in node_set)
+        )
+        return cpu, net
 
     def try_partition(
         self,

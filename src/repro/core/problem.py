@@ -150,53 +150,6 @@ class PartitionProblem:
             and self.net_load(node_set) <= self.net_budget + tol
         )
 
-    def with_budgets(
-        self, cpu_budget: float, net_budget: float
-    ) -> "PartitionProblem":
-        """The same instance under different resource budgets.
-
-        Budgets appear only in the feasibility checks and the two ILP
-        budget rows — pins, the §4.1 reduction, and the ILP's sparsity
-        structure are all budget-invariant — so a cached formulation can
-        serve requests at any budget pair by editing two right-hand
-        sides (see :class:`repro.core.probe.ScaledProbe`).
-        """
-        return PartitionProblem(
-            vertices=list(self.vertices),
-            cpu=dict(self.cpu),
-            edges=list(self.edges),
-            pins=dict(self.pins),
-            cpu_budget=cpu_budget,
-            net_budget=net_budget,
-            alpha=self.alpha,
-            beta=self.beta,
-        )
-
-    def scaled(self, factor: float) -> "PartitionProblem":
-        """The same instance with all loads scaled by ``factor`` (§4.3).
-
-        Scaling is *structure-preserving*: pins, budgets, and the edge set
-        are untouched, and every bandwidth comparison (e.g. the §4.1
-        reduction's merge rule) gives the same answer at any positive
-        factor.  ``repro.core.probe`` exploits this to formulate once and
-        probe many rates.
-        """
-        if factor < 0:
-            raise PartitionError("rate factor must be non-negative")
-        return PartitionProblem(
-            vertices=list(self.vertices),
-            cpu={v: c * factor for v, c in self.cpu.items()},
-            edges=[
-                WeightedEdge(e.src, e.dst, e.bandwidth * factor)
-                for e in self.edges
-            ],
-            pins=dict(self.pins),
-            cpu_budget=self.cpu_budget,
-            net_budget=self.net_budget,
-            alpha=self.alpha,
-            beta=self.beta,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"PartitionProblem(|V|={len(self.vertices)}, "

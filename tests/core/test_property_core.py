@@ -1,7 +1,10 @@
 """Property-based tests of the partitioning core (hypothesis)."""
 
 import numpy as np
+from closure_oracle import closure_overflow
 from hypothesis import given, settings, strategies as st
+from rebuild_oracle import scaled_problem
+from replicated_problems import probe_arrays
 
 from repro.core import (
     PartitionProblem,
@@ -12,6 +15,7 @@ from repro.core import (
 )
 from repro.dataflow import Pinning
 from repro.solver import SolveStatus, solve_milp
+from repro.solver.branch_bound import ProgramStructure
 
 
 @st.composite
@@ -145,9 +149,38 @@ def test_cut_identity_between_formulations(problem):
 @settings(max_examples=25, deadline=None)
 def test_rate_scaling_monotone_feasibility(problem, factor):
     """If a scaled-up instance is feasible, the original is too (§4.3)."""
-    bigger = problem.scaled(factor)
+    bigger = scaled_problem(problem, factor)
     model_big = build_restricted_ilp(bigger)
     big = solve_milp(model_big.program)
     if factor >= 1.0 and big.status is SolveStatus.OPTIMAL:
         small = solve_milp(build_restricted_ilp(problem).program)
         assert small.status is SolveStatus.OPTIMAL
+
+
+@given(
+    partition_problems(),
+    st.lists(
+        st.tuples(
+            st.floats(min_value=0.1, max_value=10.0),
+            st.one_of(st.none(), st.floats(min_value=0.05, max_value=5.0)),
+            st.one_of(
+                st.none(),
+                st.floats(min_value=1.0, max_value=500.0),
+                st.just(float("inf")),
+            ),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_probe_closure_fixing_matches_the_one_shot_oracle(problem, probes):
+    """A formulation's closure loads, kept across a probe's factors and
+    budget overrides, fix the set the one-shot oracle fixes from each
+    solve's arrays alone."""
+    arrays = build_restricted_ilp(problem).program.to_arrays()
+    structure = ProgramStructure(arrays)
+    for factor, cpu_budget, net_budget in probes:
+        scaled = probe_arrays(arrays, factor, cpu_budget, net_budget)
+        expected = closure_overflow(scaled, scaled.lb, scaled.ub)
+        assert structure.closure_fixed(scaled).tolist() == expected.tolist()

@@ -7,12 +7,53 @@ solves that instance with scipy's HiGHS MILP, an engine independent of
 branch and bound.  The two instances differ in float rounding, so a tie
 may resolve to another node set; tests compare objectives within the
 solve's gap.
+
+:func:`scaled_problem` builds the abstract instance a probe answers at a
+rate factor and budgets; evaluated on it, an answer's loads and
+objective must be the ones the probe reported, bit for bit.
 """
 
 from __future__ import annotations
 
-from repro.core import SolverBackend, Wishbone, preprocess
+from repro.core import (
+    PartitionProblem,
+    SolverBackend,
+    WeightedEdge,
+    Wishbone,
+    preprocess,
+)
+from repro.core.cut import PartitionError
 from repro.profiler import GraphProfile
+
+
+def scaled_problem(
+    problem: PartitionProblem,
+    factor: float,
+    cpu_budget: float | None = None,
+    net_budget: float | None = None,
+) -> PartitionProblem:
+    """``problem`` with every load multiplied by ``factor`` (§4.3) and
+    its budgets replaced (``None`` keeps one).
+
+    Scaling is structure-preserving: pins and the edge set are untouched,
+    and every bandwidth comparison (e.g. the §4.1 reduction's merge rule)
+    gives the same answer at any positive factor.
+    """
+    if factor < 0:
+        raise PartitionError("rate factor must be non-negative")
+    return PartitionProblem(
+        vertices=list(problem.vertices),
+        cpu={v: c * factor for v, c in problem.cpu.items()},
+        edges=[
+            WeightedEdge(e.src, e.dst, e.bandwidth * factor)
+            for e in problem.edges
+        ],
+        pins=dict(problem.pins),
+        cpu_budget=problem.cpu_budget if cpu_budget is None else cpu_budget,
+        net_budget=problem.net_budget if net_budget is None else net_budget,
+        alpha=problem.alpha,
+        beta=problem.beta,
+    )
 
 
 def rebuild_objective(

@@ -4,17 +4,21 @@ Test support for the symmetry code: ``k`` copies of one random branch
 (a node-pinned source, a chain of operators, optionally a diamond of two
 identical operators) feed one shared server-pinned sink, the shape of the
 EEG application's channels.  Every instance has at most 14 operators, so
-brute force can enumerate it.
+brute force can enumerate it.  :func:`probe_arrays` rewrites a
+formulation's arrays the way a rate probe does between solves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.core import PartitionProblem, WeightedEdge
+from repro.core.probe import BUDGET_ROW_NAMES
+from repro.core.problem import NET_BUDGET_CAP
 from repro.dataflow import Pinning
+from repro.solver import StandardArrays
 
 MAX_OPS = 14
 
@@ -100,3 +104,31 @@ def replicated_branches(seed: int, perturb: bool = False) -> Replicated:
         beta=1.0,
     )
     return Replicated(problem=problem, branches=branches)
+
+
+def probe_arrays(
+    arrays: StandardArrays,
+    factor: float,
+    cpu_budget: float | None = None,
+    net_budget: float | None = None,
+) -> StandardArrays:
+    """``arrays`` as a rate probe solves them at ``factor``.
+
+    The cost vector is multiplied by ``factor``; the budget rows' rhs are
+    replaced by ``cpu_budget``/``net_budget`` (``None`` keeps them) and
+    divided by ``factor``.  Every other array is shared with ``arrays``,
+    as a probe's are with its base formulation.
+    """
+    if net_budget is not None:
+        net_budget = min(net_budget, NET_BUDGET_CAP)
+    b_ub = arrays.b_ub.copy()
+    budgets = (("cpu_budget", cpu_budget), ("net_budget", net_budget))
+    for name, budget in budgets:
+        if budget is not None and name in arrays.ub_row_names:
+            b_ub[arrays.ub_row_names.index(name)] = budget
+    rows = [
+        i for i, name in enumerate(arrays.ub_row_names)
+        if name in BUDGET_ROW_NAMES
+    ]
+    b_ub[rows] = b_ub[rows] / factor
+    return replace(arrays, c=arrays.c * factor, b_ub=b_ub)

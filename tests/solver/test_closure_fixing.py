@@ -1,15 +1,25 @@
 """Closure fixing: binaries whose ancestor closure overflows a budget row.
 
-``closure_overflow`` reads precedence rows (``x_v <= x_u``) and budget rows
-(nonnegative, at least three nonzeros) straight from the arrays and names
-the lb-0 binaries that can never be 1.  Branch and bound fixes them before
-its root relaxation.
+``ProgramStructure.closure_fixed`` reads precedence rows (``x_v <= x_u``)
+and budget rows (nonnegative, at least three nonzeros) straight from the
+arrays and names the lb-0 binaries that can never be 1.  Branch and bound
+fixes them before its root relaxation.  The closure loads are computed
+once per formulation and compared with each solve's budgets; every set
+they fix must be the one the one-shot computation
+(``tests/closure_oracle.py``) fixes on that solve's arrays alone.
 """
 
 import numpy as np
 import pytest
+from closure_oracle import closure_overflow
+from replicated_problems import probe_arrays, replicated_branches
 
-from repro.core import PartitionObjective, RelocationMode, Wishbone
+from repro.core import (
+    PartitionObjective,
+    RelocationMode,
+    Wishbone,
+    build_restricted_ilp,
+)
 from repro.experiments.common import profile_for
 from repro.solver import (
     BranchAndBound,
@@ -17,7 +27,7 @@ from repro.solver import (
     SolveStatus,
     solve_milp_scipy,
 )
-from repro.solver.branch_bound import closure_overflow
+from repro.solver.branch_bound import ProgramStructure
 
 
 def dag_program(weights, edges, budget, lb=None, objective=None):
@@ -47,11 +57,17 @@ def dag_program(weights, edges, budget, lb=None, objective=None):
     return lp
 
 
-def fixed(lp):
-    arrays = lp.to_arrays()
+def oracle_fixed(arrays):
     lb = np.asarray(arrays.lb, dtype=float)
     ub = np.asarray(arrays.ub, dtype=float)
-    return sorted(closure_overflow(arrays, lb, ub).tolist())
+    return closure_overflow(arrays, lb, ub).tolist()
+
+
+def fixed(lp):
+    arrays = lp.to_arrays()
+    found = ProgramStructure(arrays).closure_fixed(arrays).tolist()
+    assert found == oracle_fixed(arrays)
+    return sorted(found)
 
 
 def test_chain_fixes_exactly_the_overflowing_tail():
@@ -179,3 +195,57 @@ def test_eeg6_closes_at_the_root():
     assert result is not None
     assert result.solution.status is SolveStatus.OPTIMAL
     assert result.solution.nodes_explored == 1
+
+
+def probe_grid(seed):
+    """Rate factors and budget overrides in a seeded order, the way a
+    probe meets them (``None`` keeps the formulation's budget)."""
+    rng = np.random.default_rng(seed)
+    grid = [
+        (float(f), cpu, net)
+        for f in rng.uniform(0.2, 5.0, size=4)
+        for cpu in (None, float(rng.uniform(0.1, 3.0)))
+        for net in (None, float(rng.uniform(50.0, 400.0)), float("inf"))
+    ]
+    return [grid[i] for i in rng.permutation(len(grid))]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_probe_fixes_what_the_one_shot_oracle_fixes(seed):
+    """One formulation's closure loads, compared with every factor and
+    budget override of a probe, fix exactly the oracle's set (38 of
+    the 40 seeds fix something)."""
+    generated = replicated_branches(seed)
+    arrays = build_restricted_ilp(generated.problem).program.to_arrays()
+    structure = ProgramStructure(arrays)
+    for factor, cpu, net in probe_grid(seed):
+        scaled = probe_arrays(arrays, factor, cpu, net)
+        assert structure.closure_fixed(scaled).tolist() == oracle_fixed(
+            scaled
+        )
+
+
+def test_probe_fixes_what_the_oracle_fixes_on_eeg():
+    probe = Wishbone(
+        objective=PartitionObjective(alpha=0.0, beta=1.0),
+        mode=RelocationMode.PERMISSIVE,
+        cpu_budget=1.0,
+        net_budget=float("inf"),
+        gap_tolerance=5e-3,
+    ).prepare_probe(profile_for("eeg", "tmote", n_channels=3))
+    structure = probe._structure
+    fixed_any = False
+    for factor in (0.5, 8.0, 30.0, 12.0, 1.0):
+        for cpu in (1.2, 0.8, None):
+            arrays = probe._arrays_at(factor, cpu, float("inf"))
+            found = structure.closure_fixed(arrays).tolist()
+            assert found == oracle_fixed(arrays)
+            fixed_any |= bool(found)
+    assert fixed_any
+
+
+def test_structure_rejects_arrays_of_another_formulation():
+    lp = dag_program([3, 3, 3, 3], [(0, 1), (1, 2), (2, 3)], 7.0)
+    structure = ProgramStructure(lp.to_arrays())
+    with pytest.raises(ValueError):
+        structure.closure_fixed(lp.to_arrays())

@@ -7,7 +7,7 @@ the optimum that brute force and HiGHS's branch and cut reach.
 
 import numpy as np
 import pytest
-from replicated_problems import replicated_branches
+from replicated_problems import probe_arrays, replicated_branches
 
 from repro.core import (
     PartitionObjective,
@@ -24,6 +24,7 @@ from repro.solver import (
     solve_milp_scipy,
 )
 from repro.solver import branch_bound
+from repro.solver.branch_bound import ProgramStructure
 from repro.solver.symmetry import (
     BlockSymmetry,
     detect_block_symmetry,
@@ -195,3 +196,92 @@ def test_orbital_branching_shrinks_the_tree_not_the_optimum(monkeypatch):
     assert with_symmetry.objective == pytest.approx(highs.objective, rel=1e-6)
     assert without.objective == pytest.approx(highs.objective, rel=1e-6)
     assert with_symmetry.nodes_explored * 2 < without.nodes_explored
+
+
+def families(symmetry):
+    return [blocks.tolist() for blocks in symmetry.families]
+
+
+@pytest.mark.parametrize("seed", range(0, 40, 4))
+def test_reused_families_equal_fresh_detection(seed):
+    """A probe detects once and reuses the families at every factor and
+    budget; they equal what detection finds on that solve's arrays."""
+    _, arrays, _ = instance(seed)
+    rng = np.random.default_rng(seed)
+    structure = ProgramStructure(arrays)
+    detected = structure.symmetry(probe_arrays(arrays, 1.0))
+    assert families(detected)
+    for factor in rng.uniform(0.2, 5.0, size=4):
+        for cpu, net in ((None, None), (float(rng.uniform(0.1, 3.0)), None),
+                         (None, float("inf"))):
+            scaled = probe_arrays(arrays, float(factor), cpu, net)
+            reused = structure.symmetry(scaled)
+            assert reused is detected
+            assert families(reused) == families(detect_block_symmetry(scaled))
+
+
+def test_eeg_probe_reuses_the_families_it_detected():
+    wishbone = Wishbone(
+        objective=PartitionObjective(alpha=0.0, beta=1.0),
+        mode=RelocationMode.PERMISSIVE,
+        net_budget=float("inf"),
+        gap_tolerance=5e-3,
+    )
+    probe = wishbone.prepare_probe(profile_for("eeg", "tmote", n_channels=4))
+    structure = probe._structure
+    detected = None
+    for rate in (8.0, 12.0, 20.0, 30.0, 40.0):
+        for budget in (1.2, 1.0, 0.9, 0.8):
+            arrays = probe._arrays_at(rate, budget, float("inf"))
+            symmetry = structure.symmetry(arrays)
+            detected = detected or symmetry
+            assert symmetry is detected
+            assert families(symmetry) == families(
+                detect_block_symmetry(arrays)
+            )
+    assert len(detected.families) == 1
+
+
+def swapped_budget_rows(b0, b1):
+    """Two blocks ``(u_i, v_i)``, each with its own budget row
+    ``u_i + 4 v_i <= b_i``, and costs ``-(2 u_i + 4 v_i)``: swapping the
+    blocks swaps the two budget rows, a symmetry only while the rows'
+    rhs are equal."""
+    lp = LinearProgram()
+    xs = [
+        lp.add_binary(f"{name}{i}", objective=cost)
+        for i in range(2)
+        for name, cost in (("u", -2.0), ("v", -4.0))
+    ]
+    lp.add_constraint({xs[0]: 1.0, xs[1]: 4.0}, "<=", b0)
+    lp.add_constraint({xs[2]: 1.0, xs[3]: 4.0}, "<=", b1)
+    return lp.to_arrays()
+
+
+def test_a_rewritten_row_that_tells_the_blocks_apart_stops_reuse():
+    """Budgets (3, 3): both blocks branch and swap onto each other.
+    Budgets (3, 4.5), rewritten in the same arrays: block 1 can afford
+    ``v`` and block 0 cannot, so no family holds.  Reusing the first
+    solve's family would fix ``v1`` with ``v0`` in the down branch and
+    lose the optimum ``u0 + v1`` (-6) for ``u0 + u1`` (-4)."""
+    base = swapped_budget_rows(3.0, 3.0)
+    structure = ProgramStructure(base)
+    first = BranchAndBound().solve(base, structure=structure)
+    assert first.nodes_explored > 1  # it branched, so it detected
+    assert families(structure.symmetry(base)) == [[[0, 1], [2, 3]]]
+
+    b_ub = base.b_ub.copy()
+    b_ub[1] = 4.5
+    rewritten = base.with_b_ub(b_ub)
+    assert not structure.symmetry(rewritten).families
+    assert not detect_block_symmetry(rewritten).families
+    solution = BranchAndBound().solve(rewritten, structure=structure)
+    highs = solve_milp_scipy(rewritten, gap_tolerance=1e-9)
+    assert highs.objective == pytest.approx(-6.0)
+    assert solution.objective == pytest.approx(-6.0)
+
+    # Equal budgets again: the symmetry is back, and found afresh.
+    b_ub[0] = 4.5
+    assert families(structure.symmetry(base.with_b_ub(b_ub))) == [
+        [[0, 1], [2, 3]]
+    ]

@@ -16,6 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from rebuild_oracle import scaled_problem
 
 from repro.workbench import (
     PartitionRequest,
@@ -165,3 +166,68 @@ def test_rate_search_result_equals_a_direct_request(store_dir, channels):
         "eeg", store=store, params=params, result_cache=False
     ).partition(replace(request, rate_factor=found.rate_factor))
     assert canonical_json(found.result) == canonical_json(direct)
+
+
+def same_bits(a, b) -> bool:
+    return (type(a), repr(a)) == (type(b), repr(b))
+
+
+def assert_loads_match_the_scaled_instance(session, requests) -> int:
+    """Each answer's CPU load, network load and objective are, bit for
+    bit, its node set evaluated on the base problem scaled to the rate
+    with the request's budgets (``tests/rebuild_oracle.py``); returns
+    how many answers were feasible."""
+    feasible = 0
+    for request in requests:
+        result = session.try_partition(request)
+        if result is None:
+            continue
+        feasible += 1
+        service = session.service
+        cpu_budget, net_budget = service._resolved_budgets(request)
+        problem = scaled_problem(
+            service._probe(request).problem,
+            request.rate_factor,
+            cpu_budget,
+            net_budget,
+        )
+        partition = result.partition
+        node_set = set(partition.node_set)
+        assert problem.is_feasible(node_set)
+        assert same_bits(partition.cpu_utilization, problem.cpu_load(node_set))
+        assert same_bits(
+            partition.network_bytes_per_sec, problem.net_load(node_set)
+        )
+        assert same_bits(
+            partition.objective_value, problem.objective(node_set)
+        )
+    return feasible
+
+
+def test_answer_loads_are_the_scaled_instance_bits(store_dir, batch):
+    assert assert_loads_match_the_scaled_instance(
+        fresh_session(store_dir), batch
+    )
+
+
+@pytest.mark.parametrize("channels", [2, 3, 4])
+def test_eeg_grid_loads_are_the_scaled_instance_bits(store_dir, channels):
+    """The e2ebench EEG grid (5 rates x 4 budgets)."""
+    requests = [
+        PartitionRequest(
+            platform="tmote",
+            rate_factor=rate,
+            cpu_budget=budget,
+            net_budget=float("inf"),
+            gap_tolerance=5e-3,
+        )
+        for rate in (8.0, 12.0, 20.0, 30.0, 40.0)
+        for budget in (1.2, 1.0, 0.9, 0.8)
+    ]
+    session = Session(
+        "eeg",
+        store=ProfileStore(store_dir),
+        params={"n_channels": channels},
+        result_cache=False,
+    )
+    assert assert_loads_match_the_scaled_instance(session, requests)
