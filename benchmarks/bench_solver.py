@@ -16,9 +16,10 @@ Measures the two paths this repo's headline figures depend on:
    :class:`ScaledProbe`: formulate once, rescale per probe) on the
    speech and EEG applications.
 
-3. ``end_to_end`` — wall-clock of the Figure 6 sweep (and the count of
-   its runs stopped by the time limit, gated at 0 in CI) and the
-   Figure 7 profiling run.
+3. ``end_to_end`` — wall-clock of the Figure 6 sweep (beside the summed
+   prove seconds of its solves, which tells solving apart from profiling
+   and formulation, and the count of its runs stopped by the time limit,
+   gated at 0 in CI) and the Figure 7 profiling run.
 
 4. ``partition_many_served`` — copies of the EEG batch through the
    socket partition server: served vs in-process, and 1 vs 2 worker
@@ -744,6 +745,9 @@ def bench_end_to_end(smoke: bool) -> dict:
             "runs": fig6_runs,
             "channels": fig6_channels,
             "seconds": fig6_s,
+            "prove_seconds_total": sum(
+                sample.prove_seconds for sample in result6.samples
+            ),
             "feasible_runs": len(feasible),
             "limit_hits": result6.limit_hits,
             "median_prove_seconds": result6.percentile("prove", 50.0)

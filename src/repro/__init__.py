@@ -56,7 +56,6 @@ from .core import (
     RateSearch,
     RateSearchResult,
     RelocationMode,
-    SolverBackend,
     WeightedEdge,
     Wishbone,
     max_feasible_rate,
@@ -79,7 +78,7 @@ from .network import NetworkProfiler, RoutingTree, Testbed
 from .platforms import PLATFORMS, CycleCosts, Platform, RadioSpec, get_platform
 from .profiler import GraphProfile, Measurement, Profiler
 from .runtime import Deployment, DeploymentPrediction
-from .solver import BranchAndBound, LinearProgram, solve_milp
+from .solver import BranchAndBound, LinearProgram
 from .viz import graph_to_dot, write_dot
 from .workbench import (
     PartitionRequest,
@@ -141,7 +140,6 @@ __all__ = [
     "Scenario",
     "ServerClient",
     "Session",
-    "SolverBackend",
     "StoreJanitor",
     "Stream",
     "StreamGraph",
@@ -159,7 +157,6 @@ __all__ = [
     "graph_to_dot",
     "max_feasible_rate",
     "run_graph",
-    "solve_milp",
     "synth_eeg",
     "synth_speech_audio",
     "write_dot",

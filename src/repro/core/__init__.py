@@ -1,7 +1,6 @@
 """Wishbone's core: profile-driven optimal graph partitioning (paper §4)."""
 
 from .bruteforce import BruteForceResult, brute_force_partition
-from .chain_dp import ChainResult, CutpointEvaluation, chain_partition
 from .cut import InfeasiblePartition, Partition, PartitionError
 from .heuristics import (
     HeuristicResult,
@@ -20,7 +19,6 @@ from .partitioner import (
     Formulation,
     PartitionObjective,
     PartitionResult,
-    SolverBackend,
     Wishbone,
 )
 from .pinning import (
@@ -39,7 +37,6 @@ from .three_tier import (
     ThreeTierIlp,
     ThreeTierProblem,
     Tier,
-    brute_force_three_tier,
     build_three_tier_ilp,
     three_tier_from_two_profiles,
 )
@@ -48,12 +45,9 @@ __all__ = [
     "ThreeTierIlp",
     "ThreeTierProblem",
     "Tier",
-    "brute_force_three_tier",
     "build_three_tier_ilp",
     "three_tier_from_two_profiles",
     "BruteForceResult",
-    "ChainResult",
-    "CutpointEvaluation",
     "Formulation",
     "GeneralIlp",
     "HeuristicResult",
@@ -70,7 +64,6 @@ __all__ = [
     "RelocationMode",
     "RestrictedIlp",
     "ScaledProbe",
-    "SolverBackend",
     "WeightedEdge",
     "Wishbone",
     "balanced_mincut_partition",
@@ -78,7 +71,6 @@ __all__ = [
     "brute_force_partition",
     "build_general_ilp",
     "build_restricted_ilp",
-    "chain_partition",
     "compute_pinnings",
     "greedy_prefix_partition",
     "lagrangian_partition",

@@ -12,8 +12,6 @@ import enum
 from dataclasses import dataclass
 
 from ..profiler.records import GraphProfile
-from ..solver.branch_bound import BranchAndBound
-from ..solver.scipy_backend import solve_milp_scipy
 from ..solver.solution import Solution
 from .cut import InfeasiblePartition, Partition
 from .ilp_general import build_general_ilp
@@ -28,11 +26,6 @@ class Formulation(enum.Enum):
 
     RESTRICTED = "restricted"  # Eq. (1),(2),(6),(7) — single crossing
     GENERAL = "general"        # Eq. (1)-(5) — back-and-forth allowed
-
-
-class SolverBackend(enum.Enum):
-    BRANCH_AND_BOUND = "branch-and-bound"  # our solver (find/prove history)
-    SCIPY_MILP = "scipy-milp"              # HiGHS cross-check
 
 
 @dataclass(frozen=True)
@@ -93,18 +86,17 @@ class Wishbone:
         mode: conservative or permissive stateful-operator relocation.
         formulation: restricted (default, as in the paper's prototype) or
             general.
-        solver: branch-and-bound (ours) or scipy's HiGHS MILP.
         use_preprocess: apply the Section 4.1 reduction.
         cpu_budget: node CPU budget as a utilization fraction; defaults to
             the platform's ``cpu_budget_fraction``.
         net_budget: channel budget in bytes/s; defaults to the platform
             radio's goodput capacity (or infinity without a radio).
         time_limit: wall-clock cap per solve, in seconds.
-        gap_tolerance: relative optimality gap at which either solver
-            backend declares a solution optimal.  Symmetric graphs (e.g.
-            the 22 identical EEG channels) create huge plateaus of
-            equivalent solutions; a small positive gap prunes them without
-            changing which partitions are found.
+        gap_tolerance: relative optimality gap at which branch and bound
+            declares a solution optimal.  Symmetric graphs (e.g. the 22
+            identical EEG channels) create huge plateaus of equivalent
+            solutions; a small positive gap prunes them without changing
+            which partitions are found.
         aggregate_fanin: §9 in-network aggregation — the expected fan-in
             of the aggregation tree (typically the network size).  Edge
             costs downstream of a ``reduce`` operator are divided by it;
@@ -116,7 +108,6 @@ class Wishbone:
         objective: PartitionObjective | None = None,
         mode: RelocationMode = RelocationMode.CONSERVATIVE,
         formulation: Formulation = Formulation.RESTRICTED,
-        solver: SolverBackend = SolverBackend.BRANCH_AND_BOUND,
         use_preprocess: bool = True,
         cpu_budget: float | None = None,
         net_budget: float | None = None,
@@ -127,7 +118,6 @@ class Wishbone:
         self.objective = objective
         self.mode = mode
         self.formulation = formulation
-        self.solver = solver
         self.use_preprocess = use_preprocess
         self.cpu_budget = cpu_budget
         self.net_budget = net_budget
@@ -210,29 +200,6 @@ class Wishbone:
         if self.formulation is Formulation.RESTRICTED:
             return build_restricted_ilp(problem)
         return build_general_ilp(problem)
-
-    def solve_arrays(
-        self, program, relaxation=None, structure=None
-    ) -> Solution:
-        """Run the configured MILP backend on a program or raw arrays.
-
-        ``relaxation`` is an optional prebuilt HiGHS engine for
-        ``program`` and ``structure`` the formulation's
-        :class:`~repro.solver.branch_bound.ProgramStructure` (see
-        :meth:`BranchAndBound.solve`); rate probes pass both so that no
-        solve redoes what only their costs and budget rows leave unchanged.
-        Only branch and bound reads them.
-        """
-        if self.solver is SolverBackend.BRANCH_AND_BOUND:
-            return BranchAndBound(
-                time_limit=self.time_limit,
-                gap_tolerance=self.gap_tolerance,
-            ).solve(program, relaxation=relaxation, structure=structure)
-        return solve_milp_scipy(
-            program,
-            time_limit=self.time_limit,
-            gap_tolerance=self.gap_tolerance,
-        )
 
     def prepare_probe(self, profile: GraphProfile) -> ScaledProbe:
         """Cache the rate-invariant parts of this instance for §4.3 probing.

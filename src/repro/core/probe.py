@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..profiler.records import GraphProfile
-from ..solver.branch_bound import ProgramStructure
+from ..solver.branch_bound import BranchAndBound, ProgramStructure
 from ..solver.solution import Solution
 from .cut import InfeasiblePartition, Partition, PartitionError
 from .preprocess import preprocess
@@ -159,15 +159,11 @@ class ScaledProbe:
     def _shared_relaxation(self, arrays):
         """The cached HiGHS model, set to ``arrays`` with no solver state.
 
-        Returns ``None`` when the partitioner configuration cannot use it
-        (non-B&B backend) or the private HiGHS bindings are unavailable —
+        Returns ``None`` when the private HiGHS bindings are unavailable —
         probes then solve exactly as before.
         """
         from ..solver.scipy_backend import make_highs_relaxation
-        from .partitioner import SolverBackend
 
-        if self.partitioner.solver is not SolverBackend.BRANCH_AND_BOUND:
-            return None
         if self._relaxation is False:
             return None
         if self._relaxation is None:
@@ -211,9 +207,10 @@ class ScaledProbe:
         build_seconds = time.perf_counter() - prep_start
 
         solve_start = time.perf_counter()
-        solution = self.partitioner.solve_arrays(
-            arrays, relaxation=relaxation, structure=self._structure
-        )
+        solution = BranchAndBound(
+            time_limit=self.partitioner.time_limit,
+            gap_tolerance=self.partitioner.gap_tolerance,
+        ).solve(arrays, relaxation=relaxation, structure=self._structure)
         solve_seconds = time.perf_counter() - solve_start
         if not solution.status.has_solution:
             raise InfeasiblePartition(

@@ -1,8 +1,8 @@
 """The abstract partitioning problem shared by every algorithm.
 
-All partitioners (ILP formulations, brute force, chain DP, heuristics,
-Lagrangian) consume a :class:`PartitionProblem`: a weighted DAG with
-per-vertex CPU costs (on the node platform), per-edge channel costs,
+All partitioners (ILP formulations, brute force, heuristics, Lagrangian,
+and the test oracles) consume a :class:`PartitionProblem`: a weighted DAG
+with per-vertex CPU costs (on the node platform), per-edge channel costs,
 pinning constraints, and resource budgets — exactly the inputs of paper
 Section 4.
 """

@@ -24,7 +24,6 @@ hardware), so the instance carries two cost vectors.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 
 from ..dataflow.graph import Pinning
@@ -240,27 +239,6 @@ def build_three_tier_ilp(problem: ThreeTierProblem) -> ThreeTierIlp:
         name="micro_net",
     )
     return ThreeTierIlp(program=lp, a_vars=a_vars, b_vars=b_vars)
-
-
-def brute_force_three_tier(
-    problem: ThreeTierProblem,
-) -> tuple[dict[str, Tier] | None, float]:
-    """Exhaustive optimum over 3^|V| assignments (tests only)."""
-    if len(problem.vertices) > 12:
-        raise PartitionError("three-tier brute force limited to 12 vertices")
-    best: dict[str, Tier] | None = None
-    best_objective = float("inf")
-    for combo in itertools.product(
-        (Tier.MOTE, Tier.MICRO, Tier.SERVER), repeat=len(problem.vertices)
-    ):
-        assignment = dict(zip(problem.vertices, combo))
-        if not problem.is_feasible(assignment):
-            continue
-        objective = problem.objective(assignment)
-        if objective < best_objective - 1e-12:
-            best_objective = objective
-            best = assignment
-    return best, best_objective
 
 
 def three_tier_from_two_profiles(

@@ -20,7 +20,7 @@ from ..dataflow.graph import Pinning
 from ..core.bruteforce import brute_force_partition
 from ..core.ilp_restricted import build_restricted_ilp
 from ..core.problem import PartitionProblem, WeightedEdge
-from ..solver.branch_bound import solve_milp
+from ..solver.branch_bound import BranchAndBound
 
 
 def motivating_problem(cpu_budget: float) -> PartitionProblem:
@@ -67,7 +67,7 @@ def run(budgets: tuple[float, ...] = (2.0, 3.0, 4.0)) -> list[Fig3Row]:
     for budget in budgets:
         problem = motivating_problem(budget)
         model = build_restricted_ilp(problem)
-        solution = solve_milp(model.program)
+        solution = BranchAndBound().solve(model.program)
         node_set = model.node_set(solution.values)
         bandwidth = problem.net_load(node_set)
         brute = brute_force_partition(problem)

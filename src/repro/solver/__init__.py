@@ -2,18 +2,16 @@
 
 Public pieces:
   * :class:`LinearProgram` — declarative model (variables + constraints);
-  * :class:`BranchAndBound` / :func:`solve_milp` — our MILP solver with
-    incumbent-history tracking (find-vs-prove times, Figure 6);
+  * :class:`BranchAndBound` — the MILP solver, with incumbent-history
+    tracking (find-vs-prove times, Figure 6);
   * :func:`solve_lp_scipy` — one cold HiGHS LP solve (branch and bound's
     relaxation when warm starts are off or scipy's private HiGHS bindings
-    are missing);
-  * :func:`solve_milp_scipy` — HiGHS branch and cut, the exact-MILP
-    cross-check.
+    are missing).
 """
 
-from .branch_bound import BranchAndBound, solve_milp
+from .branch_bound import BranchAndBound
 from .model import INF, Constraint, LinearProgram, StandardArrays, Variable
-from .scipy_backend import solve_lp_scipy, solve_milp_scipy
+from .scipy_backend import solve_lp_scipy
 from .solution import IncumbentEvent, Solution, SolveStatus
 
 __all__ = [
@@ -27,6 +25,4 @@ __all__ = [
     "StandardArrays",
     "Variable",
     "solve_lp_scipy",
-    "solve_milp",
-    "solve_milp_scipy",
 ]

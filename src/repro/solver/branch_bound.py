@@ -863,10 +863,3 @@ class BranchAndBound:
             return finish(SolveStatus.FEASIBLE, remaining)
         return finish(SolveStatus.OPTIMAL, incumbent_obj)
 
-
-def solve_milp(
-    program: LinearProgram | StandardArrays,
-    time_limit: float | None = None,
-) -> Solution:
-    """Convenience wrapper: solve a MILP with default B&B settings."""
-    return BranchAndBound(time_limit=time_limit).solve(program)

@@ -2,8 +2,8 @@
 
 A tiny modelling layer in the spirit of lp_solve's API: callers create
 variables, attach linear constraints, and set a linear objective.  The model
-can export itself as dense numpy arrays for any backend (our branch and
-bound or scipy's HiGHS wrappers).
+can export itself as dense numpy arrays for branch and bound and its HiGHS
+LP engine.
 
 Only minimization is supported; maximize by negating the objective.
 """

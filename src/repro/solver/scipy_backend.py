@@ -1,14 +1,11 @@
-"""scipy (HiGHS) backends.
+"""scipy (HiGHS) LP engine for branch and bound.
 
 These wrap HiGHS behind the same :class:`~repro.solver.solution.Solution`
-interface as our branch and bound.  They serve two roles:
-
-* the *LP engine* for the branch-and-bound relaxations
-  (:class:`HighsRelaxation`, one persistent model per solve, or one cold
-  :func:`scipy.optimize.linprog` per node via :func:`solve_lp_scipy`), and
-* an *independent exact-MILP cross-check* (:func:`solve_milp_scipy`, HiGHS
-  branch and cut via :func:`scipy.optimize.milp`) — our branch and bound
-  must agree with it on every randomly generated instance.
+interface as our branch and bound.  They solve its LP relaxations:
+:class:`HighsRelaxation` keeps one persistent model per solve, and
+:func:`solve_lp_scipy` runs one cold :func:`scipy.optimize.linprog` per
+node (with warm starts off, or when scipy's private HiGHS bindings are
+missing).
 
 The LP wrapper is array-native: bounds travel as an (n, 2) ndarray (no
 per-variable tuple list), the result carries the raw solution vector, and
@@ -19,13 +16,11 @@ solve.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 from scipy import optimize, sparse
 
 from .model import LinearProgram, StandardArrays
-from .solution import IncumbentEvent, Solution, SolveStatus
+from .solution import Solution, SolveStatus
 
 
 try:  # private scipy module; present in every scipy that ships HiGHS >= 1.9
@@ -240,69 +235,4 @@ def solve_lp_scipy(program: LinearProgram | StandardArrays) -> Solution:
         bound=float(result.fun),
         iterations=int(getattr(result, "nit", 0) or 0),
         reduced_costs=_extract_reduced_costs(result),
-    )
-
-
-def solve_milp_scipy(
-    program: LinearProgram | StandardArrays,
-    time_limit: float | None = None,
-    gap_tolerance: float | None = None,
-) -> Solution:
-    """Solve the MILP with HiGHS branch and cut.
-
-    ``gap_tolerance`` is passed as HiGHS's ``mip_rel_gap`` (``None`` keeps
-    HiGHS's default of 1e-4).
-    """
-    arrays = _as_arrays(program)
-    start = time.perf_counter()
-
-    constraints = []
-    if arrays.a_ub.size:
-        constraints.append(
-            optimize.LinearConstraint(
-                sparse.csr_matrix(arrays.a_ub),
-                -np.inf * np.ones(len(arrays.b_ub)),
-                arrays.b_ub,
-            )
-        )
-    if arrays.a_eq.size:
-        constraints.append(
-            optimize.LinearConstraint(
-                sparse.csr_matrix(arrays.a_eq), arrays.b_eq, arrays.b_eq
-            )
-        )
-    options = {}
-    if time_limit is not None:
-        options["time_limit"] = time_limit
-    if gap_tolerance is not None:
-        options["mip_rel_gap"] = gap_tolerance
-    result = optimize.milp(
-        arrays.c,
-        constraints=constraints,
-        bounds=optimize.Bounds(arrays.lb, arrays.ub),
-        integrality=arrays.integrality,
-        options=options,
-    )
-    elapsed = time.perf_counter() - start
-    if result.status == 2:
-        return Solution(status=SolveStatus.INFEASIBLE, prove_elapsed=elapsed)
-    if result.status == 3:
-        return Solution(status=SolveStatus.UNBOUNDED, prove_elapsed=elapsed)
-    if result.x is None:
-        return Solution(status=SolveStatus.LIMIT, prove_elapsed=elapsed)
-    objective = float(result.fun)
-    status = (
-        SolveStatus.OPTIMAL if result.status == 0 else SolveStatus.FEASIBLE
-    )
-    return Solution(
-        status=status,
-        objective=objective,
-        x=np.asarray(result.x, dtype=float),
-        names=arrays.names,
-        bound=float(result.mip_dual_bound)
-        if result.mip_dual_bound is not None
-        else objective,
-        incumbents=[IncumbentEvent(elapsed, objective, 0)],
-        discover_elapsed=elapsed,
-        prove_elapsed=elapsed,
     )

@@ -1,4 +1,4 @@
-"""Solver result types shared by every backend.
+"""Solver result types shared by branch and bound and its LP engine.
 
 The paper's Figure 6 distinguishes the time at which the branch-and-bound
 solver *discovers* the optimal solution from the (much later) time at which

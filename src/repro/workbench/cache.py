@@ -13,12 +13,13 @@ classes fix both ends of the lifecycle:
   is keyed by everything that determines its answer — scenario name,
   version, and :meth:`~repro.workbench.scenarios.Scenario.content_fingerprint`,
   resolved parameters, profiler configuration, resolved platform, and
-  the full request payload (objective, budgets, rate, solver knobs) —
-  so a hit can be served *byte-identically in canonical form* without
-  touching the solver.  Entries live next to the profile store's in the
-  same directory, written with the same writer-race-safe
-  content-addressed :func:`~repro.workbench.artifacts.write_document`
-  convention, which is what lets every server worker (and every server
+  the full request payload (objective, budgets, rate, formulation,
+  gap and time limit) — so a hit can be served *byte-identically in
+  canonical form* without touching the solver.  Entries live next to
+  the profile store's in the same directory, written with the same
+  writer-race-safe content-addressed
+  :func:`~repro.workbench.artifacts.write_document` convention, which
+  is what lets every server worker (and every server
   process) share one cache through the store directory.
 
 * :class:`StoreJanitor` — eviction/GC for a durable store directory:

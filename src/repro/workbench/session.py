@@ -32,7 +32,6 @@ from ..core.partitioner import (
     Formulation,
     PartitionObjective,
     PartitionResult,
-    SolverBackend,
     Wishbone,
 )
 from ..core.pinning import RelocationMode
@@ -71,7 +70,6 @@ class PartitionRequest:
     beta: float = 1.0
     mode: RelocationMode = RelocationMode.PERMISSIVE
     formulation: Formulation = Formulation.RESTRICTED
-    solver: SolverBackend = SolverBackend.BRANCH_AND_BOUND
     use_preprocess: bool = True
     gap_tolerance: float = 1e-6
     time_limit: float | None = None
@@ -83,7 +81,6 @@ class PartitionRequest:
             objective=PartitionObjective(alpha=self.alpha, beta=self.beta),
             mode=self.mode,
             formulation=self.formulation,
-            solver=self.solver,
             use_preprocess=self.use_preprocess,
             cpu_budget=self.cpu_budget,
             net_budget=self.net_budget,
@@ -137,7 +134,6 @@ class PartitionRequest:
         enum_types = {
             "mode": RelocationMode,
             "formulation": Formulation,
-            "solver": SolverBackend,
         }
         kwargs: dict[str, Any] = {}
         for name, value in payload.items():

@@ -1,4 +1,5 @@
-"""Optimal partitioning of linear pipelines in O(n).
+"""Optimal partitioning of linear pipelines in O(n), kept only as a
+test oracle.
 
 For a pure chain (like the speech detection pipeline, "a linear pipeline
 of only a dozen operators", paper §7.2), every single-crossing partition
@@ -10,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..dataflow.graph import Pinning
-from .cut import PartitionError
-from .problem import PartitionProblem
+from repro.core.cut import PartitionError
+from repro.core.problem import PartitionProblem
+from repro.dataflow.graph import Pinning
 
 
 @dataclass(frozen=True)

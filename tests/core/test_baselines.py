@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from chain_oracle import chain_partition
 
 from repro.core import (
     PartitionError,
@@ -10,12 +11,11 @@ from repro.core import (
     balanced_mincut_partition,
     brute_force_partition,
     build_restricted_ilp,
-    chain_partition,
     greedy_prefix_partition,
     list_schedule_partition,
 )
 from repro.dataflow import Pinning
-from repro.solver import solve_milp
+from repro.solver import BranchAndBound
 
 
 def chain(n=6, seed=0, cpu_budget=None):
@@ -47,7 +47,7 @@ def test_chain_dp_matches_ilp(seed):
     problem = chain(seed=seed)
     result = chain_partition(problem)
     model = build_restricted_ilp(problem)
-    solution = solve_milp(model.program)
+    solution = BranchAndBound().solve(model.program)
     assert result.best is not None
     assert result.best.objective == pytest.approx(solution.objective, abs=1e-9)
 

@@ -11,7 +11,7 @@ from repro.core import (
     build_restricted_ilp,
 )
 from repro.dataflow import Pinning
-from repro.solver import SolveStatus, solve_milp
+from repro.solver import BranchAndBound, SolveStatus
 
 
 def random_problem(seed, n=9, cpu_budget_frac=0.5):
@@ -47,7 +47,7 @@ def random_problem(seed, n=9, cpu_budget_frac=0.5):
 def test_restricted_ilp_matches_brute_force(seed):
     problem = random_problem(seed)
     model = build_restricted_ilp(problem)
-    solution = solve_milp(model.program)
+    solution = BranchAndBound().solve(model.program)
     brute = brute_force_partition(problem, single_crossing=True)
     assert solution.status is SolveStatus.OPTIMAL
     assert brute.feasible
@@ -61,7 +61,7 @@ def test_restricted_ilp_matches_brute_force(seed):
 def test_general_ilp_matches_brute_force_without_crossing_limit(seed):
     problem = random_problem(seed, n=8)
     model = build_general_ilp(problem)
-    solution = solve_milp(model.program)
+    solution = BranchAndBound().solve(model.program)
     brute = brute_force_partition(problem, single_crossing=False)
     assert solution.status is SolveStatus.OPTIMAL
     assert solution.objective == pytest.approx(brute.objective, abs=1e-6)
@@ -70,8 +70,8 @@ def test_general_ilp_matches_brute_force_without_crossing_limit(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_general_never_worse_than_restricted(seed):
     problem = random_problem(seed, n=8)
-    restricted = solve_milp(build_restricted_ilp(problem).program)
-    general = solve_milp(build_general_ilp(problem).program)
+    restricted = BranchAndBound().solve(build_restricted_ilp(problem).program)
+    general = BranchAndBound().solve(build_general_ilp(problem).program)
     assert general.objective <= restricted.objective + 1e-6
 
 
@@ -94,9 +94,9 @@ def test_general_beats_restricted_on_merge_case():
         alpha=0.0,
         beta=1.0,
     )
-    restricted = solve_milp(build_restricted_ilp(problem).program)
+    restricted = BranchAndBound().solve(build_restricted_ilp(problem).program)
     general_model = build_general_ilp(problem)
-    general = solve_milp(general_model.program)
+    general = BranchAndBound().solve(general_model.program)
     # Restricted must ship the huge stream (cut before merge);
     # general routes only the tiny stream back and forth.
     assert restricted.objective >= 1000.0
@@ -109,7 +109,7 @@ def test_pins_respected_in_both_formulations():
     problem = random_problem(3)
     for build in (build_restricted_ilp, build_general_ilp):
         model = build(problem)
-        solution = solve_milp(model.program)
+        solution = BranchAndBound().solve(model.program)
         node_set = model.node_set(solution.values)
         assert "v0" in node_set
         assert f"v{len(problem.vertices) - 1}" not in node_set
@@ -124,7 +124,7 @@ def test_infeasible_when_budget_below_pinned_cost():
         cpu_budget=1.0,  # source alone exceeds the budget
         net_budget=1e9,
     )
-    solution = solve_milp(build_restricted_ilp(problem).program)
+    solution = BranchAndBound().solve(build_restricted_ilp(problem).program)
     assert solution.status is SolveStatus.INFEASIBLE
 
 
@@ -140,7 +140,7 @@ def test_net_budget_binds():
         beta=0.0,  # objective prefers an empty node partition ...
     )
     model = build_restricted_ilp(problem)
-    solution = solve_milp(model.program)
+    solution = BranchAndBound().solve(model.program)
     node_set = model.node_set(solution.values)
     # ... but the net budget forces "a" onto the node.
     assert "a" in node_set
@@ -158,14 +158,14 @@ def test_alpha_weights_cpu_in_objective():
         beta=1.0,
     )
     model = build_restricted_ilp(problem)
-    solution = solve_milp(model.program)
+    solution = BranchAndBound().solve(model.program)
     assert "a" not in model.node_set(solution.values)
 
 
 def test_general_cut_bandwidth_decode():
     problem = random_problem(1, n=6)
     model = build_general_ilp(problem)
-    solution = solve_milp(model.program)
+    solution = BranchAndBound().solve(model.program)
     node_set = model.node_set(solution.values)
     assert model.cut_bandwidth(solution.values) == pytest.approx(
         problem.net_load(node_set), abs=1e-6

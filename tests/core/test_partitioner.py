@@ -1,6 +1,7 @@
 """The Wishbone facade on the real speech application."""
 
 import pytest
+from rebuild_oracle import rebuild_objective
 
 from repro.apps.speech import PIPELINE_ORDER
 from repro.core import (
@@ -8,7 +9,6 @@ from repro.core import (
     InfeasiblePartition,
     PartitionObjective,
     RelocationMode,
-    SolverBackend,
     Wishbone,
 )
 
@@ -30,18 +30,13 @@ def test_reduced_rate_partitions_at_filterbank(tmote_speech_profile):
 
 
 def test_solver_backends_agree(tmote_speech_profile):
-    profile = tmote_speech_profile.scaled(0.05)
-    ours = Wishbone(
-        mode=RelocationMode.PERMISSIVE,
-        solver=SolverBackend.BRANCH_AND_BOUND,
-    ).partition(profile)
-    highs = Wishbone(
-        mode=RelocationMode.PERMISSIVE,
-        solver=SolverBackend.SCIPY_MILP,
-    ).partition(profile)
-    assert ours.partition.objective_value == pytest.approx(
-        highs.partition.objective_value, rel=1e-6
-    )
+    """Branch and bound reaches the optimum HiGHS branch and cut proves
+    for the same profile (``tests/milp_oracle.py``)."""
+    wishbone = Wishbone(mode=RelocationMode.PERMISSIVE)
+    ours = wishbone.partition(tmote_speech_profile.scaled(0.05))
+    highs = rebuild_objective(wishbone, tmote_speech_profile, 0.05)
+    assert highs is not None
+    assert ours.partition.objective_value == pytest.approx(highs, rel=1e-6)
 
 
 def test_formulations_agree_on_pipeline(tmote_speech_profile):
@@ -135,24 +130,3 @@ def test_server_platform_everything_fits(server_speech_profile):
     )
     assert result.feasible
 
-
-def test_scipy_backend_honours_gap_tolerance(
-    monkeypatch, tmote_speech_profile
-):
-    from repro.solver import scipy_backend
-
-    seen = []
-    real_milp = scipy_backend.optimize.milp
-
-    def spy(*args, **kwargs):
-        seen.append(dict(kwargs.get("options") or {}))
-        return real_milp(*args, **kwargs)
-
-    monkeypatch.setattr(scipy_backend.optimize, "milp", spy)
-    Wishbone(
-        mode=RelocationMode.PERMISSIVE,
-        solver=SolverBackend.SCIPY_MILP,
-        gap_tolerance=5e-3,
-        time_limit=30.0,
-    ).partition(tmote_speech_profile.scaled(0.05))
-    assert seen == [{"time_limit": 30.0, "mip_rel_gap": 5e-3}]

@@ -15,9 +15,9 @@ from repro.core import (
     PartitionError,
     PartitionObjective,
     RelocationMode,
-    SolverBackend,
     Wishbone,
 )
+from repro.solver import BranchAndBound
 
 
 def make_partitioner(**kwargs):
@@ -51,11 +51,6 @@ def test_probe_general_formulation(tmote_speech_profile):
     partitioner = make_partitioner(formulation=Formulation.GENERAL)
     for factor in (0.05, 0.2):
         assert_matches_rebuild(partitioner, tmote_speech_profile, factor)
-
-
-def test_probe_scipy_backend(tmote_speech_profile):
-    partitioner = make_partitioner(solver=SolverBackend.SCIPY_MILP)
-    assert_matches_rebuild(partitioner, tmote_speech_profile, 0.1)
 
 
 def test_probe_without_preprocess(tmote_speech_profile):
@@ -195,9 +190,9 @@ def test_probe_reuses_its_model_and_solves_like_a_fresh_one():
             if engine is None or engine is False:
                 pytest.skip("private HiGHS bindings unavailable")
         assert probe._relaxation is engine  # reused, not rebuilt
-        fresh = partitioner.solve_arrays(
-            probe._arrays_at(factor, cpu_budget, float("inf"))
-        )
+        fresh = BranchAndBound(
+            gap_tolerance=partitioner.gap_tolerance
+        ).solve(probe._arrays_at(factor, cpu_budget, float("inf")))
         assert result is not None
         fresh_set = probe.model.node_set(fresh.values)
         if probe.reduced is not None:

@@ -14,7 +14,7 @@ from repro.core import (
     preprocess,
 )
 from repro.dataflow import Pinning
-from repro.solver import SolveStatus, solve_milp
+from repro.solver import BranchAndBound, SolveStatus
 from repro.solver.branch_bound import ProgramStructure
 
 
@@ -65,7 +65,7 @@ def test_ilp_equals_brute_force(problem):
     assignment within the solver's feasibility tolerance of the budget.
     """
     model = build_restricted_ilp(problem)
-    solution = solve_milp(model.program)
+    solution = BranchAndBound().solve(model.program)
     brute = brute_force_partition(problem, single_crossing=True)
     cpu_tol = 1e-6 * max(1.0, problem.cpu_budget)
     if brute.feasible:
@@ -101,8 +101,10 @@ def test_ilp_equals_brute_force(problem):
 @settings(max_examples=30, deadline=None)
 def test_preprocessing_preserves_optimum(problem):
     reduced = preprocess(problem)
-    raw = solve_milp(build_restricted_ilp(problem).program)
-    clustered = solve_milp(build_restricted_ilp(reduced.problem).program)
+    raw = BranchAndBound().solve(build_restricted_ilp(problem).program)
+    clustered = BranchAndBound().solve(
+        build_restricted_ilp(reduced.problem).program
+    )
     assert raw.status == clustered.status
     if raw.status is SolveStatus.OPTIMAL:
         assert abs(raw.objective - clustered.objective) <= 1e-6 * max(
@@ -115,7 +117,7 @@ def test_preprocessing_preserves_optimum(problem):
 def test_expanded_solution_feasible_on_original(problem):
     reduced = preprocess(problem)
     model = build_restricted_ilp(reduced.problem)
-    solution = solve_milp(model.program)
+    solution = BranchAndBound().solve(model.program)
     if solution.status is not SolveStatus.OPTIMAL:
         return
     node_set = reduced.expand(model.node_set(solution.values))
@@ -133,7 +135,7 @@ def test_cut_identity_between_formulations(problem):
     """Sum (f_u - f_v) r == boundary bandwidth for precedence-respecting
     assignments (the Eq. 7 simplification)."""
     model = build_restricted_ilp(problem)
-    solution = solve_milp(model.program)
+    solution = BranchAndBound().solve(model.program)
     if solution.status is not SolveStatus.OPTIMAL:
         return
     node_set = model.node_set(solution.values)
@@ -151,9 +153,9 @@ def test_rate_scaling_monotone_feasibility(problem, factor):
     """If a scaled-up instance is feasible, the original is too (§4.3)."""
     bigger = scaled_problem(problem, factor)
     model_big = build_restricted_ilp(bigger)
-    big = solve_milp(model_big.program)
+    big = BranchAndBound().solve(model_big.program)
     if factor >= 1.0 and big.status is SolveStatus.OPTIMAL:
-        small = solve_milp(build_restricted_ilp(problem).program)
+        small = BranchAndBound().solve(build_restricted_ilp(problem).program)
         assert small.status is SolveStatus.OPTIMAL
 
 

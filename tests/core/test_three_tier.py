@@ -2,15 +2,15 @@
 
 import numpy as np
 import pytest
+from three_tier_oracle import brute_force_three_tier
 
 from repro.core import WeightedEdge
 from repro.core.three_tier import (
     Tier,
     ThreeTierProblem,
-    brute_force_three_tier,
     build_three_tier_ilp,
 )
-from repro.solver import SolveStatus, solve_milp
+from repro.solver import BranchAndBound, SolveStatus
 
 
 def random_problem(seed, n=7):
@@ -44,7 +44,7 @@ def random_problem(seed, n=7):
 def test_ilp_matches_brute_force(seed):
     problem = random_problem(seed)
     model = build_three_tier_ilp(problem)
-    solution = solve_milp(model.program)
+    solution = BranchAndBound().solve(model.program)
     best, best_objective = brute_force_three_tier(problem)
     assert best is not None
     assert solution.status is SolveStatus.OPTIMAL
@@ -60,7 +60,7 @@ def test_pins_respected():
     problem = random_problem(1)
     problem.pins["v3"] = Tier.MICRO
     model = build_three_tier_ilp(problem)
-    solution = solve_milp(model.program)
+    solution = BranchAndBound().solve(model.program)
     assignment = model.assignment(solution.values)
     assert assignment["v0"] is Tier.MOTE
     assert assignment["v3"] is Tier.MICRO
@@ -70,7 +70,7 @@ def test_pins_respected():
 def test_downward_flow_enforced():
     problem = random_problem(2)
     model = build_three_tier_ilp(problem)
-    solution = solve_milp(model.program)
+    solution = BranchAndBound().solve(model.program)
     assignment = model.assignment(solution.values)
     level = {Tier.MOTE: 2, Tier.MICRO: 1, Tier.SERVER: 0}
     for edge in problem.edges:
@@ -81,7 +81,7 @@ def test_tight_mote_budget_pushes_work_down():
     problem = random_problem(3)
     problem.mote_cpu_budget = min(problem.mote_cpu.values()) * 1.01
     model = build_three_tier_ilp(problem)
-    solution = solve_milp(model.program)
+    solution = BranchAndBound().solve(model.program)
     assignment = model.assignment(solution.values)
     motes = [v for v, t in assignment.items() if t is Tier.MOTE]
     assert len(motes) <= 2
@@ -91,7 +91,8 @@ def test_infeasible_when_pinned_mote_exceeds_budget():
     problem = random_problem(4)
     problem.mote_cpu_budget = problem.mote_cpu["v0"] / 2.0
     model = build_three_tier_ilp(problem)
-    assert solve_milp(model.program).status is SolveStatus.INFEASIBLE
+    solution = BranchAndBound().solve(model.program)
+    assert solution.status is SolveStatus.INFEASIBLE
 
 
 def test_cheap_backhaul_prefers_micro_over_server_shipping():
@@ -114,7 +115,7 @@ def test_cheap_backhaul_prefers_micro_over_server_shipping():
         betas=(1.0, 0.01),
     )
     model = build_three_tier_ilp(problem)
-    solution = solve_milp(model.program)
+    solution = BranchAndBound().solve(model.program)
     assignment = model.assignment(solution.values)
     assert assignment["heavy"] is Tier.MICRO
 

@@ -3,10 +3,10 @@
 A partitioner formulates a profile once and probes it at every rate
 (``repro.core.probe``).  This module does what the probe replaces: it
 pins, reduces and formulates ``profile.scaled(factor)`` from scratch and
-solves that instance with scipy's HiGHS MILP, an engine independent of
-branch and bound.  The two instances differ in float rounding, so a tie
-may resolve to another node set; tests compare objectives within the
-solve's gap.
+solves that instance with HiGHS branch and cut (``milp_oracle``), an
+engine independent of branch and bound.  The two instances differ in
+float rounding, so a tie may resolve to another node set; tests compare
+objectives within the solve's gap.
 
 :func:`scaled_problem` builds the abstract instance a probe answers at a
 rate factor and budgets; evaluated on it, an answer's loads and
@@ -15,15 +15,17 @@ objective must be the ones the probe reported, bit for bit.
 
 from __future__ import annotations
 
+from milp_oracle import proven
+
 from repro.core import (
     PartitionProblem,
-    SolverBackend,
     WeightedEdge,
     Wishbone,
     preprocess,
 )
 from repro.core.cut import PartitionError
 from repro.profiler import GraphProfile
+from repro.solver import SolveStatus
 
 
 def scaled_problem(
@@ -60,15 +62,17 @@ def rebuild_objective(
     partitioner: Wishbone, profile: GraphProfile, factor: float
 ) -> float | None:
     """The optimal objective of ``profile.scaled(factor)`` under
-    ``partitioner``'s settings (``None`` when infeasible)."""
-    oracle = partitioner.with_overrides(solver=SolverBackend.SCIPY_MILP)
-    problem = oracle.build_problem(profile.scaled(factor))
-    reduced = preprocess(problem) if oracle.use_preprocess else None
-    model = oracle.formulate(
+    ``partitioner``'s settings (``None`` when infeasible).
+
+    Fails the calling test as unverified when the oracle proves neither.
+    """
+    problem = partitioner.build_problem(profile.scaled(factor))
+    reduced = preprocess(problem) if partitioner.use_preprocess else None
+    model = partitioner.formulate(
         reduced.problem if reduced is not None else problem
     )
-    solution = oracle.solve_arrays(model.program)
-    if not solution.status.has_solution:
+    solution = proven(model.program, gap_tolerance=partitioner.gap_tolerance)
+    if solution.status is SolveStatus.INFEASIBLE:
         return None
     node_set = model.node_set(solution.values)
     if reduced is not None:

@@ -2,14 +2,9 @@
 
 import numpy as np
 import pytest
+from milp_oracle import proven
 
-from repro.solver import (
-    BranchAndBound,
-    LinearProgram,
-    SolveStatus,
-    solve_milp,
-    solve_milp_scipy,
-)
+from repro.solver import BranchAndBound, LinearProgram, SolveStatus
 
 
 def knapsack(values, weights, capacity):
@@ -26,7 +21,7 @@ def knapsack(values, weights, capacity):
 
 def test_small_knapsack():
     lp = knapsack([5, 4, 3], [2, 3, 1], 5)
-    solution = solve_milp(lp)
+    solution = BranchAndBound().solve(lp)
     assert solution.status is SolveStatus.OPTIMAL
     assert solution.objective == pytest.approx(-9.0)
 
@@ -35,7 +30,7 @@ def test_pure_lp_passthrough():
     lp = LinearProgram()
     x = lp.add_variable("x", ub=2.5, objective=-1.0)
     lp.add_constraint({x: 1.0}, "<=", 2.0)
-    solution = solve_milp(lp)
+    solution = BranchAndBound().solve(lp)
     assert solution.status is SolveStatus.OPTIMAL
     assert solution.objective == pytest.approx(-2.0)
 
@@ -45,7 +40,7 @@ def test_integer_rounding_not_enough():
     lp = LinearProgram()
     x = lp.add_variable("x", ub=10.0, integer=True, objective=-1.0)
     lp.add_constraint({x: 2.0}, "<=", 3.0)
-    solution = solve_milp(lp)
+    solution = BranchAndBound().solve(lp)
     assert solution.objective == pytest.approx(-1.0)
     assert solution.values["x"] == pytest.approx(1.0)
 
@@ -54,7 +49,7 @@ def test_infeasible_milp():
     lp = LinearProgram()
     x = lp.add_binary("x", objective=1.0)
     lp.add_constraint({x: 1.0}, ">=", 2.0)
-    assert solve_milp(lp).status is SolveStatus.INFEASIBLE
+    assert BranchAndBound().solve(lp).status is SolveStatus.INFEASIBLE
 
 
 def test_incumbent_history_monotone():
@@ -64,7 +59,7 @@ def test_incumbent_history_monotone():
         rng.integers(1, 12, size=14).tolist(),
         30,
     )
-    solution = solve_milp(lp)
+    solution = BranchAndBound().solve(lp)
     objectives = [event.objective for event in solution.incumbents]
     assert objectives == sorted(objectives, reverse=True)
     assert solution.discover_elapsed <= solution.prove_elapsed + 1e-9
@@ -96,8 +91,9 @@ def test_random_knapsacks_match_scipy(seed):
         rng.integers(1, 15, size=n).tolist(),
         int(rng.integers(10, 50)),
     )
-    ours = solve_milp(lp)
-    reference = solve_milp_scipy(lp)
+    ours = BranchAndBound().solve(lp)
+    reference = proven(lp)
+    assert reference.status is SolveStatus.OPTIMAL
     assert ours.status is SolveStatus.OPTIMAL
     assert ours.objective == pytest.approx(reference.objective, abs=1e-6)
 
@@ -119,8 +115,8 @@ def test_random_mixed_integer_match_scipy(seed):
     for _ in range(5):
         terms = {v: float(rng.uniform(-1, 2)) for v in variables}
         lp.add_constraint(terms, "<=", float(rng.uniform(2, 6)))
-    ours = solve_milp(lp)
-    reference = solve_milp_scipy(lp)
+    ours = BranchAndBound().solve(lp)
+    reference = proven(lp)
     assert ours.status == reference.status
     if ours.status is SolveStatus.OPTIMAL:
         assert ours.objective == pytest.approx(reference.objective, abs=1e-5)
@@ -128,7 +124,7 @@ def test_random_mixed_integer_match_scipy(seed):
 
 def test_gap_property():
     lp = knapsack([5, 4, 3], [2, 3, 1], 5)
-    solution = solve_milp(lp)
+    solution = BranchAndBound().solve(lp)
     assert solution.gap == pytest.approx(0.0, abs=1e-6)
     assert bool(solution)
 
@@ -166,7 +162,7 @@ def test_fractionality_skips_integral_points():
 
 def test_solution_carries_raw_vector():
     lp = knapsack([5, 4, 3], [2, 3, 1], 5)
-    solution = solve_milp(lp)
+    solution = BranchAndBound().solve(lp)
     assert solution.x is not None
     assert solution.names == ["x0", "x1", "x2"]
     # The lazy dict view agrees with the vector.
@@ -217,7 +213,8 @@ def test_knobs_preserve_optimum(kwargs):
         rng.integers(1, 12, size=12).tolist(),
         25,
     )
-    reference = solve_milp_scipy(lp)
+    reference = proven(lp)
+    assert reference.status is SolveStatus.OPTIMAL
     solution = BranchAndBound(**kwargs).solve(lp)
     assert solution.status is SolveStatus.OPTIMAL
     assert solution.objective == pytest.approx(reference.objective, abs=1e-6)

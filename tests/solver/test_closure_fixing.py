@@ -12,6 +12,7 @@ they fix must be the one the one-shot computation
 import numpy as np
 import pytest
 from closure_oracle import closure_overflow
+from milp_oracle import proven
 from replicated_problems import probe_arrays, replicated_branches
 
 from repro.core import (
@@ -21,12 +22,7 @@ from repro.core import (
     build_restricted_ilp,
 )
 from repro.experiments.common import profile_for
-from repro.solver import (
-    BranchAndBound,
-    LinearProgram,
-    SolveStatus,
-    solve_milp_scipy,
-)
+from repro.solver import BranchAndBound, LinearProgram, SolveStatus
 from repro.solver.branch_bound import ProgramStructure
 
 
@@ -176,7 +172,8 @@ def test_fixing_keeps_the_optimum_on_random_dags(seed):
     lp = dag_program(weights, edges, 25.0, lb=lb, objective=objective)
     assert fixed(lp) == reference_fixed(weights, edges, 25.0, lb)
     assert fixed(lp)  # the instance exercises the fixing
-    reference = solve_milp_scipy(lp)
+    reference = proven(lp)
+    assert reference.status is SolveStatus.OPTIMAL
     solution = BranchAndBound().solve(lp)
     assert solution.status is SolveStatus.OPTIMAL
     assert solution.objective == pytest.approx(reference.objective, abs=1e-6)

@@ -1,14 +1,15 @@
 """Solver equivalence: our branch and bound vs HiGHS on both formulations.
 
 Randomized restricted- and general-formulation partitioning instances must
-produce the same optimal objective from :class:`BranchAndBound` and
-:func:`solve_milp_scipy`.  This is the regression net for the warm-start /
-reduced-cost-fixing / diving machinery: any unsound pruning shows up as an
-objective mismatch here.
+produce the same optimal objective from :class:`BranchAndBound` and the
+HiGHS branch-and-cut oracle (``tests/milp_oracle.py``).  This is the
+regression net for the warm-start / reduced-cost-fixing / diving
+machinery: any unsound pruning shows up as an objective mismatch here.
 """
 
 import numpy as np
 import pytest
+from milp_oracle import proven
 
 from repro.core import (
     PartitionProblem,
@@ -17,7 +18,7 @@ from repro.core import (
     build_restricted_ilp,
 )
 from repro.dataflow.graph import Pinning
-from repro.solver import BranchAndBound, SolveStatus, solve_milp_scipy
+from repro.solver import BranchAndBound, SolveStatus
 from repro.solver.scipy_backend import make_highs_relaxation, solve_lp_scipy
 
 
@@ -52,7 +53,7 @@ def random_problem(seed: int, n: int = 10) -> PartitionProblem:
 def test_restricted_formulation_matches_scipy(seed):
     program = build_restricted_ilp(random_problem(seed)).program
     ours = BranchAndBound().solve(program)
-    reference = solve_milp_scipy(program)
+    reference = proven(program)
     assert ours.status == reference.status
     if ours.status is SolveStatus.OPTIMAL:
         assert ours.objective == pytest.approx(reference.objective, abs=1e-6)
@@ -62,7 +63,7 @@ def test_restricted_formulation_matches_scipy(seed):
 def test_general_formulation_matches_scipy(seed):
     program = build_general_ilp(random_problem(100 + seed)).program
     ours = BranchAndBound().solve(program)
-    reference = solve_milp_scipy(program)
+    reference = proven(program)
     assert ours.status == reference.status
     if ours.status is SolveStatus.OPTIMAL:
         assert ours.objective == pytest.approx(reference.objective, abs=1e-6)

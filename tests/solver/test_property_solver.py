@@ -2,13 +2,13 @@
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from milp_oracle import proven
 
 from repro.solver import (
+    BranchAndBound,
     LinearProgram,
     SolveStatus,
     solve_lp_scipy,
-    solve_milp,
-    solve_milp_scipy,
 )
 
 
@@ -54,8 +54,8 @@ def random_binary_program(draw):
 @given(random_binary_program())
 @settings(max_examples=25, deadline=None)
 def test_branch_bound_agrees_with_highs(lp):
-    ours = solve_milp(lp)
-    reference = solve_milp_scipy(lp)
+    ours = BranchAndBound().solve(lp)
+    reference = proven(lp)
     # All-zero is always feasible for these instances.
     assert ours.status is SolveStatus.OPTIMAL
     assert reference.status is SolveStatus.OPTIMAL
@@ -67,7 +67,7 @@ def test_branch_bound_agrees_with_highs(lp):
 @given(random_binary_program())
 @settings(max_examples=25, deadline=None)
 def test_branch_bound_solutions_are_integral_and_feasible(lp):
-    solution = solve_milp(lp)
+    solution = BranchAndBound().solve(lp)
     assert solution.status is SolveStatus.OPTIMAL
     for variable in lp.variables:
         value = solution.values[variable.name]
@@ -107,6 +107,6 @@ def test_lp_bound_no_worse_than_integer_optimum(lp):
             constraint.sense,
             constraint.rhs,
         )
-    solution = solve_milp(integral)
+    solution = BranchAndBound().solve(integral)
     if solution.status is SolveStatus.OPTIMAL:
         assert relaxed.objective <= solution.objective + 1e-6

@@ -7,6 +7,7 @@ the optimum that brute force and HiGHS's branch and cut reach.
 
 import numpy as np
 import pytest
+from milp_oracle import proven
 from replicated_problems import probe_arrays, replicated_branches
 
 from repro.core import (
@@ -17,12 +18,7 @@ from repro.core import (
     build_restricted_ilp,
 )
 from repro.experiments.common import profile_for
-from repro.solver import (
-    BranchAndBound,
-    LinearProgram,
-    SolveStatus,
-    solve_milp_scipy,
-)
+from repro.solver import BranchAndBound, LinearProgram, SolveStatus
 from repro.solver import branch_bound
 from repro.solver.branch_bound import ProgramStructure
 from repro.solver.symmetry import (
@@ -63,7 +59,7 @@ def test_replicated_branches_solve_like_brute_force_and_highs(seed):
 
     solution = BranchAndBound().solve(arrays)
     brute = brute_force_partition(problem, single_crossing=True)
-    highs = solve_milp_scipy(arrays, gap_tolerance=1e-6)
+    highs = proven(arrays, gap_tolerance=1e-6)
     assert solution.status is highs.status
     if brute.feasible:
         assert solution.status is SolveStatus.OPTIMAL
@@ -190,7 +186,8 @@ def test_orbital_branching_shrinks_the_tree_not_the_optimum(monkeypatch):
         lambda arrays: BlockSymmetry(arrays.num_variables, []),
     )
     without = BranchAndBound(gap_tolerance=1e-6).solve(arrays)
-    highs = solve_milp_scipy(arrays, gap_tolerance=1e-6)
+    highs = proven(arrays, gap_tolerance=1e-6)
+    assert highs.status is SolveStatus.OPTIMAL
     assert with_symmetry.status is SolveStatus.OPTIMAL
     assert without.status is SolveStatus.OPTIMAL
     assert with_symmetry.objective == pytest.approx(highs.objective, rel=1e-6)
@@ -276,7 +273,8 @@ def test_a_rewritten_row_that_tells_the_blocks_apart_stops_reuse():
     assert not structure.symmetry(rewritten).families
     assert not detect_block_symmetry(rewritten).families
     solution = BranchAndBound().solve(rewritten, structure=structure)
-    highs = solve_milp_scipy(rewritten, gap_tolerance=1e-9)
+    highs = proven(rewritten, gap_tolerance=1e-9)
+    assert highs.status is SolveStatus.OPTIMAL
     assert highs.objective == pytest.approx(-6.0)
     assert solution.objective == pytest.approx(-6.0)
 

@@ -778,11 +778,16 @@ def test_request_payload_roundtrip():
         PartitionRequest.from_payload({"bogus": 1})
 
 
-def test_stale_lp_engine_field_is_a_typed_error():
-    """A client that still sends the removed ``lp_engine`` field gets a
-    typed unknown-field error, not a ``TypeError``."""
+@pytest.mark.parametrize(
+    "field, value",
+    [("lp_engine", "scipy"), ("solver", "scipy-milp")],
+    ids=["lp_engine", "solver"],
+)
+def test_stale_request_field_is_a_typed_error(field, value):
+    """A client that still sends a removed field (``lp_engine``,
+    ``solver``) gets a typed unknown-field error, not a ``TypeError``."""
     payload = PartitionRequest().to_payload()
-    payload["lp_engine"] = "scipy"
+    payload[field] = value
     with pytest.raises(
         WorkbenchError, match="unknown partition-request fields"
     ):
