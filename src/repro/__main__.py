@@ -45,8 +45,8 @@ CI smoke step diffs).
 ``store`` is the lifecycle side: ``stats`` summarizes a durable store
 directory (``--server`` additionally reports a live server's fault
 counters — ``store_errors``/``write_errors``), and ``gc`` applies
-TTL/LRU/size eviction policies and sweeps orphaned sidecars and temp
-files.  Every ``--store`` names one directory.
+TTL/LRU/size eviction policies and sweeps leftover temp files and
+corrupt entries.  Every ``--store`` names one directory.
 """
 
 from __future__ import annotations
@@ -392,9 +392,7 @@ def cmd_store_stats(args) -> int:
             f"{_format_bytes(stats['entry_bytes'])}"
         )
         print(
-            f"garbage: {stats['orphan_sidecars']} orphan sidecar(s) "
-            f"({_format_bytes(stats['orphan_bytes'])}), "
-            f"{stats['temp_files']} temp file(s), "
+            f"garbage: {stats['temp_files']} temp file(s), "
             f"{stats['corrupt_entries']} corrupt entries"
         )
     if args.server:
@@ -438,7 +436,6 @@ def cmd_store_gc(args) -> int:
         f"scanned {gc.scanned_entries} entries; {verb} "
         f"{gc.removed_expired} expired, {gc.removed_lru} over-budget, "
         f"{gc.removed_corrupt} corrupt, "
-        f"{gc.removed_orphan_sidecars} orphan sidecar(s), "
         f"{gc.removed_temp_files} temp file(s)"
     )
     print(
@@ -663,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "(store_errors/write_errors)")
     stats.set_defaults(func=cmd_store_stats)
     gc = store_sub.add_parser(
-        "gc", help="evict by TTL/LRU/size and sweep orphaned sidecars"
+        "gc", help="evict by TTL/LRU/size and sweep temp files"
     )
     gc.add_argument("--store", required=True,
                     help="durable store directory")

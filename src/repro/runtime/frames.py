@@ -10,13 +10,9 @@ Two layers live here:
   each frame is a 4-byte little-endian length followed by that many
   payload bytes.
 
-* **Messages** — the partition server's unit of exchange: a JSON
-  document plus an optional ndarray sidecar, exactly the
-  :mod:`repro.workbench.artifacts` on-disk convention (JSON + ``.npz``)
-  re-expressed as two consecutive frames.  Arrays travel as an in-memory
-  npz archive, so a served artifact is byte-for-byte the payload
-  :func:`repro.workbench.artifacts.write_document` would have put on
-  disk.
+* **Messages** — the partition server's unit of exchange: one JSON
+  document in one frame.  A served answer's document is the one
+  :func:`repro.workbench.artifacts.write_document` puts on disk.
 
 Truncated streams raise :class:`FrameError` — a half-written frame must
 fail loudly, mirroring :class:`repro.runtime.marshal.MarshalError` for
@@ -25,15 +21,10 @@ corrupt element payloads.
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 import time
-import zipfile
-import zlib
 from typing import Any, BinaryIO, Callable, Mapping
-
-import numpy as np
 
 #: The 4-byte little-endian length prefix every runtime wire format uses
 #: (element byte strings, tuple arities, array lengths, stream frames).
@@ -48,15 +39,6 @@ class FrameError(Exception):
     """Raised for truncated or oversized frames on a byte stream."""
 
 
-class SidecarError(FrameError):
-    """Raised for an npz array sidecar that does not decode.
-
-    One type for every way damaged zip bytes fail — on the wire
-    (:func:`decode_message`) and on disk
-    (:func:`repro.workbench.artifacts.read_document`) alike.
-    """
-
-
 class InjectedFault(OSError):
     """A scheduled transport fault (see :mod:`repro.workbench.faults`).
 
@@ -68,7 +50,7 @@ class InjectedFault(OSError):
 
 
 #: Fault-injection hook (``None`` in production).  When set — by
-#: :func:`repro.workbench.faults.install` — :func:`send_frames` asks it
+#: :func:`repro.workbench.faults.install` — :func:`send_frame` asks it
 #: for an action before every send; the hook returns ``None`` (no
 #: fault) or a rule-like object with ``action``/``delay`` attributes.
 _fault_hook: Callable[[str], Any] | None = None
@@ -132,96 +114,48 @@ def read_frame(stream: BinaryIO) -> bytes | None:
 
 
 # ---------------------------------------------------------------------------
-# Messages: JSON document + npz array sidecar, as two frames
+# Messages: one JSON document per frame
 # ---------------------------------------------------------------------------
 
 
-def pack_arrays(arrays: Mapping[str, np.ndarray]) -> bytes:
-    """An in-memory npz archive (the artifact sidecar format)."""
-    buffer = io.BytesIO()
-    np.savez(buffer, **dict(arrays))
-    return buffer.getvalue()
-
-
-#: What :mod:`zipfile` and :func:`numpy.load` raise on damaged bytes.
-#: Flipped central-directory flag bits alone reach ``RuntimeError``
-#: ("encrypted") and ``NotImplementedError`` (a ``RuntimeError``:
-#: "compressed patched data", unknown zip versions or methods).
-_SIDECAR_DECODE_ERRORS = (
-    ValueError,
-    OSError,
-    EOFError,
-    KeyError,
-    RuntimeError,
-    zipfile.BadZipFile,
-    zipfile.LargeZipFile,
-    zlib.error,
-)
-
-
-def unpack_arrays(payload: bytes) -> dict[str, np.ndarray]:
-    """Inverse of :func:`pack_arrays`; never unpickles object arrays.
-
-    The one npz sidecar loader: any decode failure raises
-    :class:`SidecarError`.
-    """
-    try:
-        with np.load(io.BytesIO(payload), allow_pickle=False) as data:
-            return {key: data[key] for key in data.files}
-    except _SIDECAR_DECODE_ERRORS as exc:
-        raise SidecarError(f"corrupt array sidecar: {exc!r}") from exc
-
-
-def encode_message(
-    document: Mapping[str, Any],
-    arrays: Mapping[str, np.ndarray] | None = None,
-) -> tuple[bytes, bytes]:
-    """Encode one message as its (header, body) frame payloads.
+def encode_message(document: Mapping[str, Any]) -> bytes:
+    """Encode one message as its frame payload: sorted-key JSON.
 
     The canonical wire form shared by every transport in this repo —
     the blocking server stream and the asyncio gateway alike — so a
     message relayed through an intermediary re-encodes byte-identically.
     """
-    header = json.dumps(document, sort_keys=True).encode("utf-8")
-    body = pack_arrays(arrays) if arrays else b""
-    return header, body
+    return json.dumps(document, sort_keys=True).encode("utf-8")
 
 
-def decode_message(
-    header: bytes, body: bytes
-) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
-    """Decode (header, body) frame payloads back into a message.
+def decode_message(frame: bytes) -> dict[str, Any]:
+    """Decode one frame payload back into its document.
 
-    Raises :class:`FrameError` for malformed JSON, a non-object
-    document, or a corrupt array frame.
+    Raises :class:`FrameError` for malformed JSON (an empty frame
+    included) or a non-object document.
     """
     try:
-        document = json.loads(header.decode("utf-8"))
+        document = json.loads(frame.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FrameError(f"malformed document frame: {exc}") from exc
     if not isinstance(document, dict):
         raise FrameError(
             f"document frame holds {type(document).__name__}, expected object"
         )
-    arrays = unpack_arrays(body) if body else {}
-    return document, arrays
+    return document
 
 
-def send_message(
-    stream: BinaryIO,
-    document: Mapping[str, Any],
-    arrays: Mapping[str, np.ndarray] | None = None,
-) -> None:
-    """Write one (document, arrays) message as two frames and flush."""
-    send_frames(stream, *encode_message(document, arrays))
+def send_message(stream: BinaryIO, document: Mapping[str, Any]) -> None:
+    """Write one message as one frame and flush."""
+    send_frame(stream, encode_message(document))
 
 
-def send_frames(stream: BinaryIO, header: bytes, body: bytes) -> None:
+def send_frame(stream: BinaryIO, frame: bytes) -> None:
     """Write one already-encoded message (see :func:`encode_message`).
 
     With a fault hook armed (chaos testing only), a scheduled fault may
-    delay the send, corrupt the document frame in place (the stream
-    stays aligned; the receiver gets a typed :class:`FrameError`), or
+    delay the send, corrupt the frame in place (the stream stays
+    aligned; the receiver gets a typed :class:`FrameError`), or
     drop/truncate the message and raise :class:`InjectedFault` — the
     same ``OSError`` shape a dead peer produces, so the sender's
     connection-teardown path runs.
@@ -237,31 +171,26 @@ def send_frames(stream: BinaryIO, header: bytes, body: bytes) -> None:
                 # message is a dead connection, so fail the stream.
                 raise InjectedFault("injected fault: frame dropped")
             elif rule.action == "truncate":
-                stream.write(LENGTH_PREFIX.pack(len(header)))
-                stream.write(header[: max(len(header) // 2, 1)])
+                stream.write(LENGTH_PREFIX.pack(len(frame)))
+                stream.write(frame[: max(len(frame) // 2, 1)])
                 stream.flush()
                 raise InjectedFault("injected fault: frame truncated")
             elif rule.action == "corrupt":
                 # A NUL can never start valid JSON: the receiver fails
                 # with a typed FrameError, never a silent bad payload.
-                header = b"\x00" + header[1:]
-    write_frame(stream, header)
-    write_frame(stream, body)
+                frame = b"\x00" + frame[1:]
+    write_frame(stream, frame)
     stream.flush()
 
 
-def recv_message(
-    stream: BinaryIO,
-) -> tuple[dict[str, Any], dict[str, np.ndarray]] | None:
+def recv_message(stream: BinaryIO) -> dict[str, Any] | None:
     """Read one message; ``None`` on a clean end-of-stream.
 
-    Raises :class:`FrameError` for truncation, malformed JSON, or a
-    corrupt array frame.
+    Raises :class:`FrameError` for truncation or a frame that is not
+    a JSON object — the empty second frame of a peer still speaking
+    the older two-frame form among them.
     """
-    header = read_frame(stream)
-    if header is None:
+    frame = read_frame(stream)
+    if frame is None:
         return None
-    body = read_frame(stream)
-    if body is None:
-        raise FrameError("message truncated after its document frame")
-    return decode_message(header, body)
+    return decode_message(frame)

@@ -17,10 +17,9 @@ carries neither the instance it was solved on nor the solver's variable
 vector, so it is a small JSON document and nothing else.
 
 Numbers round-trip bit-exactly: scalars ride through JSON via Python's
-shortest-repr floats.  No artifact kind holds an array; the on-disk
-convention (:func:`write_document`) and the wire (``encode_message``)
-still carry an ``arrays`` sidecar, which is empty for every artifact
-this module writes.
+shortest-repr floats.  An artifact is one JSON document: on disk one
+file (:func:`write_document`), on the wire one frame
+(``encode_message``).
 
 Work functions are code, not data — graphs are therefore stored *by
 reference*: a structural fingerprint plus, when known, the
@@ -39,9 +38,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
+import threading
+from pathlib import Path
 from typing import Any, Callable, Mapping
-
-import numpy as np
 
 from ..core.cut import Partition
 from ..core.partitioner import PartitionResult
@@ -51,7 +51,6 @@ from ..dataflow.graph import Edge, StreamGraph, WorkCounts
 from ..platforms import get_platform
 from ..profiler.profiler import Measurement
 from ..profiler.records import EdgeProfile, GraphProfile, OperatorProfile
-from ..runtime.frames import SidecarError, pack_arrays, unpack_arrays
 from ..solver.solution import IncumbentEvent, Solution, SolveStatus
 from .scenarios import get_scenario
 
@@ -492,23 +491,15 @@ def artifact_kind(obj: Any) -> str:
 
 def to_document(
     obj: Any, graph_ref: Mapping[str, Any] | None = None
-) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
-    """(JSON-ready document, ndarray sidecar) for a supported artifact.
-
-    The sidecar is always empty: no artifact kind holds an array.  It
-    is returned for the on-disk and wire conventions, which take one.
-    """
+) -> dict[str, Any]:
+    """The JSON-ready document for a supported artifact."""
     kind = artifact_kind(obj)
-    payload = _BUILDERS[kind][1](obj, graph_ref)
-    return (
-        {
-            "schema": _SCHEMA_NAME,
-            "schema_version": SCHEMA_VERSION,
-            "kind": kind,
-            "payload": payload,
-        },
-        {},
-    )
+    return {
+        "schema": _SCHEMA_NAME,
+        "schema_version": SCHEMA_VERSION,
+        "kind": kind,
+        "payload": _BUILDERS[kind][1](obj, graph_ref),
+    }
 
 
 def is_current(document: Mapping[str, Any]) -> bool:
@@ -521,13 +512,14 @@ def is_current(document: Mapping[str, Any]) -> bool:
 
 def from_document(
     document: Mapping[str, Any],
-    arrays: Mapping[str, np.ndarray] | None = None,
+    _unused: Any = None,
     graph: StreamGraph | None = None,
 ) -> Any:
     """Reconstruct an artifact from its document.
 
-    ``arrays`` is the sidecar read alongside it (:func:`read_document`,
-    ``decode_message``); no artifact kind reads one.
+    The ignored second parameter is kept only for the benchmark
+    harness (``e2ebench/run.py``), which still passes one positionally;
+    every other caller passes ``graph=`` by keyword.
     """
     if document.get("schema") != _SCHEMA_NAME:
         raise ArtifactError(
@@ -548,41 +540,29 @@ def from_document(
 
 def to_json(obj: Any, graph_ref: Mapping[str, Any] | None = None) -> str:
     """Serialize an artifact to a standalone JSON string."""
-    document, _ = to_document(obj, graph_ref)
-    return json.dumps(document, sort_keys=True)
+    return json.dumps(to_document(obj, graph_ref), sort_keys=True)
 
 
 def from_json(text: str, graph: StreamGraph | None = None) -> Any:
     """Reconstruct an artifact from a :func:`to_json` string."""
-    return from_document(json.loads(text), None, graph)
+    return from_document(json.loads(text), graph=graph)
 
 
-def write_document(
-    path, document: dict[str, Any], arrays, indent=None, encoded=None
-):
-    """Write a document + npz sidecar to disk (the on-disk convention).
+def write_document(path, document: dict[str, Any], indent=None, encoded=None):
+    """Write a document to disk as one JSON file (the on-disk convention).
 
-    The sidecar lands first and both files appear via write-then-rename,
-    so a reader never observes a document without its arrays or a
-    half-written JSON body.  The sidecar name is *content-addressed* (a
-    hash of its bytes) and every temp file is writer-unique, so two
-    processes racing on the same path cannot interleave: whichever JSON
-    rename lands last references exactly the sidecar its writer produced,
-    never a mix of the two (``tests/workbench/test_store_concurrent.py``
-    pins this).  A loser's sidecar may linger as an orphan — covered by
-    the store GC item on the ROADMAP.  Mutates ``document`` to record the
-    sidecar name.  Shared by :func:`save_artifact` and the profile store.
+    The file appears via write-then-rename from a writer-unique temp
+    name (pid, thread, counter), so a reader never observes a
+    half-written body and two writers racing on the same path cannot
+    interleave: whichever rename lands last wins whole
+    (``tests/workbench/test_store_concurrent.py`` pins this).  Shared
+    by :func:`save_artifact`, the profile store and the result cache.
 
-    ``encoded`` is ``encode_message(document, arrays)`` when the caller
-    already has it (a server worker about to reply with it).  Its body
-    becomes the sidecar and its header the JSON body, with the sidecar
-    name appended as the last member, so nothing is serialized twice;
-    ``indent`` does not apply.
+    ``encoded`` is ``encode_message(document)`` when the caller already
+    has it (a server worker about to reply with it); those bytes are
+    written as they are, so nothing is serialized twice, and ``indent``
+    does not apply.
     """
-    import os
-    import threading
-    from pathlib import Path
-
     from . import faults
 
     # Chaos-only hook: a scheduled ``store.write`` fault raises (or
@@ -592,65 +572,35 @@ def write_document(
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    if encoded is None:
+        encoded = json.dumps(document, sort_keys=True, indent=indent).encode()
     # (pid, thread id, global counter): unique per in-flight write even
     # when two threads of one process race on the same key.
-    token = (
-        f"{os.getpid()}.{threading.get_ident():x}."
+    tmp = path.with_name(
+        f"{path.name}.tmp.{os.getpid()}.{threading.get_ident():x}."
         f"{next(_WRITE_COUNTER)}"
     )
-    if arrays:
-        blob = pack_arrays(arrays) if encoded is None else encoded[1]
-        digest = hashlib.sha256(blob).hexdigest()[:16]
-        npz_name = f"{path.name}.{digest}.npz"
-        document["npz"] = npz_name
-        npz_path = path.with_name(npz_name)
-        npz_tmp = path.with_name(f"{npz_name}.tmp.{token}")
-        npz_tmp.write_bytes(blob)
-        npz_tmp.replace(npz_path)
-    if encoded is None:
-        text = json.dumps(document, sort_keys=True, indent=indent).encode()
-    elif arrays:
-        member = b', "npz": %s}' % json.dumps(npz_name).encode()
-        text = encoded[0][:-1] + member
-    else:
-        text = encoded[0]
-    tmp = path.with_name(f"{path.name}.tmp.{token}")
-    tmp.write_bytes(text)
+    tmp.write_bytes(encoded)
     tmp.replace(path)
 
 
-def read_document(path) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
-    """Read a document + npz sidecar written by :func:`write_document`.
+def read_document(path) -> tuple[dict[str, Any], dict]:
+    """Read a document written by :func:`write_document`.
 
-    Raises ``OSError`` (unreadable files), ``ValueError`` (bad JSON),
-    or :class:`~repro.runtime.frames.SidecarError` (a sidecar that does
-    not decode, or whose bytes do not hash to the digest in its name);
-    callers choose whether that is fatal (:func:`load_artifact`) or a
-    cache miss (the profile store and result cache).
+    Returns ``(document, {})``: the empty second member is kept only
+    for the benchmark harness (``e2ebench/``), which still unpacks a
+    pair.  Raises ``OSError`` (an unreadable file) or ``ValueError``
+    (bad JSON, or JSON that is not an object); callers choose whether
+    that is fatal (:func:`load_artifact`) or a cache miss (the profile
+    store and result cache).
     """
-    from pathlib import Path
-
     path = Path(path)
     document = json.loads(path.read_text())
     if not isinstance(document, dict):
         raise ValueError(
             f"{path} holds {type(document).__name__}, not a document"
         )
-    arrays: dict[str, np.ndarray] = {}
-    npz_name = document.get("npz")
-    if npz_name:
-        blob = path.with_name(npz_name).read_bytes()
-        # The name embeds sha256(bytes)[:16] (see write_document), so a
-        # swapped or bit-flipped sidecar is caught even when it still
-        # decodes as a well-formed npz.
-        parts = str(npz_name).rsplit(".", 2)
-        digest = hashlib.sha256(blob).hexdigest()[:16]
-        if len(parts) != 3 or parts[1] != digest:
-            raise SidecarError(
-                f"sidecar {npz_name} does not match its content digest"
-            )
-        arrays = unpack_arrays(blob)
-    return document, arrays
+    return document, {}
 
 
 def save_artifact(
@@ -658,25 +608,21 @@ def save_artifact(
     path,
     graph_ref: Mapping[str, Any] | None = None,
 ) -> None:
-    """Write ``<path>`` (JSON); no artifact has arrays for a sidecar."""
-    document, arrays = to_document(obj, graph_ref)
-    write_document(path, document, arrays, indent=1)
+    """Write ``<path>`` as one JSON file."""
+    write_document(path, to_document(obj, graph_ref), indent=1)
 
 
 def load_artifact(path, graph: StreamGraph | None = None) -> Any:
     """Read an artifact written by :func:`save_artifact`.
 
-    Any corruption — truncated JSON, a truncated or bit-flipped npz
-    sidecar (the zip CRC catches payload damage), a missing sidecar —
-    raises :class:`ArtifactError`; sidecars are loaded with
-    ``allow_pickle=False`` so damaged bytes can never decode as pickled
-    objects.
+    Any corruption — an unreadable file, truncated JSON, JSON that is
+    not an object — raises :class:`ArtifactError`.
     """
     try:
-        document, arrays = read_document(path)
-    except (OSError, ValueError, SidecarError) as exc:
+        document, _ = read_document(path)
+    except (OSError, ValueError) as exc:
         raise ArtifactError(f"cannot read artifact {path}: {exc}") from exc
-    return from_document(document, arrays, graph)
+    return from_document(document, graph=graph)
 
 
 # ---------------------------------------------------------------------------
@@ -733,5 +679,6 @@ def canonical_json(
     Two runs that made the same decisions produce identical strings; two
     runs that differ anywhere but timing do not.
     """
-    document, _ = to_document(obj, graph_ref)
-    return json.dumps(canonical_document(document), sort_keys=True)
+    return json.dumps(
+        canonical_document(to_document(obj, graph_ref)), sort_keys=True
+    )

@@ -4,9 +4,8 @@ This module closes the serving loop the rest of the workbench left
 open.  The profile-once half of the paper's workflow has been durable
 since the :class:`~repro.workbench.store.ProfileStore` landed; the
 re-partition-many half still re-solved its MILP for every repeated
-request, and the durable store itself only ever grew (same-key writer
-races even orphan the loser's content-addressed sidecar on disk).  Two
-classes fix both ends of the lifecycle:
+request, and the durable store itself only ever grew.  Two classes fix
+both ends of the lifecycle:
 
 * :class:`ResultCache` — content-addressed memoization of solved
   :class:`~repro.core.partitioner.PartitionResult` artifacts.  A request
@@ -16,20 +15,20 @@ classes fix both ends of the lifecycle:
   the full request payload (objective, budgets, rate, formulation,
   gap and time limit) — so a hit can be served *byte-identically in
   canonical form* without touching the solver.  Entries live next to
-  the profile store's in the same directory, written with the same
-  writer-race-safe content-addressed
+  the profile store's in the same directory, one JSON file each,
+  written with the same writer-race-safe
   :func:`~repro.workbench.artifacts.write_document` convention, which
   is what lets every server worker (and every server
   process) share one cache through the store directory.
 
 * :class:`StoreJanitor` — eviction/GC for a durable store directory:
   TTL expiry, LRU size/count budgets (disk hits bump entry mtimes, so
-  recency tracks *use*), an orphan-sidecar sweep for the race losers,
-  and leftover temp-file cleanup.  Every removal is a single atomic
-  unlink and every reader already degrades a vanished entry to a cache
-  miss, so the janitor is safe to run while writers write and readers
-  read; a *grace window* (mtime-based) protects in-flight writes, whose
-  sidecar legitimately precedes its JSON body on disk.
+  recency tracks *use*), and cleanup of leftover temp files and
+  unparseable entries.  Every removal is a single atomic unlink and
+  every reader already degrades a vanished entry to a cache miss, so
+  the janitor is safe to run while writers write and readers read; a
+  *grace window* (mtime-based) protects in-flight writes, whose temp
+  file legitimately precedes its rename into place.
 
 ``python -m repro store gc|stats`` exposes the janitor on the command
 line; ``tests/workbench/test_janitor.py`` runs it against live
@@ -113,69 +112,50 @@ _WIRE_LOCK = threading.Lock()
 
 
 class CacheEntry:
-    """One remembered answer: ``(document, arrays)`` and its wire form.
+    """One remembered answer: its document and its wire form.
 
     Built from either side; the other is derived on first use and
-    kept.  Unpacks like the plain pair.  :meth:`wire` encodes the
-    answer on first use, so a hit served over the network costs no
-    ``json.dumps`` or ``np.savez``.  An entry built by
-    :meth:`from_wire` (a fresh answer a server worker encoded) is
+    kept.  :meth:`wire` encodes the answer on first use, so a hit
+    served over the network costs no ``json.dumps``.  An entry built
+    from ``wire`` alone (a fresh answer a server worker encoded) is
     forwarded as is and decoded only if something reads
-    :attr:`document` or :attr:`arrays`.  The memory LRU bounds the
-    kept bytes along with the entries.
+    :attr:`document`; only solved partitions travel that way, since an
+    infeasible answer is sent as ``null``, so such an entry is never
+    :attr:`infeasible`.  The memory LRU bounds the kept bytes along
+    with the entries.
     """
 
-    __slots__ = ("_answer", "_wire")
+    __slots__ = ("_document", "_wire")
 
     def __init__(
         self,
         document: dict[str, Any] | None = None,
-        arrays: dict[str, Any] | None = None,
-        wire: tuple[bytes, bytes] | None = None,
+        wire: bytes | None = None,
     ) -> None:
-        self._answer = None if document is None else (document, arrays or {})
+        self._document = document
         self._wire = wire
-
-    @classmethod
-    def from_wire(cls, header: bytes, body: bytes) -> "CacheEntry":
-        """An entry around ``encode_message(document, arrays)`` bytes.
-
-        Only solved partitions travel as wire bytes: an infeasible
-        answer is sent as ``null`` (see the server's result frames), so
-        such an entry is never :attr:`infeasible`.
-        """
-        return cls(wire=(header, body))
-
-    def _decoded(self) -> tuple[dict[str, Any], dict[str, Any]]:
-        with _WIRE_LOCK:
-            if self._answer is None:
-                self._answer = decode_message(*self._wire)
-            return self._answer
 
     @property
     def document(self) -> dict[str, Any]:
-        return self._decoded()[0]
-
-    @property
-    def arrays(self) -> dict[str, Any]:
-        return self._decoded()[1]
-
-    def __iter__(self):
-        return iter(self._decoded())
+        with _WIRE_LOCK:
+            if self._document is None:
+                self._document = decode_message(self._wire)
+            return self._document
 
     @property
     def infeasible(self) -> bool:
         """Whether this entry records a proven-infeasible request."""
-        answer = self._answer
+        document = self._document
         return (
-            answer is not None and answer[0].get("kind") == _INFEASIBLE_KIND
+            document is not None
+            and document.get("kind") == _INFEASIBLE_KIND
         )
 
-    def wire(self) -> tuple[bytes, bytes]:
-        """``encode_message(document, arrays)``, built at most once."""
+    def wire(self) -> bytes:
+        """``encode_message(document)``, built at most once."""
         with _WIRE_LOCK:
             if self._wire is None:
-                self._wire = encode_message(*self._answer)
+                self._wire = encode_message(self._document)
             return self._wire
 
 
@@ -244,7 +224,7 @@ class ResultCache:
     # -- lookups ------------------------------------------------------------
 
     def lookup(self, key: str) -> CacheEntry | None:
-        """The cached ``(document, arrays)`` entry, or ``None`` on miss.
+        """The cached entry, or ``None`` on miss.
 
         Corrupt/truncated disk entries degrade to a miss (exactly like
         the profile store); a disk hit touches the entry's mtime so the
@@ -253,14 +233,9 @@ class ResultCache:
         with self._lock:
             entry = self._memory.get(key)
         if entry is None and self.root is not None:
-            loaded = read_entry(self._path_for(key))
-            if loaded is not None:
-                document, arrays = loaded
-                # Keep the payload in the on-wire shape: the disk
-                # convention's sidecar pointer is local bookkeeping,
-                # not part of the document (see store_document).
-                document.pop("npz", None)
-                entry = CacheEntry(document, arrays)
+            document = read_entry(self._path_for(key))
+            if document is not None:
+                entry = CacheEntry(document)
         if entry is None:
             with self._lock:
                 self.stats.misses += 1
@@ -282,8 +257,9 @@ class ResultCache:
         """
         if entry.infeasible:
             return None
-        document, arrays = entry
-        return artifacts.from_document(copy.deepcopy(document), arrays, graph)
+        return artifacts.from_document(
+            copy.deepcopy(entry.document), graph=graph
+        )
 
     # -- population ---------------------------------------------------------
 
@@ -295,24 +271,23 @@ class ResultCache:
     ) -> None:
         """Record one solved answer (``None`` = proven infeasible)."""
         if result is None:
-            document, arrays = _infeasible_document(), {}
+            document = _infeasible_document()
         else:
-            document, arrays = artifacts.to_document(result, graph_ref)
-        self.store_document(key, document, arrays)
+            document = artifacts.to_document(result, graph_ref)
+        self.store_document(key, document)
 
     def store_document(
         self,
         key: str,
         document: dict[str, Any] | None,
-        arrays: Mapping[str, Any] | None,
-        wire: tuple[bytes, bytes] | None = None,
+        wire: bytes | None = None,
     ) -> CacheEntry | None:
         """Record an already-serialized answer.
 
         Returns the remembered entry.  ``wire`` is the answer's
-        ``encode_message(document, arrays)`` when the caller has
-        already encoded it (a server worker about to reply): the entry
-        keeps those bytes, and the durable write is made from them.
+        ``encode_message(document)`` when the caller has already
+        encoded it (a server worker about to reply): the entry keeps
+        those bytes, and the durable write is made from them.
         ``document=None`` records infeasibility, mirroring the ``None``
         slots the worker protocol uses for skipped requests, and
         returns ``None``.
@@ -320,17 +295,10 @@ class ResultCache:
         if document is None:
             self.store(key, None)
             return None
-        arrays = dict(arrays or {})
         if self.root is not None:
-            # write_document records its sidecar name *in* the document
-            # it writes; hand it a copy so the caller's dict and the
-            # remembered entry stay in the pure wire shape.
             try:
                 artifacts.write_document(
-                    self._path_for(key),
-                    dict(document),
-                    arrays,
-                    encoded=wire,
+                    self._path_for(key), document, encoded=wire
                 )
             except OSError:
                 # A failed durable write must not fail the request:
@@ -338,7 +306,7 @@ class ResultCache:
                 # process; only cross-process sharing is lost.
                 with self._lock:
                     self.stats.store_errors += 1
-        entry = CacheEntry(document, arrays, wire)
+        entry = CacheEntry(document, wire)
         self.remember(key, entry)
         return entry
 
@@ -390,7 +358,6 @@ class GCStats:
     removed_expired: int = 0
     removed_lru: int = 0
     removed_corrupt: int = 0
-    removed_orphan_sidecars: int = 0
     removed_temp_files: int = 0
     reclaimed_bytes: int = 0
     dry_run: bool = False
@@ -402,12 +369,11 @@ class GCStats:
 
 @dataclass
 class _Entry:
-    """One complete store entry: JSON body + (optional) npz sidecar."""
+    """One complete store entry: a parseable JSON file."""
 
     path: Path
     mtime: float
     size: int
-    npz: Path | None
     kind: str
 
 
@@ -421,16 +387,15 @@ class StoreJanitor:
     * ``max_bytes`` / ``max_entries`` — over budget, least-recently-used
       entries (mtime order; disk hits touch entries) are evicted until
       the directory fits;
-    * orphan sweep (always on) — npz sidecars no live JSON references
-      (same-key write-race losers), leftover ``*.tmp.*`` files, and
-      unparseable JSON bodies are removed.
+    * garbage sweep (always on) — leftover ``*.tmp.*`` files (killed
+      writers) and unparseable JSON bodies are removed.
 
     ``grace_seconds`` is the concurrency guard: nothing younger than the
     grace window is ever removed, which protects in-flight writes (a
-    fresh sidecar whose JSON has not landed yet looks exactly like an
-    orphan) and just-written entries.  Everything else is safe by
-    construction: removals are atomic unlinks, and every store/cache
-    reader treats a vanished or half-gone entry as a miss.
+    fresh temp file whose rename is still pending looks exactly like a
+    killed writer's leftover) and just-written entries.  Everything
+    else is safe by construction: removals are atomic unlinks, and
+    every store/cache reader treats a vanished entry as a miss.
     """
 
     def __init__(
@@ -458,57 +423,44 @@ class StoreJanitor:
         return "measurement"
 
     def _scan(self):
-        """(entries, corrupt json paths, orphan sidecars, temp files)."""
+        """(entries, corrupt json paths, temp files)."""
         entries: list[_Entry] = []
         corrupt: list[Path] = []
-        sidecars: dict[str, Path] = {}
         temps: list[Path] = []
         try:
             listing = sorted(self.root.iterdir())
         except OSError:
-            return entries, corrupt, [], temps
-        json_paths: list[Path] = []
+            return entries, corrupt, temps
         for path in listing:
-            name = path.name
-            if ".tmp." in name:
+            if ".tmp." in path.name:
                 temps.append(path)
-            elif name.endswith(".npz"):
-                sidecars[name] = path
-            elif name.endswith(".json"):
-                json_paths.append(path)
-        for path in json_paths:
+                continue
+            if not path.name.endswith(".json"):
+                continue
             try:
                 stat = path.stat()
-                document = json.loads(path.read_text())
-                npz_name = document.get("npz")
+                artifacts.read_document(path)
             except (OSError, ValueError):
-                # Vanished mid-scan (concurrent GC/writer) or truncated.
+                # Vanished mid-scan (concurrent GC/writer), truncated,
+                # or not a JSON object: a miss for every reader.
                 if path.exists():
                     corrupt.append(path)
                 continue
-            npz = sidecars.pop(npz_name, None) if npz_name else None
-            size = stat.st_size
-            if npz is not None:
-                try:
-                    size += npz.stat().st_size
-                except OSError:
-                    npz = None
             entries.append(
                 _Entry(
                     path=path,
                     mtime=stat.st_mtime,
-                    size=size,
-                    npz=npz,
+                    size=stat.st_size,
                     kind=self._kind_of(path),
                 )
             )
-        return entries, corrupt, list(sidecars.values()), temps
+        return entries, corrupt, temps
 
     # -- reporting ----------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
         """A machine-readable snapshot (``python -m repro store stats``)."""
-        entries, corrupt, orphans, temps = self._scan()
+        entries, corrupt, temps = self._scan()
         kinds: dict[str, int] = {}
         for entry in entries:
             kinds[entry.kind] = kinds.get(entry.kind, 0) + 1
@@ -518,8 +470,6 @@ class StoreJanitor:
             "entries_by_kind": {k: kinds[k] for k in sorted(kinds)},
             "entry_bytes": sum(e.size for e in entries),
             "corrupt_entries": len(corrupt),
-            "orphan_sidecars": len(orphans),
-            "orphan_bytes": sum(_size_of(p) for p in orphans),
             "temp_files": len(temps),
         }
 
@@ -531,7 +481,7 @@ class StoreJanitor:
         """Apply every policy once; returns what was (or would be) done."""
         now = time.time() if now is None else now
         cutoff = now - self.grace_seconds
-        entries, corrupt, orphans, temps = self._scan()
+        entries, corrupt, temps = self._scan()
         gc = GCStats(scanned_entries=len(entries), dry_run=dry_run)
 
         def removable(path: Path) -> bool:
@@ -551,10 +501,6 @@ class StoreJanitor:
                     return 0
             return size
 
-        for path in orphans:
-            if removable(path):
-                gc.reclaimed_bytes += unlink(path)
-                gc.removed_orphan_sidecars += 1
         for path in temps:
             if removable(path):
                 gc.reclaimed_bytes += unlink(path)
@@ -564,11 +510,6 @@ class StoreJanitor:
                 gc.reclaimed_bytes += unlink(path)
                 gc.removed_corrupt += 1
 
-        def evict(entry: _Entry) -> None:
-            gc.reclaimed_bytes += unlink(entry.path)
-            if entry.npz is not None:
-                gc.reclaimed_bytes += unlink(entry.npz)
-
         live: list[_Entry] = []
         for entry in entries:
             expired = (
@@ -577,7 +518,7 @@ class StoreJanitor:
                 and entry.mtime < cutoff
             )
             if expired:
-                evict(entry)
+                gc.reclaimed_bytes += unlink(entry.path)
                 gc.removed_expired += 1
             else:
                 live.append(entry)
@@ -597,7 +538,7 @@ class StoreJanitor:
                     self.max_entries is not None and count > self.max_entries
                 )
                 if (over_bytes or over_count) and entry.mtime < cutoff:
-                    evict(entry)
+                    gc.reclaimed_bytes += unlink(entry.path)
                     gc.removed_lru += 1
                     total -= entry.size
                     count -= 1

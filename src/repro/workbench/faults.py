@@ -16,7 +16,7 @@ site                      where                                  actions
 ========================  =====================================  ==========================
 ``worker.run``            worker process, at each job start      ``kill``, ``delay``, ``raise``
 ``worker.heartbeat``      worker heartbeat thread, per beat      ``stall``
-``frames.send``           every :func:`~repro.runtime.frames.send_frames`  ``drop``, ``truncate``, ``corrupt``, ``delay``
+``frames.send``           every :func:`~repro.runtime.frames.send_frame` (one per message)  ``drop``, ``truncate``, ``corrupt``, ``delay``
 ``store.write``           :func:`~repro.workbench.artifacts.write_document`  ``raise``, ``delay``
 ``pool.spawn``            :meth:`WorkerPool <repro.workbench.server.WorkerPool>` worker spawn  ``raise``
 ``gateway.route``         :class:`Gateway <repro.workbench.gateway.Gateway>` shard dispatch  ``raise``, ``delay``

@@ -34,9 +34,9 @@ place shard dispatch and failover live.
   protocol on an asyncio event loop, so one process fronts many
   backends without a thread per connection.  Batches are split by
   shard, sub-batches forwarded concurrently, and the backend's wire
-  documents are **relayed, not recomputed** — the np.savez/sorted-JSON
-  codec is deterministic, so a routed reply is byte-identical to the
-  unrouted one.  Admission control bounds the blast radius: a global
+  documents are **relayed, not recomputed** — the sorted-JSON codec is
+  deterministic, so a routed reply is byte-identical to the unrouted
+  one.  Admission control bounds the blast radius: a global
   in-flight budget plus per-tenant (client-id) quotas, both answered
   with typed :class:`~repro.workbench.transport.ServerBusy`
   backpressure *before* any backend work happens.
@@ -436,9 +436,8 @@ class Gateway:
                     return
                 if message is None:
                     return
-                document, _ = message
                 try:
-                    await self._serve_op(writer, document)
+                    await self._serve_op(writer, message)
                 except (ConnectionError, OSError):
                     return
         finally:
@@ -634,16 +633,15 @@ class Gateway:
             )
             return
 
-        slots: list[tuple[dict | None, dict | None] | None]
-        slots = [None] * len(requests)
+        slots: list[dict | None] = [None] * len(requests)
         hits = misses = 0
         served_platform = platform
         for ack, entries in outcomes:
             hits += int(ack.get("cache_hits", 0))
             misses += int(ack.get("cache_misses", 0))
             served_platform = ack.get("platform", served_platform)
-            for index, doc, arrays in entries:
-                slots[index] = (doc, arrays)
+            for index, doc in entries:
+                slots[index] = doc
         await async_send_message(
             writer,
             {
@@ -655,23 +653,15 @@ class Gateway:
                 "routed_shards": len(shards),
             },
         )
-        for index in range(len(requests)):
-            slot = slots[index]
-            if slot is None or slot[0] is None:
-                await async_send_message(
-                    writer, {"index": index, "result": None}
-                )
-            else:
-                await async_send_message(
-                    writer, {"index": index, "result": slot[0]}, slot[1]
-                )
+        for index, doc in enumerate(slots):
+            await async_send_message(writer, {"index": index, "result": doc})
 
     async def _route_shard(
         self,
         primary: str,
         indices: list[int],
         document: Mapping[str, Any],
-    ) -> tuple[dict[str, Any], list[tuple[int, dict | None, dict | None]]]:
+    ) -> tuple[dict[str, Any], list[tuple[int, dict | None]]]:
         """Forward one shard's sub-batch, failing over along the chain."""
         subdoc = {k: v for k, v in document.items() if k != "tenant"}
         subdoc["requests"] = [document["requests"][i] for i in indices]
@@ -707,10 +697,7 @@ class Gateway:
             self.directory.note_ok(backend)
             if hop:
                 self.failovers += 1
-            return ack, [
-                (indices[local], doc, arrays)
-                for local, doc, arrays in entries
-            ]
+            return ack, [(indices[local], doc) for local, doc in entries]
         raise _RemoteError(
             "ServerUnavailable",
             f"no reachable backend for shard {primary}: {last}",
@@ -718,12 +705,12 @@ class Gateway:
 
     async def _exchange(
         self, backend: str, subdoc: Mapping[str, Any], count: int
-    ) -> tuple[dict[str, Any], list[tuple[int, dict | None, dict | None]]]:
+    ) -> tuple[dict[str, Any], list[tuple[int, dict | None]]]:
         """One sub-batch round trip: forward, collect ack + results.
 
-        The backend's reply documents and array sidecars are returned
-        *as decoded wire values* and re-encoded by the deterministic
-        codec on the way out — byte-identical relay, no recompute.
+        The backend's reply documents are returned *as decoded wire
+        values* and re-encoded by the deterministic codec on the way
+        out — byte-identical relay, no recompute.
         """
         host, port = parse_address(backend)
         reader, writer = await asyncio.wait_for(
@@ -732,20 +719,19 @@ class Gateway:
         )
         try:
             await async_send_message(writer, subdoc)
-            ack_msg = await asyncio.wait_for(
+            ack = await asyncio.wait_for(
                 async_recv_message(reader), timeout=self.request_timeout
             )
-            if ack_msg is None:
+            if ack is None:
                 raise ServerUnavailable(
                     f"backend {backend} closed the connection"
                 )
-            ack, _ = ack_msg
             if not ack.get("ok"):
                 raise _RemoteError(
                     ack.get("kind", "ServerError"),
                     ack.get("error", "unknown server error"),
                 )
-            entries: list[tuple[int, dict | None, dict | None]] = []
+            entries: list[tuple[int, dict | None]] = []
             for _ in range(int(ack.get("count", count))):
                 message = await asyncio.wait_for(
                     async_recv_message(reader),
@@ -755,9 +741,8 @@ class Gateway:
                     raise ServerUnavailable(
                         f"backend {backend} closed mid-stream"
                     )
-                body, arrays = message
                 entries.append(
-                    (int(body["index"]), body.get("result"), arrays)
+                    (int(message["index"]), message.get("result"))
                 )
             return ack, entries
         finally:

@@ -5,9 +5,9 @@ The paper's deployment-scale workflow — profile once, re-partition for
 every (platform, budget, rate) a fleet might need — is served here as a
 long-lived network service.  The wire format reuses the two existing
 serialization layers verbatim: requests and results travel as
-:mod:`repro.workbench.artifacts` JSON documents with npz array sidecars,
-framed over TCP by the runtime's length-prefixed
-:mod:`repro.runtime.frames` protocol.
+:mod:`repro.workbench.artifacts` JSON documents, one per frame of the
+runtime's length-prefixed :mod:`repro.runtime.frames` protocol over
+TCP.
 
 **Sharding.**  Each request the result cache misses is one job, and
 any worker may take any job.  Every solve starts from no solver state
@@ -58,7 +58,7 @@ from ..core.cut import InfeasiblePartition
 from ..core.partitioner import PartitionResult
 from ..profiler.profiler import Profiler
 from ..dataflow.graph import StreamGraph
-from ..runtime.frames import encode_message, send_frames, send_message
+from ..runtime.frames import encode_message, send_frame, send_message
 from . import artifacts, faults
 from .cache import CacheEntry, ResultCache, result_key
 from .membership import (
@@ -94,10 +94,6 @@ __all__ = [
     "ServerUnavailable",
     "WorkerPool",
 ]
-
-#: Test hook: seconds each worker sleeps before starting a job (lets the
-#: fault-tolerance tests kill a worker reliably mid-batch).
-_TEST_DELAY_ENV = "REPRO_SERVER_TEST_DELAY"
 
 #: Scenario graphs one client keeps for decoding answers; past this
 #: many (scenario, params) pairs the least recently used is dropped.
@@ -159,12 +155,11 @@ def _session_for(
 
 
 class _JobAnswer(NamedTuple):
-    """A job's reply: the answer's ``encode_message`` frames (``None``
+    """A job's reply: the answer's ``encode_message`` frame (``None``
     for an infeasible request under ``skip_infeasible``) and how many
     of its durable result writes failed."""
 
-    header: bytes | None
-    body: bytes | None
+    frame: bytes | None
     store_errors: int
 
 
@@ -187,9 +182,6 @@ def _run_job(
     returns, so it is on disk before the reply leaves the server.  A
     failed write is counted in the reply, never raised.
     """
-    delay = float(os.environ.get(_TEST_DELAY_ENV, "0") or 0.0)
-    if delay > 0.0:
-        time.sleep(delay)
     scenario = payload["scenario"]
     params = payload["params"]
     request = PartitionRequest.from_payload(payload["request"])
@@ -201,19 +193,19 @@ def _run_job(
         result = service.try_partition(request)
     else:
         result = service.partition(request)
-    document = arrays = header = body = None
+    document = frame = None
     if result is not None:
-        document, arrays = artifacts.to_document(
+        document = artifacts.to_document(
             result, {"scenario": scenario, "params": dict(params)}
         )
-        header, body = encode_message(document, arrays)
+        frame = encode_message(document)
     key = payload.get("key")
     if key is None or store.root is None:
-        return _JobAnswer(header, body, 0)
+        return _JobAnswer(frame, 0)
     # Writes only: the server parent keeps the entries it forwards.
     cache = ResultCache(store.root, max_memory_entries=0)
-    cache.store_document(key, document, arrays, (header, body))
-    return _JobAnswer(header, body, cache.stats.store_errors)
+    cache.store_document(key, document, frame)
+    return _JobAnswer(frame, cache.stats.store_errors)
 
 
 def _worker_main(
@@ -1183,10 +1175,8 @@ class PartitionServer:
             answer = job.result
             if self.result_cache is not None:
                 self.result_cache.add_store_errors(answer.store_errors)
-            if answer.header is not None:
-                slots[job.payload["index"]] = CacheEntry.from_wire(
-                    answer.header, answer.body
-                )
+            if answer.frame is not None:
+                slots[job.payload["index"]] = CacheEntry(wire=answer.frame)
         if failure is not None:
             send_message(
                 stream,
@@ -1210,7 +1200,7 @@ class PartitionServer:
             },
         )
         for index, slot in enumerate(slots):
-            send_frames(stream, *_result_frames(index, slot))
+            send_frame(stream, _result_frame(index, slot))
 
     def _submit_batch(self, document: Mapping[str, Any]) -> tuple[
         list[_Job],
@@ -1279,15 +1269,12 @@ class PartitionServer:
         return jobs, len(requests), platform, prefilled, miss_keys
 
 
-def _result_frames(
-    index: int, answer: CacheEntry | None
-) -> tuple[bytes, bytes]:
-    """One result message's frames, built around the answer's stored
+def _result_frame(index: int, answer: CacheEntry | None) -> bytes:
+    """One result message's frame, built around the answer's stored
     wire bytes: exactly ``encode_message({"index": index, "result":
-    document}, arrays)``, with ``None`` standing for an infeasible
-    answer."""
-    result, body = answer.wire() if answer is not None else (b"null", b"")
-    return b'{"index": %d, "result": ' % index + result + b"}", body
+    document})``, with ``None`` standing for an infeasible answer."""
+    result = answer.wire() if answer is not None else b"null"
+    return b'{"index": %d, "result": ' % index + result + b"}"
 
 
 # ---------------------------------------------------------------------------
@@ -1405,7 +1392,7 @@ class ServerClient:
                 if not self._conn.connected:
                     self._conn.connect()
                 self._conn.send(document)
-                reply, _ = self._conn.recv()
+                reply = self._conn.recv()
                 return reply
             except ServerUnavailable as exc:
                 last = exc
@@ -1435,7 +1422,7 @@ class ServerClient:
             previous = self._conn.settimeout(budget)
             try:
                 self._conn.send({"op": "stats"})
-                reply, _ = self._conn.recv()
+                reply = self._conn.recv()
             except (ServerUnavailable, OSError) as exc:
                 self._conn.close()
                 raise ServerUnavailable(
@@ -1498,7 +1485,7 @@ class ServerClient:
                     if not self._conn.connected:
                         self._conn.connect()
                     self._conn.send(document)
-                    ack, _ = self._conn.recv()
+                    ack = self._conn.recv()
                     if not ack.get("ok"):
                         _raise_remote(ack)
                     count = int(ack["count"])
@@ -1510,12 +1497,12 @@ class ServerClient:
                     graph = self._graphs.get(scenario, params or {})
                     results: list[PartitionResult | None] = [None] * count
                     for _ in range(count):
-                        body, arrays = self._conn.recv()
-                        index = int(body["index"])
-                        payload = body.get("result")
+                        message = self._conn.recv()
+                        index = int(message["index"])
+                        payload = message.get("result")
                         if payload is not None:
                             results[index] = artifacts.from_document(
-                                payload, arrays, graph
+                                payload, graph=graph
                             )
                     break
                 except ServerUnavailable as exc:

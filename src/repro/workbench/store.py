@@ -26,8 +26,8 @@ materialized per call) — the right default for tests and one-shot runs.
 
 The on-disk side is two functions shared with the result cache:
 :func:`~repro.workbench.artifacts.write_document` (atomic, race-safe,
-content-addressed sidecars) and :func:`read_entry` (digest-checked,
-degrade-to-miss, mtime-touching).
+one JSON file per entry) and :func:`read_entry` (degrade-to-miss,
+mtime-touching).
 """
 
 from __future__ import annotations
@@ -36,13 +36,12 @@ import copy
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
 from ..dataflow.graph import StreamGraph
 from ..profiler.profiler import Measurement, Profiler
-from ..runtime.frames import SidecarError
 from . import artifacts
 from .scenarios import Scenario, WorkbenchError, get_scenario
 
@@ -115,11 +114,11 @@ def store_dir(root: str | os.PathLike | None) -> Path | None:
     return Path(root).expanduser()
 
 
-def read_entry(path: Path) -> tuple[dict[str, Any], dict[str, Any]] | None:
-    """One durable entry's ``(document, arrays)``, or ``None`` on a miss.
+def read_entry(path: Path) -> dict[str, Any] | None:
+    """One durable entry's document, or ``None`` on a miss.
 
-    A missing, truncated, partial, vanished, or digest-mismatched entry
-    is a miss, never poison; the next write overwrites it.  So is one
+    A missing, truncated, vanished, or non-object entry is a miss,
+    never poison; the next write overwrites it.  So is one
     written under another schema or schema version: keys do not include
     the version, so an entry an older build wrote is re-solved and
     replaced rather than decoded or forwarded.  A hit bumps
@@ -130,8 +129,8 @@ def read_entry(path: Path) -> tuple[dict[str, Any], dict[str, Any]] | None:
     if not path.exists():
         return None
     try:
-        document, arrays = artifacts.read_document(path)
-    except (OSError, ValueError, SidecarError):
+        document, _ = artifacts.read_document(path)
+    except (OSError, ValueError):
         return None
     if not artifacts.is_current(document):
         return None
@@ -139,13 +138,7 @@ def read_entry(path: Path) -> tuple[dict[str, Any], dict[str, Any]] | None:
         os.utime(path)
     except OSError:
         pass  # removed by the janitor since: the caller has the payload
-    return document, arrays
-
-
-@dataclass
-class _CacheEntry:
-    document: dict[str, Any]
-    arrays: dict[str, Any] = field(default_factory=dict)
+    return document
 
 
 class ProfileStore:
@@ -158,7 +151,8 @@ class ProfileStore:
 
     def __init__(self, root: str | os.PathLike | None = None) -> None:
         self.root = store_dir(root)
-        self._memory: dict[str, _CacheEntry] = {}
+        # Each key's document; every read materializes fresh objects.
+        self._memory: dict[str, dict[str, Any]] = {}
         self.stats = StoreStats()
 
     # -- keys ---------------------------------------------------------------
@@ -196,36 +190,33 @@ class ProfileStore:
     def _path_for(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
-    def _load_entry(self, key: str) -> _CacheEntry | None:
-        entry = self._memory.get(key)
-        if entry is not None:
-            return entry
+    def _load_entry(self, key: str) -> dict[str, Any] | None:
+        document = self._memory.get(key)
+        if document is not None:
+            return document
         if self.root is None:
             return None
         # A bad durable entry is a cache miss; the re-profile
         # overwrites it.
-        loaded = read_entry(self._path_for(key))
-        if loaded is None:
+        document = read_entry(self._path_for(key))
+        if document is None:
             return None
-        document, arrays = loaded
-        entry = _CacheEntry(document=document, arrays=arrays)
-        self._memory[key] = entry
+        self._memory[key] = document
         self.stats.disk_hits += 1
-        return entry
+        return document
 
-    def _store_entry(self, key: str, obj: Any, graph_ref) -> _CacheEntry:
-        document, arrays = artifacts.to_document(obj, graph_ref)
+    def _store_entry(self, key: str, obj: Any, graph_ref) -> dict[str, Any]:
+        document = artifacts.to_document(obj, graph_ref)
         if self.root is not None:
             try:
-                artifacts.write_document(self._path_for(key), document, arrays)
+                artifacts.write_document(self._path_for(key), document)
             except OSError:
                 # A failed durable write costs persistence, not
                 # correctness: the in-memory entry still serves this
                 # process, and the next process re-profiles.
                 self.stats.write_errors += 1
-        entry = _CacheEntry(document=document, arrays=arrays)
-        self._memory[key] = entry
-        return entry
+        self._memory[key] = document
+        return document
 
     # -- measurements -------------------------------------------------------
 
@@ -246,14 +237,14 @@ class ProfileStore:
         key = self.measurement_key(scenario, params, profiler)
         graph_ref = {"scenario": scenario.name, "params": dict(params)}
 
-        entry = self._load_entry(key)
+        document = self._load_entry(key)
         graph = None
-        if entry is None:
+        if document is None:
             self.stats.misses += 1
             graph, source_data, source_rates = scenario.instantiate(params)
             prof = profiler or Profiler(**DEFAULT_PROFILER_CONFIG)
             measured = prof.measure(graph, source_data, source_rates)
-            entry = self._store_entry(key, measured, graph_ref)
+            document = self._store_entry(key, measured, graph_ref)
             # The profiling graph is not cached anywhere (only the
             # serialized document is), so handing it to this caller is
             # as isolated as a fresh build — and saves one.
@@ -262,7 +253,7 @@ class ProfileStore:
         if graph is None:
             graph = scenario.build(params)
         measurement = artifacts.from_document(
-            copy.deepcopy(entry.document), entry.arrays, graph
+            copy.deepcopy(document), graph=graph
         )
         return graph, measurement
 
@@ -277,12 +268,10 @@ class ProfileStore:
     def get(self, name: str, graph: StreamGraph | None = None) -> Any:
         """Load an artifact stored with :meth:`put`."""
         key = f"artifact-{hashlib.sha256(name.encode()).hexdigest()[:24]}"
-        entry = self._load_entry(key)
-        if entry is None:
+        document = self._load_entry(key)
+        if document is None:
             raise WorkbenchError(f"no stored artifact named {name!r}")
-        return artifacts.from_document(
-            copy.deepcopy(entry.document), entry.arrays, graph
-        )
+        return artifacts.from_document(copy.deepcopy(document), graph=graph)
 
     # -- maintenance --------------------------------------------------------
 

@@ -23,7 +23,8 @@ the blocking :class:`~repro.workbench.server.PartitionServer`, its
 * ``async_send_message``/``async_recv_message`` — the same message
   codec over asyncio streams, for the gateway's event loop.
 
-The message *bytes* are identical on every path — both directions use
+A message is one frame holding one JSON document, and its *bytes* are
+identical on every path — both directions use
 :func:`repro.runtime.frames.encode_message`/``decode_message`` — which
 is what lets the gateway relay backend replies byte-for-byte.
 """
@@ -38,8 +39,6 @@ import threading
 import time
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Mapping
-
-import numpy as np
 
 from ..runtime.frames import (
     LENGTH_PREFIX,
@@ -341,21 +340,17 @@ class ClientConnection:
                 pass
             self._sock = None
 
-    def send(
-        self,
-        document: Mapping[str, Any],
-        arrays: Mapping[str, np.ndarray] | None = None,
-    ) -> None:
+    def send(self, document: Mapping[str, Any]) -> None:
         if self._stream is None:
             raise ServerUnavailable("connection is not established")
         try:
-            send_message(self._stream, document, arrays)
+            send_message(self._stream, document)
         except (FrameError, OSError) as exc:
             raise ServerUnavailable(
                 f"connection to partition server failed mid-send: {exc}"
             ) from exc
 
-    def recv(self) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
+    def recv(self) -> dict[str, Any]:
         if self._stream is None:
             raise ServerUnavailable("connection is not established")
         try:
@@ -515,9 +510,8 @@ class FrameListener:
                     return
                 if message is None:
                     return
-                document, _ = message
                 try:
-                    self._handler(stream, document)
+                    self._handler(stream, message)
                 except (BrokenPipeError, OSError):
                     return
         except OSError:
@@ -534,9 +528,7 @@ class FrameListener:
 
 
 async def async_send_message(
-    writer: asyncio.StreamWriter,
-    document: Mapping[str, Any],
-    arrays: Mapping[str, np.ndarray] | None = None,
+    writer: asyncio.StreamWriter, document: Mapping[str, Any]
 ) -> None:
     """Write one message to an asyncio stream and drain.
 
@@ -546,15 +538,14 @@ async def async_send_message(
     per-process ``frames.send`` occurrence counters in existing chaos
     schedules keep their meaning.
     """
-    header, body = encode_message(document, arrays)
-    for payload in (header, body):
-        if len(payload) > MAX_FRAME_BYTES:
-            raise FrameError(
-                f"frame of {len(payload)} bytes exceeds the "
-                f"{MAX_FRAME_BYTES}-byte limit"
-            )
-        writer.write(LENGTH_PREFIX.pack(len(payload)))
-        writer.write(payload)
+    frame = encode_message(document)
+    if len(frame) > MAX_FRAME_BYTES:
+        raise FrameError(
+            f"frame of {len(frame)} bytes exceeds the "
+            f"{MAX_FRAME_BYTES}-byte limit"
+        )
+    writer.write(LENGTH_PREFIX.pack(len(frame)))
+    writer.write(frame)
     await writer.drain()
 
 
@@ -586,12 +577,9 @@ async def _read_frame_async(reader: asyncio.StreamReader) -> bytes | None:
 
 async def async_recv_message(
     reader: asyncio.StreamReader,
-) -> tuple[dict[str, Any], dict[str, np.ndarray]] | None:
+) -> dict[str, Any] | None:
     """Read one message from an asyncio stream; ``None`` on clean EOF."""
-    header = await _read_frame_async(reader)
-    if header is None:
+    frame = await _read_frame_async(reader)
+    if frame is None:
         return None
-    body = await _read_frame_async(reader)
-    if body is None:
-        raise FrameError("message truncated after its document frame")
-    return decode_message(header, body)
+    return decode_message(frame)

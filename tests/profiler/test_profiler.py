@@ -92,7 +92,7 @@ def test_scaled_profiles_link_their_unscaled_base():
     assert chained.base is profile and chained.base_factor == 6.0
     restricted = chained.restricted_to({"f"})
     assert restricted.base is restricted and restricted.base_factor == 1.0
-    decoded = from_document(*to_document(chained), graph)
+    decoded = from_document(to_document(chained), graph=graph)
     assert decoded.rate_factor == 6.0
     assert decoded.base is decoded and decoded.base_factor == 1.0
 

@@ -2,17 +2,15 @@
 
 import io
 
-import numpy as np
 import pytest
 
 from repro.runtime.frames import (
     LENGTH_PREFIX,
     FrameError,
-    pack_arrays,
+    encode_message,
     read_frame,
     recv_message,
     send_message,
-    unpack_arrays,
     write_frame,
 )
 
@@ -58,40 +56,52 @@ def test_marshal_shares_the_prefix_convention():
     assert length == 4
 
 
-def test_message_roundtrip_with_arrays():
-    arrays = {
-        "a0": np.arange(12, dtype=np.float64).reshape(3, 4),
-        "a1": np.array([1, 2, 3], dtype=np.int32),
-    }
+def test_message_roundtrip():
     document = {"op": "test", "nested": {"x": [1, 2.5, None]}}
     stream = io.BytesIO()
-    send_message(stream, document, arrays)
+    send_message(stream, document)
     send_message(stream, {"second": True})
     stream.seek(0)
-    got_doc, got_arrays = recv_message(stream)
-    assert got_doc == document
-    assert set(got_arrays) == {"a0", "a1"}
-    for key in arrays:
-        assert got_arrays[key].dtype == arrays[key].dtype
-        assert np.array_equal(got_arrays[key], arrays[key])
-    got_doc2, got_arrays2 = recv_message(stream)
-    assert got_doc2 == {"second": True}
-    assert got_arrays2 == {}
+    assert recv_message(stream) == document
+    assert recv_message(stream) == {"second": True}
     assert recv_message(stream) is None
 
 
-def test_message_truncated_after_header_raises():
+def test_send_message_writes_one_frame():
+    """A message is its length prefix and its sorted-key JSON, and
+    nothing after it."""
+    document = {"b": [1, 2.5], "a": None}
+    header = encode_message(document)
+    assert header == b'{"a": null, "b": [1, 2.5]}'
     stream = io.BytesIO()
-    write_frame(stream, b'{"op": "x"}')
+    send_message(stream, document)
+    assert stream.getvalue() == LENGTH_PREFIX.pack(len(header)) + header
+
+
+def test_two_frame_peer_fails_typed():
+    """A peer still sending a document frame and then an empty body
+    frame is read as one good message, then a typed error — never a
+    silent misread of the empty frame."""
+    stream = io.BytesIO()
+    write_frame(stream, encode_message({"op": "x"}))
+    write_frame(stream, b"")
     stream.seek(0)
-    with pytest.raises(FrameError, match="truncated after"):
+    assert recv_message(stream) == {"op": "x"}
+    with pytest.raises(FrameError, match="malformed document frame"):
+        recv_message(stream)
+
+
+def test_message_truncated_inside_its_frame_raises():
+    stream = io.BytesIO()
+    send_message(stream, {"op": "x"})
+    stream = io.BytesIO(stream.getvalue()[:-2])
+    with pytest.raises(FrameError, match="truncated"):
         recv_message(stream)
 
 
 def test_malformed_document_frame_raises():
     stream = io.BytesIO()
     write_frame(stream, b"not json")
-    write_frame(stream, b"")
     stream.seek(0)
     with pytest.raises(FrameError, match="malformed"):
         recv_message(stream)
@@ -100,24 +110,9 @@ def test_malformed_document_frame_raises():
 def test_non_object_document_rejected():
     stream = io.BytesIO()
     write_frame(stream, b"[1, 2]")
-    write_frame(stream, b"")
     stream.seek(0)
     with pytest.raises(FrameError, match="expected object"):
         recv_message(stream)
-
-
-def test_corrupt_array_frame_raises_typed_error():
-    arrays = {"a0": np.arange(64, dtype=np.float64)}
-    blob = bytearray(pack_arrays(arrays))
-    blob[len(blob) // 2] ^= 0xFF  # flip a byte inside the archive
-    with pytest.raises(FrameError, match="corrupt array sidecar"):
-        unpack_arrays(bytes(blob))
-
-
-def test_truncated_array_frame_raises_typed_error():
-    blob = pack_arrays({"a0": np.arange(64, dtype=np.float64)})
-    with pytest.raises(FrameError, match="corrupt array sidecar"):
-        unpack_arrays(blob[: len(blob) // 2])
 
 
 def test_oversized_write_rejected_before_any_byte():
@@ -153,16 +148,6 @@ def test_mid_frame_eof_consumes_nothing_after_error():
     with pytest.raises(FrameError, match="expected 10 bytes, got 3"):
         read_frame(stream)
     assert stream.read() == b""
-
-
-def test_mid_array_frame_eof_raises():
-    """EOF inside the npz sidecar frame of a message is typed."""
-    buffer = io.BytesIO()
-    send_message(buffer, {"k": 1}, {"x": np.arange(8)})
-    wire = buffer.getvalue()
-    stream = io.BytesIO(wire[:-7])  # cut inside the array frame
-    with pytest.raises(FrameError, match="truncated frame"):
-        recv_message(stream)
 
 
 def test_fault_hook_drop_and_truncate_raise_injected_fault():
@@ -214,6 +199,4 @@ def test_fault_hook_corrupt_keeps_stream_aligned():
     stream.seek(0)
     with pytest.raises(FrameError, match="malformed document frame"):
         recv_message(stream)
-    document, arrays = recv_message(stream)
-    assert document == {"seq": 2}
-    assert arrays == {}
+    assert recv_message(stream) == {"seq": 2}

@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -145,63 +144,31 @@ def test_rate_search_result_roundtrip(speech_session):
     )
 
 
-def test_save_and_load_with_npz_sidecar(tmp_path, eeg_session):
-    """An answer saves as one JSON file (it holds no arrays); arrays
-    handed to the on-disk convention land in a content-addressed npz
-    sidecar next to the JSON and read back with it."""
+def test_write_from_encoded_bytes_matches_write_from_document(
+    tmp_path, eeg_session
+):
+    """An answer is one JSON file: written from its wire bytes it is
+    byte-identical to the file written from its document, and
+    ``save_artifact`` leaves that one file, which loads back."""
     ref = _graph_ref(eeg_session)
     result = eeg_session.partition(
         rate_factor=2.0, gap_tolerance=5e-3, net_budget=float("inf")
     )
-    path = tmp_path / "result.json"
-    save_artifact(result, path, graph_ref=ref)
-    assert "npz" not in json.loads(path.read_text())
-    assert [p.name for p in tmp_path.iterdir()] == ["result.json"]
-    loaded = load_artifact(path)
-    assert canonical_json(loaded, ref) == canonical_json(result, ref)
-
-    document, _ = to_document(result, ref)
-    arrays = {"a0": np.linspace(0.0, 1.0, 16)}
-    with_arrays = tmp_path / "arrays.json"
-    write_document(with_arrays, document, arrays)
-    sidecar = json.loads(with_arrays.read_text())["npz"]
-    assert sidecar.startswith("arrays.json.") and sidecar.endswith(".npz")
-    assert (tmp_path / sidecar).exists()
-    _, read_arrays = read_document(with_arrays)
-    np.testing.assert_array_equal(read_arrays["a0"], arrays["a0"])
-    loaded = load_artifact(with_arrays)
-    assert loaded.partition.node_set == result.partition.node_set
-
-
-def test_write_from_encoded_bytes_matches_write_from_document(
-    tmp_path, eeg_session
-):
-    """An entry written from an answer's wire bytes reads back as the
-    entry written from its document: same document, same sidecar bytes,
-    and the sidecar name recorded in the caller's document both ways.
-    Answers hold no arrays, so the sidecar case uses an explicit one."""
-    result = eeg_session.partition(
-        rate_factor=2.0, gap_tolerance=5e-3, net_budget=float("inf")
+    document = to_document(result, ref)
+    write_document(tmp_path / "a.json", document)
+    write_document(
+        tmp_path / "b.json", document, encoded=encode_message(document)
     )
-    document, no_arrays = to_document(result, _graph_ref(eeg_session))
-    assert no_arrays == {}
-    answer = dict(document)
-    wire = encode_message(answer, {})
-    write_document(tmp_path / "c.json", answer, {}, encoded=wire)
-    assert read_document(tmp_path / "c.json") == (document, {})
-    arrays = {"a0": np.arange(5.0), "a1": np.linspace(0.0, 1.0, 3)}
-    encoded = encode_message(document, arrays)
-    plain, spliced = dict(document), dict(document)
-    write_document(tmp_path / "a.json", plain, arrays)
-    write_document(tmp_path / "b.json", spliced, arrays, encoded=encoded)
-    doc_a, arrays_a = read_document(tmp_path / "a.json")
-    doc_b, arrays_b = read_document(tmp_path / "b.json")
-    assert plain["npz"] == doc_a["npz"] and spliced["npz"] == doc_b["npz"]
-    assert doc_b.pop("npz").replace("b.json", "a.json") == doc_a.pop("npz")
-    assert doc_a == doc_b == document
-    assert arrays_a.keys() == arrays_b.keys()
-    for key in arrays_a:
-        np.testing.assert_array_equal(arrays_a[key], arrays_b[key])
+    assert (tmp_path / "a.json").read_bytes() == (
+        tmp_path / "b.json"
+    ).read_bytes()
+    assert read_document(tmp_path / "b.json") == (document, {})
+
+    saved = tmp_path / "saved" / "result.json"
+    save_artifact(result, saved, graph_ref=ref)
+    assert [p.name for p in saved.parent.iterdir()] == ["result.json"]
+    loaded = load_artifact(saved)
+    assert canonical_json(loaded, ref) == canonical_json(result, ref)
 
 
 def test_schema_version_mismatch_raises(eeg_session):

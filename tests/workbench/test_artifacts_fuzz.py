@@ -6,23 +6,15 @@ Two properties pin the serving surface down:
   ``RateSearchResult`` — ragged rows, NaN/inf rates, empty graphs, the
   lot — survives ``to_json``/``from_json`` *bit-exact* (the re-serialized
   string is identical); and
-* a truncated, bit-flipped, or swapped ``.npz`` sidecar (no artifact
-  holds arrays, but the on-disk convention still carries them) raises the
-  typed :class:`ArtifactError` (never unpickles garbage — sidecars load
-  with ``allow_pickle=False``, and their bytes must hash to the digest
-  in their name), and a store read of one is a miss.
-
-Flipped zip flag bits get explicit cases across all three sidecar
-readers (wire, ``load_artifact``, store).
+* a truncated or non-object JSON file raises the typed
+  :class:`ArtifactError`, and a store read of one is a miss.
 """
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cut import Partition
@@ -34,16 +26,13 @@ from repro.dataflow.graph import StreamGraph, WorkCounts
 from repro.profiler import Profiler
 from repro.profiler.profiler import Measurement
 from repro.solver.solution import IncumbentEvent, Solution, SolveStatus
-from repro.runtime.frames import FrameError, pack_arrays, unpack_arrays
 from repro.workbench.artifacts import (
     ArtifactError,
     from_json,
     load_artifact,
-    to_document,
+    save_artifact,
     to_json,
-    write_document,
 )
-from repro.workbench.cache import ResultCache
 from repro.workbench.store import read_entry
 
 # ---------------------------------------------------------------------------
@@ -219,20 +208,15 @@ def test_ragged_sink_rows_roundtrip_bit_exact():
 
 
 # ---------------------------------------------------------------------------
-# Corrupted sidecars
+# Corrupted files
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
 def saved_artifact(tmp_path_factory):
-    """One on-disk artifact with a real npz sidecar to corrupt.
-
-    No artifact holds arrays, so the arrays are handed to the on-disk
-    convention explicitly, as ``write_document`` still accepts them.
-    """
-    graph = GRAPHS[3]
+    """One on-disk artifact to corrupt."""
     partition = Partition(
-        graph=graph,
+        graph=GRAPHS[3],
         node_set=frozenset(["src", "op0"]),
         cpu_utilization=0.25,
         network_bytes_per_sec=800.0,
@@ -240,67 +224,18 @@ def saved_artifact(tmp_path_factory):
         feasible=True,
         solver_solution=Solution(status=SolveStatus.OPTIMAL, objective=800.0),
     )
-    root = tmp_path_factory.mktemp("artifact")
-    path = root / "partition.json"
-    document, _ = to_document(partition)
-    arrays = {
-        "a0": np.linspace(0.0, 1.0, 64),
-        "a1": np.arange(64, dtype=np.float64),
-    }
-    write_document(path, document, arrays, indent=1)
-    sidecar = path.with_name(json.loads(path.read_text())["npz"])
-    assert sidecar.exists()
-    return path, sidecar, sidecar.read_bytes(), to_json(partition)
-
-
-@settings(
-    max_examples=60,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(data=st.data())
-def test_corrupt_npz_sidecar_raises_typed_error(saved_artifact, data):
-    path, sidecar, pristine, original_json = saved_artifact
-    mode = data.draw(st.sampled_from(["truncate", "flip"]))
-    if mode == "truncate":
-        cut = data.draw(st.integers(0, len(pristine) - 1))
-        corrupted = pristine[:cut]
-    else:
-        index = data.draw(st.integers(0, len(pristine) - 1))
-        bit = data.draw(st.integers(0, 7))
-        corrupted = bytearray(pristine)
-        corrupted[index] ^= 1 << bit
-        corrupted = bytes(corrupted)
-    sidecar.write_bytes(corrupted)
-    try:
-        try:
-            loaded = load_artifact(path)
-        except ArtifactError:
-            return  # the typed error — what corruption should produce
-        # The only acceptable alternative: the flip landed in bytes the
-        # zip format does not interpret, leaving the artifact intact.
-        assert to_json(loaded) == original_json
-    finally:
-        sidecar.write_bytes(pristine)
-
-
-def test_missing_sidecar_raises_typed_error(saved_artifact):
-    path, sidecar, pristine, _ = saved_artifact
-    sidecar.unlink()
-    try:
-        with pytest.raises(ArtifactError):
-            load_artifact(path)
-    finally:
-        sidecar.write_bytes(pristine)
+    path = tmp_path_factory.mktemp("artifact") / "partition.json"
+    save_artifact(partition, path)
+    return path
 
 
 def test_truncated_json_raises_typed_error(saved_artifact, tmp_path):
-    path, _, _, _ = saved_artifact
-    text = path.read_text()
+    text = saved_artifact.read_text()
     clone = tmp_path / "partition.json"
     clone.write_text(text[: len(text) // 2])
     with pytest.raises(ArtifactError):
         load_artifact(clone)
+    assert read_entry(clone) is None
 
 
 def test_non_object_json_raises_typed_error(tmp_path):
@@ -309,77 +244,3 @@ def test_non_object_json_raises_typed_error(tmp_path):
     with pytest.raises(ArtifactError, match="not a document"):
         load_artifact(clone)
     assert read_entry(clone) is None
-
-
-def _flip_central_directory_flag(blob: bytes, bit: int) -> bytes:
-    """Flip one general-purpose flag bit in every zip central-directory
-    header (the flags sit 8 bytes into each ``PK\\x01\\x02`` record)."""
-    corrupted = bytearray(blob)
-    start = corrupted.find(b"PK\x01\x02")
-    assert start >= 0
-    while start >= 0:
-        corrupted[start + 8] ^= 1 << bit
-        start = corrupted.find(b"PK\x01\x02", start + 4)
-    return bytes(corrupted)
-
-
-@pytest.mark.parametrize("bit", [0, 5, 6])
-def test_zip_flag_bits_raise_typed_errors_everywhere(
-    saved_artifact, tmp_path, bit
-):
-    """Flag bit 0 ("encrypted") makes zipfile raise RuntimeError; bits 5
-    and 6 ("compressed patched data", "strong encryption") raise
-    NotImplementedError.  All three sidecar readers map them to their
-    typed outcome: the wire a FrameError, ``load_artifact`` an
-    ArtifactError, a store read a miss."""
-    path, sidecar, pristine, _ = saved_artifact
-    corrupted = _flip_central_directory_flag(pristine, bit)
-    with pytest.raises(FrameError, match="corrupt array sidecar"):
-        unpack_arrays(corrupted)
-
-    clone = tmp_path / path.name
-    clone.write_text(path.read_text())
-    (tmp_path / sidecar.name).write_bytes(corrupted)
-    with pytest.raises(ArtifactError):
-        load_artifact(clone)
-    assert read_entry(clone) is None
-
-
-def _swap_arrays(blob: bytes) -> bytes:
-    """A well-formed npz holding the same keys with other values."""
-    arrays = unpack_arrays(blob)
-    return pack_arrays({k: np.asarray(v) * 100 for k, v in arrays.items()})
-
-
-def _flip_middle_byte(blob: bytes) -> bytes:
-    corrupted = bytearray(blob)
-    corrupted[len(corrupted) // 2] ^= 0xFF
-    return bytes(corrupted)
-
-
-@pytest.mark.parametrize("corrupt", [_swap_arrays, _flip_middle_byte])
-def test_sidecar_digest_mismatch_is_typed_error_and_miss(
-    saved_artifact, tmp_path, corrupt
-):
-    """A sidecar whose bytes do not hash to the digest in its name is
-    refused even when it decodes as a valid npz: ``load_artifact``
-    raises ArtifactError, and a cache or store read counts a miss
-    instead of serving the other arrays."""
-    path, sidecar, pristine, _ = saved_artifact
-    clone = tmp_path / path.name
-    clone.write_text(path.read_text())
-    (tmp_path / sidecar.name).write_bytes(corrupt(pristine))
-    with pytest.raises(ArtifactError, match="digest"):
-        load_artifact(clone)
-    assert read_entry(clone) is None
-
-    cache_dir = tmp_path / "cache"
-    ResultCache(cache_dir).store_document(
-        "k", {"kind": "bench"}, {"x": np.arange(4.0)}
-    )
-    entry = cache_dir / "result-k.json"
-    npz = cache_dir / json.loads(entry.read_text())["npz"]
-    npz.write_bytes(corrupt(npz.read_bytes()))
-    fresh = ResultCache(cache_dir)
-    assert fresh.lookup("k") is None
-    assert fresh.stats.misses == 1

@@ -148,6 +148,11 @@ def run_under_plan(
             return stats, client.transport_retries
 
 
+def job_delay(seconds: float) -> FaultRule:
+    """Every worker sleeps ``seconds`` at each job start."""
+    return FaultRule("worker.run", "delay", count=0, delay=seconds)
+
+
 SCHEDULES = {
     # Whichever worker reaches a second job dies there: a batch of five
     # jobs (one per request) on two workers always gives some worker a
@@ -181,16 +186,17 @@ SCHEDULES = {
 
 @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
 def test_chaos_schedule_preserves_artifacts(
-    schedule, store_dir, ground_truth, tmp_path, monkeypatch
+    schedule, store_dir, ground_truth, tmp_path
 ):
     plan = SCHEDULES[schedule]
     kwargs = {}
+    # Slow runs down so the kill lands mid-batch and the stall outlasts
+    # the heartbeat budget.  The delay rule goes after the schedule's
+    # own, so a hit matches the kill or stall rule first.
     if schedule == "worker-kill":
-        # Slow runs down so the kill lands mid-batch, and give the
-        # supervisor a quick heartbeat so retirement stays snappy.
-        monkeypatch.setenv("REPRO_SERVER_TEST_DELAY", "0.1")
+        plan = FaultPlan([*plan.rules, job_delay(0.1)])
     if schedule == "heartbeat-stall":
-        monkeypatch.setenv("REPRO_SERVER_TEST_DELAY", "0.3")
+        plan = FaultPlan([*plan.rules, job_delay(0.3)])
         kwargs.update(heartbeat_interval=0.1, heartbeat_miss_limit=3)
     stats, retries = run_under_plan(
         plan, store_dir, ground_truth, tmp_path, **kwargs
@@ -269,15 +275,14 @@ def test_seeded_chaos_sweep(store_dir, ground_truth, tmp_path):
         run_under_plan(plan, store_dir, ground_truth, run_dir)
 
 
-def test_scale_mid_batch_completes(store_dir, ground_truth, monkeypatch,
-                                   tmp_path):
+def test_scale_mid_batch_completes(store_dir, ground_truth, tmp_path):
     """1 -> 4 -> 1 workers mid-batch: the batch completes, the answers
     match, and stats() reports the membership changes."""
-    monkeypatch.setenv("REPRO_SERVER_TEST_DELAY", "0.15")
     requests = chaos_batch()
     with PartitionServer(
         workers=1, min_workers=1, max_workers=4,
         store=str(tmp_path / "cache"), job_timeout=120.0,
+        fault_plan=FaultPlan([job_delay(0.15)]),
     ) as srv:
         with ServerClient(srv.address) as client:
             done = threading.Event()

@@ -528,11 +528,11 @@ def test_gateway_sockets_have_nodelay(store_dir, monkeypatch):
     seen: list[tuple[int, int, bool]] = []
     real_send = gateway_mod.async_send_message
 
-    async def recording_send(writer, document, arrays=None):
+    async def recording_send(writer, document):
         sock = writer.get_extra_info("socket")
         flag = sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
         seen.append((sock.getsockname()[1], sock.getpeername()[1], flag))
-        await real_send(writer, document, arrays)
+        await real_send(writer, document)
 
     monkeypatch.setattr(gateway_mod, "async_send_message", recording_send)
     request = PartitionRequest(

@@ -1,28 +1,26 @@
-"""StoreJanitor: policies, orphan sweeps, and GC-vs-writer concurrency.
+"""StoreJanitor: policies, garbage sweeps, and GC-vs-writer concurrency.
 
 The janitor's safety contract: running ``sweep()`` while other processes
 write and read the same store directory never corrupts a live entry and
-never removes an in-flight write (a sidecar whose JSON body has not
-landed yet is indistinguishable from an orphan — only the grace window
-separates them).  Policy behaviour — TTL expiry, LRU size/count budgets
-keyed by mtime (which disk hits bump), the orphan/temp/corrupt sweeps —
-is pinned deterministically by backdating file mtimes.
+never removes an in-flight write (a temp file whose rename is still
+pending is indistinguishable from a killed writer's leftover — only the
+grace window separates them).  Policy behaviour — TTL expiry, LRU
+size/count budgets keyed by mtime (which disk hits bump), the
+temp/corrupt sweeps — is pinned deterministically by backdating file
+mtimes.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import time
-
-import numpy as np
 
 from repro.core.cut import Partition
 from repro.dataflow.builder import GraphBuilder
 from repro.solver.solution import Solution, SolveStatus
 from repro.workbench import ProfileStore, StoreJanitor
-from repro.workbench.artifacts import to_document, to_json, write_document
+from repro.workbench.artifacts import to_json
 
 
 def _noop(ctx, port, item):  # pragma: no cover - never invoked
@@ -55,17 +53,9 @@ def _payload(writer_id: int = 0) -> Partition:
 
 
 def _put(store: ProfileStore, name: str, writer_id: int = 0) -> None:
-    """Store writer ``writer_id``'s payload under ``name`` with a real
-    array sidecar.
-
-    No artifact holds arrays, so ``store.put`` writes no sidecar.  The
-    entry is rewritten in place through the on-disk convention, which
-    still carries one, so the sidecar rules have a file to act on.
-    """
-    key = store.put(name, _payload(writer_id))
-    document, _ = to_document(_payload(writer_id))
-    arrays = {"x": np.random.default_rng(writer_id).random(128)}
-    write_document(store.root / f"{key}.json", document, arrays)
+    """Store writer ``writer_id``'s payload under ``name``: each writer's
+    document is distinct, so a reader can tell whose write it got."""
+    store.put(name, _payload(writer_id))
 
 
 def _entry_paths(root):
@@ -77,78 +67,68 @@ def _backdate(path, seconds: float) -> None:
     os.utime(path, (stamp, stamp))
 
 
-def _backdate_entry(root, json_path, seconds: float) -> None:
-    _backdate(json_path, seconds)
-    npz = json.loads(json_path.read_text()).get("npz")
-    if npz:
-        _backdate(json_path.with_name(npz), seconds)
-
-
 # ---------------------------------------------------------------------------
 # Policies
 # ---------------------------------------------------------------------------
 
 
-def test_orphan_sidecar_and_temp_sweep(tmp_path):
+def test_temp_file_sweep(tmp_path):
     store = ProfileStore(tmp_path)
     _put(store, "keep")
     (entry,) = _entry_paths(tmp_path)
-    orphan = tmp_path / f"{entry.name}.deadbeefdeadbeef.npz"
-    orphan.write_bytes(b"loser of a same-key write race")
     temp = tmp_path / f"{entry.name}.tmp.1234.aa.7"
     temp.write_text("killed writer leftovers")
-    for path in (orphan, temp):
-        _backdate(path, 3600.0)
+    _backdate(temp, 3600.0)
 
     gc = StoreJanitor(tmp_path, grace_seconds=60.0).sweep()
-    assert gc.removed_orphan_sidecars == 1
     assert gc.removed_temp_files == 1
     assert gc.removed_entries == 0
-    assert not orphan.exists() and not temp.exists()
-    # The live entry (json + referenced sidecar) is untouched and loads.
+    assert not temp.exists()
+    # The live entry is untouched and loads.
     assert ProfileStore(tmp_path).get("keep", graph=_make_graph())
 
 
 def test_grace_window_protects_fresh_garbage(tmp_path):
-    """An in-flight write looks like an orphan; grace is the guard."""
+    """An in-flight write looks like a killed writer's temp file;
+    grace is the guard."""
     store = ProfileStore(tmp_path)
     _put(store, "keep")
     (entry,) = _entry_paths(tmp_path)
-    inflight = tmp_path / f"{entry.name}.0123456789abcdef.npz"
-    inflight.write_bytes(b"sidecar landed; json rename still pending")
+    inflight = tmp_path / f"{entry.name}.tmp.4321.bb.0"
+    inflight.write_bytes(b"body written; rename still pending")
 
     gc = StoreJanitor(tmp_path, grace_seconds=60.0).sweep()
-    assert gc.removed_orphan_sidecars == 0
+    assert gc.removed_temp_files == 0
     assert inflight.exists()
     # Once stale, the same file is garbage.
     _backdate(inflight, 3600.0)
     gc = StoreJanitor(tmp_path, grace_seconds=60.0).sweep()
-    assert gc.removed_orphan_sidecars == 1
+    assert gc.removed_temp_files == 1
 
 
 def test_grace_edge_entry_is_kept(tmp_path):
-    """An entry whose mtime sits *exactly* at the grace cutoff is still
+    """A file whose mtime sits *exactly* at the grace cutoff is still
     inside its window and must be kept; one tick older is garbage."""
     store = ProfileStore(tmp_path)
     _put(store, "edge")
     (entry,) = _entry_paths(tmp_path)
-    orphan = tmp_path / f"{entry.name}.0123456789abcdef.npz"
-    orphan.write_bytes(b"write race loser at the edge")
+    temp = tmp_path / f"{entry.name}.tmp.4321.bb.1"
+    temp.write_bytes(b"write at the edge")
 
     now = time.time()
     grace = 60.0
     stamp = now - grace  # exactly the cutoff
-    os.utime(orphan, (stamp, stamp))
+    os.utime(temp, (stamp, stamp))
     gc = StoreJanitor(tmp_path, grace_seconds=grace).sweep(now=now)
-    assert gc.removed_orphan_sidecars == 0
-    assert orphan.exists()
+    assert gc.removed_temp_files == 0
+    assert temp.exists()
 
     # The barest step past the edge makes it removable.
     stamp = now - grace - 0.5
-    os.utime(orphan, (stamp, stamp))
+    os.utime(temp, (stamp, stamp))
     gc = StoreJanitor(tmp_path, grace_seconds=grace).sweep(now=now)
-    assert gc.removed_orphan_sidecars == 1
-    assert not orphan.exists()
+    assert gc.removed_temp_files == 1
+    assert not temp.exists()
 
 
 def test_grace_edge_ttl_entry_is_kept(tmp_path):
@@ -160,9 +140,6 @@ def test_grace_edge_ttl_entry_is_kept(tmp_path):
     grace = 60.0
     stamp = now - grace
     os.utime(entry, (stamp, stamp))
-    npz = json.loads(entry.read_text()).get("npz")
-    if npz:
-        os.utime(entry.with_name(npz), (stamp, stamp))
 
     # Well past its TTL, but exactly at the grace edge: kept.
     gc = StoreJanitor(tmp_path, ttl=1.0, grace_seconds=grace).sweep(now=now)
@@ -181,16 +158,13 @@ def test_ttl_expiry(tmp_path):
     _put(store, "new", 1)
     assert len(_entry_paths(tmp_path)) == 2
     target = _entry_paths(tmp_path)[0]
-    _backdate_entry(tmp_path, target, 7200.0)
+    _backdate(target, 7200.0)
 
     gc = StoreJanitor(tmp_path, ttl=3600.0, grace_seconds=1.0).sweep()
     assert gc.removed_expired == 1
     assert gc.live_entries == 1
     remaining = _entry_paths(tmp_path)
     assert target not in remaining and len(remaining) == 1
-    # No dangling sidecars: the expired entry's npz went with it.
-    orphans = StoreJanitor(tmp_path).stats()["orphan_sidecars"]
-    assert orphans == 0
 
 
 def test_lru_size_budget_evicts_least_recently_used(tmp_path):
@@ -203,7 +177,7 @@ def test_lru_size_budget_evicts_least_recently_used(tmp_path):
     # via a disk hit, which must bump it to most-recently-used.
     ordered = sorted(entries, key=lambda p: p.name)
     for index, path in enumerate(ordered):
-        _backdate_entry(tmp_path, path, (4 - index) * 3600.0)
+        _backdate(path, (4 - index) * 3600.0)
     oldest = min(ordered, key=lambda p: p.stat().st_mtime)
     used_name = None
     for index in range(4):
@@ -229,7 +203,7 @@ def test_lru_count_budget(tmp_path):
     for index in range(5):
         _put(store, f"entry-{index}")
     for age, path in enumerate(_entry_paths(tmp_path)):
-        _backdate_entry(tmp_path, path, (10 - age) * 3600.0)
+        _backdate(path, (10 - age) * 3600.0)
     gc = StoreJanitor(tmp_path, max_entries=2, grace_seconds=1.0).sweep()
     assert gc.removed_lru == 3
     assert gc.live_entries == 2
@@ -247,19 +221,14 @@ def test_corrupt_entry_removed_after_grace(tmp_path):
     _backdate(entry, 7200.0)
     gc = StoreJanitor(tmp_path, grace_seconds=3600.0).sweep()
     assert gc.removed_corrupt == 1
-    # Its now-unreferenced sidecar is an orphan for the next sweep.
-    _ = [  # age the leftover sidecar past grace
-        _backdate(p, 7200.0) for p in tmp_path.glob("*.npz")
-    ]
-    gc = StoreJanitor(tmp_path, grace_seconds=3600.0).sweep()
-    assert gc.removed_orphan_sidecars == 1
+    assert not entry.exists()
 
 
 def test_dry_run_removes_nothing(tmp_path):
     store = ProfileStore(tmp_path)
     _put(store, "entry")
     for path in _entry_paths(tmp_path):
-        _backdate_entry(tmp_path, path, 7200.0)
+        _backdate(path, 7200.0)
     before = sorted(p.name for p in tmp_path.iterdir())
     gc = StoreJanitor(tmp_path, ttl=3600.0, grace_seconds=1.0).sweep(
         dry_run=True
@@ -272,13 +241,15 @@ def test_stats_snapshot(tmp_path):
     store = ProfileStore(tmp_path)
     _put(store, "a")
     store.measurement("eeg", {"n_channels": 2})
-    orphan = tmp_path / "lost.json.0000000000000000.npz"
-    orphan.write_bytes(b"x" * 64)
+    (tmp_path / "lost.json.tmp.1.aa.0").write_bytes(b"x" * 64)
+    (tmp_path / "torn.json").write_text('{"schema": ')
+    (tmp_path / "list.json").write_text("[1, 2]")
     stats = StoreJanitor(tmp_path).stats()
     assert stats["entries"] == 2
     assert stats["entries_by_kind"] == {"artifact": 1, "measurement": 1}
-    assert stats["orphan_sidecars"] == 1
-    assert stats["orphan_bytes"] == 64
+    assert stats["temp_files"] == 1
+    # Truncated JSON and JSON that is not an object are both misses.
+    assert stats["corrupt_entries"] == 2
     assert stats["entry_bytes"] > 0
 
 
@@ -292,13 +263,13 @@ def test_store_cli_stats_and_gc(tmp_path, capsys):
 
     store = ProfileStore(tmp_path)
     _put(store, "entry")
-    orphan = tmp_path / "gone.json.1111111111111111.npz"
-    orphan.write_bytes(b"y" * 32)
-    _backdate(orphan, 3600.0)
+    temp = tmp_path / "gone.json.tmp.1.aa.0"
+    temp.write_bytes(b"y" * 32)
+    _backdate(temp, 3600.0)
 
     assert main(["store", "stats", "--store", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert "1 orphan sidecar(s)" in out
+    assert "1 temp file(s)" in out
 
     assert (
         main(
@@ -311,12 +282,12 @@ def test_store_cli_stats_and_gc(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert "would remove" in out
-    assert orphan.exists()
+    assert temp.exists()
 
     assert main(["store", "gc", "--store", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert "1 orphan sidecar(s)" in out
-    assert not orphan.exists()
+    assert "1 temp file(s)" in out
+    assert not temp.exists()
     assert ProfileStore(tmp_path).get("entry", graph=_make_graph())
 
 

@@ -300,11 +300,8 @@ def test_result_key_sensitivity():
 
 
 def test_store_document_keeps_wire_shape(tmp_path):
-    """Caching must not mutate the document the server is about to ship
-    (write_document records its sidecar name in what it writes), and
-    entries come back in the same pure wire shape from memory or disk."""
-    import numpy as np
-
+    """Caching must not mutate the document the server is about to ship,
+    and entries come back as that same document from memory or disk."""
     cache = ResultCache(tmp_path)
     document = {
         "schema": "repro.workbench",
@@ -313,37 +310,31 @@ def test_store_document_keeps_wire_shape(tmp_path):
         "payload": {},
     }
     original = dict(document)
-    cache.store_document("wire-key", document, {"a0": np.zeros(3)})
+    cache.store_document("wire-key", document)
     assert document == original
-    memory_doc, _ = cache.lookup("wire-key")
-    assert "npz" not in memory_doc
-    disk_doc, disk_arrays = ResultCache(tmp_path).lookup("wire-key")
-    assert "npz" not in disk_doc
-    assert list(disk_arrays) == ["a0"]
+    assert cache.lookup("wire-key").document == original
+    assert ResultCache(tmp_path).lookup("wire-key").document == original
 
 
 def test_entry_wire_bytes_are_encoded_once(tmp_path, monkeypatch):
     """A remembered entry encodes its answer on first use only: later
     memory hits hand back the same bytes without encoding again."""
-    import numpy as np
-
     from repro.runtime import frames
     from repro.workbench import cache as cache_module
 
     encodes = []
 
-    def counting_encode(document, arrays=None):
+    def counting_encode(document):
         encodes.append(document)
-        return frames.encode_message(document, arrays)
+        return frames.encode_message(document)
 
     monkeypatch.setattr(cache_module, "encode_message", counting_encode)
     cache = ResultCache(tmp_path)
     document = {"schema": "repro.workbench", "kind": "partition"}
-    arrays = {"a0": np.arange(3.0)}
-    stored = cache.store_document("wire-key", document, arrays)
+    stored = cache.store_document("wire-key", document)
     assert encodes == []
     first = stored.wire()
-    assert first == frames.encode_message(document, arrays)
+    assert first == frames.encode_message(document)
     assert cache.lookup("wire-key").wire() is first
     assert len(encodes) == 1
 

@@ -30,6 +30,8 @@ from hypothesis import strategies as st
 
 from repro.core import InfeasiblePartition, Wishbone
 from repro.workbench import (
+    FaultPlan,
+    FaultRule,
     PartitionRequest,
     PartitionServer,
     ProfileStore,
@@ -39,13 +41,13 @@ from repro.workbench import (
     WorkbenchError,
 )
 from repro.runtime import frames
-from repro.workbench import artifacts, cache as cache_module
+from repro.workbench import artifacts, cache as cache_module, faults
 from repro.workbench import server as server_module
 from repro.workbench.artifacts import canonical_document, canonical_json
 from repro.runtime.frames import encode_message
 from repro.workbench.cache import RESULT_PREFIX, CacheEntry, result_key
 from repro.workbench.scenarios import Scenario
-from repro.workbench.server import _result_frames, _session_for
+from repro.workbench.server import _result_frame, _session_for
 
 #: Small scenario parameterizations so profiling (shared via a durable
 #: store) and the per-request solves stay fast.
@@ -88,6 +90,22 @@ def server(store_dir):
         workers=2, store=store_dir, result_cache=False
     ) as srv:
         yield srv
+
+
+@pytest.fixture(autouse=True)
+def no_leftover_plan():
+    """A server's fault plan stays installed in this process, and
+    later servers ship it to their workers: clear it between tests."""
+    faults.clear()
+    yield
+    faults.clear()
+
+
+def job_delay_plan(seconds: float) -> FaultPlan:
+    """Every worker sleeps ``seconds`` at each job start."""
+    return FaultPlan(
+        [FaultRule("worker.run", "delay", count=0, delay=seconds)]
+    )
 
 
 def local_session(scenario: str, store_dir: str) -> Session:
@@ -138,9 +156,9 @@ def test_served_equals_inprocess(server, store_dir, scenario):
 
 def test_answer_is_its_decision(server, store_dir, tmp_path):
     """An answer carries its decision and nothing else: an EEG-4
-    answer's header is at most 4 KB with an empty body, it holds no
-    instance or solution vector, storing it writes no npz sidecar, and
-    its reduction ratio survives a served round trip."""
+    answer's frame is at most 4 KB, it holds no instance or solution
+    vector, storing it writes one JSON file, and its reduction ratio
+    survives a served round trip."""
     params = {"n_channels": 4}
     request = PartitionRequest(
         rate_factor=8.0,
@@ -154,10 +172,8 @@ def test_answer_is_its_decision(server, store_dir, tmp_path):
     )
     local = session.partition(request)
     ref = {"scenario": "eeg", "params": dict(session.params)}
-    document, arrays = artifacts.to_document(local, ref)
-    header, body = encode_message(document, arrays)
-    assert len(header) <= 4096
-    assert body == b""
+    document = artifacts.to_document(local, ref)
+    assert len(encode_message(document)) <= 4096
     payload = document["payload"]
     assert not {"problem", "reduced", "pins", "solution"} & set(payload)
     solution = payload["partition"]["solution"]
@@ -249,12 +265,12 @@ def test_repeated_batches_are_pure_functions_of_the_batch(server, store_dir):
     assert_equivalent(first, served)
 
 
-def test_job_timeout_abandons_stuck_worker(store_dir, monkeypatch):
+def test_job_timeout_abandons_stuck_worker(store_dir):
     """A wedged job errors out to the client instead of hanging, and
     the pool retires the stuck worker."""
-    monkeypatch.setenv("REPRO_SERVER_TEST_DELAY", "30")
     with PartitionServer(
-        workers=1, store=store_dir, job_timeout=1.0, result_cache=False
+        workers=1, store=store_dir, job_timeout=1.0, result_cache=False,
+        fault_plan=job_delay_plan(30.0),
     ) as srv:
         with ServerClient(srv.address) as client:
             with pytest.raises(ServerError, match="abandoned"):
@@ -391,10 +407,10 @@ def test_parent_only_forwards_fresh_answers(
         raise AssertionError("the server parent serialized an answer")
 
     def refuse_answers(original):
-        def encode(document, arrays=None):
+        def encode(document):
             if document.get("schema") == "repro.workbench":
                 refuse()
-            return original(document, arrays)
+            return original(document)
 
         return encode
 
@@ -435,12 +451,12 @@ def test_answers_are_durable_when_the_reply_arrives(store_dir, tmp_path):
                 key = result_key(
                     "eeg", SCENARIO_PARAMS["eeg"], None, "tmote", request
                 )
-                document, arrays = artifacts.read_document(
+                document, _ = artifacts.read_document(
                     os.path.join(root, f"{RESULT_PREFIX}{key}.json")
                 )
                 kinds.append(document["kind"])
                 if result is not None:
-                    stored = artifacts.from_document(document, arrays)
+                    stored = artifacts.from_document(document)
                     assert canonical_json(stored) == canonical_json(result)
     assert kinds.count("infeasible_result") == 1
     assert kinds.count("partition_result") == len(requests) - 1
@@ -452,11 +468,10 @@ def test_degraded_runner_replies_like_a_worker(store_dir, tmp_path):
     aside."""
 
     def canonical(answer):
-        header = answer.header
+        frame = answer.frame
         return (
-            None if header is None
-            else canonical_document(json.loads(header)),
-            answer.body,
+            None if frame is None
+            else canonical_document(json.loads(frame)),
             answer.store_errors,
         )
 
@@ -640,7 +655,7 @@ def test_concurrent_clients(server, store_dir):
 # ---------------------------------------------------------------------------
 
 
-def test_worker_sigkill_mid_batch_loses_nothing(store_dir, monkeypatch):
+def test_worker_sigkill_mid_batch_loses_nothing(store_dir):
     """SIGKILL one worker mid-batch: every request is answered exactly
     once, the answers match the in-process run, and a replacement worker
     joins the pool."""
@@ -655,11 +670,10 @@ def test_worker_sigkill_mid_batch_loses_nothing(store_dir, monkeypatch):
     local = local_session("eeg", store_dir).partition_many(
         requests, skip_infeasible=True
     )
-    # Slow each job down so the kill reliably lands mid-batch.  The env
-    # var is read by the (forked) workers at job start.
-    monkeypatch.setenv("REPRO_SERVER_TEST_DELAY", "0.25")
+    # Slow each job down so the kill reliably lands mid-batch.
     with PartitionServer(
-        workers=2, store=store_dir, result_cache=False
+        workers=2, store=store_dir, result_cache=False,
+        fault_plan=job_delay_plan(0.25),
     ) as srv:
         pids = srv.worker_pids()
         assert len(pids) == 2
@@ -689,7 +703,6 @@ def test_worker_sigkill_mid_batch_loses_nothing(store_dir, monkeypatch):
                 time.sleep(0.05)
             assert pids[0] not in srv.worker_pids()
             # The pool keeps serving after the failure.
-            monkeypatch.setenv("REPRO_SERVER_TEST_DELAY", "0")
             followup = client.partition_many(
                 "eeg", requests[:2], params=SCENARIO_PARAMS["eeg"],
                 skip_infeasible=True,
@@ -804,26 +817,20 @@ json_values = st.recursive(
     | st.dictionaries(st.text(max_size=6), children, max_size=4),
     max_leaves=20,
 )
-sidecars = st.dictionaries(
-    st.from_regex(r"a[0-9]{1,2}", fullmatch=True),
-    st.lists(st.floats(), max_size=6).map(np.array),
-    max_size=3,
-)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     index=st.integers(0, 10**6),
     document=st.dictionaries(st.text(max_size=8), json_values, max_size=6),
-    arrays=sidecars,
 )
-def test_stored_reply_bytes_equal_a_fresh_encoding(index, document, arrays):
+def test_stored_reply_bytes_equal_a_fresh_encoding(index, document):
     """A reply built around an entry's stored wire bytes is the message
     ``encode_message`` would produce, byte for byte — infeasible
     (``None``) slots included."""
-    expected = encode_message({"index": index, "result": document}, arrays)
-    assert _result_frames(index, CacheEntry(document, arrays)) == expected
-    assert _result_frames(index, None) == encode_message(
+    expected = encode_message({"index": index, "result": document})
+    assert _result_frame(index, CacheEntry(document)) == expected
+    assert _result_frame(index, None) == encode_message(
         {"index": index, "result": None}
     )
 

@@ -1,30 +1,23 @@
 """Durable-store concurrency: same-key writer races never corrupt.
 
-PR 3's atomic-write claim, pinned: when two processes write the same
-store key simultaneously, a reader always reconstructs *one writer's
-payload intact* — the content-addressed sidecar naming means a JSON body
-can never be paired with the other writer's arrays — and a truncated
-entry (killed writer) degrades to a cache miss, not an error.
+The atomic-write claim, pinned: when two processes write the same store
+key simultaneously, a reader always reconstructs *one writer's payload
+intact* — each writer renames its own complete temp file into place, so
+the two can never interleave — and a truncated entry (killed writer)
+degrades to a cache miss, not an error.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 
-import numpy as np
 import pytest
 
 from repro.core.cut import Partition
 from repro.dataflow.builder import GraphBuilder
 from repro.solver.solution import Solution, SolveStatus
 from repro.workbench import ProfileStore, WorkbenchError
-from repro.workbench.artifacts import (
-    read_document,
-    to_document,
-    to_json,
-    write_document,
-)
+from repro.workbench.artifacts import to_json
 
 
 def _noop(ctx, port, item):  # pragma: no cover - never invoked
@@ -57,31 +50,11 @@ def _payload(writer_id: int) -> Partition:
     )
 
 
-def _arrays(writer_id: int) -> dict[str, np.ndarray]:
-    """Writer-distinctive arrays for the entry's npz sidecar."""
-    return {"x": np.random.default_rng(writer_id).random(256)}
-
-
-def _put(store: ProfileStore, name: str, writer_id: int):
-    """Store writer ``writer_id``'s payload under ``name`` with a real
-    array sidecar; returns the entry's path.
-
-    No artifact holds arrays, so ``store.put`` writes no sidecar.  The
-    entry is rewritten in place through the on-disk convention, which
-    still carries one, so the body/sidecar pairing has a file to pin.
-    """
-    key = store.put(name, _payload(writer_id))
-    path = store.root / f"{key}.json"
-    document, _ = to_document(_payload(writer_id))
-    write_document(path, document, _arrays(writer_id))
-    return path
-
-
 def _writer(root: str, writer_id: int, rounds: int, barrier) -> None:
     store = ProfileStore(root)
     for round_index in range(rounds):
         barrier.wait(timeout=60)
-        _put(store, f"raced-{round_index}", writer_id)
+        store.put(f"raced-{round_index}", _payload(writer_id))
 
 
 def test_concurrent_same_key_writers_never_corrupt(tmp_path):
@@ -109,7 +82,7 @@ def test_concurrent_same_key_writers_never_corrupt(tmp_path):
     winners = set()
     for round_index in range(rounds):
         # A fresh store (new process-equivalent view) must reconstruct
-        # one writer's payload exactly — fields, arrays, and all.
+        # one writer's payload exactly.
         name = f"raced-{round_index}"
         loaded = ProfileStore(str(tmp_path)).get(name, graph=graph)
         text = to_json(loaded)
@@ -117,11 +90,7 @@ def test_concurrent_same_key_writers_never_corrupt(tmp_path):
             f"round {round_index}: reconstructed entry matches neither "
             "writer — a corrupt/mixed payload"
         )
-        winner = int(text == expected[1])
-        key = ProfileStore().put(name, _payload(winner))
-        _, arrays = read_document(tmp_path / f"{key}.json")
-        np.testing.assert_array_equal(arrays["x"], _arrays(winner)["x"])
-        winners.add(winner)
+        winners.add(int(text == expected[1]))
     # Sanity: the race actually happened both ways at least once is not
     # guaranteed, but at least one complete payload won every round.
     assert len(winners) >= 1
@@ -130,7 +99,7 @@ def test_concurrent_same_key_writers_never_corrupt(tmp_path):
 def test_truncated_entry_degrades_to_miss(tmp_path):
     """A killed writer's half-written JSON is a miss, not a crash."""
     store = ProfileStore(str(tmp_path))
-    _put(store, "victim", 0)
+    store.put("victim", _payload(0))
     (entry_path,) = [p for p in tmp_path.iterdir() if p.suffix == ".json"]
     text = entry_path.read_text()
     entry_path.write_text(text[: len(text) // 2])
@@ -138,44 +107,3 @@ def test_truncated_entry_degrades_to_miss(tmp_path):
     fresh = ProfileStore(str(tmp_path))
     with pytest.raises(WorkbenchError, match="no stored artifact"):
         fresh.get("victim")
-
-
-def test_truncated_sidecar_degrades_to_miss(tmp_path):
-    store = ProfileStore(str(tmp_path))
-    entry_path = _put(store, "victim", 0)
-    sidecar = entry_path.with_name(json.loads(entry_path.read_text())["npz"])
-    blob = sidecar.read_bytes()
-    sidecar.write_bytes(blob[: len(blob) // 3])
-
-    fresh = ProfileStore(str(tmp_path))
-    with pytest.raises(WorkbenchError, match="no stored artifact"):
-        fresh.get("victim")
-
-
-def test_missing_sidecar_degrades_to_miss(tmp_path):
-    """A JSON body whose npz sidecar vanished *entirely* (a janitor
-    race, a partial restore) is a typed miss in every cache path —
-    never a raw ``FileNotFoundError`` to the caller."""
-    from repro.workbench.artifacts import ArtifactError, load_artifact
-    from repro.workbench.cache import ResultCache
-
-    store = ProfileStore(str(tmp_path))
-    entry_path = _put(store, "victim", 0)
-    sidecar = entry_path.with_name(json.loads(entry_path.read_text())["npz"])
-    sidecar.unlink()
-
-    # Store path: typed miss.
-    fresh = ProfileStore(str(tmp_path))
-    with pytest.raises(WorkbenchError, match="no stored artifact"):
-        fresh.get("victim")
-
-    # Result-cache path: a plain miss (the caller re-solves).  Rename
-    # the orphaned body into the cache's namespace to probe its reader.
-    cache_body = entry_path.with_name("result-orphan.json")
-    entry_path.rename(cache_body)
-    cache = ResultCache(str(tmp_path))
-    assert cache.lookup("orphan") is None
-
-    # Standalone loader: the typed artifact error, not FileNotFoundError.
-    with pytest.raises(ArtifactError):
-        load_artifact(cache_body)
