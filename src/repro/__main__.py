@@ -29,7 +29,7 @@ behaviour, and can emit a colorized GraphViz file.
 
 ``serve`` runs the partition server (socket-served ``partition_many``
 sharded over worker processes, each formulating a probe group once and
-re-probing it for every later batch); ``gateway`` runs the asyncio front
+re-probing it for every later batch); ``gateway`` runs the front
 door that routes batches across several such servers by result-cache key
 (shards own their cache slices; failed backends fail over; admission
 control answers overload with typed ``ServerBusy``); ``partition``
@@ -52,6 +52,7 @@ corrupt entries.  Every ``--store`` names one directory.
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 
 from .platforms import PLATFORMS
@@ -167,6 +168,18 @@ def cmd_scenarios(_args) -> int:
     return 0
 
 
+def _narrate_membership(prefix: str) -> None:
+    """Print every membership event (worker joins and deaths, shard
+    joins, backend failure and recovery) on stdout as
+    ``[prefix] <kind>: <detail>``, for operators and the CI smoke jobs
+    to watch."""
+    handler = logging.StreamHandler(sys.stdout)
+    handler.setFormatter(logging.Formatter(f"[{prefix}] %(message)s"))
+    logger = logging.getLogger("repro.workbench.membership")
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+
+
 def cmd_serve(args) -> int:
     import signal
 
@@ -200,6 +213,7 @@ def cmd_serve(args) -> int:
         raise KeyboardInterrupt
 
     signal.signal(signal.SIGTERM, _terminate)
+    _narrate_membership("serve")
     host, port = server.start()
     print(
         f"serving partition requests on {host}:{port} "
@@ -216,6 +230,8 @@ def cmd_gateway(args) -> int:
 
     from .workbench.gateway import Gateway
 
+    # Attached first, so the directory's initial shard joins print too.
+    _narrate_membership("gateway")
     gateway = Gateway(
         args.backends,
         host=args.host,
@@ -225,8 +241,8 @@ def cmd_gateway(args) -> int:
         tenant_quota=args.tenant_quota,
     )
 
-    # Same SIGTERM story as cmd_serve: CI cleanup `kill`s the gateway
-    # and expects a clean event-loop shutdown, not a leaked thread.
+    # Same SIGTERM story as cmd_serve: CI stops the gateway with `kill`
+    # and expects serve_forever's close() and exit status 0.
     def _terminate(signum, frame):
         raise KeyboardInterrupt
 
@@ -238,25 +254,6 @@ def cmd_gateway(args) -> int:
         f"{','.join(gateway.directory.backends)}",
         flush=True,
     )
-
-    # Surface membership transitions (shard joins/leaves, backend
-    # failure/recovery) on stdout so operators — and the CI smoke job —
-    # can watch routed traffic degrade and heal.
-    import threading
-    import time as _time
-
-    def _print_events() -> None:
-        seen = 0
-        while not gateway.closed:
-            events = gateway.directory.log.events()
-            for event in events[seen:]:
-                print(f"[gateway] {event.kind}: {event.detail}", flush=True)
-            seen = len(events)
-            _time.sleep(0.2)
-
-    threading.Thread(
-        target=_print_events, name="gateway-events", daemon=True
-    ).start()
     gateway.serve_forever()
     return 0
 

@@ -122,8 +122,8 @@ def encode_message(document: Mapping[str, Any]) -> bytes:
     """Encode one message as its frame payload: sorted-key JSON.
 
     The canonical wire form shared by every transport in this repo —
-    the blocking server stream and the asyncio gateway alike — so a
-    message relayed through an intermediary re-encodes byte-identically.
+    server, client and gateway alike — so a message relayed through an
+    intermediary re-encodes byte-identically.
     """
     return json.dumps(document, sort_keys=True).encode("utf-8")
 

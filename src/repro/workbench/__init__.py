@@ -32,10 +32,10 @@ an embeddable service API:
   errors, a no-op unless installed;
 * :mod:`~repro.workbench.transport` — the shared connection/dispatch
   plumbing under both server and gateway: address/manifest parsing,
-  the blocking :class:`ClientConnection`, the threaded
-  :class:`FrameListener`, and asyncio frame codecs;
+  the blocking :class:`ClientConnection` and the threaded
+  :class:`FrameListener` both of them serve on;
 * :mod:`~repro.workbench.gateway` — :class:`Gateway` /
-  :class:`PartitionDirectory`, an asyncio front door that routes
+  :class:`PartitionDirectory`, the front door that routes
   ``partition_many`` batches across several partition servers by
   result-cache key, with failover, admission control (typed
   :class:`ServerBusy`), and shard membership events

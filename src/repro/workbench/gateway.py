@@ -1,5 +1,5 @@
-"""The multi-tenant gateway: an asyncio front door routing
-``partition_many`` batches across a fleet of partition servers.
+"""The multi-tenant gateway: the front door routing ``partition_many``
+batches across a fleet of partition servers.
 
 One :class:`~repro.workbench.server.PartitionServer` is one box: one
 accept loop, one worker pool, one result-cache view.  The serving story
@@ -31,15 +31,17 @@ place shard dispatch and failover live.
   worker pool already speaks.
 
 * :class:`Gateway` speaks the existing :mod:`repro.runtime.frames`
-  protocol on an asyncio event loop, so one process fronts many
-  backends without a thread per connection.  Batches are split by
-  shard, sub-batches forwarded concurrently, and the backend's wire
-  documents are **relayed, not recomputed** — the sorted-JSON codec is
-  deterministic, so a routed reply is byte-identical to the unrouted
-  one.  Admission control bounds the blast radius: a global
-  in-flight budget plus per-tenant (client-id) quotas, both answered
-  with typed :class:`~repro.workbench.transport.ServerBusy`
-  backpressure *before* any backend work happens.
+  protocol on the same threaded
+  :class:`~repro.workbench.transport.FrameListener` the servers run, so
+  its frames pass the same fault sites.  Batches are split by shard,
+  sub-batches forwarded concurrently (one thread per shard), and the
+  backend's wire documents are **relayed, not recomputed** — the
+  sorted-JSON codec is deterministic, so a routed reply is
+  byte-identical to the unrouted one.  Admission control bounds the
+  blast radius: a global in-flight budget plus per-tenant (client-id)
+  quotas, both answered with typed
+  :class:`~repro.workbench.transport.ServerBusy` backpressure *before*
+  any backend work happens.
 
 Wired as ``python -m repro gateway --backends h1:p1,h2:p2`` (or
 ``--backends @manifest.json``); ``repro partition --server`` routes
@@ -49,27 +51,28 @@ plain server.
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
+import socket
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
-from typing import Any, Mapping, Sequence
+from typing import Any, BinaryIO, Mapping, Sequence
 
-from ..runtime.frames import FrameError
+from ..runtime.frames import FrameError, recv_message, send_message
 from . import faults
 from .cache import result_key
 from .membership import MembershipLog
 from .scenarios import WorkbenchError, get_scenario, list_scenarios
 from .session import PartitionRequest
 from .transport import (
+    FrameListener,
     ServerError,
     ServerUnavailable,
-    async_recv_message,
-    async_send_message,
     format_address,
     parse_address,
     parse_targets,
-    save_manifest,
+    set_nodelay,
 )
 
 __all__ = [
@@ -124,8 +127,9 @@ class PartitionDirectory:
     :class:`~repro.workbench.membership.MembershipLog` (the directory's
     own unless one is shared in).
 
-    Thread-safe: the gateway changes it on its event loop while an
-    embedding caller may read or change it from its own thread.
+    Thread-safe: the gateway's connection and shard threads change it
+    while an embedding caller may read or change it from its own
+    thread.
     """
 
     def __init__(
@@ -237,15 +241,6 @@ class PartitionDirectory:
         with self._lock:
             return sorted(self._failed)
 
-    # -- persistence --------------------------------------------------------
-
-    def spec(self) -> dict[str, Any]:
-        return {"backends": self.backends}
-
-    def save(self, path: str) -> None:
-        """Persist as the ``@manifest.json`` shape ``--backends`` reads."""
-        save_manifest(path, self.backends)
-
     def describe(self) -> dict[str, Any]:
         """The ``directory`` op's status payload."""
         with self._lock:
@@ -272,7 +267,7 @@ class _RemoteError(Exception):
 
 
 class Gateway:
-    """The asyncio front door: route, fan out, relay, backpressure.
+    """The front door: route, fan out, relay, backpressure.
 
     Args:
         backends: routing spec (comma list, ``@manifest.json``, list of
@@ -290,14 +285,14 @@ class Gateway:
             batches; batches carry the tenant in their document
             (``ServerClient(tenant=...)``), untagged traffic shares the
             ``"anonymous"`` tenant.
-        connect_timeout, request_timeout: per-backend dial and exchange
-            budgets for forwarded sub-batches.
+        connect_timeout, request_timeout: per-backend dial and
+            per-message budgets for forwarded sub-batches.
 
     A shard whose owner is unreachable re-homes along the directory
     chain; the batch fails with retryable ``ServerUnavailable`` only
     when *every* backend refuses it.
 
-    The event loop runs on a dedicated thread, so the gateway embeds
+    Serves on a :class:`~repro.workbench.transport.FrameListener`
     exactly like a :class:`~repro.workbench.server.PartitionServer`:
     ``start()``/``close()``, a context manager, ``serve_forever()``.
     """
@@ -318,24 +313,16 @@ class Gateway:
             if isinstance(backends, PartitionDirectory)
             else PartitionDirectory(backends)
         )
-        self._host = host
-        self._port = port
         self.default_platform = default_platform
         self.max_inflight = max(int(max_inflight), 0)
         self.tenant_quota = max(int(tenant_quota), 0)
         self.connect_timeout = connect_timeout
         self.request_timeout = request_timeout
+        self._frames = FrameListener(host, port, self._serve_op)
 
-        self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._bound: tuple[str, int] | None = None
-        self._closed = False
-
-        # Admission + routing counters; mutated only on the event loop
-        # (between awaits), read from any thread via ``stats``.
+        # Admission + routing counters: connection and shard threads
+        # change them, so every read-modify-write holds this lock.
+        self._lock = threading.Lock()
         self._inflight = 0
         self._peak_inflight = 0
         self._tenant_inflight: dict[str, int] = {}
@@ -351,39 +338,14 @@ class Gateway:
 
     @property
     def address(self) -> tuple[str, int]:
-        if self._bound is None:
-            raise ServerError("gateway is not started")
-        return self._bound
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
+        return self._frames.address
 
     def start(self) -> tuple[str, int]:
-        """Bind and begin serving on a dedicated event-loop thread."""
-        if self._thread is not None:
-            return self.address
-        self._thread = threading.Thread(
-            target=self._run, name="gateway-loop", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=10.0):
-            raise ServerError("gateway failed to start within 10s")
-        if self._startup_error is not None:
-            raise ServerError(
-                f"gateway failed to start: {self._startup_error}"
-            ) from self._startup_error
-        return self.address
+        """Bind and begin accepting; returns the address."""
+        return self._frames.start()
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        loop, stop = self._loop, self._stop
-        if loop is not None and stop is not None and loop.is_running():
-            loop.call_soon_threadsafe(stop.set)
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
+        self._frames.close()
 
     def __enter__(self) -> "Gateway":
         self.start()
@@ -395,81 +357,37 @@ class Gateway:
     def serve_forever(self) -> None:
         """Start and block until :meth:`close` (or KeyboardInterrupt)."""
         self.start()
-        assert self._thread is not None
         try:
-            while self._thread.is_alive():
-                self._thread.join(timeout=0.5)
+            while not self._frames.closed:
+                time.sleep(0.2)
         except KeyboardInterrupt:
             pass
         finally:
             self.close()
 
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # startup failures surface in start()
-            self._startup_error = exc
-        finally:
-            self._ready.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        server = await asyncio.start_server(
-            self._handle_conn, self._host, self._port
-        )
-        self._bound = server.sockets[0].getsockname()[:2]
-        self._ready.set()
-        async with server:
-            await self._stop.wait()
-
     # -- connection handling ------------------------------------------------
 
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    message = await async_recv_message(reader)
-                except (FrameError, OSError, asyncio.IncompleteReadError):
-                    return
-                if message is None:
-                    return
-                try:
-                    await self._serve_op(writer, message)
-                except (ConnectionError, OSError):
-                    return
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):
-                pass
-
-    async def _serve_op(
-        self, writer: asyncio.StreamWriter, document: Mapping[str, Any]
-    ) -> None:
+    def _serve_op(self, stream: BinaryIO, document: Mapping[str, Any]) -> None:
         op = document.get("op")
         if op == "ping":
-            await async_send_message(writer, self._ping_payload())
+            send_message(stream, self._ping_payload())
         elif op == "stats":
-            await async_send_message(writer, self._stats_payload())
+            send_message(stream, self._stats_payload())
         elif op == "scenarios":
-            await async_send_message(
-                writer,
+            send_message(
+                stream,
                 {
                     "ok": True,
                     "scenarios": [s.name for s in list_scenarios()],
                 },
             )
         elif op == "directory":
-            await self._op_directory(writer, document)
+            self._op_directory(stream, document)
         elif op == "partition_many":
-            await self._op_partition_many(writer, document)
+            self._op_partition_many(stream, document)
         else:
-            await async_send_message(
-                writer,
+            send_message(
+                stream,
                 {
                     "ok": False,
                     "kind": "WorkbenchError",
@@ -488,30 +406,30 @@ class Gateway:
         }
 
     def _stats_payload(self) -> dict[str, Any]:
+        with self._lock:
+            counters = {
+                "inflight": self._inflight,
+                "peak_inflight": self._peak_inflight,
+                "admitted": self.admitted,
+                "rejected_busy": self.rejected_busy,
+                "rejected_quota": self.rejected_quota,
+                "routed_batches": self.routed_batches,
+                "routed_shards": self.routed_shards,
+                "failovers": self.failovers,
+                "backend_errors": self.backend_errors,
+                "tenants": dict(sorted(self._tenant_inflight.items())),
+            }
         return {
             "ok": True,
             "gateway": True,
-            "inflight": self._inflight,
-            "peak_inflight": self._peak_inflight,
-            "admitted": self.admitted,
-            "rejected_busy": self.rejected_busy,
-            "rejected_quota": self.rejected_quota,
-            "routed_batches": self.routed_batches,
-            "routed_shards": self.routed_shards,
-            "failovers": self.failovers,
-            "backend_errors": self.backend_errors,
-            "tenants": {
-                tenant: count
-                for tenant, count in sorted(self._tenant_inflight.items())
-                if count > 0
-            },
+            **counters,
             "directory": self.directory.describe(),
             "membership": self.directory.log.to_payload(),
             "faults": asdict(faults.stats()),
         }
 
-    async def _op_directory(
-        self, writer: asyncio.StreamWriter, document: Mapping[str, Any]
+    def _op_directory(
+        self, stream: BinaryIO, document: Mapping[str, Any]
     ) -> None:
         action = document.get("action", "status")
         try:
@@ -524,59 +442,44 @@ class Gateway:
             else:
                 raise ServerError(f"unknown directory action {action!r}")
         except ServerError as exc:
-            await async_send_message(
-                writer,
+            send_message(
+                stream,
                 {"ok": False, "kind": "ServerError", "error": str(exc)},
             )
             return
         payload: dict[str, Any] = {"ok": True, **self.directory.describe()}
         if changed is not None:
             payload["changed"] = changed
-        await async_send_message(writer, payload)
+        send_message(stream, payload)
 
     # -- partition_many: admission + routing --------------------------------
 
-    async def _op_partition_many(
-        self, writer: asyncio.StreamWriter, document: Mapping[str, Any]
-    ) -> None:
-        tenant = str(document.get("tenant") or "anonymous")
-        if self._inflight >= self.max_inflight:
-            self.rejected_busy += 1
-            await async_send_message(
-                writer,
-                {
-                    "ok": False,
-                    "kind": "ServerBusy",
-                    "error": (
-                        f"gateway at capacity: {self._inflight} batches "
-                        f"in flight (budget {self.max_inflight})"
-                    ),
-                },
+    def _admit(self, tenant: str) -> str | None:
+        """Check and take one in-flight slot in a single step; the
+        refusal message when the budget or the tenant's quota is full."""
+        with self._lock:
+            if self._inflight >= self.max_inflight:
+                self.rejected_busy += 1
+                return (
+                    f"gateway at capacity: {self._inflight} batches "
+                    f"in flight (budget {self.max_inflight})"
+                )
+            if self._tenant_inflight.get(tenant, 0) >= self.tenant_quota:
+                self.rejected_quota += 1
+                return (
+                    f"tenant {tenant!r} quota exhausted: "
+                    f"{self.tenant_quota} concurrent batches"
+                )
+            self._inflight += 1
+            self._peak_inflight = max(self._peak_inflight, self._inflight)
+            self._tenant_inflight[tenant] = (
+                self._tenant_inflight.get(tenant, 0) + 1
             )
-            return
-        if self._tenant_inflight.get(tenant, 0) >= self.tenant_quota:
-            self.rejected_quota += 1
-            await async_send_message(
-                writer,
-                {
-                    "ok": False,
-                    "kind": "ServerBusy",
-                    "error": (
-                        f"tenant {tenant!r} quota exhausted: "
-                        f"{self.tenant_quota} concurrent batches"
-                    ),
-                },
-            )
-            return
-        self._inflight += 1
-        self._peak_inflight = max(self._peak_inflight, self._inflight)
-        self._tenant_inflight[tenant] = (
-            self._tenant_inflight.get(tenant, 0) + 1
-        )
-        self.admitted += 1
-        try:
-            await self._route_batch(writer, document)
-        finally:
+            self.admitted += 1
+            return None
+
+    def _release(self, tenant: str) -> None:
+        with self._lock:
             self._inflight -= 1
             remaining = self._tenant_inflight.get(tenant, 1) - 1
             if remaining > 0:
@@ -584,8 +487,23 @@ class Gateway:
             else:
                 self._tenant_inflight.pop(tenant, None)
 
-    async def _route_batch(
-        self, writer: asyncio.StreamWriter, document: Mapping[str, Any]
+    def _op_partition_many(
+        self, stream: BinaryIO, document: Mapping[str, Any]
+    ) -> None:
+        tenant = str(document.get("tenant") or "anonymous")
+        refusal = self._admit(tenant)
+        if refusal is not None:
+            send_message(
+                stream, {"ok": False, "kind": "ServerBusy", "error": refusal}
+            )
+            return
+        try:
+            self._route_batch(stream, document)
+        finally:
+            self._release(tenant)
+
+    def _route_batch(
+        self, stream: BinaryIO, document: Mapping[str, Any]
     ) -> None:
         try:
             scenario_name = document.get("scenario")
@@ -604,27 +522,26 @@ class Gateway:
                     requests,
                 )
             )
-            self.routed_batches += 1
-            self.routed_shards += len(shards)
-            outcomes = await asyncio.gather(
-                *(
-                    self._route_shard(primary, indices, document)
+            with self._lock:
+                self.routed_batches += 1
+                self.routed_shards += len(shards)
+            # One thread per shard; every shard finishes before the
+            # first failure (in shard order) is raised.
+            with ThreadPoolExecutor(max_workers=max(len(shards), 1)) as pool:
+                futures = [
+                    pool.submit(self._route_shard, primary, indices, document)
                     for primary, indices in shards.items()
-                ),
-                return_exceptions=True,
-            )
-            for outcome in outcomes:
-                if isinstance(outcome, BaseException):
-                    raise outcome
+                ]
+            outcomes = [future.result() for future in futures]
         except _RemoteError as exc:
-            await async_send_message(
-                writer,
+            send_message(
+                stream,
                 {"ok": False, "kind": exc.kind, "error": exc.message},
             )
             return
         except (WorkbenchError, ValueError) as exc:
-            await async_send_message(
-                writer,
+            send_message(
+                stream,
                 {
                     "ok": False,
                     "kind": type(exc).__name__,
@@ -642,8 +559,8 @@ class Gateway:
             served_platform = ack.get("platform", served_platform)
             for index, doc in entries:
                 slots[index] = doc
-        await async_send_message(
-            writer,
+        send_message(
+            stream,
             {
                 "ok": True,
                 "count": len(requests),
@@ -654,9 +571,9 @@ class Gateway:
             },
         )
         for index, doc in enumerate(slots):
-            await async_send_message(writer, {"index": index, "result": doc})
+            send_message(stream, {"index": index, "result": doc})
 
-    async def _route_shard(
+    def _route_shard(
         self,
         primary: str,
         indices: list[int],
@@ -671,57 +588,52 @@ class Gateway:
             injected: BaseException | None = None
             if rule is not None:
                 if rule.action == "delay":
-                    await asyncio.sleep(rule.delay)
+                    time.sleep(rule.delay)
                 elif rule.action == "raise":
                     injected = rule.build_error()
             try:
                 if injected is not None:
                     raise injected
-                ack, entries = await self._exchange(
-                    backend, subdoc, len(indices)
-                )
+                ack, entries = self._exchange(backend, subdoc, len(indices))
             except _RemoteError:
                 # An application answer: every backend would say the
                 # same, so relay it instead of failing over.
                 raise
-            except (
-                ServerUnavailable,
-                FrameError,
-                OSError,
-                asyncio.IncompleteReadError,
-            ) as exc:
+            except (ServerUnavailable, FrameError, OSError) as exc:
                 last = exc
-                self.backend_errors += 1
+                with self._lock:
+                    self.backend_errors += 1
                 self.directory.note_failure(backend, str(exc))
                 continue
             self.directory.note_ok(backend)
             if hop:
-                self.failovers += 1
+                with self._lock:
+                    self.failovers += 1
             return ack, [(indices[local], doc) for local, doc in entries]
         raise _RemoteError(
             "ServerUnavailable",
             f"no reachable backend for shard {primary}: {last}",
         )
 
-    async def _exchange(
+    def _exchange(
         self, backend: str, subdoc: Mapping[str, Any], count: int
     ) -> tuple[dict[str, Any], list[tuple[int, dict | None]]]:
         """One sub-batch round trip: forward, collect ack + results.
 
-        The backend's reply documents are returned *as decoded wire
-        values* and re-encoded by the deterministic codec on the way
-        out — byte-identical relay, no recompute.
+        Dials once: a refused connection fails over at once instead of
+        retrying against a backend that is gone.  The backend's reply
+        documents are returned *as decoded wire values* and re-encoded
+        by the deterministic codec on the way out — byte-identical
+        relay, no recompute.
         """
-        host, port = parse_address(backend)
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port),
-            timeout=self.connect_timeout,
+        sock = socket.create_connection(
+            parse_address(backend), timeout=self.connect_timeout
         )
-        try:
-            await async_send_message(writer, subdoc)
-            ack = await asyncio.wait_for(
-                async_recv_message(reader), timeout=self.request_timeout
-            )
+        with sock, sock.makefile("rwb") as stream:
+            set_nodelay(sock)
+            sock.settimeout(self.request_timeout)
+            send_message(stream, subdoc)
+            ack = recv_message(stream)
             if ack is None:
                 raise ServerUnavailable(
                     f"backend {backend} closed the connection"
@@ -733,10 +645,7 @@ class Gateway:
                 )
             entries: list[tuple[int, dict | None]] = []
             for _ in range(int(ack.get("count", count))):
-                message = await asyncio.wait_for(
-                    async_recv_message(reader),
-                    timeout=self.request_timeout,
-                )
+                message = recv_message(stream)
                 if message is None:
                     raise ServerUnavailable(
                         f"backend {backend} closed mid-stream"
@@ -745,9 +654,3 @@ class Gateway:
                     (int(message["index"]), message.get("result"))
                 )
             return ack, entries
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):
-                pass

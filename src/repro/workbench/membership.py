@@ -19,7 +19,9 @@ primitives; :mod:`repro.workbench.server` wires them into the pool:
 * :class:`MembershipLog` — an ordered, thread-safe record of every
   membership transition (join, leave, death, heartbeat retirement,
   degradation), surfaced through the server's ``stats()`` op so a
-  client can watch the pool breathe.
+  client can watch the pool breathe, and logged event by event to this
+  module's :mod:`logging` logger (``repro serve``/``repro gateway``
+  print it on stdout).
 
 Degradation is the last rung: when the pool has no live workers at all
 (every respawn failed, or the pool was scaled to zero) the server falls
@@ -30,10 +32,13 @@ idempotent.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from dataclasses import dataclass
 from typing import Any
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -166,7 +171,9 @@ class MembershipLog:
     """An append-only, thread-safe record of membership transitions.
 
     The sequence number — not wall-clock time — orders events, so logs
-    from deterministic chaos schedules compare exactly.
+    from deterministic chaos schedules compare exactly.  The record
+    keeps the last ``max_events``; every event is also logged at INFO
+    as ``"<kind>: <detail>"``.
     """
 
     _COUNTER_FIELDS = {
@@ -210,7 +217,8 @@ class MembershipLog:
                 setattr(
                     self.stats, counter, getattr(self.stats, counter) + 1
                 )
-            return event
+        _log.info("%s: %s", kind, detail)
+        return event
 
     def events(self, kind: str | None = None) -> list[MembershipEvent]:
         """A snapshot of recorded events (optionally one kind)."""

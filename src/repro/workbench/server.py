@@ -49,7 +49,7 @@ import warnings
 from collections import deque
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Any, BinaryIO, Mapping, NamedTuple, Sequence
+from typing import Any, BinaryIO, Callable, Mapping, NamedTuple, Sequence
 
 import multiprocessing
 from multiprocessing import connection as mp_connection
@@ -1014,7 +1014,13 @@ class PartitionServer:
             fork_fd_snapshot=self._fork_fds,
         )
         self._frames = FrameListener(self._host, self._port, self._serve_op)
-        self._frames.start()
+        try:
+            self._frames.start()
+        except ServerError:
+            # A port that cannot be bound must not leave the forked
+            # workers behind.
+            self.close()
+            raise
         return self.address
 
     def close(self) -> None:
@@ -1370,35 +1376,45 @@ class ServerClient:
     # -- plumbing ----------------------------------------------------------
 
     def _call(self, document: Mapping[str, Any]) -> dict[str, Any]:
-        with self._lock:
-            reply = self._exchange(document)
-        if not reply.get("ok"):
-            _raise_remote(reply)
+        reply, _ = self._exchange(document)
         return reply
 
-    def _exchange(self, document: Mapping[str, Any]) -> dict[str, Any]:
-        """One request/reply round trip with reconnect+retry.
+    def _exchange(
+        self,
+        document: Mapping[str, Any],
+        read_results: Callable[[dict[str, Any]], Any] | None = None,
+    ) -> tuple[dict[str, Any], Any]:
+        """One request and its whole reply, retried as a unit.
 
-        Caller holds ``self._lock``.  Transport failures retry on a
-        fresh connection; the last failure propagates as
-        :class:`ServerUnavailable`.
+        The reply opens with an ack, from which a remote error is
+        raised; ``read_results(ack)`` then reads the rest (a
+        ``partition_many`` result stream).  A transport failure anywhere
+        in the exchange — or a gateway acking ``ServerUnavailable`` —
+        re-sends the request on a fresh connection after a backoff, and
+        the last failure propagates as :class:`ServerUnavailable`.  A
+        batch cut off mid-stream is answered from the server's result
+        cache the second time, not solved again.  Other remote errors
+        are answers and are never retried.
         """
-        last: ServerUnavailable | None = None
-        for attempt in range(self.retries + 1):
-            if attempt:
-                self.transport_retries += 1
-                self._backoff.sleep(attempt - 1)
-            try:
-                if not self._conn.connected:
-                    self._conn.connect()
-                self._conn.send(document)
-                reply = self._conn.recv()
-                return reply
-            except ServerUnavailable as exc:
-                last = exc
-                self._conn.close()
-        assert last is not None
-        raise last
+        with self._lock:
+            last: ServerUnavailable | None = None
+            for attempt in range(self.retries + 1):
+                if attempt:
+                    self.transport_retries += 1
+                    self._backoff.sleep(attempt - 1)
+                try:
+                    if not self._conn.connected:
+                        self._conn.connect()
+                    self._conn.send(document)
+                    ack = self._conn.recv()
+                    if not ack.get("ok"):
+                        _raise_remote(ack)
+                    return ack, read_results(ack) if read_results else None
+                except ServerUnavailable as exc:
+                    last = exc
+                    self._conn.close()
+            assert last is not None
+            raise last
 
     # -- operations --------------------------------------------------------
 
@@ -1471,46 +1487,25 @@ class ServerClient:
         }
         if self.tenant is not None:
             document["tenant"] = self.tenant
-        with self._lock:
-            # The whole exchange (request, ack, result stream) retries
-            # as a unit: a batch cut off mid-stream is re-sent on a
-            # fresh connection, and the server's result cache answers
-            # the already-solved requests without solving them again.
-            last: ServerUnavailable | None = None
-            for attempt in range(self.retries + 1):
-                if attempt:
-                    self.transport_retries += 1
-                    self._backoff.sleep(attempt - 1)
-                try:
-                    if not self._conn.connected:
-                        self._conn.connect()
-                    self._conn.send(document)
-                    ack = self._conn.recv()
-                    if not ack.get("ok"):
-                        _raise_remote(ack)
-                    count = int(ack["count"])
-                    served_platform = ack.get("platform")
-                    self.last_batch_stats = {
-                        "cache_hits": int(ack.get("cache_hits", 0)),
-                        "cache_misses": int(ack.get("cache_misses", 0)),
-                    }
-                    graph = self._graphs.get(scenario, params or {})
-                    results: list[PartitionResult | None] = [None] * count
-                    for _ in range(count):
-                        message = self._conn.recv()
-                        index = int(message["index"])
-                        payload = message.get("result")
-                        if payload is not None:
-                            results[index] = artifacts.from_document(
-                                payload, graph=graph
-                            )
-                    break
-                except ServerUnavailable as exc:
-                    last = exc
-                    self._conn.close()
-            else:
-                assert last is not None
-                raise last
+
+        def read_results(ack: dict[str, Any]) -> list[PartitionResult | None]:
+            self.last_batch_stats = {
+                "cache_hits": int(ack.get("cache_hits", 0)),
+                "cache_misses": int(ack.get("cache_misses", 0)),
+            }
+            graph = self._graphs.get(scenario, params or {})
+            results: list[PartitionResult | None] = [None] * int(ack["count"])
+            for _ in range(len(results)):
+                message = self._conn.recv()
+                payload = message.get("result")
+                if payload is not None:
+                    results[int(message["index"])] = artifacts.from_document(
+                        payload, graph=graph
+                    )
+            return results
+
+        ack, results = self._exchange(document, read_results)
+        served_platform = ack.get("platform")
         for request, result in zip(request_objs, results):
             if result is not None:
                 # Reattach serving context (the artifact does not carry

@@ -1,9 +1,10 @@
 """Shared connection/dispatch plumbing for the serving layer.
 
 Everything that moves :mod:`repro.runtime.frames` messages over TCP —
-the blocking :class:`~repro.workbench.server.PartitionServer`, its
-:class:`~repro.workbench.server.ServerClient`, and the asyncio
-:class:`~repro.workbench.gateway.Gateway` — shares this module:
+the :class:`~repro.workbench.server.PartitionServer`, its
+:class:`~repro.workbench.server.ServerClient`, and the
+:class:`~repro.workbench.gateway.Gateway` — shares this module, and
+all of them speak over blocking sockets:
 
 * the typed transport error hierarchy (:class:`ServerError`,
   retryable :class:`ServerUnavailable`, :class:`ServerBusy`
@@ -16,22 +17,22 @@ the blocking :class:`~repro.workbench.server.PartitionServer`, its
   connection, with a connect loop whose *per-attempt* socket timeout is
   capped at the remaining connect deadline (a SYN-blackholed host fails
   in ``connect_timeout``, never the full request timeout);
-* :class:`FrameListener` — the accept/dispatch loop the blocking server
-  runs: one thread per connection, messages handed to a callback;
+* :class:`FrameListener` — the accept/dispatch loop the server and the
+  gateway run: one thread per connection, messages handed to a
+  callback;
 * :class:`Backoff` — seeded exponential backoff with jitter, so chaos
   schedules replay with deterministic retry timing;
-* ``async_send_message``/``async_recv_message`` — the same message
-  codec over asyncio streams, for the gateway's event loop.
+* :func:`set_nodelay` — ``TCP_NODELAY`` for every frames socket.
 
 A message is one frame holding one JSON document, and its *bytes* are
-identical on every path — both directions use
-:func:`repro.runtime.frames.encode_message`/``decode_message`` — which
-is what lets the gateway relay backend replies byte-for-byte.
+identical on every path — every sender and receiver uses
+:func:`repro.runtime.frames.send_message`/``recv_message`` — which is
+what lets the gateway relay backend replies byte-for-byte, and what
+puts every sent frame behind the ``frames.send`` fault site.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import random
 import socket
@@ -40,15 +41,7 @@ import time
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Mapping
 
-from ..runtime.frames import (
-    LENGTH_PREFIX,
-    MAX_FRAME_BYTES,
-    FrameError,
-    decode_message,
-    encode_message,
-    recv_message,
-    send_message,
-)
+from ..runtime.frames import FrameError, recv_message, send_message
 from .scenarios import WorkbenchError
 
 
@@ -155,19 +148,6 @@ def load_manifest(path: str | Path) -> list[str]:
     return [format_address(b) for b in backends]
 
 
-def save_manifest(path: str | Path, backends: list[str]) -> None:
-    """Write the manifest shape :func:`load_manifest` reads."""
-    Path(path).write_text(
-        json.dumps(
-            {"backends": [format_address(b) for b in backends]},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-
-
 def parse_targets(spec: Any) -> list[str]:
     """Normalize a routing spec into canonical ``host:port`` targets.
 
@@ -241,15 +221,15 @@ class Backoff:
             time.sleep(delay)
 
 
-def _set_nodelay(sock: socket.socket) -> None:
+def set_nodelay(sock: socket.socket) -> None:
     """Turn off Nagle's algorithm on a frames socket.
 
     Every message is flushed on its own, and a reply is several
     messages (an ack, then one per result).  With Nagle on, a small
     segment sent while the previous one is unacknowledged waits for
     the peer's delayed ACK — a fixed ~40 ms stall per round trip.
-    asyncio sets this option on its TCP transports by default; the
-    blocking sockets must set it themselves.
+    Every socket that carries frames sets it: the client's, each
+    accepted connection, and the gateway's backend dials.
     """
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
@@ -322,7 +302,7 @@ class ClientConnection:
                         f"{self.host}:{self.port}"
                     ) from None
                 time.sleep(0.05)
-        _set_nodelay(self._sock)
+        set_nodelay(self._sock)
         self._sock.settimeout(self.timeout)
         self._stream = self._sock.makefile("rwb")
 
@@ -381,14 +361,14 @@ class ClientConnection:
 
 
 # ---------------------------------------------------------------------------
-# Blocking listener (the server's accept/dispatch loop)
+# Listener (the server's and the gateway's accept/dispatch loop)
 # ---------------------------------------------------------------------------
 
 
 class FrameListener:
     """Accept frames connections and dispatch messages to a handler.
 
-    The blocking server's connection plumbing, extracted: a listener
+    The serving side of every frames connection: a listener
     socket, an accept thread, one handler thread per connection.  Each
     received message's document is handed to ``handler(stream,
     document)``; the handler writes replies to the same stream.  A torn
@@ -428,11 +408,18 @@ class FrameListener:
         return self._closed.is_set()
 
     def start(self) -> tuple[str, int]:
+        """Bind and begin accepting; a bind failure (the port is taken,
+        the host is not local) raises :class:`ServerError`."""
         if self._listener is not None:
             return self.address
-        self._listener = socket.create_server(
-            (self._host, self._port), backlog=self._backlog
-        )
+        try:
+            self._listener = socket.create_server(
+                (self._host, self._port), backlog=self._backlog
+            )
+        except OSError as exc:
+            raise ServerError(
+                f"cannot listen on {self._host}:{self._port}: {exc}"
+            ) from exc
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="server-accept", daemon=True
         )
@@ -501,85 +488,25 @@ class FrameListener:
 
     def _handle_conn(self, conn: socket.socket) -> None:
         try:
-            _set_nodelay(conn)
-            stream = conn.makefile("rwb")
-            while not self._closed.is_set():
-                try:
-                    message = recv_message(stream)
-                except (FrameError, OSError):
-                    return
-                if message is None:
-                    return
-                try:
-                    self._handler(stream, message)
-                except (BrokenPipeError, OSError):
-                    return
+            set_nodelay(conn)
+            # The stream is closed here, not left to the garbage
+            # collector: the socket's fd stays open while its stream
+            # lives, and the peer sees EOF only once both are closed.
+            with conn.makefile("rwb") as stream:
+                while not self._closed.is_set():
+                    try:
+                        message = recv_message(stream)
+                    except (FrameError, OSError):
+                        return
+                    if message is None:
+                        return
+                    try:
+                        self._handler(stream, message)
+                    except (BrokenPipeError, OSError):
+                        return
         except OSError:
-            return  # closed under us by close() before the first read
+            return  # closed under us by close(), or a failed final flush
         finally:
             with self._conn_lock:
                 self._conns.discard(conn)
             conn.close()
-
-
-# ---------------------------------------------------------------------------
-# Asyncio message IO (the gateway's side of the same protocol)
-# ---------------------------------------------------------------------------
-
-
-async def async_send_message(
-    writer: asyncio.StreamWriter, document: Mapping[str, Any]
-) -> None:
-    """Write one message to an asyncio stream and drain.
-
-    Same frame bytes as :func:`repro.runtime.frames.send_message`; the
-    chaos hook is *not* consulted here — transport faults against the
-    gateway are scheduled at its own ``gateway.route`` site instead, so
-    per-process ``frames.send`` occurrence counters in existing chaos
-    schedules keep their meaning.
-    """
-    frame = encode_message(document)
-    if len(frame) > MAX_FRAME_BYTES:
-        raise FrameError(
-            f"frame of {len(frame)} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte limit"
-        )
-    writer.write(LENGTH_PREFIX.pack(len(frame)))
-    writer.write(frame)
-    await writer.drain()
-
-
-async def _read_frame_async(reader: asyncio.StreamReader) -> bytes | None:
-    try:
-        prefix = await reader.readexactly(LENGTH_PREFIX.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise FrameError(
-            f"truncated frame: expected {LENGTH_PREFIX.size} bytes, "
-            f"got {len(exc.partial)}"
-        ) from exc
-    (length,) = LENGTH_PREFIX.unpack(prefix)
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(
-            f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte limit"
-        )
-    if length == 0:
-        return b""
-    try:
-        return await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise FrameError(
-            f"truncated frame: expected {length} bytes, "
-            f"got {len(exc.partial)}"
-        ) from exc
-
-
-async def async_recv_message(
-    reader: asyncio.StreamReader,
-) -> dict[str, Any] | None:
-    """Read one message from an asyncio stream; ``None`` on clean EOF."""
-    frame = await _read_frame_async(reader)
-    if frame is None:
-        return None
-    return decode_message(frame)

@@ -12,9 +12,13 @@ events, and typed ``ServerBusy`` admission control.
 
 from __future__ import annotations
 
+import io
+import json
 import random
 import socket
+import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -253,7 +257,7 @@ def test_directory_health_transitions_emit_once():
 def test_directory_manifest_roundtrip(tmp_path):
     directory = PartitionDirectory(["h1:1", "h2:2"])
     path = tmp_path / "ring.json"
-    directory.save(path)
+    path.write_text(json.dumps({"backends": directory.backends}))
     reloaded = PartitionDirectory(f"@{path}")
     assert reloaded.backends == directory.backends
 
@@ -519,22 +523,33 @@ def test_concurrent_tenants_share_the_gateway(backends, ground_truth):
 
 
 def test_gateway_sockets_have_nodelay(store_dir, monkeypatch):
-    """The gateway's asyncio streams rely on asyncio's default of
-    ``TCP_NODELAY`` on TCP transports — pin it on both the client-facing
-    and the backend-facing socket, so a served round trip through the
+    """The gateway sets ``TCP_NODELAY`` on both the client-facing and
+    the backend-facing socket, so a served round trip through the
     gateway never waits on a delayed ACK."""
     from repro.workbench import gateway as gateway_mod
 
+    # Which socket each stream wraps, so a send can read its options.
+    sockets: dict = {}
+    real_makefile = socket.socket.makefile
+
+    def recording_makefile(sock, *args, **kwargs):
+        stream = real_makefile(sock, *args, **kwargs)
+        sockets[stream] = sock
+        return stream
+
     seen: list[tuple[int, int, bool]] = []
-    real_send = gateway_mod.async_send_message
+    real_send = gateway_mod.send_message
 
-    async def recording_send(writer, document):
-        sock = writer.get_extra_info("socket")
+    def recording_send(stream, document):
+        sock = sockets[stream]
         flag = sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
-        seen.append((sock.getsockname()[1], sock.getpeername()[1], flag))
-        await real_send(writer, document)
+        seen.append(
+            (sock.getsockname()[1], sock.getpeername()[1], bool(flag))
+        )
+        real_send(stream, document)
 
-    monkeypatch.setattr(gateway_mod, "async_send_message", recording_send)
+    monkeypatch.setattr(socket.socket, "makefile", recording_makefile)
+    monkeypatch.setattr(gateway_mod, "send_message", recording_send)
     request = PartitionRequest(
         rate_factor=1.0, cpu_budget=1.0, gap_tolerance=5e-3
     )
@@ -547,3 +562,113 @@ def test_gateway_sockets_have_nodelay(store_dir, monkeypatch):
     to_backend = [flag for _, peer, flag in seen if peer == backend_port]
     assert front and all(front)
     assert to_backend and all(to_backend)
+
+
+def test_gateway_frames_pass_the_send_fault_site(monkeypatch):
+    """The gateway writes through ``frames.send_message``, so a
+    ``frames.send`` fault rule reaches its traffic like any other."""
+    from repro.runtime import frames
+
+    sites: list[str] = []
+    monkeypatch.setattr(frames, "_fault_hook", sites.append)
+    stream = io.BytesIO()
+    Gateway(["127.0.0.1:1"])._serve_op(stream, {"op": "ping"})
+    assert sites == ["frames.send"]
+    stream.seek(0)
+    assert frames.recv_message(stream)["gateway"] is True
+
+
+def dead_shard_owner(live, attempts=40) -> str:
+    """An address nothing listens on (a dial is refused at once) that
+    owns a shard of the canonical batch next to ``live``."""
+    keys = batch_keys(
+        SCENARIO, PARAMS, None, ROUTE_PLATFORM_DEFAULT, routed_batch()
+    )
+    for _ in range(attempts):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            dead = f"127.0.0.1:{sock.getsockname()[1]}"
+        if dead in PartitionDirectory([live, dead]).split(keys):
+            return dead
+    raise AssertionError(f"no closed port owned a shard in {attempts} tries")
+
+
+def test_refused_backend_fails_over_at_once(backends, ground_truth):
+    """A backend that refuses the dial fails over without retrying for
+    ``connect_timeout``: the batch answers well inside that budget,
+    byte-identical to the in-process answers, with one failover."""
+    a, _ = backends
+    # Warm the live backend first, so the timed batch measures routing
+    # rather than solving.
+    with ServerClient(a.address) as client:
+        client.partition_many(
+            SCENARIO, routed_batch(), params=PARAMS, skip_infeasible=True
+        )
+    dead = dead_shard_owner(a.address)
+    with Gateway([a.address, dead], connect_timeout=5.0) as gw:
+        with ServerClient(gw.address) as client:
+            start = time.monotonic()
+            served = client.partition_many(
+                SCENARIO, routed_batch(), params=PARAMS,
+                skip_infeasible=True,
+            )
+            elapsed = time.monotonic() - start
+            stats = client.stats()
+    assert elapsed < 2.0
+    assert stats["failovers"] == 1
+    assert stats["directory"]["failed"] == [dead]
+    assert_equivalent(ground_truth, served)
+
+
+def test_admission_is_exact_under_concurrent_batches(backends):
+    """Eight concurrent batches against ``max_inflight=2``: every batch
+    is either admitted or refused busy, never more than two run at
+    once, and every admitted slot is given back."""
+    a, b = backends
+    outcomes: list[str] = []
+    barrier = threading.Barrier(8)
+
+    def run(tenant: str) -> None:
+        with ServerClient(gw.address, tenant=tenant, retries=0) as client:
+            barrier.wait(timeout=30)
+            try:
+                client.partition_many(
+                    SCENARIO, routed_batch()[:2], params=PARAMS,
+                    skip_infeasible=True,
+                )
+                outcomes.append("admitted")
+            except ServerBusy:
+                outcomes.append("busy")
+
+    # Every forward waits a little, so admitted batches overlap the
+    # rest and the budget is really contended.
+    plan = FaultPlan(
+        [FaultRule(site="gateway.route", action="delay", count=0,
+                   delay=0.5)]
+    )
+    # Frequent thread switches expose a check-then-act race.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with Gateway([a.address, b.address], max_inflight=2) as gw, \
+                faults.injected(plan):
+            threads = [
+                threading.Thread(target=run, args=(f"tenant-{i}",))
+                for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            with ServerClient(gw.address) as client:
+                stats = client.stats()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(outcomes) == 8
+    assert stats["admitted"] + stats["rejected_busy"] == 8
+    assert stats["admitted"] == outcomes.count("admitted")
+    assert "busy" in outcomes
+    assert stats["peak_inflight"] <= 2
+    assert stats["inflight"] == 0
+    assert stats["tenants"] == {}

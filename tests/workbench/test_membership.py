@@ -4,6 +4,7 @@ scale-up/down with a lightweight injected job runner)."""
 
 from __future__ import annotations
 
+import logging
 import time
 
 import pytest
@@ -80,6 +81,18 @@ def test_membership_log_bounds_history():
     assert len(log) == 8
     assert log.events()[0].seq == 12  # oldest retained
     assert log.stats.joined == 20  # counters never truncate
+
+
+def test_membership_log_logs_every_event_past_its_bound(caplog):
+    """The record keeps the last 1,024 events, but every event reaches
+    the logger: a reader of the log never misses one."""
+    log = MembershipLog()
+    with caplog.at_level(logging.INFO, logger="repro.workbench.membership"):
+        for i in range(1030):
+            log.record("backend-failed", None, f"h:{i}")
+    assert len(log) == 1024
+    assert len(caplog.records) == 1030
+    assert caplog.records[-1].getMessage() == "backend-failed: h:1029"
 
 
 # ---------------------------------------------------------------------------

@@ -894,6 +894,23 @@ def test_started_server_closes_promptly(store_dir):
     assert time.monotonic() - started < 1.0
 
 
+def test_bind_failure_is_typed_and_leaves_no_worker(store_dir):
+    """A server whose port is taken raises ServerError and closes the
+    worker pool it forked before trying to bind."""
+    import multiprocessing
+
+    # Servers that other tests share may hold children of their own.
+    before = set(multiprocessing.active_children())
+    with PartitionServer(workers=0, store=store_dir) as holder:
+        taken = PartitionServer(
+            port=holder.address[1], workers=1, store=store_dir
+        )
+        with pytest.raises(ServerError, match="cannot listen"):
+            taken.start()
+        assert taken.pool.worker_pids() == []
+    assert set(multiprocessing.active_children()) == before
+
+
 def test_client_retries_recover_from_torn_connection(server):
     """Tearing the client's socket under it is healed by reconnect +
     retry; the recovery is counted."""
