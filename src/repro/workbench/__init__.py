@@ -55,7 +55,6 @@ from .artifacts import (
 from .cache import (
     GCStats,
     ResultCache,
-    ResultCacheStats,
     StoreJanitor,
     result_key,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "ProfileStore",
     "RateSearchRequest",
     "ResultCache",
-    "ResultCacheStats",
     "SCHEMA_VERSION",
     "Scenario",
     "ServerBusy",

@@ -1,11 +1,8 @@
 """Result cache + store lifecycle: memoized serving and bounded disk.
 
-This module closes the serving loop the rest of the workbench left
-open.  The profile-once half of the paper's workflow has been durable
-since the :class:`~repro.workbench.store.ProfileStore` landed; the
-re-partition-many half still re-solved its MILP for every repeated
-request, and the durable store itself only ever grew.  Two classes fix
-both ends of the lifecycle:
+Profiling is durable in the :class:`~repro.workbench.store.ProfileStore`;
+this module makes re-partitioning durable too, and keeps the shared
+directory bounded:
 
 * :class:`ResultCache` — content-addressed memoization of solved
   :class:`~repro.core.partitioner.PartitionResult` artifacts.  A request
@@ -15,11 +12,10 @@ both ends of the lifecycle:
   the full request payload (objective, budgets, rate, formulation,
   gap and time limit) — so a hit can be served *byte-identically in
   canonical form* without touching the solver.  Entries live next to
-  the profile store's in the same directory, one JSON file each,
-  written with the same writer-race-safe
-  :func:`~repro.workbench.artifacts.write_document` convention, which
-  is what lets every server worker (and every server
-  process) share one cache through the store directory.
+  the profile store's in the same directory, through the same
+  :class:`~repro.workbench.store.DocumentStore`, which is what lets
+  every server worker (and every server process) share one cache
+  through the store directory.
 
 * :class:`StoreJanitor` — eviction/GC for a durable store directory:
   TTL expiry, LRU size/count budgets (disk hits bump entry mtimes, so
@@ -54,7 +50,7 @@ from ..profiler.profiler import Profiler
 from ..runtime.frames import decode_message, encode_message
 from . import artifacts
 from .scenarios import Scenario, get_scenario
-from .store import profiler_config, read_entry, store_dir
+from .store import DocumentStore, profiler_config, store_dir
 
 #: Filename prefix of result-cache entries inside a store directory.
 RESULT_PREFIX = "result-"
@@ -159,7 +155,7 @@ class CacheEntry:
             return self._wire
 
 
-def _infeasible_document() -> dict[str, Any]:
+def infeasible_document() -> dict[str, Any]:
     """The document a cached infeasible answer is stored as."""
     return {
         "schema": "repro.workbench",
@@ -167,16 +163,6 @@ def _infeasible_document() -> dict[str, Any]:
         "kind": _INFEASIBLE_KIND,
         "payload": None,
     }
-
-
-@dataclass
-class ResultCacheStats:
-    """Hit/miss/store counters (observability + the CLI ``--stats``)."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    store_errors: int = 0
 
 
 class ResultCache:
@@ -187,63 +173,20 @@ class ResultCache:
             :class:`~repro.workbench.store.ProfileStore` (entries are
             distinguished by the :data:`RESULT_PREFIX` filename prefix),
             or ``None`` for a purely in-process cache.
-        max_memory_entries: LRU bound on the in-process payload cache,
-            so a long-lived server's resident set stays flat however
-            many distinct requests it serves (disk entries — bounded by
-            the :class:`StoreJanitor` instead — are unaffected; an
-            evicted durable entry is simply re-read on its next hit).
-            ``None`` removes the bound.
     """
 
-    def __init__(
-        self,
-        root: str | os.PathLike | None = None,
-        max_memory_entries: int | None = 1024,
-    ) -> None:
+    def __init__(self, root: str | os.PathLike | None = None) -> None:
         self.root = store_dir(root)
-        self.max_memory_entries = max_memory_entries
-        self._memory: dict[str, CacheEntry] = {}
-        # The partition server shares one cache across its
-        # per-connection handler threads; the LRU bookkeeping (and the
-        # counters) must not interleave.
-        self._lock = threading.Lock()
-        self.stats = ResultCacheStats()
-
-    def _remember(self, key: str, entry: CacheEntry) -> None:
-        """Insert as most-recently-used; evict the oldest over the cap."""
-        with self._lock:
-            self._memory.pop(key, None)
-            self._memory[key] = entry
-            if self.max_memory_entries is not None:
-                while len(self._memory) > self.max_memory_entries:
-                    self._memory.pop(next(iter(self._memory)))
-
-    def _path_for(self, key: str) -> Path:
-        return self.root / f"{RESULT_PREFIX}{key}.json"
+        self._entries = DocumentStore(self.root, RESULT_PREFIX)
+        self.stats = self._entries.stats
 
     # -- lookups ------------------------------------------------------------
 
     def lookup(self, key: str) -> CacheEntry | None:
-        """The cached entry, or ``None`` on miss.
-
-        Corrupt/truncated disk entries degrade to a miss (exactly like
-        the profile store); a disk hit touches the entry's mtime so the
-        janitor's LRU policies see the use.
-        """
-        with self._lock:
-            entry = self._memory.get(key)
-        if entry is None and self.root is not None:
-            document = read_entry(self._path_for(key))
-            if document is not None:
-                entry = CacheEntry(document)
-        if entry is None:
-            with self._lock:
-                self.stats.misses += 1
-            return None
-        self._remember(key, entry)
-        with self._lock:
-            self.stats.hits += 1
-        return entry
+        """The cached entry, or ``None`` on miss (a corrupt disk entry
+        included); a disk hit touches the entry's mtime so the
+        janitor's LRU policies see the use."""
+        return self._entries.lookup(key, CacheEntry)
 
     def materialize(
         self, entry: CacheEntry, graph: StreamGraph | None = None
@@ -271,7 +214,7 @@ class ResultCache:
     ) -> None:
         """Record one solved answer (``None`` = proven infeasible)."""
         if result is None:
-            document = _infeasible_document()
+            document = infeasible_document()
         else:
             document = artifacts.to_document(result, graph_ref)
         self.store_document(key, document)
@@ -295,19 +238,9 @@ class ResultCache:
         if document is None:
             self.store(key, None)
             return None
-        if self.root is not None:
-            try:
-                artifacts.write_document(
-                    self._path_for(key), document, encoded=wire
-                )
-            except OSError:
-                # A failed durable write must not fail the request:
-                # the in-memory entry below still answers this
-                # process; only cross-process sharing is lost.
-                with self._lock:
-                    self.stats.store_errors += 1
+        self._entries.write(key, document, encoded=wire)
         entry = CacheEntry(document, wire)
-        self.remember(key, entry)
+        self._entries.keep(key, entry)
         return entry
 
     def remember(self, key: str, entry: CacheEntry | None) -> None:
@@ -315,15 +248,12 @@ class ResultCache:
         nothing: the partition server's workers already wrote the
         durable entry.  ``None`` records infeasibility."""
         if entry is None:
-            entry = CacheEntry(_infeasible_document())
-        self._remember(key, entry)
-        with self._lock:
-            self.stats.stores += 1
+            entry = CacheEntry(infeasible_document())
+        self._entries.keep(key, entry)
 
     def add_store_errors(self, count: int) -> None:
         """Count durable writes that failed in another process."""
-        with self._lock:
-            self.stats.store_errors += count
+        self._entries.count_write_errors(count)
 
     def raise_infeasible(self, key: str) -> None:
         """The error a cached-infeasible hit raises under strict mode."""
@@ -333,14 +263,7 @@ class ResultCache:
 
     def clear_memory(self) -> None:
         """Drop the in-process view (disk entries survive)."""
-        self._memory.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        where = str(self.root) if self.root is not None else "memory"
-        return (
-            f"ResultCache({where}, {len(self._memory)} cached, "
-            f"hits={self.stats.hits}, misses={self.stats.misses})"
-        )
+        self._entries.clear_memory()
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +341,6 @@ class StoreJanitor:
     def _kind_of(path: Path) -> str:
         if path.name.startswith(RESULT_PREFIX):
             return "result"
-        if path.name.startswith("artifact-"):
-            return "artifact"
         return "measurement"
 
     def _scan(self):

@@ -43,6 +43,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import signal
 import threading
 import time
 import warnings
@@ -60,7 +61,13 @@ from ..profiler.profiler import Profiler
 from ..dataflow.graph import StreamGraph
 from ..runtime.frames import encode_message, send_frame, send_message
 from . import artifacts, faults
-from .cache import CacheEntry, ResultCache, result_key
+from .cache import (
+    RESULT_PREFIX,
+    CacheEntry,
+    ResultCache,
+    infeasible_document,
+    result_key,
+)
 from .membership import (
     ElasticPolicy,
     HeartbeatMonitor,
@@ -74,7 +81,7 @@ from .scenarios import (
     list_scenarios,
 )
 from .session import PartitionRequest, Session
-from .store import ProfileStore, profiler_config, store_dir
+from .store import DocumentStore, ProfileStore, profiler_config, store_dir
 from .transport import (
     Backoff,
     ClientConnection,
@@ -193,7 +200,7 @@ def _run_job(
         result = service.try_partition(request)
     else:
         result = service.partition(request)
-    document = frame = None
+    document, frame = infeasible_document(), None
     if result is not None:
         document = artifacts.to_document(
             result, {"scenario": scenario, "params": dict(params)}
@@ -202,10 +209,14 @@ def _run_job(
     key = payload.get("key")
     if key is None or store.root is None:
         return _JobAnswer(frame, 0)
-    # Writes only: the server parent keeps the entries it forwards.
-    cache = ResultCache(store.root, max_memory_entries=0)
-    cache.store_document(key, document, frame)
-    return _JobAnswer(frame, cache.stats.store_errors)
+    # Written, not kept: the server parent keeps the entries it forwards.
+    results = DocumentStore(store.root, RESULT_PREFIX)
+    results.write(key, document, encoded=frame)
+    return _JobAnswer(frame, results.stats.write_errors)
+
+
+#: Signals a worker handles its own way (see :func:`_worker_main`).
+_WORKER_SIGNALS = {signal.SIGTERM, signal.SIGINT}
 
 
 def _worker_main(
@@ -228,7 +239,14 @@ def _worker_main(
     ``worker.heartbeat`` site before each beat.  Each reply carries the
     faults this process fired since its previous reply, which the
     parent adds to its own plan's count.
+
+    A worker dies on SIGTERM and ignores SIGINT, whatever handlers it
+    inherited: the pool stops its workers itself.  It is forked with
+    both blocked, so one sent earlier waits for the reset.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _WORKER_SIGNALS)
     # A worker forked while the server holds client connections (any
     # respawn/scale-up after serving began) inherits those socket fds;
     # until they close here, a connection the parent tears down never
@@ -472,7 +490,12 @@ class WorkerPool:
             ),
             daemon=True,
         )
-        process.start()
+        # Held until the worker has dropped the handlers it inherits.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, _WORKER_SIGNALS)
+        try:
+            process.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         child_conn.close()
         handle = _WorkerHandle(self._next_wid, process, parent_conn)
         self._next_wid += 1
@@ -840,6 +863,8 @@ class WorkerPool:
             self._assign_locked()
 
     def _on_death(self, handle: _WorkerHandle) -> None:
+        # Reaped first, so the death event can carry the exit code.
+        handle.process.join(timeout=1.0)
         with self._lock:
             if handle.wid not in self._handles:
                 return
@@ -870,7 +895,6 @@ class WorkerPool:
                 self.workers_respawned += max(
                     len(self._handles) - before, 0
                 )
-        handle.process.join(timeout=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1140,7 +1164,7 @@ class PartitionServer:
                 "hits": cache.stats.hits if cache else 0,
                 "misses": cache.stats.misses if cache else 0,
                 "stores": cache.stats.stores if cache else 0,
-                "store_errors": cache.stats.store_errors if cache else 0,
+                "store_errors": cache.stats.write_errors if cache else 0,
             },
             "store": {"write_errors": self._store.stats.write_errors},
             "swallowed_errors": dict(pool.swallowed_errors) if pool else {},

@@ -1,4 +1,4 @@
-"""The profile store: content-hash-keyed, durable, defensive.
+"""The profile store, and the durable document store under it.
 
 The paper's methodology profiles *once* and re-partitions many times
 (§4.3); the :class:`ProfileStore` makes the expensive half of that
@@ -8,26 +8,19 @@ the profiler configuration — so any process asking for the same triple
 gets the cached record, across restarts when the store has a root
 directory.
 
-Two properties the old ``functools.lru_cache`` in ``experiments.common``
-did not have:
+Every :meth:`~ProfileStore.measurement` call materializes *fresh*
+objects (a new graph, a new
+:class:`~repro.profiler.profiler.Measurement`) from the stored document,
+so a caller that mutates its profile cannot change what any other
+caller gets.  ``root=None`` keeps the store in memory — the right
+default for tests and one-shot runs.
 
-* **isolation** — every :meth:`measurement` call materializes *fresh*
-  objects from the cached payload (a new graph, a new
-  :class:`~repro.profiler.profiler.Measurement`).  The lru_cache handed
-  the same mutable ``StreamGraph``/``Measurement`` to every caller, so
-  one harness mutating a profile silently corrupted every other
-  experiment in the process.
-* **durability** — with ``root`` set, payloads live on disk as
-  JSON and survive process restarts; a fresh process
-  reconstructs byte-identical profiles without re-executing the graph.
-
-``root=None`` keeps the store in memory (payload dicts, still
-materialized per call) — the right default for tests and one-shot runs.
-
-The on-disk side is two functions shared with the result cache:
-:func:`~repro.workbench.artifacts.write_document` (atomic, race-safe,
-one JSON file per entry) and :func:`read_entry` (degrade-to-miss,
-mtime-touching).
+Profiles and cached answers
+(:class:`~repro.workbench.cache.ResultCache`) share one directory and
+one mechanism, :class:`DocumentStore`: one path rule, one locked memory
+map of at most :data:`MEMORY_ENTRIES` entries, one read that turns a bad
+file into a miss, and one counted write through
+:func:`~repro.workbench.artifacts.write_document`.
 """
 
 from __future__ import annotations
@@ -36,9 +29,11 @@ import copy
 import hashlib
 import json
 import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from ..dataflow.graph import StreamGraph
 from ..profiler.profiler import Measurement, Profiler
@@ -84,13 +79,22 @@ def profiler_config(
     return config
 
 
+#: Entries one :class:`DocumentStore` keeps in memory, so a long-lived
+#: process's resident set stays flat however many keys it serves; an
+#: evicted durable entry is re-read from disk on its next use.
+MEMORY_ENTRIES = 1024
+
+
 @dataclass
 class StoreStats:
-    """Cache behaviour counters (observability + tests)."""
+    """One store's counters: lookups that hit (in memory or on disk)
+    and missed, the disk hits among the hits, entries stored, and
+    durable writes that failed."""
 
     hits: int = 0
     misses: int = 0
     disk_hits: int = 0
+    stores: int = 0
     write_errors: int = 0
 
 
@@ -114,31 +118,124 @@ def store_dir(root: str | os.PathLike | None) -> Path | None:
     return Path(root).expanduser()
 
 
-def read_entry(path: Path) -> dict[str, Any] | None:
-    """One durable entry's document, or ``None`` on a miss.
-
-    A missing, truncated, vanished, or non-object entry is a miss,
-    never poison; the next write overwrites it.  So is one
-    written under another schema or schema version: keys do not include
-    the version, so an entry an older build wrote is re-solved and
-    replaced rather than decoded or forwarded.  A hit bumps
-    the entry's mtime, the LRU clock of
-    :class:`~repro.workbench.cache.StoreJanitor` eviction, so recency
-    tracks use rather than creation.
-    """
-    if not path.exists():
-        return None
-    try:
-        document, _ = artifacts.read_document(path)
-    except (OSError, ValueError):
-        return None
-    if not artifacts.is_current(document):
-        return None
-    try:
-        os.utime(path)
-    except OSError:
-        pass  # removed by the janitor since: the caller has the payload
+def _same(document: dict[str, Any]) -> Any:
     return document
+
+
+class DocumentStore:
+    """JSON documents in one directory, behind a bounded memory map.
+
+    Each key's document lives in ``root / f"{prefix}{key}.json"``.
+    The memory map keeps at most :data:`MEMORY_ENTRIES` values, least
+    recently used evicted first; one lock guards it and :attr:`stats`,
+    since the partition server shares a cache across its connection
+    threads.  ``root=None`` keeps entries in memory only.
+    """
+
+    def __init__(self, root: Path | None, prefix: str = "") -> None:
+        self.root = root
+        self.prefix = prefix
+        self.stats = StoreStats()
+        self._memory: OrderedDict[str, Any] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def _path_for(self, key: str) -> Path:
+        return self.root / f"{self.prefix}{key}.json"
+
+    def _keep_locked(self, key: str, value: Any) -> None:
+        self._memory[key] = value
+        self._memory.move_to_end(key)
+        if len(self._memory) > MEMORY_ENTRIES:
+            self._memory.popitem(last=False)
+
+    def lookup(
+        self, key: str, wrap: Callable[[dict[str, Any]], Any] = _same
+    ) -> Any | None:
+        """The value kept for ``key``, else ``wrap`` of its durable
+        document (kept from now on), else ``None``; counted as a hit
+        or a miss.  A memory hit takes the lock once."""
+        with self._lock:
+            value = self._memory.get(key)
+            if value is not None:
+                self._memory.move_to_end(key)
+                self.stats.hits += 1
+                return value
+        document = self.read(key)
+        value = None if document is None else wrap(document)
+        with self._lock:
+            if value is None:
+                self.stats.misses += 1
+            else:
+                self._keep_locked(key, value)
+                self.stats.hits += 1
+                self.stats.disk_hits += 1
+        return value
+
+    def read(self, key: str) -> dict[str, Any] | None:
+        """``key``'s durable document, or ``None`` on a miss.
+
+        A missing, truncated, vanished, or non-object entry is a miss,
+        never poison; the next write overwrites it.  So is one written
+        under another schema or schema version: keys do not include the
+        version, so an entry an older build wrote is re-solved and
+        replaced rather than decoded or forwarded.  A hit bumps the
+        entry's mtime, the LRU clock of
+        :class:`~repro.workbench.cache.StoreJanitor` eviction, so
+        recency tracks use rather than creation.
+        """
+        if self.root is None:
+            return None
+        path = self._path_for(key)
+        if not path.exists():
+            return None
+        try:
+            document, _ = artifacts.read_document(path)
+        except (OSError, ValueError):
+            return None
+        if not artifacts.is_current(document):
+            return None
+        try:
+            os.utime(path)
+        except OSError:
+            pass  # removed by the janitor since: the caller has the payload
+        return document
+
+    def keep(self, key: str, value: Any) -> None:
+        """Keep ``value`` in memory as the most recently used; counted
+        as one store."""
+        with self._lock:
+            self._keep_locked(key, value)
+            self.stats.stores += 1
+
+    def write(
+        self, key: str, document: dict[str, Any], encoded: bytes | None = None
+    ) -> None:
+        """Write ``key``'s durable entry, from ``encoded`` (the
+        document's ``encode_message`` bytes) when the caller has them.
+
+        A failed write costs persistence, not correctness: it is
+        counted in :attr:`stats`, never raised, and the next process
+        to miss re-computes the entry.
+        """
+        if self.root is None:
+            return
+        try:
+            artifacts.write_document(
+                self._path_for(key), document, encoded=encoded
+            )
+        except OSError:
+            self.count_write_errors(1)
+
+    def count_write_errors(self, count: int) -> None:
+        """Count durable writes that failed, here or in another
+        process."""
+        with self._lock:
+            self.stats.write_errors += count
+
+    def clear_memory(self) -> None:
+        """Drop the in-process view (disk entries survive)."""
+        with self._lock:
+            self._memory.clear()
 
 
 class ProfileStore:
@@ -152,8 +249,8 @@ class ProfileStore:
     def __init__(self, root: str | os.PathLike | None = None) -> None:
         self.root = store_dir(root)
         # Each key's document; every read materializes fresh objects.
-        self._memory: dict[str, dict[str, Any]] = {}
-        self.stats = StoreStats()
+        self._documents = DocumentStore(self.root)
+        self.stats = self._documents.stats
 
     # -- keys ---------------------------------------------------------------
 
@@ -185,39 +282,6 @@ class ProfileStore:
         )
         return hashlib.sha256(blob.encode()).hexdigest()[:32]
 
-    # -- low-level payload cache -------------------------------------------
-
-    def _path_for(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
-    def _load_entry(self, key: str) -> dict[str, Any] | None:
-        document = self._memory.get(key)
-        if document is not None:
-            return document
-        if self.root is None:
-            return None
-        # A bad durable entry is a cache miss; the re-profile
-        # overwrites it.
-        document = read_entry(self._path_for(key))
-        if document is None:
-            return None
-        self._memory[key] = document
-        self.stats.disk_hits += 1
-        return document
-
-    def _store_entry(self, key: str, obj: Any, graph_ref) -> dict[str, Any]:
-        document = artifacts.to_document(obj, graph_ref)
-        if self.root is not None:
-            try:
-                artifacts.write_document(self._path_for(key), document)
-            except OSError:
-                # A failed durable write costs persistence, not
-                # correctness: the in-memory entry still serves this
-                # process, and the next process re-profiles.
-                self.stats.write_errors += 1
-        self._memory[key] = document
-        return document
-
     # -- measurements -------------------------------------------------------
 
     def measurement(
@@ -237,51 +301,20 @@ class ProfileStore:
         key = self.measurement_key(scenario, params, profiler)
         graph_ref = {"scenario": scenario.name, "params": dict(params)}
 
-        document = self._load_entry(key)
-        graph = None
+        document = self._documents.lookup(key)
         if document is None:
-            self.stats.misses += 1
             graph, source_data, source_rates = scenario.instantiate(params)
             prof = profiler or Profiler(**DEFAULT_PROFILER_CONFIG)
             measured = prof.measure(graph, source_data, source_rates)
-            document = self._store_entry(key, measured, graph_ref)
+            document = artifacts.to_document(measured, graph_ref)
+            self._documents.write(key, document)
+            self._documents.keep(key, document)
             # The profiling graph is not cached anywhere (only the
             # serialized document is), so handing it to this caller is
             # as isolated as a fresh build — and saves one.
         else:
-            self.stats.hits += 1
-        if graph is None:
             graph = scenario.build(params)
         measurement = artifacts.from_document(
             copy.deepcopy(document), graph=graph
         )
         return graph, measurement
-
-    # -- generic artifacts --------------------------------------------------
-
-    def put(self, name: str, obj: Any, graph_ref=None) -> str:
-        """Store an arbitrary artifact under a caller-chosen name."""
-        key = f"artifact-{hashlib.sha256(name.encode()).hexdigest()[:24]}"
-        self._store_entry(key, obj, graph_ref)
-        return key
-
-    def get(self, name: str, graph: StreamGraph | None = None) -> Any:
-        """Load an artifact stored with :meth:`put`."""
-        key = f"artifact-{hashlib.sha256(name.encode()).hexdigest()[:24]}"
-        document = self._load_entry(key)
-        if document is None:
-            raise WorkbenchError(f"no stored artifact named {name!r}")
-        return artifacts.from_document(copy.deepcopy(document), graph=graph)
-
-    # -- maintenance --------------------------------------------------------
-
-    def clear_memory(self) -> None:
-        """Drop the in-process payload cache (disk entries survive)."""
-        self._memory.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        where = str(self.root) if self.root is not None else "memory"
-        return (
-            f"ProfileStore({where}, {len(self._memory)} cached, "
-            f"hits={self.stats.hits}, misses={self.stats.misses})"
-        )

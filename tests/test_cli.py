@@ -1,5 +1,13 @@
 """The python -m repro command-line interface."""
 
+import os
+import queue
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main
@@ -135,3 +143,50 @@ def test_store_refuses_ring_spelling(
     assert "replicated store was removed" in err
     assert "one directory" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ring.json"]
+
+
+def test_serve_worker_sigterm_is_a_plain_death(tmp_path):
+    """``repro serve`` installs a SIGTERM handler before it forks its
+    pool; a worker must not run it.  SIGTERM to the worker kills just
+    that worker, with no traceback, the ``death`` event carries its exit
+    code, and a replacement joins."""
+    server = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve",
+            "--port", "0", "--workers", "1",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": "src"},
+        cwd=Path(__file__).resolve().parent.parent,
+    )
+    lines: queue.Queue = queue.Queue()
+    reader = threading.Thread(
+        target=lambda: [lines.put(line) for line in server.stdout],
+        daemon=True,
+    )
+    reader.start()
+
+    def next_event(kind: str) -> str:
+        # The detail of the next ``kind`` event; the CLI's own lines come
+        # from another thread, so an event may share a line with one.
+        marker = f"[serve] {kind}: "
+        while True:
+            line = lines.get(timeout=60)
+            if marker in line:
+                return line.split(marker, 1)[1].strip()
+
+    try:
+        first = int(next_event("join").removeprefix("pid "))
+        os.kill(first, signal.SIGTERM)
+        death = next_event("death")
+        second = int(next_event("join").removeprefix("pid "))
+    finally:
+        server.terminate()
+        _, err = server.communicate(timeout=60)
+        reader.join(timeout=10)
+    assert death == "exit code -15"
+    assert second != first
+    assert "Traceback" not in err
+    assert server.returncode == 0

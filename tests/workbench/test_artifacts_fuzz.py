@@ -33,7 +33,7 @@ from repro.workbench.artifacts import (
     save_artifact,
     to_json,
 )
-from repro.workbench.store import read_entry
+from repro.workbench.store import DocumentStore
 
 # ---------------------------------------------------------------------------
 # A small deterministic graph family (work functions are never invoked
@@ -235,7 +235,7 @@ def test_truncated_json_raises_typed_error(saved_artifact, tmp_path):
     clone.write_text(text[: len(text) // 2])
     with pytest.raises(ArtifactError):
         load_artifact(clone)
-    assert read_entry(clone) is None
+    assert DocumentStore(tmp_path).read("partition") is None
 
 
 def test_non_object_json_raises_typed_error(tmp_path):
@@ -243,4 +243,4 @@ def test_non_object_json_raises_typed_error(tmp_path):
     clone.write_text("[1, 2]")
     with pytest.raises(ArtifactError, match="not a document"):
         load_artifact(clone)
-    assert read_entry(clone) is None
+    assert DocumentStore(tmp_path).read("partition") is None

@@ -15,12 +15,14 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from pathlib import Path
 
 from repro.core.cut import Partition
 from repro.dataflow.builder import GraphBuilder
 from repro.solver.solution import Solution, SolveStatus
 from repro.workbench import ProfileStore, StoreJanitor
-from repro.workbench.artifacts import to_json
+from repro.workbench.artifacts import from_document, to_document, to_json
+from repro.workbench.store import DocumentStore
 
 
 def _noop(ctx, port, item):  # pragma: no cover - never invoked
@@ -52,10 +54,21 @@ def _payload(writer_id: int = 0) -> Partition:
     )
 
 
-def _put(store: ProfileStore, name: str, writer_id: int = 0) -> None:
+def _put(root, name: str, writer_id: int = 0) -> None:
     """Store writer ``writer_id``'s payload under ``name``: each writer's
     document is distinct, so a reader can tell whose write it got."""
-    store.put(name, _payload(writer_id))
+    store = DocumentStore(Path(root))
+    store.write(name, to_document(_payload(writer_id)))
+    assert store.stats.write_errors == 0
+
+
+def _get(root, name: str):
+    """The payload stored under ``name``, read from disk (``None`` on a
+    miss)."""
+    document = DocumentStore(Path(root)).read(name)
+    if document is None:
+        return None
+    return from_document(document, graph=_make_graph())
 
 
 def _entry_paths(root):
@@ -73,8 +86,7 @@ def _backdate(path, seconds: float) -> None:
 
 
 def test_temp_file_sweep(tmp_path):
-    store = ProfileStore(tmp_path)
-    _put(store, "keep")
+    _put(tmp_path, "keep")
     (entry,) = _entry_paths(tmp_path)
     temp = tmp_path / f"{entry.name}.tmp.1234.aa.7"
     temp.write_text("killed writer leftovers")
@@ -85,14 +97,13 @@ def test_temp_file_sweep(tmp_path):
     assert gc.removed_entries == 0
     assert not temp.exists()
     # The live entry is untouched and loads.
-    assert ProfileStore(tmp_path).get("keep", graph=_make_graph())
+    assert _get(tmp_path, "keep")
 
 
 def test_grace_window_protects_fresh_garbage(tmp_path):
     """An in-flight write looks like a killed writer's temp file;
     grace is the guard."""
-    store = ProfileStore(tmp_path)
-    _put(store, "keep")
+    _put(tmp_path, "keep")
     (entry,) = _entry_paths(tmp_path)
     inflight = tmp_path / f"{entry.name}.tmp.4321.bb.0"
     inflight.write_bytes(b"body written; rename still pending")
@@ -109,8 +120,7 @@ def test_grace_window_protects_fresh_garbage(tmp_path):
 def test_grace_edge_entry_is_kept(tmp_path):
     """A file whose mtime sits *exactly* at the grace cutoff is still
     inside its window and must be kept; one tick older is garbage."""
-    store = ProfileStore(tmp_path)
-    _put(store, "edge")
+    _put(tmp_path, "edge")
     (entry,) = _entry_paths(tmp_path)
     temp = tmp_path / f"{entry.name}.tmp.4321.bb.1"
     temp.write_bytes(b"write at the edge")
@@ -133,8 +143,7 @@ def test_grace_edge_entry_is_kept(tmp_path):
 
 def test_grace_edge_ttl_entry_is_kept(tmp_path):
     """TTL expiry honors the same strict grace edge for live entries."""
-    store = ProfileStore(tmp_path)
-    _put(store, "edge")
+    _put(tmp_path, "edge")
     (entry,) = _entry_paths(tmp_path)
     now = time.time()
     grace = 60.0
@@ -153,9 +162,8 @@ def test_grace_edge_ttl_entry_is_kept(tmp_path):
 
 
 def test_ttl_expiry(tmp_path):
-    store = ProfileStore(tmp_path)
-    _put(store, "old", 0)
-    _put(store, "new", 1)
+    _put(tmp_path, "old", 0)
+    _put(tmp_path, "new", 1)
     assert len(_entry_paths(tmp_path)) == 2
     target = _entry_paths(tmp_path)[0]
     _backdate(target, 7200.0)
@@ -168,9 +176,8 @@ def test_ttl_expiry(tmp_path):
 
 
 def test_lru_size_budget_evicts_least_recently_used(tmp_path):
-    store = ProfileStore(tmp_path)
     for index in range(4):
-        _put(store, f"entry-{index}", index % 2)
+        _put(tmp_path, f"entry-{index}", index % 2)
     entries = _entry_paths(tmp_path)
     assert len(entries) == 4
     # Stagger ages: entry i backdated (4-i) hours; then "use" the oldest
@@ -181,9 +188,7 @@ def test_lru_size_budget_evicts_least_recently_used(tmp_path):
     oldest = min(ordered, key=lambda p: p.stat().st_mtime)
     used_name = None
     for index in range(4):
-        probe = ProfileStore(tmp_path)
-        value = probe.get(f"entry-{index}", graph=_make_graph())
-        assert value is not None
+        assert _get(tmp_path, f"entry-{index}") is not None
         if oldest.stat().st_mtime > time.time() - 60.0:
             used_name = f"entry-{index}"
             break
@@ -195,13 +200,12 @@ def test_lru_size_budget_evicts_least_recently_used(tmp_path):
     assert gc.removed_lru >= 1
     assert gc.live_bytes <= keep_two
     # The just-used entry survived (it is most-recently-used).
-    assert ProfileStore(tmp_path).get(used_name, graph=_make_graph())
+    assert _get(tmp_path, used_name)
 
 
 def test_lru_count_budget(tmp_path):
-    store = ProfileStore(tmp_path)
     for index in range(5):
-        _put(store, f"entry-{index}")
+        _put(tmp_path, f"entry-{index}")
     for age, path in enumerate(_entry_paths(tmp_path)):
         _backdate(path, (10 - age) * 3600.0)
     gc = StoreJanitor(tmp_path, max_entries=2, grace_seconds=1.0).sweep()
@@ -211,8 +215,7 @@ def test_lru_count_budget(tmp_path):
 
 
 def test_corrupt_entry_removed_after_grace(tmp_path):
-    store = ProfileStore(tmp_path)
-    _put(store, "victim")
+    _put(tmp_path, "victim")
     (entry,) = _entry_paths(tmp_path)
     text = entry.read_text()
     entry.write_text(text[: len(text) // 2])
@@ -225,8 +228,7 @@ def test_corrupt_entry_removed_after_grace(tmp_path):
 
 
 def test_dry_run_removes_nothing(tmp_path):
-    store = ProfileStore(tmp_path)
-    _put(store, "entry")
+    _put(tmp_path, "entry")
     for path in _entry_paths(tmp_path):
         _backdate(path, 7200.0)
     before = sorted(p.name for p in tmp_path.iterdir())
@@ -238,15 +240,14 @@ def test_dry_run_removes_nothing(tmp_path):
 
 
 def test_stats_snapshot(tmp_path):
-    store = ProfileStore(tmp_path)
-    _put(store, "a")
-    store.measurement("eeg", {"n_channels": 2})
+    _put(tmp_path, "a")
+    ProfileStore(tmp_path).measurement("eeg", {"n_channels": 2})
     (tmp_path / "lost.json.tmp.1.aa.0").write_bytes(b"x" * 64)
     (tmp_path / "torn.json").write_text('{"schema": ')
     (tmp_path / "list.json").write_text("[1, 2]")
     stats = StoreJanitor(tmp_path).stats()
     assert stats["entries"] == 2
-    assert stats["entries_by_kind"] == {"artifact": 1, "measurement": 1}
+    assert stats["entries_by_kind"] == {"measurement": 2}
     assert stats["temp_files"] == 1
     # Truncated JSON and JSON that is not an object are both misses.
     assert stats["corrupt_entries"] == 2
@@ -261,8 +262,7 @@ def test_stats_snapshot(tmp_path):
 def test_store_cli_stats_and_gc(tmp_path, capsys):
     from repro.__main__ import main
 
-    store = ProfileStore(tmp_path)
-    _put(store, "entry")
+    _put(tmp_path, "entry")
     temp = tmp_path / "gone.json.tmp.1.aa.0"
     temp.write_bytes(b"y" * 32)
     _backdate(temp, 3600.0)
@@ -288,7 +288,7 @@ def test_store_cli_stats_and_gc(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "1 temp file(s)" in out
     assert not temp.exists()
-    assert ProfileStore(tmp_path).get("entry", graph=_make_graph())
+    assert _get(tmp_path, "entry")
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +297,9 @@ def test_store_cli_stats_and_gc(tmp_path, capsys):
 
 
 def _churn_writer(root: str, writer_id: int, rounds: int, barrier) -> None:
-    store = ProfileStore(root)
     for round_index in range(rounds):
         barrier.wait(timeout=60)
-        _put(store, f"gc-race-{round_index}", writer_id)
+        _put(root, f"gc-race-{round_index}", writer_id)
 
 
 def _churn_janitor(root: str, rounds: int, barrier, stop) -> None:
@@ -322,21 +321,14 @@ def _churn_reader(root: str, rounds: int, stop, failures) -> None:
     """Concurrent reader: a key either misses or loads one writer's
     payload intact — a mixed/corrupt reconstruction is the only
     failure."""
-    from repro.workbench import WorkbenchError
-
     expected = {to_json(_payload(writer_id)) for writer_id in (0, 1)}
-    graph = _make_graph()
     round_index = 0
     while not stop.is_set():
-        store = ProfileStore(root)  # fresh view: always re-reads disk
-        try:
-            loaded = store.get(f"gc-race-{round_index % rounds}", graph=graph)
-        except WorkbenchError:
-            pass  # not written yet / mid-write miss: legitimate
-        else:
-            if to_json(loaded) not in expected:
-                failures.put(f"corrupt read at round {round_index % rounds}")
-                return
+        # Not written yet, or a mid-write miss, is legitimate.
+        loaded = _get(root, f"gc-race-{round_index % rounds}")
+        if loaded is not None and to_json(loaded) not in expected:
+            failures.put(f"corrupt read at round {round_index % rounds}")
+            return
         round_index += 1
 
 
@@ -381,9 +373,8 @@ def test_gc_concurrent_with_writers_never_corrupts(tmp_path):
     expected = {
         writer_id: to_json(_payload(writer_id)) for writer_id in (0, 1)
     }
-    graph = _make_graph()
     for round_index in range(rounds):
-        loaded = ProfileStore(root).get(f"gc-race-{round_index}", graph=graph)
+        loaded = _get(root, f"gc-race-{round_index}")
         text = to_json(loaded)
         assert text in expected.values(), (
             f"round {round_index}: entry corrupted or evicted while live"

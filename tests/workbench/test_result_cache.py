@@ -13,6 +13,8 @@ version must *hit*.
 from __future__ import annotations
 
 import json
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -33,6 +35,7 @@ from repro.workbench.artifacts import (
     canonical_json,
     graph_fingerprint,
 )
+from repro.workbench import store as store_module
 from repro.workbench.cache import result_key
 from repro.workbench.server import _GraphCache
 
@@ -494,18 +497,69 @@ def test_cache_shared_between_session_and_server(tmp_path):
     assert_canonically_identical(local, again)
 
 
-def test_memory_lru_bound_keeps_durable_entries_hittable(tmp_path):
+def test_memory_lru_bound_keeps_durable_entries_hittable(
+    tmp_path, monkeypatch
+):
     """The in-process payload cache is bounded; evicted durable entries
     simply re-read from disk on their next hit."""
+    monkeypatch.setattr(store_module, "MEMORY_ENTRIES", 2)
     requests = batch()
-    session = session_for(
-        tmp_path, result_cache=ResultCache(tmp_path, max_memory_entries=2)
-    )
+    session = session_for(tmp_path)
     session.partition_many(requests, skip_infeasible=True)
-    assert len(session.result_cache._memory) <= 2
+    assert len(session.result_cache._entries._memory) <= 2
     again = session.partition_many(requests, skip_infeasible=True)
     assert session.result_cache.stats.hits == len(requests)
     assert all(r is not None for r in again)
+
+
+def test_concurrent_lookup_store_and_clear_never_raise(
+    tmp_path, monkeypatch
+):
+    """Connection threads share one cache: lookups, stores and memory
+    clears racing on a map small enough to evict on every store never
+    raise, and every lookup is counted once."""
+    monkeypatch.setattr(store_module, "MEMORY_ENTRIES", 4)
+    cache = ResultCache(tmp_path)
+    document = {
+        "schema": "repro.workbench",
+        "schema_version": SCHEMA_VERSION,
+        "kind": "partition",
+        "payload": {},
+    }
+    keys = [f"{index:032x}" for index in range(16)]
+    rounds = 300
+    errors: list[Exception] = []
+
+    def run(step) -> None:
+        try:
+            for round_index in range(rounds):
+                step(keys[round_index % len(keys)])
+        except Exception as exc:
+            errors.append(exc)
+
+    steps = [
+        cache.lookup,
+        lambda key: cache.store_document(key, document),
+        lambda key: cache.clear_memory(),
+    ]
+    threads = [
+        threading.Thread(target=run, args=(step,))
+        for step in steps * 2
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    stats = cache.stats
+    assert stats.hits + stats.misses == 2 * rounds
+    assert stats.stores == 2 * rounds
 
 
 def test_explicit_shared_result_cache_object():

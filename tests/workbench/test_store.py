@@ -8,7 +8,8 @@ import pytest
 
 from repro.platforms import get_platform
 from repro.profiler import Profiler
-from repro.workbench import ProfileStore, Session, WorkbenchError, to_json
+from repro.workbench import ProfileStore, Session, to_json
+from repro.workbench import store as store_module
 from repro.workbench.scenarios import get_scenario
 
 
@@ -141,18 +142,18 @@ def test_stale_schema_entry_is_a_miss(tmp_path, field, stale):
     assert again.stats.disk_hits == 1
 
 
-def test_generic_artifact_put_get(tmp_path):
+def test_evicted_measurement_is_reread_from_disk(tmp_path, monkeypatch):
+    """Past the memory bound, a durable measurement is re-read from
+    disk, not profiled again."""
+    monkeypatch.setattr(store_module, "MEMORY_ENTRIES", 1)
     store = ProfileStore(tmp_path)
-    session = Session("eeg", store=store, n_channels=2)
-    result = session.partition(
-        rate_factor=2.0, gap_tolerance=5e-3, net_budget=float("inf")
-    )
-    ref = {"scenario": "eeg", "params": session.params}
-    store.put("best-partition", result, graph_ref=ref)
-    loaded = store.get("best-partition")
-    assert loaded.partition.node_set == result.partition.node_set
-    with pytest.raises(WorkbenchError):
-        store.get("never-stored")
+    _, first = store.measurement("speech")
+    store.measurement("eeg", {"n_channels": 2})  # evicts speech
+    disk_hits, misses = store.stats.disk_hits, store.stats.misses
+    _, again = store.measurement("speech")
+    assert store.stats.disk_hits == disk_hits + 1
+    assert store.stats.misses == misses
+    assert to_json(first) == to_json(again)
 
 
 def test_in_memory_store_still_isolates():

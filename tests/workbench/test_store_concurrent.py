@@ -10,14 +10,13 @@ degrades to a cache miss, not an error.
 from __future__ import annotations
 
 import multiprocessing
-
-import pytest
+from pathlib import Path
 
 from repro.core.cut import Partition
 from repro.dataflow.builder import GraphBuilder
 from repro.solver.solution import Solution, SolveStatus
-from repro.workbench import ProfileStore, WorkbenchError
-from repro.workbench.artifacts import to_json
+from repro.workbench.artifacts import from_document, to_document, to_json
+from repro.workbench.store import DocumentStore
 
 
 def _noop(ctx, port, item):  # pragma: no cover - never invoked
@@ -51,10 +50,11 @@ def _payload(writer_id: int) -> Partition:
 
 
 def _writer(root: str, writer_id: int, rounds: int, barrier) -> None:
-    store = ProfileStore(root)
+    store = DocumentStore(Path(root))
     for round_index in range(rounds):
         barrier.wait(timeout=60)
-        store.put(f"raced-{round_index}", _payload(writer_id))
+        store.write(f"raced-{round_index}", to_document(_payload(writer_id)))
+    assert store.stats.write_errors == 0
 
 
 def test_concurrent_same_key_writers_never_corrupt(tmp_path):
@@ -83,9 +83,8 @@ def test_concurrent_same_key_writers_never_corrupt(tmp_path):
     for round_index in range(rounds):
         # A fresh store (new process-equivalent view) must reconstruct
         # one writer's payload exactly.
-        name = f"raced-{round_index}"
-        loaded = ProfileStore(str(tmp_path)).get(name, graph=graph)
-        text = to_json(loaded)
+        document = DocumentStore(tmp_path).read(f"raced-{round_index}")
+        text = to_json(from_document(document, graph=graph))
         assert text in expected.values(), (
             f"round {round_index}: reconstructed entry matches neither "
             "writer — a corrupt/mixed payload"
@@ -98,12 +97,11 @@ def test_concurrent_same_key_writers_never_corrupt(tmp_path):
 
 def test_truncated_entry_degrades_to_miss(tmp_path):
     """A killed writer's half-written JSON is a miss, not a crash."""
-    store = ProfileStore(str(tmp_path))
-    store.put("victim", _payload(0))
+    DocumentStore(tmp_path).write("victim", to_document(_payload(0)))
     (entry_path,) = [p for p in tmp_path.iterdir() if p.suffix == ".json"]
     text = entry_path.read_text()
     entry_path.write_text(text[: len(text) // 2])
 
-    fresh = ProfileStore(str(tmp_path))
-    with pytest.raises(WorkbenchError, match="no stored artifact"):
-        fresh.get("victim")
+    fresh = DocumentStore(tmp_path)
+    assert fresh.lookup("victim") is None
+    assert (fresh.stats.hits, fresh.stats.misses) == (0, 1)
